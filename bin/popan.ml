@@ -1453,6 +1453,27 @@ let render_telemetry socket (t : Popan_serve.Wire.telemetry) =
     print_string
       "  (no per-query sketches yet: start the server with --telemetry \
        and drive some batches, e.g. --warm)\n";
+  (* What publishing costs: bytes copied per epoch, and how many epochs
+     needed a full copy rather than a refresh of the spare. *)
+  let counter name =
+    match Obs_json.parse t.metrics_json with
+    | Ok json ->
+      Option.bind (Obs_json.member "counters" json) (fun c ->
+          Option.bind (Obs_json.member name c) Obs_json.int_opt)
+    | Error _ -> None
+  in
+  (match
+     ( counter "serve.epochs.published",
+       counter "serve.publish.bytes",
+       counter "serve.publish.full" )
+   with
+  | Some epochs, Some bytes, full when epochs > 0 ->
+    Printf.printf
+      "  publish: %d epochs, %d full copies, %.2f MB copied (%.1f KB per epoch)\n"
+      epochs (Option.value full ~default:0)
+      (float_of_int bytes /. 1048576.0)
+      (float_of_int bytes /. 1024.0 /. float_of_int epochs)
+  | _ -> ());
   let tail n l =
     let len = List.length l in
     List.filteri (fun i _ -> i >= len - n) l

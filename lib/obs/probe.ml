@@ -342,6 +342,13 @@ let serve_pruned_subtrees n =
   if n > 0 then Metrics.incr ~by:n serve_pruned_subtrees_total
 let serve_epochs_published = Metrics.counter "serve.epochs.published"
 let serve_epochs_retired = Metrics.counter "serve.epochs.retired"
+
+(* What publishing cost: column bytes copied into epoch arenas, and how
+   many publishes copied every chunk (the boot epoch, a publish with no
+   retired arena to refresh, one whose spare had to regrow). Stable:
+   the pin/publish sequence, not the schedule, decides both. *)
+let serve_publish_bytes = Metrics.counter "serve.publish.bytes"
+let serve_publish_full = Metrics.counter "serve.publish.full"
 let serve_queue_depth = Metrics.gauge ~stable:false "serve.queue.depth"
 let serve_epoch_id = Metrics.gauge ~stable:false "serve.epoch.id"
 let serve_epoch_age = Metrics.gauge ~stable:false "serve.epoch.age.batches"
@@ -439,6 +446,10 @@ let serve_publish ~epoch ~size =
   Event.emit "serve.epoch.publish"
     [ ("epoch", Event.Int epoch); ("size", Event.Int size) ]
 
+let serve_publish_copy ~bytes ~full =
+  Metrics.incr ~by:bytes serve_publish_bytes;
+  if full then Metrics.incr serve_publish_full
+
 let serve_pin ~epoch =
   Event.emit ~level:Event.Debug "serve.epoch.pin" [ ("epoch", Event.Int epoch) ]
 
@@ -447,6 +458,12 @@ let serve_retire ~epoch =
   Event.emit "serve.epoch.retire" [ ("epoch", Event.Int epoch) ]
 
 let serve_epoch_batch ~age = Metrics.set_gauge serve_epoch_age (float_of_int age)
+
+let serve_oversized_responses = Metrics.counter "serve.oversized.responses"
+
+let serve_oversized ~reason =
+  Metrics.incr serve_oversized_responses;
+  Event.emit ~level:Event.Warn "serve.oversized" [ ("reason", Event.Str reason) ]
 
 let serve_malformed ~reason =
   Metrics.incr serve_malformed_frames;

@@ -175,7 +175,8 @@ val sample_gc : unit -> unit
 
     Admission metrics for the wire-protocol request loop. Per-kernel
     query counters ([serve.queries.*]) and the epoch-lifecycle
-    counters ([serve.epochs.*], [serve.malformed.frames]) are stable —
+    counters ([serve.epochs.*], [serve.publish.*],
+    [serve.malformed.frames]) are stable —
     they count what was asked and published, independent of
     scheduling; batch timing, queue depth and epoch-age gauges are
     unstable per-schedule facts. *)
@@ -240,6 +241,13 @@ val serve_batch : queries:int -> jobs:int -> (unit -> 'a) -> 'a
     event. *)
 val serve_publish : epoch:int -> size:int -> unit
 
+(** [serve_publish_copy ~bytes ~full] accounts one epoch's copy:
+    [serve.publish.bytes] gains the column bytes copied, and
+    [serve.publish.full] counts it when every chunk was copied (the
+    boot epoch, no retired arena to refresh, or a spare that had to
+    regrow). Both stable. *)
+val serve_publish_copy : bytes:int -> full:bool -> unit
+
 (** [serve_pin ~epoch] emits a [Debug]-level [serve.epoch.pin] event —
     below the default stderr mirror, visible in the event ring. *)
 val serve_pin : epoch:int -> unit
@@ -252,6 +260,11 @@ val serve_retire : epoch:int -> unit
 (** [serve_epoch_batch ~age] sets [serve.epoch.age.batches] — batches
     answered from the current epoch since it was published. *)
 val serve_epoch_batch : age:int -> unit
+
+(** [serve_oversized ~reason] counts a response refused because its
+    frame would exceed the wire limit ([serve.oversized.responses]) and
+    emits a [serve.oversized] event at [Warn]. *)
+val serve_oversized : reason:string -> unit
 
 (** [serve_malformed ~reason] counts a rejected request frame
     ([serve.malformed.frames]) — truncation, checksum mismatch, or an

@@ -18,30 +18,60 @@ type t = {
      plus superseded epochs kept alive by readers' pins. *)
   mutable live : epoch list;
   mutable next_id : int;
+  (* The newest retired epoch's arena, with its epoch id, kept for the
+     next [publish_from] to refresh instead of allocating a copy. *)
+  mutable spare : (int * Pr_arena.t) option;
 }
 
-(* Retirement is the only place an epoch arena is reclaimed. A
-   heap-backed snapshot has nothing to release (the GC takes it once
+(* Retirement is the only place an epoch leaves the live list. Its
+   arena becomes the spare when it is newer than the one held — a newer
+   copy has fewer chunks to catch up on — and the other is released. A
+   heap-backed arena has nothing to release (the GC takes it once
    unreachable); releasing anyway keeps the mmap story uniform for a
    thawed or copied mmap arena handed to [publish]. *)
-let retire e =
+let retire t e =
   if not e.retired then begin
     e.retired <- true;
-    Pr_arena.release e.arena;
-    Probe.serve_retire ~epoch:e.id
+    Probe.serve_retire ~epoch:e.id;
+    match t.spare with
+    | Some (id, _) when id > e.id -> Pr_arena.release e.arena
+    | old ->
+      Option.iter (fun (_, a) -> Pr_arena.release a) old;
+      t.spare <- Some (e.id, e.arena)
   end
 
 let sweep t =
   let keep, drop =
     List.partition (fun e -> e.id = t.current.id || e.pins > 0) t.live
   in
-  List.iter retire drop;
+  List.iter (retire t) drop;
   t.live <- keep
 
 let create arena =
   let e = { id = 0; arena; pins = 0; retired = false } in
   Probe.serve_publish ~epoch:0 ~size:(Pr_arena.size arena);
-  { mutex = Mutex.create (); current = e; live = [ e ]; next_id = 1 }
+  {
+    mutex = Mutex.create ();
+    current = e;
+    live = [ e ];
+    next_id = 1;
+    spare = None;
+  }
+
+(* Every epoch copy is a refresh: of the spare when there is one, else
+   of an empty arena, which regrows to the live arena's column capacity
+   — unlike an exact-size snapshot, it then stays big enough to be
+   refreshed in place until the live arena's columns double. *)
+let copy_into live arena =
+  let stats = Pr_arena.refresh live ~into:arena in
+  Probe.serve_publish_copy ~bytes:stats.Pr_arena.bytes ~full:stats.Pr_arena.full;
+  arena
+
+let empty_like live =
+  Pr_arena.create ~max_depth:(Pr_arena.max_depth live)
+    ~bounds:(Pr_arena.bounds live) ~capacity:(Pr_arena.capacity live) ()
+
+let create_from live = create (copy_into live (empty_like live))
 
 let locked t f =
   Mutex.lock t.mutex;
@@ -56,6 +86,29 @@ let publish t arena =
       sweep t;
       Probe.serve_publish ~epoch:e.id ~size:(Pr_arena.size arena);
       e)
+
+let same_shape a b =
+  Pr_arena.capacity a = Pr_arena.capacity b
+  && Pr_arena.max_depth a = Pr_arena.max_depth b
+  && Box.equal (Pr_arena.bounds a) (Pr_arena.bounds b)
+
+(* The copy runs outside the lock: readers keep pinning and unpinning
+   while the writer refreshes the spare, which no reader can reach. *)
+let publish_from t live =
+  let spare =
+    locked t (fun () ->
+        let s = t.spare in
+        t.spare <- None;
+        s)
+  in
+  let target =
+    match spare with
+    | Some (_, a) when same_shape a live -> a
+    | other ->
+      Option.iter (fun (_, a) -> Pr_arena.release a) other;
+      empty_like live
+  in
+  publish t (copy_into live target)
 
 let current t = locked t (fun () -> t.current)
 let current_id t = locked t (fun () -> t.current.id)
@@ -76,8 +129,10 @@ let unpin t e =
 
 let shutdown t =
   locked t (fun () ->
-      List.iter retire t.live;
-      t.live <- [])
+      List.iter (retire t) t.live;
+      t.live <- [];
+      Option.iter (fun (_, a) -> Pr_arena.release a) t.spare;
+      t.spare <- None)
 
 let check_invariants t =
   locked t (fun () ->
@@ -100,11 +155,27 @@ let check_invariants t =
             report "epoch %d at or above the next id %d" e.id t.next_id;
           (* Cross-epoch slot ownership: each epoch's arena must account
              for every one of its own slots (stored + free lists tile the
-             high-water mark). Snapshots share no columns, so a slot
-             freed in one epoch can never corrupt another — this audit
-             catches any future scheme that breaks that disjointness. *)
+             high-water mark). *)
           List.iter
             (fun p -> report "epoch %d: %s" e.id p)
             (Pr_arena.check_invariants e.arena))
         t.live;
+      (* Disjointness: no two live epochs, and no live epoch and the
+         spare, hold the same column — the next refresh writes the
+         spare's columns, and a reader must never see that. *)
+      let rec pairs = function
+        | [] -> ()
+        | (a, x) :: rest ->
+          List.iter
+            (fun (b, y) ->
+              if Pr_arena.shares_columns x y then
+                report "%s and %s share a column" a b)
+            rest;
+          pairs rest
+      in
+      pairs
+        (List.map (fun e -> (Printf.sprintf "epoch %d" e.id, e.arena)) t.live
+        @ List.map
+            (fun (id, a) -> (Printf.sprintf "the spare (epoch %d)" id, a))
+            (Option.to_list t.spare));
       !problems)

@@ -166,13 +166,95 @@ let default_config =
     batch_sort = true;
   }
 
+(* The churn writer: one domain for the server's lifetime, parked on a
+   condition variable between batches, so a batch pays a signal and a
+   wake-up instead of a domain spawn and join. [start] hands it a
+   batch's work — apply the next churn slice, publish the next epoch —
+   and [wait] blocks until that work is done, returning how it ended. *)
+module Writer = struct
+  type state =
+    | Idle
+    | Run
+    | Done of (unit, exn * Printexc.raw_backtrace) result
+    | Stop
+
+  type t = {
+    lock : Mutex.t;
+    wake : Condition.t;
+    mutable state : state;
+    mutable domain : unit Domain.t option;
+  }
+
+  let locked w f =
+    Mutex.lock w.lock;
+    Fun.protect ~finally:(fun () -> Mutex.unlock w.lock) f
+
+  let rec await w ready =
+    match w.state with
+    | s when ready s -> s
+    | _ ->
+      Condition.wait w.wake w.lock;
+      await w ready
+
+  let set w s =
+    w.state <- s;
+    Condition.broadcast w.wake
+
+  let spawn work =
+    let w =
+      {
+        lock = Mutex.create ();
+        wake = Condition.create ();
+        state = Idle;
+        domain = None;
+      }
+    in
+    let next_job () = await w (function Run | Stop -> true | _ -> false) in
+    let rec loop () =
+      match locked w next_job with
+      | Stop -> ()
+      | _ ->
+        let outcome =
+          match work () with
+          | () -> Ok ()
+          | exception e -> Error (e, Printexc.get_raw_backtrace ())
+        in
+        locked w (fun () ->
+            match w.state with Stop -> () | _ -> set w (Done outcome));
+        loop ()
+    in
+    w.domain <- Some (Domain.spawn loop);
+    w
+
+  (* After [stop] no domain would ever answer: fail instead of hanging. *)
+  let start w =
+    locked w (fun () ->
+        match w.state with
+        | Stop -> invalid_arg "Server.run_queries: server is shut down"
+        | _ -> set w Run)
+
+  let wait w =
+    locked w (fun () ->
+        match await w (function Done _ | Stop -> true | _ -> false) with
+        | Done outcome ->
+          set w Idle;
+          outcome
+        | _ -> Ok ())
+
+  (* Idempotent. A slice in flight finishes before the domain exits. *)
+  let stop w =
+    locked w (fun () -> set w Stop);
+    Option.iter Domain.join w.domain;
+    w.domain <- None
+end
+
 type t = {
   config : config;
   pool : Parallel.Pool.t;
   owns_pool : bool;
   live : Pr_arena.t;  (** the writer's arena; only the writer touches it *)
   epochs : Epoch.t;
-  churn : (Workload.Churn.spec * Workload.Churn.state) option;
+  writer : Writer.t option;  (** present iff [churn_ops > 0] *)
   mutable batches : int;
   mutable epoch_batches : int;  (** batches answered from the current epoch *)
 }
@@ -197,64 +279,65 @@ let create ?pool config =
   let backing =
     Option.map (fun dir -> Pr_arena.Mmap { dir }) config.mmap_dir
   in
-  let live = Pr_arena.of_points_bulk ?backing ~capacity:config.capacity base in
+  (* Headroom for the slot high-water mark, which churn pushes above the
+     base population from the first slice on: without it the live
+     columns double at once, and the boot epoch's copy, sized to them,
+     must regrow at its first reuse. Untouched, the headroom costs
+     address space, not memory. *)
+  let live =
+    Pr_arena.of_points_bulk ?backing ~capacity:config.capacity
+      ~reserve:(config.base_points + (config.base_points / 8))
+      base
+  in
   let pool, owns_pool =
     match pool with
     | Some p -> (p, false)
     | None -> (Parallel.Pool.create ?jobs:config.jobs (), true)
   in
-  {
-    config;
-    pool;
-    owns_pool;
-    live;
-    epochs = Epoch.create (Pr_arena.snapshot live);
-    churn = (if config.churn_ops > 0 then Some (spec, state) else None);
-    batches = 0;
-    epoch_batches = 0;
-  }
+  let epochs = Epoch.create_from live in
+  (* The writer's one job per batch: the next churn slice, then the
+     next epoch, published through the spare so it copies only the
+     chunks the slice wrote. *)
+  let writer =
+    if config.churn_ops = 0 then None
+    else
+      Some
+        (Writer.spawn (fun () ->
+             for _ = 1 to config.churn_ops do
+               match Workload.Churn.step spec state with
+               | Workload.Churn.Insert p -> Pr_arena.insert live p
+               | Workload.Churn.Delete p -> ignore (Pr_arena.delete live p : bool)
+               | Workload.Churn.Update (p, q) ->
+                 ignore (Pr_arena.update live p q : bool)
+             done;
+             ignore (Epoch.publish_from epochs live : Epoch.epoch)))
+  in
+  { config; pool; owns_pool; live; epochs; writer; batches = 0; epoch_batches = 0 }
 
 let epochs t = t.epochs
 let pool t = t.pool
 let batches t = t.batches
 
-let apply_churn t ops =
-  match t.churn with
-  | None -> ()
-  | Some (spec, state) ->
-    for _ = 1 to ops do
-      match Workload.Churn.step spec state with
-      | Workload.Churn.Insert p -> Pr_arena.insert t.live p
-      | Workload.Churn.Delete p -> ignore (Pr_arena.delete t.live p : bool)
-      | Workload.Churn.Update (p, q) ->
-        ignore (Pr_arena.update t.live p q : bool)
-    done
-
 (* Answer one batch from a pinned epoch while the churn writer advances
-   the live arena on its own domain. The overlap is real — the writer
-   mutates [t.live] during the batch — but readers only ever see the
-   pinned snapshot, which shares nothing with [t.live], so answers are
-   torn-free and depend only on the epoch's contents; and the churn
-   stream itself is deterministic, so the next published epoch is too.
-   Responses are therefore byte-identical at every job count. *)
+   the live arena and publishes the next epoch on its own domain. The
+   overlap is real — the writer mutates [t.live] and refreshes the
+   spare during the batch — but readers only ever see the pinned
+   epoch, which shares no column with either, so answers are torn-free
+   and depend only on the epoch's contents; and the churn stream itself
+   is deterministic, so the next published epoch is too. Responses are
+   therefore byte-identical at every job count. *)
 let run_queries t queries =
   let e = Epoch.pin t.epochs in
-  let writer =
-    match t.churn with
-    | Some _ when t.config.churn_ops > 0 ->
-      Some (Domain.spawn (fun () -> apply_churn t t.config.churn_ops))
-    | _ -> None
-  in
+  Option.iter Writer.start t.writer;
+  let writer_outcome = ref (Ok ()) in
   let answers =
     Fun.protect
       ~finally:(fun () ->
-        Option.iter Domain.join writer;
-        (* Publish after the writer lands: each batch serves epoch [n]
-           and leaves epoch [n+1] installed for the next one. *)
-        (match t.churn with
-        | Some _ ->
-          ignore (Epoch.publish t.epochs (Pr_arena.snapshot t.live)
-                   : Epoch.epoch);
+        (* Wait for the writer: each batch serves epoch [n] and leaves
+           epoch [n+1] installed for the next one. *)
+        (match t.writer with
+        | Some w ->
+          writer_outcome := Writer.wait w;
           t.epoch_batches <- 0
         | None ->
           t.epoch_batches <- t.epoch_batches + 1;
@@ -264,6 +347,9 @@ let run_queries t queries =
         run_batch ~epoch:(Epoch.id e) ~sort:t.config.batch_sort t.pool
           (Epoch.arena e) queries)
   in
+  (match !writer_outcome with
+  | Ok () -> ()
+  | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt);
   t.batches <- t.batches + 1;
   (Epoch.id e, answers)
 
@@ -326,6 +412,7 @@ let handle t (req : Wire.request) : Wire.response * bool =
   | Wire.Quit -> (Wire.Bye, false)
 
 let shutdown t =
+  Option.iter Writer.stop t.writer;
   Probe.serve_shutdown ~batches:t.batches ~epoch:(Epoch.current_id t.epochs);
   Epoch.shutdown t.epochs;
   Pr_arena.release t.live;
@@ -333,6 +420,19 @@ let shutdown t =
   (* The at-exit flushes only cover experiment commands; a server must
      leave its admission counters in the store's stats log itself. *)
   Option.iter Store.flush_counters (Store.default ())
+
+(* A response too large for one frame is never written: the client
+   gets a short [Refused] in its place, and the stream stays in step
+   for the next request. *)
+let respond oc resp =
+  try Wire.write_response oc resp
+  with Wire.Frame_too_large n ->
+    let reason =
+      Printf.sprintf "response of %d bytes exceeds the %d-byte frame limit" n
+        Wire.max_frame
+    in
+    Probe.serve_oversized ~reason;
+    Wire.write_response oc (Wire.Refused reason)
 
 (* Drive one client conversation to its end. Returns [true] when the
    client asked the server to quit ([Wire.Quit]), [false] when the
@@ -349,11 +449,11 @@ let serve_channels t ic oc =
          request and stop reading rather than resynchronize by
          guesswork. *)
       Probe.serve_malformed ~reason;
-      Wire.write_response oc (Wire.Refused reason);
+      respond oc (Wire.Refused reason);
       false
     | Some (Ok req) ->
       let resp, continue = handle t req in
-      Wire.write_response oc resp;
+      respond oc resp;
       if continue then loop () else true
   in
   loop ()

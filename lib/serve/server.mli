@@ -9,10 +9,12 @@ open Import
     pool ([map_array]'s task-ordered reduction makes the response
     byte-identical at every job count), and — when churn is configured —
     concurrently applies the next slice of the deterministic churn
-    stream to the live arena on a separate domain, publishing the
-    resulting snapshot as the next epoch before the response is
-    written. Readers never observe a torn snapshot: epochs share no
-    mutable state with the live arena. *)
+    stream to the live arena, publishing the result as the next epoch
+    ({!Epoch.publish_from}: a refresh of the spare that copies only the
+    chunks the slice wrote) before the response is written. The churn
+    work runs on one writer domain that lives as long as the server; a
+    static server ([churn_ops = 0]) has none. Readers never observe a
+    torn snapshot: epochs share no mutable state with the live arena. *)
 
 (** [eval arena q] answers one query sequentially — the same function
     the pool's tasks run when telemetry is off, and the oracle tests
@@ -70,10 +72,11 @@ val default_config : config
 type t
 
 (** [create ?pool config] builds the initial population
-    (deterministically from [config.seed]), publishes epoch 0, and
-    readies the pool ([?pool] borrows an existing one, which
-    {!shutdown} then leaves running). Raises [Invalid_argument] on
-    negative [base_points] or [churn_ops]. *)
+    (deterministically from [config.seed]), publishes epoch 0, readies
+    the pool ([?pool] borrows an existing one, which {!shutdown} then
+    leaves running) and, when [churn_ops > 0], spawns the writer
+    domain. Raises [Invalid_argument] on negative [base_points] or
+    [churn_ops]. *)
 val create : ?pool:Parallel.Pool.t -> config -> t
 
 val epochs : t -> Epoch.t
@@ -97,17 +100,26 @@ val warm : t -> batches:int -> queries:int -> unit
     the loop should stop ([Quit]). *)
 val handle : t -> Wire.request -> Wire.response * bool
 
+(** [respond oc resp] writes [resp] as one frame, or — when it would
+    exceed {!Wire.max_frame} — a short [Refused] saying so instead,
+    counted in [serve.oversized.responses]. Either way the stream stays
+    in step for the next request. *)
+val respond : out_channel -> Wire.response -> unit
+
 (** [serve_channels t ic oc] reads framed requests from [ic] and writes
-    framed responses to [oc] until EOF, [Quit], or a malformed frame
-    (refused, then the loop stops — a broken frame leaves the stream
-    position undefined). Returns [true] iff the conversation ended with
+    framed responses to [oc] through {!respond} until EOF, [Quit], or a
+    malformed frame (refused, then the loop stops — a broken frame
+    leaves the stream position undefined). A response too large to
+    frame is refused and the loop keeps serving. Returns [true] iff the
+    conversation ended with
     [Quit] — the client asked the server itself to stop, as opposed to
     merely hanging up. *)
 val serve_channels : t -> in_channel -> out_channel -> bool
 
-(** [shutdown t] retires every epoch and releases the live arena's
-    mmap segments, shuts down an owned pool, and flushes the obs
-    counters to the default artifact store when one is configured. *)
+(** [shutdown t] stops and joins the writer domain, retires every
+    epoch and releases the live arena's mmap segments, shuts down an
+    owned pool, and flushes the obs counters to the default artifact
+    store when one is configured. *)
 val shutdown : t -> unit
 
 (** [run ?pool ?socket ?warm_batches config] is the whole lifecycle:

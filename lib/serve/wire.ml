@@ -211,9 +211,16 @@ let response =
 
 let max_frame = 1 lsl 26 (* 64 MiB: refuse absurd prefixes outright *)
 
+exception Frame_too_large of int
+
+(* The writer holds itself to the reader's limit, so every frame it
+   writes is one a peer accepts — and the 4-byte prefix can never
+   wrap. The check comes before the first byte: a refused frame leaves
+   the stream untouched. *)
 let write_frame oc ~kind codec v =
   let s = Codec.to_artifact ~kind ~version ~key:frame_key codec v in
   let n = String.length s in
+  if n > max_frame then raise (Frame_too_large n);
   output_byte oc ((n lsr 24) land 0xff);
   output_byte oc ((n lsr 16) land 0xff);
   output_byte oc ((n lsr 8) land 0xff);

@@ -73,7 +73,18 @@ val answer : answer Codec.t
 val telemetry : telemetry Codec.t
 val response : response Codec.t
 
-(** [write_frame oc ~kind codec v] frames and writes [v], then flushes. *)
+(** [max_frame] is the largest frame payload either side accepts:
+    64 MiB. *)
+val max_frame : int
+
+(** Raised by {!write_frame} with the payload's length when it exceeds
+    {!max_frame}. *)
+exception Frame_too_large of int
+
+(** [write_frame oc ~kind codec v] frames and writes [v], then flushes.
+    Raises {!Frame_too_large} — before writing any byte — when the
+    framed payload would exceed {!max_frame}, the limit {!read_frame}
+    enforces. *)
 val write_frame : out_channel -> kind:string -> 'a Codec.t -> 'a -> unit
 
 (** [read_frame ic ~kind codec] reads one frame: [None] at a clean EOF
@@ -82,6 +93,9 @@ val write_frame : out_channel -> kind:string -> 'a Codec.t -> 'a -> unit
     payload, [Some (Ok v)] otherwise. *)
 val read_frame :
   in_channel -> kind:string -> 'a Codec.t -> ('a, string) result option
+
+(** The four below are {!write_frame} / {!read_frame} at the request
+    and response kinds; the writers raise {!Frame_too_large} likewise. *)
 
 val write_request : out_channel -> request -> unit
 val read_request : in_channel -> (request, string) result option

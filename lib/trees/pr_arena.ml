@@ -93,7 +93,39 @@ type t = {
   qbuf : farr;  (* query point scratch: floats cross into the int-only
                    delete descent unboxed via a Bigarray, never as
                    (boxed) function arguments *)
+  (* Publication stamps (see [refresh]). Every insert or delete bumps
+     [clock], and every column write on those paths stamps its
+     [chunk]-entry chunk with it, so "written since clock c" is one
+     compare per chunk. A copy records whose history it holds ([uid]
+     of the source) and how far ([origin_clock]); [synced_clock] is
+     the copy's own clock at that moment, so a copy that was itself
+     mutated afterwards is recognised and refreshed in full. *)
+  mutable uid : int;
+  mutable clock : int;
+  mutable slot_stamp : int array;  (* per slot chunk: clock of last write *)
+  mutable node_stamp : int array;  (* per node chunk: clock of last write *)
+  mutable origin : int;  (* uid of the arena last copied in, -1 = none *)
+  mutable origin_clock : int;
+  mutable synced_clock : int;
 }
+
+(* Chunk size of the publication stamps: 16 entries. Small chunks keep
+   a refresh near the entries a churn slice really wrote: at 2^20
+   points, refreshing a copy two 256-op slices old moves 1.1 MB of the
+   40 MB arena with 16-entry chunks, 3.4 MB with 64-entry chunks and
+   39 MB with 4096-entry ones. The stamp arrays cost 1/16 of a
+   column. *)
+let chunk_bits = 4
+let chunk = 1 lsl chunk_bits
+let chunks n = (n + chunk - 1) lsr chunk_bits
+let uid_counter = Atomic.make 0
+let fresh_uid () = Atomic.fetch_and_add uid_counter 1
+
+(* Stamp the chunk holding slot [s] / node [n] with the current clock.
+   Called at every column write on the insert and delete paths; bulk
+   builds write unstamped, before any copy of the arena can exist. *)
+let[@inline] touch_slot t s = t.slot_stamp.(s lsr chunk_bits) <- t.clock
+let[@inline] touch_node t n = t.node_stamp.(n lsr chunk_bits) <- t.clock
 
 (* Segment-backed column allocation. Each arena with [Mmap] backing owns
    a private subdirectory (pid + a process-wide counter, so two arenas
@@ -235,6 +267,13 @@ let create ?(max_depth = 16) ?(bounds = Box.unit) ?(reserve = 0)
          dc.(0) <- 1;
          dc);
       qbuf = heap_f 2;
+      uid = fresh_uid ();
+      clock = 0;
+      slot_stamp = Array.make (chunks pcap) 0;
+      node_stamp = Array.make (chunks 16) 0;
+      origin = -1;
+      origin_clock = 0;
+      synced_clock = 0;
     }
   in
   t.xs <- alloc_f t "xs" pcap;
@@ -275,6 +314,13 @@ let bulk_footprint ~capacity ~n =
    bytes, harmless, and it is what carries the data for heap columns
    (including an mmap arena that degraded to heap mid-life). *)
 
+(* Stamps of fresh entries start at 0: nothing above the old capacity
+   holds data a copy could lack until a stamped write puts it there. *)
+let grow_stamps stamps cap =
+  let grown = Array.make (chunks cap) 0 in
+  Array.blit stamps 0 grown 0 (Array.length stamps);
+  grown
+
 let grow_points t needed =
   let cap = ref (max 16 (Bigarray.Array1.dim t.xs)) in
   while !cap < needed do
@@ -297,7 +343,8 @@ let grow_points t needed =
   t.xs <- xs;
   t.ys <- ys;
   t.codes <- codes;
-  t.next <- next
+  t.next <- next;
+  t.slot_stamp <- grow_stamps t.slot_stamp cap
 
 let grow_nodes t needed =
   let cap = ref (Array.length t.child) in
@@ -313,7 +360,8 @@ let grow_nodes t needed =
   Array.blit t.head 0 head 0 t.nodes;
   t.child <- child;
   t.count <- count;
-  t.head <- head
+  t.head <- head;
+  t.node_stamp <- grow_stamps t.node_stamp cap
 
 (* Allocate four consecutive children, returned as their base id: a
    freed 4-block off the free list when one exists (so churn splits
@@ -346,6 +394,9 @@ let alloc_children t =
   t.head.(base + 1) <- -1;
   t.head.(base + 2) <- -1;
   t.head.(base + 3) <- -1;
+  (* A block may straddle two chunks. *)
+  touch_node t base;
+  touch_node t (base + 3);
   base
 
 (* Register a freshly created leaf of occupancy [count] at [depth]. *)
@@ -395,6 +446,8 @@ let absorb t node depth slot =
   let old_bucket = if c < t.capacity then c else t.capacity in
   t.next.{slot} <- t.head.(node);
   t.head.(node) <- slot;
+  touch_slot t slot;
+  touch_node t node;
   let c = c + 1 in
   t.count.(node) <- c;
   if c <= t.capacity || depth >= t.max_depth then begin
@@ -419,6 +472,8 @@ let rec distribute_code t base depth slot =
     t.next.{slot} <- t.head.(c);
     t.head.(c) <- slot;
     t.count.(c) <- t.count.(c) + 1;
+    touch_slot t slot;
+    touch_node t c;
     distribute_code t base depth nxt
   end
 
@@ -430,6 +485,8 @@ let rec distribute_fine t base depth slot =
     t.next.{slot} <- t.head.(c);
     t.head.(c) <- slot;
     t.count.(c) <- t.count.(c) + 1;
+    touch_slot t slot;
+    touch_node t c;
     distribute_fine t base depth nxt
   end
 
@@ -444,6 +501,8 @@ let rec distribute_float t base cx cy slot =
     t.next.{slot} <- t.head.(c);
     t.head.(c) <- slot;
     t.count.(c) <- t.count.(c) + 1;
+    touch_slot t slot;
+    touch_node t c;
     distribute_float t base cx cy nxt
   end
 
@@ -469,6 +528,7 @@ let rec split_code t node depth =
     let chain = t.head.(node) in
     t.child.(node) <- base;
     t.head.(node) <- -1;
+    touch_node t node;
     (* [t.count.(node)] keeps the overflowed chain total: with subtree
        counts it is exactly the new internal node's population. *)
     distribute_code t base depth chain;
@@ -496,6 +556,7 @@ and split_fine t node depth =
     let chain = t.head.(node) in
     t.child.(node) <- base;
     t.head.(node) <- -1;
+    touch_node t node;
     distribute_fine t base depth chain;
     let cdepth = depth + 1 in
     for i = 0 to 3 do
@@ -514,6 +575,7 @@ and split_float t node depth x0 y0 x1 y1 =
   let chain = t.head.(node) in
   t.child.(node) <- base;
   t.head.(node) <- -1;
+  touch_node t node;
   distribute_float t base cx cy chain;
   let cdepth = depth + 1 in
   for i = 0 to 3 do
@@ -544,6 +606,7 @@ let rec insert_code t node depth code slot =
          increment lives only in the branches that actually step to a
          child. *)
       t.count.(node) <- t.count.(node) + 1;
+      touch_node t node;
       insert_code t (base + pair_at code depth) (depth + 1) code slot
     end
     else insert_fine t node depth (fine_x t slot) (fine_y t slot) slot
@@ -554,6 +617,7 @@ and insert_fine t node depth qx qy slot =
   if base >= 0 then
     if depth < bits_fine then begin
       t.count.(node) <- t.count.(node) + 1;
+      touch_node t node;
       insert_fine t (base + pair_fine qx qy depth) (depth + 1) qx qy slot
     end
     else begin
@@ -568,6 +632,7 @@ and insert_float t node depth slot x0 y0 x1 y1 =
   let base = t.child.(node) in
   if base >= 0 then begin
     t.count.(node) <- t.count.(node) + 1;
+    touch_node t node;
     let cx = 0.5 *. (x0 +. x1) and cy = 0.5 *. (y0 +. y1) in
     if t.ys.{slot} >= cy then
       if t.xs.{slot} >= cx then
@@ -600,6 +665,7 @@ let insert t p =
   if not (Box.contains t.bounds p) then
     invalid_arg "Pr_arena.insert: point outside bounds";
   Probe.builder_insert ();
+  t.clock <- t.clock + 1;
   (* A freed slot is reused before the high-water mark moves, so a
      delete/insert steady state never grows a column. *)
   let slot =
@@ -619,6 +685,7 @@ let insert t p =
   let x = p.Point.x and y = p.Point.y in
   t.xs.{slot} <- x;
   t.ys.{slot} <- y;
+  touch_slot t slot;
   if t.unit_bounds then begin
     let code =
       Morton.interleave
@@ -707,8 +774,14 @@ and locate_float t node depth x0 y0 x1 y1 =
 let rec unlink_slot t leaf prev slot =
   if slot < 0 then -1
   else if t.xs.{slot} = t.qbuf.{0} && t.ys.{slot} = t.qbuf.{1} then begin
-    if prev < 0 then t.head.(leaf) <- t.next.{slot}
-    else t.next.{prev} <- t.next.{slot};
+    if prev < 0 then begin
+      t.head.(leaf) <- t.next.{slot};
+      touch_node t leaf
+    end
+    else begin
+      t.next.{prev} <- t.next.{slot};
+      touch_slot t prev
+    end;
     slot
   end
   else unlink_slot t leaf slot t.next.{slot}
@@ -733,17 +806,23 @@ let merge_node t parent depth =
     total := !total + t.count.(c);
     let h = t.head.(c) in
     if h >= 0 then begin
-      if !tail < 0 then head := h else t.next.{!tail} <- h;
+      if !tail < 0 then head := h
+      else begin
+        t.next.{!tail} <- h;
+        touch_slot t !tail
+      end;
       tail := chain_tail t h
     end;
     t.child.(c) <- -1;
     t.count.(c) <- 0;
-    t.head.(c) <- -1
+    t.head.(c) <- -1;
+    touch_node t c
   done;
   t.internals <- t.internals - 1;
   t.child.(parent) <- -1;
   t.head.(parent) <- !head;
   t.count.(parent) <- !total;
+  touch_node t parent;
   note_leaf t depth !total;
   t.child.(base) <- t.free_node;
   t.free_node <- base
@@ -774,6 +853,7 @@ let delete t p =
   let x = p.Point.x and y = p.Point.y in
   if not (Box.contains t.bounds p) then false
   else begin
+    t.clock <- t.clock + 1;
     t.qbuf.{0} <- x;
     t.qbuf.{1} <- y;
     let depth =
@@ -795,12 +875,14 @@ let delete t p =
     else begin
       Probe.arena_delete ();
       t.next.{slot} <- t.free_slot;
+      touch_slot t slot;
       t.free_slot <- slot;
       t.size <- t.size - 1;
       let c = t.count.(leaf) in
       let old_bucket = if c < t.capacity then c else t.capacity in
       let c = c - 1 in
       t.count.(leaf) <- c;
+      touch_node t leaf;
       t.hist.(old_bucket) <- t.hist.(old_bucket) - 1;
       let bucket = if c < t.capacity then c else t.capacity in
       t.hist.(bucket) <- t.hist.(bucket) + 1;
@@ -808,7 +890,8 @@ let delete t p =
          leaf itself (path.(depth)) was decremented above. *)
       for d = 0 to depth - 1 do
         let a = t.path.(d) in
-        t.count.(a) <- t.count.(a) - 1
+        t.count.(a) <- t.count.(a) - 1;
+        touch_node t a
       done;
       merge_up t depth;
       while t.height > 0 && t.depth_count.(t.height) = 0 do
@@ -1216,6 +1299,9 @@ let local_of t =
     (* Subtree depths are absolute (tasks start at their range depth),
        so local per-depth counts add straight into the global array. *)
     depth_count = Array.make (t.max_depth + 1) 0;
+    (* Its own node stamps: the build's block allocations stamp them,
+       and the shared array is sized for the global ids. *)
+    node_stamp = Array.make (chunks 64) 0;
   }
 
 (* Splice a task-local subtree onto global [node]: local id 0 maps onto
@@ -1403,9 +1489,12 @@ let packed_capable t n ~jobs ~pool =
   && n <= packed_slot_mask
   && t.backing = Heap && t.unit_bounds
 
-let of_points_bulk ?max_depth ?bounds ?backing ?jobs ?pool ~capacity ps =
+let of_points_bulk ?max_depth ?bounds ?backing ?jobs ?pool ?(reserve = 0)
+    ~capacity ps =
   let n = List.length ps in
-  let t = create ?max_depth ?bounds ?backing ~reserve:n ~capacity () in
+  let t =
+    create ?max_depth ?bounds ?backing ~reserve:(max n reserve) ~capacity ()
+  in
   Probe.arena_build `Bulk ~inserts:n (fun () ->
       let packed =
         if packed_capable t n ~jobs ~pool then Some (Array.make (max n 1) 0)
@@ -2585,56 +2674,218 @@ let cell_at_visited t (p : Point.t) =
   let ((depth, _, _) as cell) = cell_at t p in
   (cell, depth + 1)
 
-(* --- Snapshots -------------------------------------------------------
+(* --- Snapshots and refresh --------------------------------------------
 
-   An O(n) column copy, always heap-backed: Bigarray blits for the point
-   columns up to the slot high-water mark and array blits for the node
-   tables, free lists and counters included, so the copy is a full arena
-   in its own right ([check_invariants] passes, churn may continue on
-   either side). This is the epoch-publication primitive: far cheaper
-   than freeze-then-thaw (no boxed node graph, no per-point cons), and
-   completely disjoint from the source, so readers of the snapshot never
-   observe writer mutations. *)
-let snapshot t =
-  let pcap = max 16 t.slots in
-  let s =
-    {
-      capacity = t.capacity;
-      max_depth = t.max_depth;
-      bounds = t.bounds;
-      unit_bounds = t.unit_bounds;
-      backing = Heap;
-      seg_dir = None;
-      seg_bytes = [];
-      nodes = t.nodes;
-      child = Array.copy t.child;
-      count = Array.copy t.count;
-      head = Array.copy t.head;
-      size = t.size;
-      xs = heap_f pcap;
-      ys = heap_f pcap;
-      codes = heap_i pcap;
-      next = heap_i pcap;
-      leaves = t.leaves;
-      internals = t.internals;
-      height = t.height;
-      hist = Array.copy t.hist;
-      slots = t.slots;
-      free_slot = t.free_slot;
-      free_node = t.free_node;
-      path = Array.make (t.max_depth + 1) 0;
-      depth_count = Array.copy t.depth_count;
-      qbuf = heap_f 2;
-    }
-  in
-  if t.slots > 0 then begin
+   One copy routine serves both. [sync] copies every chunk of [t]'s
+   columns stamped after [d]'s last copy of [t] (or every chunk, when
+   [full]), coalescing runs of stale chunks into one blit, then the
+   counters, histograms and free-list heads; [d] then records [t]'s
+   uid and clock. A snapshot is the sync of an empty buffer, where
+   every chunk is stale; a refresh is the sync of an old copy, where
+   only the chunks churn wrote since are. The source is only read, so
+   any number of copies may be taken of a frozen arena concurrently.
+   The copy is a full arena in its own right ([check_invariants]
+   passes, churn may continue on either side) and shares no column
+   with the source: readers of a copy never observe writer
+   mutations. *)
+
+type copy_stats = { bytes : int; full : bool }
+
+(* Runs shorter than this copy entry by entry: a [Bigarray.sub] view
+   allocates, and a churn refresh copies hundreds of short runs. *)
+let short_run = 512
+
+let copy_points t d lo n =
+  if n < short_run then begin
+    let xs = t.xs and ys = t.ys and codes = t.codes and next = t.next in
+    let xs' = d.xs and ys' = d.ys and codes' = d.codes and next' = d.next in
+    for i = lo to lo + n - 1 do
+      xs'.{i} <- xs.{i};
+      ys'.{i} <- ys.{i};
+      codes'.{i} <- codes.{i};
+      next'.{i} <- next.{i}
+    done
+  end
+  else begin
     let open Bigarray.Array1 in
-    blit (sub t.xs 0 t.slots) (sub s.xs 0 t.slots);
-    blit (sub t.ys 0 t.slots) (sub s.ys 0 t.slots);
-    blit (sub t.codes 0 t.slots) (sub s.codes 0 t.slots);
-    blit (sub t.next 0 t.slots) (sub s.next 0 t.slots)
+    blit (sub t.xs lo n) (sub d.xs lo n);
+    blit (sub t.ys lo n) (sub d.ys lo n);
+    blit (sub t.codes lo n) (sub d.codes lo n);
+    blit (sub t.next lo n) (sub d.next lo n)
+  end
+
+(* A loop, not [Array.blit]: into an array on the major heap the blit
+   runs the write barrier per element, while stores of statically int
+   elements need none. *)
+let copy_nodes t d lo n =
+  let child = t.child and count = t.count and head = t.head in
+  let child' = d.child and count' = d.count and head' = d.head in
+  for i = lo to lo + n - 1 do
+    child'.(i) <- child.(i);
+    count'.(i) <- count.(i);
+    head'.(i) <- head.(i)
+  done
+
+(* Copy the stale runs of entries [0, n) chunk by chunk and return the
+   number of entries copied. *)
+let copy_stale (stamps : int array) ~(since : int) ~full n copy =
+  let nc = chunks n in
+  let copied = ref 0 in
+  let c = ref 0 in
+  while !c < nc do
+    if full || stamps.(!c) > since then begin
+      let c0 = !c in
+      incr c;
+      while !c < nc && (full || stamps.(!c) > since) do
+        incr c
+      done;
+      let lo = c0 lsl chunk_bits in
+      let len = min n (!c lsl chunk_bits) - lo in
+      copy lo len;
+      copied := !copied + len
+    end
+    else incr c
+  done;
+  !copied
+
+let sync t d ~full =
+  let since = d.origin_clock in
+  let slots = copy_stale t.slot_stamp ~since ~full t.slots (copy_points t d) in
+  let nodes = copy_stale t.node_stamp ~since ~full t.nodes (copy_nodes t d) in
+  d.nodes <- t.nodes;
+  d.size <- t.size;
+  d.leaves <- t.leaves;
+  d.internals <- t.internals;
+  d.height <- t.height;
+  d.slots <- t.slots;
+  d.free_slot <- t.free_slot;
+  d.free_node <- t.free_node;
+  Array.blit t.hist 0 d.hist 0 (Array.length t.hist);
+  Array.blit t.depth_count 0 d.depth_count 0 (Array.length t.depth_count);
+  (* A new identity: copies taken of [d]'s old contents must not
+     mistake its new ones for a continuation of the same history. *)
+  d.uid <- fresh_uid ();
+  d.origin <- t.uid;
+  d.origin_clock <- t.clock;
+  d.synced_clock <- d.clock;
+  { bytes = (32 * slots) + (24 * nodes); full }
+
+(* An empty heap buffer shaped like [t], with point columns of
+   [slot_cap] entries and node tables of [node_cap]. *)
+let buffer_like t ~slot_cap ~node_cap =
+  {
+    capacity = t.capacity;
+    max_depth = t.max_depth;
+    bounds = t.bounds;
+    unit_bounds = t.unit_bounds;
+    backing = Heap;
+    seg_dir = None;
+    seg_bytes = [];
+    nodes = 0;
+    child = Array.make node_cap (-1);
+    count = Array.make node_cap 0;
+    head = Array.make node_cap (-1);
+    size = 0;
+    xs = heap_f slot_cap;
+    ys = heap_f slot_cap;
+    codes = heap_i slot_cap;
+    next = heap_i slot_cap;
+    leaves = 0;
+    internals = 0;
+    height = 0;
+    hist = Array.make (t.capacity + 1) 0;
+    slots = 0;
+    free_slot = -1;
+    free_node = -1;
+    path = Array.make (t.max_depth + 1) 0;
+    depth_count = Array.make (t.max_depth + 1) 0;
+    qbuf = heap_f 2;
+    uid = fresh_uid ();
+    clock = 0;
+    slot_stamp = Array.make (chunks slot_cap) 0;
+    node_stamp = Array.make (chunks node_cap) 0;
+    origin = -1;
+    origin_clock = 0;
+    synced_clock = 0;
+  }
+
+let snapshot t =
+  let d =
+    buffer_like t ~slot_cap:(max 16 t.slots) ~node_cap:(Array.length t.child)
+  in
+  ignore (sync t d ~full:true : copy_stats);
+  d
+
+let refresh t ~into:d =
+  if d == t then invalid_arg "Pr_arena.refresh: an arena cannot refresh itself";
+  if
+    d.capacity <> t.capacity
+    || d.max_depth <> t.max_depth
+    || not (Box.equal d.bounds t.bounds)
+  then invalid_arg "Pr_arena.refresh: arenas differ in capacity, depth or bounds";
+  (* A target too small for [t]'s high-water marks regrows to [t]'s
+     column capacity, not to the marks: they creep up under churn, and
+     an exact fit would regrow again a few publishes later. *)
+  let fits =
+    Bigarray.Array1.dim d.xs >= t.slots && Array.length d.child >= t.nodes
+  in
+  if not fits then begin
+    let cap = Bigarray.Array1.dim t.xs in
+    d.xs <- alloc_f d "xs" cap;
+    d.ys <- alloc_f d "ys" cap;
+    d.codes <- alloc_i d "codes" cap;
+    d.next <- alloc_i d "next" cap;
+    d.slot_stamp <- Array.make (chunks cap) 0;
+    let ncap = Array.length t.child in
+    d.child <- Array.make ncap (-1);
+    d.count <- Array.make ncap 0;
+    d.head <- Array.make ncap (-1);
+    d.node_stamp <- Array.make (chunks ncap) 0
   end;
-  s
+  (* Incremental only over an untouched copy of this very history. *)
+  let current = d.origin = t.uid && d.synced_clock = d.clock in
+  sync t d ~full:(not (fits && current))
+
+let shares_columns a b =
+  let any xs ys = List.exists (fun x -> List.exists (( == ) x) ys) xs in
+  any [ a.xs; a.ys ] [ b.xs; b.ys ]
+  || any [ a.codes; a.next ] [ b.codes; b.next ]
+  || any [ a.child; a.count; a.head ] [ b.child; b.count; b.head ]
+
+let diff_state a b =
+  let problems = ref [] in
+  let report fmt = Format.kasprintf (fun m -> problems := m :: !problems) fmt in
+  let field name x y = if x <> y then report "%s: %d vs %d" name x y in
+  field "capacity" a.capacity b.capacity;
+  field "max_depth" a.max_depth b.max_depth;
+  if not (Box.equal a.bounds b.bounds) then report "bounds differ";
+  field "size" a.size b.size;
+  field "slot high-water" a.slots b.slots;
+  field "nodes in use" a.nodes b.nodes;
+  field "leaves" a.leaves b.leaves;
+  field "internals" a.internals b.internals;
+  field "height" a.height b.height;
+  field "free-slot head" a.free_slot b.free_slot;
+  field "free-node head" a.free_node b.free_node;
+  if a.hist <> b.hist then report "occupancy histograms differ";
+  if a.depth_count <> b.depth_count then report "per-depth leaf counts differ";
+  let first n differs =
+    let rec go i = if i >= n then None else if differs i then Some i else go (i + 1) in
+    go 0
+  in
+  let bits x = Int64.bits_of_float x in
+  Option.iter (report "point columns differ at slot %d")
+    (first (min a.slots b.slots) (fun i ->
+         bits a.xs.{i} <> bits b.xs.{i}
+         || bits a.ys.{i} <> bits b.ys.{i}
+         || a.codes.{i} <> b.codes.{i}
+         || a.next.{i} <> b.next.{i}));
+  Option.iter (report "node tables differ at node %d")
+    (first (min a.nodes b.nodes) (fun i ->
+         a.child.(i) <> b.child.(i)
+         || a.count.(i) <> b.count.(i)
+         || a.head.(i) <> b.head.(i)));
+  List.rev !problems
 
 let freeze t =
   let rec conv node =

@@ -142,8 +142,8 @@ val slot_high_water : t -> int
 val of_points :
   ?max_depth:int -> ?bounds:Box.t -> capacity:int -> Point.t list -> t
 
-(** [of_points_bulk ?max_depth ?bounds ?backing ?jobs ?pool ~capacity ps]
-    bulk-loads: encode every point's Morton key, sort once (top-down
+(** [of_points_bulk ?max_depth ?bounds ?backing ?jobs ?pool ?reserve
+    ~capacity ps] bulk-loads: encode every point's Morton key, sort once (top-down
     MSD radix, stopping exactly where leaves form), then emit the tree
     in a single linear pass. The PR decomposition is canonical, so the
     result equals {!of_points} on the same points; insertion history is
@@ -165,10 +165,14 @@ val of_points :
     kernel, kept because it moves half the words per partition level.
     The choice selects sort scratch only: both kernels are stable MSD
     partitions over the same codes, so the finished arena is
-    byte-identical either way. *)
+    byte-identical either way.
+
+    [reserve] (default 0) sizes the point columns for at least that
+    many slots, as in {!create}: headroom for inserts to come. *)
 val of_points_bulk :
   ?max_depth:int -> ?bounds:Box.t -> ?backing:backing -> ?jobs:int ->
-  ?pool:Popan_parallel.Pool.t -> capacity:int -> Point.t list -> t
+  ?pool:Popan_parallel.Pool.t -> ?reserve:int -> capacity:int ->
+  Point.t list -> t
 
 (** [bulk_of_fn ?max_depth ?bounds ?backing ?jobs ?pool ~capacity ~n f]
     is {!of_points_bulk} on the points [f 0 .. f (n-1)] without ever
@@ -331,13 +335,57 @@ val k_nearest_visited : t -> int -> Point.t -> Point.t list * int
     [Invalid_argument] when [p] is outside the bounds. *)
 val cell_at_visited : t -> Point.t -> (int * Box.t * Point.t list) * int
 
+(** {2 Snapshots and refresh}
+
+    The serving layer publishes epochs as copies of the writer's arena.
+    A copy costs what churn wrote, not what the arena holds: the slot
+    columns and the node tables are cut into chunks of 16 entries, and
+    every {!insert}, {!delete} and {!update} stamps each chunk it
+    writes with the arena's mutation clock. A copy remembers which
+    arena it was taken from and that arena's clock at the time, so
+    {!refresh} re-copies only the chunks stamped after it. Bulk builds
+    ({!of_points_bulk}, {!bulk_of_fn}, {!thaw}) write unstamped: they
+    finish before any copy of the new arena can exist. *)
+
 (** [snapshot t] is an independent heap-backed deep copy of the arena —
     columns, node tables, free lists and counters — sharing no mutable
     state with [t]: churn may continue on either side without the other
     observing it. O(slot high-water) Bigarray/array blits, far cheaper
     than [thaw (freeze t)] (no boxed node graph, no per-point cons).
-    This is the epoch-publication primitive of the serving layer. *)
+    Point columns are sized to [t]'s slot high-water mark. [t] is only
+    read, so frozen arenas may be copied from several domains at once. *)
 val snapshot : t -> t
+
+(** What a {!refresh} copied: [bytes] is 32 per slot and 24 per node
+    entry copied; [full] says every chunk was. *)
+type copy_stats = { bytes : int; full : bool }
+
+(** [refresh t ~into] makes [into] equal to [snapshot t] — every column
+    entry below the high-water marks, every counter, both free-list
+    heads — reusing [into]'s columns, and returns what it copied.
+    [into] becomes a copy of [t] in every respect: it shares no column
+    with [t], and a later [refresh t ~into] picks up from here.
+
+    When [into] was last filled from [t] (by {!snapshot} or [refresh])
+    and has not been mutated since, only chunks [t] wrote after that
+    copy are copied. Otherwise — [into] copied from another arena, or
+    inserted into, deleted from, or never a copy — every chunk is.
+    When [into]'s columns are smaller than [t]'s high-water marks, they
+    regrow to [t]'s column capacity first and every chunk is copied.
+    [t] is only read. Raises [Invalid_argument] when [into] is [t] or
+    the two differ in capacity, depth limit or bounds. *)
+val refresh : t -> into:t -> copy_stats
+
+(** [shares_columns a b] is whether [a] and [b] hold a physically equal
+    point column or node table — never true of an arena and its copy;
+    the epoch store audits that its arenas are disjoint. *)
+val shares_columns : t -> t -> bool
+
+(** [diff_state a b] lists how two arenas' stored state differs: every
+    column entry below the smaller high-water marks, the counters, the
+    histograms and both free-list heads. Empty when [b] is an exact
+    copy of [a]. A test oracle for {!refresh}. *)
+val diff_state : t -> t -> string list
 
 (** [freeze t] is the persistent tree with exactly [t]'s decomposition
     and contents: [equal_structure (freeze t) (Pr_quadtree.of_points

@@ -477,6 +477,41 @@ let wire_tests =
                let i = String.length raw - 1 in
                Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff));
                Bytes.to_string b)));
+    Alcotest.test_case "an oversized frame is refused, and serving goes on"
+      `Quick (fun () ->
+        let huge = Wire.Refused (String.make (Wire.max_frame + 1) 'x') in
+        let path = Filename.temp_file "popan" ".frame" in
+        Fun.protect
+          ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+          (fun () ->
+            let oc = open_out_bin path in
+            (match Wire.write_response oc huge with
+            | () -> Alcotest.fail "a frame over the limit was written"
+            | exception Wire.Frame_too_large n ->
+              check_bool "reports the frame size" true (n > Wire.max_frame));
+            check_int "nothing written" 0 (pos_out oc);
+            (* The server's writer answers a short refusal in its place
+               and the stream stays framed for the next response. *)
+            let stats =
+              Wire.Stats_info { epoch = 3; size = 10; batches = 4; live_epochs = 1 }
+            in
+            Server.respond oc huge;
+            Server.respond oc stats;
+            close_out oc;
+            check_bool "short" true ((Unix.stat path).Unix.st_size < 1024);
+            let ic = open_in_bin path in
+            Fun.protect
+              ~finally:(fun () -> close_in ic)
+              (fun () ->
+                (match Wire.read_response ic with
+                | Some (Ok (Wire.Refused reason)) ->
+                  check_bool "says why" true
+                    (String.length reason < 200
+                    && String.sub reason 0 9 = "response ")
+                | _ -> Alcotest.fail "expected a short Refused");
+                match Wire.read_response ic with
+                | Some (Ok r) -> check_bool "next response intact" true (r = stats)
+                | _ -> Alcotest.fail "the stream lost its framing")));
     Alcotest.test_case "unknown choice tag is malformed" `Quick (fun () ->
         match Codec.decode Wire.query "\xff" with
         | exception Failure _ -> ()
@@ -488,30 +523,30 @@ let wire_tests =
 let answers_bytes answers =
   Codec.encode (Codec.array Wire.answer) answers
 
+(* [n] queries of the five kinds in turn, anchored uniformly. *)
+let mixed_batch rng n =
+  Array.init n (fun i ->
+      let p = Point.make (Xoshiro.float rng) (Xoshiro.float rng) in
+      match i mod 5 with
+      | 0 ->
+        let w = 0.01 +. (0.2 *. Xoshiro.float rng) in
+        let x = (1.0 -. w) *. Xoshiro.float rng in
+        let y = (1.0 -. w) *. Xoshiro.float rng in
+        Wire.Range (Box.make ~xmin:x ~ymin:y ~xmax:(x +. w) ~ymax:(y +. w))
+      | 1 ->
+        Wire.Count
+          (Box.make ~xmin:0.0 ~ymin:0.0 ~xmax:(max 0.01 p.Point.x)
+             ~ymax:(max 0.01 p.Point.y))
+      | 2 -> Wire.Knn (1 + (i mod 16), p)
+      | 3 -> Wire.Nearest p
+      | _ -> Wire.Cell p)
+
 let batch_tests =
   [
     Alcotest.test_case "batch results byte-identical at jobs 1/2/4" `Quick
       (fun () ->
         let arena = churned_arena ~seed:11 ~base:2_000 ~ops:4_000 in
-        let rng = Xoshiro.of_int_seed 42 in
-        let queries =
-          Array.init 3_000 (fun i ->
-              let p = Point.make (Xoshiro.float rng) (Xoshiro.float rng) in
-              match i mod 5 with
-              | 0 ->
-                let w = 0.01 +. (0.2 *. Xoshiro.float rng) in
-                let x = (1.0 -. w) *. Xoshiro.float rng in
-                let y = (1.0 -. w) *. Xoshiro.float rng in
-                Wire.Range
-                  (Box.make ~xmin:x ~ymin:y ~xmax:(x +. w) ~ymax:(y +. w))
-              | 1 ->
-                Wire.Count
-                  (Box.make ~xmin:0.0 ~ymin:0.0 ~xmax:(max 0.01 p.Point.x)
-                     ~ymax:(max 0.01 p.Point.y))
-              | 2 -> Wire.Knn (1 + (i mod 16), p)
-              | 3 -> Wire.Nearest p
-              | _ -> Wire.Cell p)
-        in
+        let queries = mixed_batch (Xoshiro.of_int_seed 42) 3_000 in
         let run jobs =
           Parallel.Pool.with_pool ~jobs (fun pool ->
               answers_bytes (Server.run_batch pool arena queries))
@@ -648,6 +683,11 @@ let corrupt_response_frame_rejected ~mangle =
           | Some (Error _) -> true
           | _ -> false))
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 let with_telemetry f =
   Metrics.reset ();
   Event.reset ();
@@ -747,14 +787,6 @@ let telemetry_tests =
                     (sketch_count "serve.latency.knn");
                   check_int "one visited record per query" 200
                     (sketch_count "serve.visited.knn");
-                  let contains hay needle =
-                    let nl = String.length needle and hl = String.length hay in
-                    let rec go i =
-                      i + nl <= hl
-                      && (String.sub hay i nl = needle || go (i + 1))
-                    in
-                    go 0
-                  in
                   check_bool "publish event scraped" true
                     (Array.exists
                        (fun l -> contains l "serve.epoch.publish")
@@ -772,6 +804,352 @@ let telemetry_tests =
                 | _ -> Alcotest.fail "bad telemetry response")));
   ]
 
+(* Publication: refresh of a recycled copy, the server against an
+   independent oracle, the writer domain's lifecycle, and the bytes a
+   publish copies. *)
+
+(* A refresh scenario: a live arena built one of two ways over one of
+   three regimes — the unit square, custom bounds (float descent), or
+   duplicate-heavy clusters under max_depth 50 (splits below the 42-bit
+   grid) — driven by random slices of inserts, deletes (merges) and
+   moves, with up to three copies refreshed in random rotation so some
+   lag several slices behind, and now and then one mutated in place. *)
+let gen_refresh_case =
+  QCheck2.Gen.(
+    let* seed = int_range 1 1_000_000 in
+    let* bulk = bool in
+    let* regime = int_range 0 2 in
+    let* copies = int_range 1 3 in
+    let* slices = int_range 6 18 in
+    return (seed, bulk, regime, copies, slices))
+
+let refresh_case (seed, bulk, regime, copies, slices) =
+  let rng = Xoshiro.of_int_seed seed in
+  let custom = Box.make ~xmin:(-3.0) ~ymin:2.0 ~xmax:5.0 ~ymax:10.0 in
+  let cluster = [| Point.make 0.3 0.7; Point.make 0.8125 0.0625 |] in
+  let fresh () =
+    match regime with
+    | 0 -> Point.make (Xoshiro.float rng) (Xoshiro.float rng)
+    | 1 ->
+      Point.make
+        (-3.0 +. (8.0 *. Xoshiro.float rng))
+        (2.0 +. (8.0 *. Xoshiro.float rng))
+    | _ ->
+      (* Same 42-bit cell, distinct below it, with exact repeats. *)
+      let c = cluster.(Xoshiro.int rng 2) in
+      let k = float_of_int (Xoshiro.int rng 6) in
+      Point.make (c.Point.x +. ldexp k (-50)) (c.Point.y +. ldexp k (-49))
+  in
+  let bounds = if regime = 1 then Some custom else None in
+  let max_depth = if regime = 2 then Some 50 else None in
+  let capacity = 1 + Xoshiro.int rng 4 in
+  (* Arenas of hundreds of chunks and slices of a few dozen writes:
+     most chunks stay clean between refreshes, so a write that forgot
+     its stamp leaves a copy visibly stale. *)
+  let base = List.init (Xoshiro.int rng 1500) (fun _ -> fresh ()) in
+  let live =
+    if bulk then Pr_arena.of_points_bulk ?max_depth ?bounds ~capacity base
+    else Pr_arena.of_points ?max_depth ?bounds ~capacity base
+  in
+  let pop = ref (Array.of_list base) in
+  let remove i =
+    let a = !pop in
+    let n = Array.length a in
+    a.(i) <- a.(n - 1);
+    pop := Array.sub a 0 (n - 1)
+  in
+  let held = Array.make copies None in
+  let problems = ref [] in
+  for slice = 1 to slices do
+    (* Insert-heavy early slices grow the columns and node tables past
+       what the held copies were sized for; later ones delete more. *)
+    let insert_share = if slice <= slices / 2 then 0.7 else 0.35 in
+    for _ = 1 to 1 + Xoshiro.int rng 30 do
+      let u = Xoshiro.float rng in
+      let n = Array.length !pop in
+      if n = 0 || u < insert_share then begin
+        let p = fresh () in
+        Pr_arena.insert live p;
+        pop := Array.append !pop [| p |]
+      end
+      else if u < insert_share +. 0.3 then begin
+        let i = Xoshiro.int rng n in
+        if not (Pr_arena.delete live !pop.(i)) then
+          problems := "a stored point failed to delete" :: !problems;
+        remove i
+      end
+      else if u < 0.95 then begin
+        let i = Xoshiro.int rng n in
+        let q = fresh () in
+        if not (Pr_arena.update live !pop.(i) q) then
+          problems := "a stored point failed to move" :: !problems;
+        !pop.(i) <- q
+      end
+      else begin
+        (* Often absent; in the duplicate regime often not. *)
+        let p = fresh () in
+        if Pr_arena.delete live p then
+          match
+            Array.find_index (fun (q : Point.t) -> Point.equal q p) !pop
+          with
+          | Some i -> remove i
+          | None -> problems := "deleted an untracked point" :: !problems
+      end
+    done;
+    let k = Xoshiro.int rng copies in
+    let copy =
+      match held.(k) with
+      | Some c ->
+        ignore (Pr_arena.refresh live ~into:c : Pr_arena.copy_stats);
+        c
+      | None ->
+        let c = Pr_arena.create ?max_depth ?bounds ~capacity () in
+        let stats = Pr_arena.refresh live ~into:c in
+        if not stats.Pr_arena.full then
+          problems := "a first refresh was not full" :: !problems;
+        c
+    in
+    held.(k) <- Some copy;
+    (* The audit runs only on a copy equal to the oracle: a stale
+       chain column can be cyclic, and the audit walks chains. *)
+    let diff = Pr_arena.diff_state (Pr_arena.snapshot live) copy in
+    List.iter
+      (fun m -> problems := Printf.sprintf "slice %d: %s" slice m :: !problems)
+      (if diff <> [] then diff else Pr_arena.check_invariants copy);
+    if Pr_arena.shares_columns live copy then
+      problems := "a copy shares a column with the live arena" :: !problems;
+    (* A held copy written in place must be caught at its next
+       refresh, not patched incrementally. *)
+    if Xoshiro.int rng 10 = 0 then
+      Option.iter
+        (fun c ->
+          match Pr_arena.points c with
+          | p :: _ -> ignore (Pr_arena.delete c p : bool)
+          | [] -> Pr_arena.insert c (fresh ()))
+        held.(Xoshiro.int rng copies)
+  done;
+  match !problems with
+  | [] -> true
+  | ps -> QCheck2.Test.fail_report (String.concat "\n" (List.rev ps))
+
+(* The server's population and churn stream, rebuilt from the config
+   as [Server.create] builds them, on an arena the test owns. *)
+let replica_of (config : Server.config) =
+  let spec =
+    Workload.Churn.make ~points:(max 1 config.base_points) ~trials:1
+      ~seed:config.seed ~ops:(max 1 config.churn_ops)
+      ~insert_fraction:config.insert_fraction
+      ~update_fraction:config.update_fraction
+      ~drift_sigma:config.drift_sigma ()
+  in
+  let rng = List.hd (Workload.Churn.map_trials spec ~f:(fun _ r -> r)) in
+  let state = Workload.Churn.start spec ~rng in
+  let live =
+    Pr_arena.of_points_bulk ~capacity:config.capacity
+      (Array.to_list (Workload.Churn.live state))
+  in
+  let step () =
+    for _ = 1 to config.churn_ops do
+      match Workload.Churn.step spec state with
+      | Workload.Churn.Insert p -> Pr_arena.insert live p
+      | Workload.Churn.Delete p -> ignore (Pr_arena.delete live p : bool)
+      | Workload.Churn.Update (p, q) -> ignore (Pr_arena.update live p q : bool)
+    done
+  in
+  (live, step)
+
+let publish_counter name = Metrics.counter_value (Metrics.counter name)
+
+(* Unique domain ids rise by one per spawn: a probe domain spawned on
+   either side of some code tells whether that code spawned any. *)
+let next_domain_id () = (Domain.get_id (Domain.spawn ignore) :> int)
+
+let publish_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300
+         ~name:"refresh of a held copy equals a fresh snapshot"
+         ~print:(fun (seed, bulk, regime, copies, slices) ->
+           Printf.sprintf "seed=%d bulk=%b regime=%d copies=%d slices=%d" seed
+             bulk regime copies slices)
+         gen_refresh_case refresh_case);
+    Alcotest.test_case "refresh regrows a small copy and counts bytes"
+      `Quick (fun () ->
+        let live = Pr_arena.of_points_bulk ~capacity:4 (uniform_points 21 64) in
+        let copy = Pr_arena.snapshot live in
+        List.iter (Pr_arena.insert live) (uniform_points 22 200);
+        let stats = Pr_arena.refresh live ~into:copy in
+        check_bool "regrow copies every chunk" true stats.Pr_arena.full;
+        let whole = stats.Pr_arena.bytes in
+        check_bool "full copy bytes" true
+          (whole >= 32 * Pr_arena.slot_high_water live);
+        Pr_arena.insert live (Point.make 0.5 0.5);
+        let stats = Pr_arena.refresh live ~into:copy in
+        check_bool "one insert refreshes incrementally" false stats.Pr_arena.full;
+        check_bool "and copies a sliver" true (stats.Pr_arena.bytes < whole / 4);
+        Alcotest.(check (list string)) "equal to a snapshot" []
+          (Pr_arena.diff_state (Pr_arena.snapshot live) copy);
+        let stats = Pr_arena.refresh live ~into:copy in
+        check_int "nothing written, nothing copied" 0 stats.Pr_arena.bytes;
+        Alcotest.check_raises "self refresh"
+          (Invalid_argument "Pr_arena.refresh: an arena cannot refresh itself")
+          (fun () ->
+            ignore (Pr_arena.refresh live ~into:live : Pr_arena.copy_stats)));
+    Alcotest.test_case
+      "server matches an independent replica, pins and regrowth included"
+      `Quick (fun () ->
+        with_telemetry (fun () ->
+            let config =
+              {
+                Server.default_config with
+                base_points = 3_000;
+                churn_ops = 400;
+                insert_fraction = 0.75;
+                seed = 4242;
+                jobs = Some 2;
+              }
+            in
+            let live, step = replica_of config in
+            let rng = Xoshiro.of_int_seed 77 in
+            let t = Server.create config in
+            Fun.protect
+              ~finally:(fun () -> Server.shutdown t)
+              (fun () ->
+                let pool = Server.pool t in
+                let full () = publish_counter "serve.publish.full" in
+                check_int "the boot epoch is a full copy" 1 (full ());
+                let held = ref [] in
+                let pinned_queries = ref [||] and pinned_answers = ref "" in
+                let regrown = ref 0 and unpinned_publishes = ref 0 in
+                for batch = 0 to 23 do
+                  let queries = mixed_batch rng 60 in
+                  let expected =
+                    answers_bytes
+                      (Server.run_batch ~epoch:batch pool
+                         (Pr_arena.snapshot live) queries)
+                  in
+                  step ();
+                  (* Hold epoch 8 across the publishes of epochs 9..13,
+                     and epoch 9 too: epochs 8 and 9 then never retire,
+                     so the publishes of epochs 10 and 11 find no
+                     spare. *)
+                  if batch = 8 || batch = 9 then begin
+                    held := Epoch.pin (Server.epochs t) :: !held;
+                    if batch = 8 then begin
+                      pinned_queries := queries;
+                      pinned_answers := expected
+                    end
+                  end;
+                  let full0 = full () in
+                  let epoch, answers = Server.run_queries t queries in
+                  check_int "answering epoch" batch epoch;
+                  check_int "published epoch" (batch + 1)
+                    (Epoch.current_id (Server.epochs t));
+                  check_bool
+                    (Printf.sprintf "batch %d answers" batch)
+                    true
+                    (answers_bytes answers = expected);
+                  Alcotest.(check (list string)) "epoch invariants" []
+                    (Epoch.check_invariants (Server.epochs t));
+                  if batch = 9 || batch = 10 then
+                    check_int "a pinned predecessor leaves no spare"
+                      (full0 + 1) (full ())
+                  else if batch > 0 then begin
+                    incr unpinned_publishes;
+                    regrown := !regrown + full () - full0
+                  end;
+                  if batch = 12 then begin
+                    (* Epoch 8, five publishes on, answers as it did. *)
+                    let e8 = List.nth !held 1 in
+                    check_int "held epoch" 8 (Epoch.id e8);
+                    check_bool "pinned epoch unchanged" true
+                      (answers_bytes
+                         (Server.run_batch ~epoch:8 pool (Epoch.arena e8)
+                            !pinned_queries)
+                      = !pinned_answers);
+                    List.iter (Epoch.unpin (Server.epochs t)) !held;
+                    held := []
+                  end
+                done;
+                check_bool "some publish regrew its spare" true (!regrown >= 1);
+                check_bool "most publishes refreshed" true
+                  (!regrown * 2 < !unpinned_publishes))));
+    Alcotest.test_case "writer domains are joined: 200 create/run/shutdown cycles"
+      `Quick (fun () ->
+        Parallel.Pool.with_pool ~jobs:1 (fun pool ->
+            let config =
+              { Server.default_config with base_points = 200; churn_ops = 32 }
+            in
+            let queries =
+              [| Wire.Count Box.unit; Wire.Nearest (Point.make 0.5 0.5) |]
+            in
+            for i = 1 to 200 do
+              let t = Server.create ~pool config in
+              let epoch, _ = Server.run_queries t queries in
+              check_int "first batch epoch" 0 epoch;
+              if i mod 50 = 0 then
+                Alcotest.(check (list string)) "invariants" []
+                  (Epoch.check_invariants (Server.epochs t));
+              Server.shutdown t
+            done;
+            (* Never asked for a batch: shutdown still returns. *)
+            Server.shutdown (Server.create ~pool config);
+            (* A static server spawns no writer. *)
+            let before = next_domain_id () in
+            let t = Server.create ~pool { config with churn_ops = 0 } in
+            ignore (Server.run_queries t queries : int * Wire.answer array);
+            Server.shutdown t;
+            check_int "no domain spawned for a static server" (before + 1)
+              (next_domain_id ());
+            let before = next_domain_id () in
+            let t = Server.create ~pool config in
+            Server.shutdown t;
+            check_int "one writer domain for a churning server" (before + 2)
+              (next_domain_id ())));
+    Alcotest.test_case "publish copies a quarter of the arena at most (n = 2^18)"
+      `Quick (fun () ->
+        with_telemetry (fun () ->
+            Parallel.Pool.with_pool ~jobs:1 (fun pool ->
+                let config =
+                  {
+                    Server.default_config with
+                    base_points = 1 lsl 18;
+                    churn_ops = 256;
+                  }
+                in
+                let t = Server.create ~pool config in
+                Fun.protect
+                  ~finally:(fun () -> Server.shutdown t)
+                  (fun () ->
+                    let queries = [| Wire.Nearest (Point.make 0.25 0.75) |] in
+                    let run () =
+                      ignore (Server.run_queries t queries : int * Wire.answer array)
+                    in
+                    for _ = 1 to 4 do run () done;
+                    let per_publish =
+                      List.init 21 (fun _ ->
+                          let b0 = publish_counter "serve.publish.bytes" in
+                          run ();
+                          publish_counter "serve.publish.bytes" - b0)
+                    in
+                    let median = List.nth (List.sort compare per_publish) 10 in
+                    let e = Epoch.pin (Server.epochs t) in
+                    let a = Epoch.arena e in
+                    let whole =
+                      (32 * Pr_arena.slot_high_water a)
+                      + (24 * (Pr_arena.leaf_count a + Pr_arena.internal_count a))
+                    in
+                    Epoch.unpin (Server.epochs t) e;
+                    if 4 * median > whole then
+                      Alcotest.failf "median publish copied %d bytes of %d"
+                        median whole;
+                    let prom = Metrics.to_prometheus () in
+                    check_bool "bytes in the exposition" true
+                      (contains prom "popan_serve_publish_bytes");
+                    check_bool "full copies in the exposition" true
+                      (contains prom "popan_serve_publish_full")))));
+  ]
+
 let () =
   Alcotest.run "popan-serve"
     [
@@ -782,6 +1160,7 @@ let () =
       ("epochs", epoch_tests);
       ("wire", wire_tests);
       ("batch", batch_tests);
+      ("publish", publish_tests);
       ("server", server_tests);
       ("telemetry", telemetry_tests);
     ]
