@@ -18,7 +18,11 @@ test:
 # Finally the observability smoke: a traced table4 run must leave the
 # table bytes untouched and emit trace + metrics JSON that `popan obs
 # validate` accepts. The allocation gate re-runs the arena regression
-# explicitly: a no-split arena insert must allocate zero minor words.
+# explicitly: a no-split arena insert must allocate zero minor words,
+# and a generator-fed uniform bulk build O(1) of them. The sweep alloc
+# gate runs `popan sweep -j 2` over 393,216 uniform points with the GC
+# summary on (OCAMLRUNPARAM=v=0x400) and requires fewer minor words
+# than points: the sampler fills the arena's columns without boxing.
 # The bulk smoke: a 2^22-point bulk build must complete on the
 # sort path with no fallback, and the arenas built at jobs 1 and 4 must
 # be byte-identical to the sequential one (compared on encoded frozen
@@ -64,6 +68,21 @@ check: build test
 	else \
 	  echo "alloc smoke FAILED: query integer-descent path allocates"; \
 	  dune exec --no-build test/test_alloc.exe -- test arena 6; exit 1; \
+	fi
+	@if dune exec --no-build test/test_alloc.exe -- test arena 7 >/dev/null 2>&1; then \
+	  echo "alloc smoke: generator-fed uniform bulk build allocates O(1) minor words"; \
+	else \
+	  echo "alloc smoke FAILED: the uniform column fill allocates per point"; \
+	  dune exec --no-build test/test_alloc.exe -- test arena 7; exit 1; \
+	fi
+	@words=$$(OCAMLRUNPARAM=v=0x400 _build/default/bin/popan.exe sweep --no-cache \
+	    -j 2 --model uniform -m 8 -t 2 --sizes 65536,131072 2>&1 >/dev/null \
+	  | sed -n 's/^minor_words: *\([0-9]*\).*/\1/p'); \
+	if [ -n "$$words" ] && [ "$$words" -lt 393216 ]; then \
+	  echo "sweep alloc gate: $$words minor words for 393216 points (< 1 per point)"; \
+	else \
+	  echo "sweep alloc gate FAILED: minor words '$$words' for 393216 points (need < 1 per point)"; \
+	  exit 1; \
 	fi
 	@tmp=$$(mktemp -d); \
 	dune exec --no-build bin/popan.exe -- table4 -j 1 > $$tmp/seq.txt; \

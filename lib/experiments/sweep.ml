@@ -61,15 +61,16 @@ let run ?(capacity = 8) ?(max_depth = 16) ?sizes ?jobs ?build_jobs ?backing
               (fun () ->
                 (* Build-then-measure: the Morton bulk path — same
                    canonical decomposition, one sort instead of n
-                   descents. Streaming the draws straight into the
-                   arena's columns keeps the large-n sizes list-free;
-                   the generator is consumed in index order, so the
-                   stream (and the memoized row) is byte-identical to
-                   the historical list-building path. *)
+                   descents. The sampler draws straight into the
+                   arena's columns, allocating nothing on the uniform
+                   model, in [Sampler.point]'s order — so the stream
+                   (and the memoized row) is byte-identical to the
+                   historical list-building path. *)
                 let rng = rngs.(k) in
                 let tree =
-                  Pr_arena.bulk_of_fn ?backing ?jobs:build_jobs ~max_depth
-                    ~capacity ~n:points (fun _ -> Sampler.point rng model)
+                  Pr_arena.bulk_of_columns ?backing ?jobs:build_jobs
+                    ~max_depth ~capacity ~n:points (fun xs ys ->
+                      Sampler.fill rng model xs ys points)
                 in
                 let row =
                   ( float_of_int (Pr_arena.leaf_count tree),

@@ -33,9 +33,10 @@ val grid : ?steps_per_quadrupling:int -> lo:int -> hi:int -> unit -> int list
     model, tree parameters, seed and stream index, so a warm rerun
     performs zero tree builds and still emits byte-identical rows.
 
-    Large-n controls (all invisible to the rows): each trial streams its
-    draws straight into the arena with {!Pr_arena.bulk_of_fn} (no boxed
-    point list is ever built), [build_jobs] runs every {e individual}
+    Large-n controls (all invisible to the rows): each trial draws
+    straight into the arena's columns with {!Sampler.fill} inside
+    {!Pr_arena.bulk_of_columns} (no point is ever boxed, and a uniform
+    trial allocates nothing per point), [build_jobs] runs every {e individual}
     build's radix partition on the deterministic domain pool (orthogonal
     to [jobs], which fans out whole trials — use [build_jobs] when one
     tree dwarfs the trial count), and [backing] places the arena columns

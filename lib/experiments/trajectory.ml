@@ -39,13 +39,15 @@ let run ?(capacity = 8) ?(max_depth = 16) ?sizes ?jobs ?build_jobs ~model
             Store.memo store ~kind:"trial-hist" ~version:1 ~key
               Codec.int_array
               (fun () ->
-                (* Stream the draws, as in Sweep.run: the generator is
-                   consumed in index order, so the histogram matches
-                   the historical list-building path byte for byte. *)
+                (* Draw into the columns, as in Sweep.run: the fill
+                   follows [Sampler.point]'s order, so the histogram
+                   matches the historical list-building path byte for
+                   byte. *)
                 let rng = rngs.(k) in
                 let tree =
-                  Pr_arena.bulk_of_fn ?jobs:build_jobs ~max_depth ~capacity
-                    ~n:points (fun _ -> Sampler.point rng model)
+                  Pr_arena.bulk_of_columns ?jobs:build_jobs ~max_depth
+                    ~capacity ~n:points (fun xs ys ->
+                      Sampler.fill rng model xs ys points)
                 in
                 Pr_arena.occupancy_histogram tree)))
   in

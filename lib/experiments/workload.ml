@@ -94,11 +94,15 @@ module Churn = struct
     Array.blit live 0 arr 0 n;
     { rng; live = arr; n; ops_done }
 
+  (* Draw straight into the live array, in index order — the order
+     [Sampler.points] draws in — with no list between. *)
   let start spec ~rng =
-    let initial =
-      Array.of_list (Sampler.points rng spec.base.model spec.base.points)
-    in
-    restore ~rng ~live:initial ~ops_done:0
+    let n = spec.base.points in
+    let live = Array.make (max 16 n) dummy in
+    for i = 0 to n - 1 do
+      live.(i) <- Sampler.point rng spec.base.model
+    done;
+    { rng; live; n; ops_done = 0 }
 
   let live s = Array.sub s.live 0 s.n
   let live_count s = s.n

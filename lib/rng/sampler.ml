@@ -46,6 +46,22 @@ let points rng model n =
   if n < 0 then invalid_arg "Sampler.points: n < 0";
   List.init n (fun _ -> point rng model)
 
+let fill rng model (xs : Xoshiro.floats) (ys : Xoshiro.floats) n =
+  if n < 0 then invalid_arg "Sampler.fill: n < 0";
+  if n > Bigarray.Array1.dim xs || n > Bigarray.Array1.dim ys then
+    invalid_arg "Sampler.fill: column shorter than n";
+  match model with
+  | Uniform ->
+    (* [point] evaluates [Point.make]'s arguments right to left: the
+       first draw of each pair is y. *)
+    Xoshiro.fill_pairs rng ys xs n
+  | Gaussian _ | Clusters _ ->
+    for i = 0 to n - 1 do
+      let p = point rng model in
+      xs.{i} <- p.Point.x;
+      ys.{i} <- p.Point.y
+    done
+
 let point_nd rng ~dim =
   if dim <= 0 then invalid_arg "Sampler.point_nd: dim <= 0";
   Array.init dim (fun _ -> Xoshiro.float rng)

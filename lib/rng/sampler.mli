@@ -34,6 +34,20 @@ val point : Xoshiro.t -> point_model -> Point.t
     Raises [Invalid_argument] when [n < 0]. *)
 val points : Xoshiro.t -> point_model -> int -> Point.t list
 
+(** [fill rng model xs ys n] draws [n] points into two columns:
+    exactly the points [n] calls of {!point} would return, from the same
+    stream positions, with point [i] at [(xs.{i}, ys.{i})], and [rng]
+    left where those calls would leave it. Mind the order this pins
+    down: {!point} draws a uniform point's y before its x (OCaml
+    evaluates [Point.make]'s arguments right to left), so the fill
+    stores the first draw of each pair in [ys]. The uniform model
+    allocates nothing ({!Xoshiro.fill_pairs}); the others fill point by
+    point through {!point}. Raises [Invalid_argument] when [n < 0], a
+    column is shorter than [n], or for the model errors of {!point}
+    (only when [n > 0]). *)
+val fill :
+  Xoshiro.t -> point_model -> Xoshiro.floats -> Xoshiro.floats -> int -> unit
+
 (** [point_nd rng ~dim] draws a uniform point in the d-dimensional unit
     cube. Raises [Invalid_argument] when [dim <= 0]. *)
 val point_nd : Xoshiro.t -> dim:int -> Point_nd.t

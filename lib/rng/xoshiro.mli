@@ -2,9 +2,23 @@
     generator. 256 bits of state, period 2^256 − 1, passes BigCrush;
     deterministic per seed so every experiment in the repository is
     reproducible bit-for-bit. State is seeded from {!Splitmix} as the
-    authors recommend. *)
+    authors recommend.
+
+    {b Representation.} The state is 32 bytes read and written with the
+    unboxed 64-bit bytes primitives, not a record of boxed [int64]
+    fields, so advancing it allocates nothing. A value returned to
+    another module is still boxed — the default build compiles every
+    module [-opaque], so nothing is inlined across modules: {!next}
+    costs 3 minor words there (its [int64]) and {!float} 2 (its float).
+    Bulk draws that must allocate nothing go through {!fill_pairs},
+    whose loop runs beside the state. Every stream is bit-identical to
+    the record representation's, and {!to_words} encodes the same
+    words. *)
 
 type t
+
+(** A float64 column, the target of {!fill_pairs}. *)
+type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (** [create seed] seeds the four state words from a SplitMix64 stream
     started at [seed]. *)
@@ -21,6 +35,14 @@ val next : t -> int64
 
 (** [float state] is uniform in [[0, 1)] from the top 53 bits. *)
 val float : t -> float
+
+(** [fill_pairs state a b n] draws [2 * n] values of {!float} in
+    stream order and stores them in pairs: draw [2k] in [a.{k}], draw
+    [2k + 1] in [b.{k}], for [k] from 0 to [n - 1]. The state ends
+    where [2 * n] calls of {!float} leave it, and no minor-heap word is
+    allocated. Raises [Invalid_argument] when [n < 0] or a column is
+    shorter than [n]. *)
+val fill_pairs : t -> floats -> floats -> int -> unit
 
 (** [int state bound] is uniform in [[0, bound)] by rejection (no modulo
     bias). Raises [Invalid_argument] when [bound <= 0]. *)

@@ -271,11 +271,15 @@ let create ?pool config =
       ()
   in
   let rng = List.hd (Workload.Churn.map_trials spec ~f:(fun _ rng -> rng)) in
-  let state = Workload.Churn.start spec ~rng in
-  let base =
-    if config.base_points = 0 then []
-    else Array.to_list (Workload.Churn.live state)
+  (* [Workload.make] needs a positive population, so an empty server
+     starts its stream empty rather than from [start]'s one point —
+     a point the arena would never hold. *)
+  let state =
+    if config.base_points = 0 then
+      Workload.Churn.restore ~rng ~live:[||] ~ops_done:0
+    else Workload.Churn.start spec ~rng
   in
+  let base = Workload.Churn.live state in
   let backing =
     Option.map (fun dir -> Pr_arena.Mmap { dir }) config.mmap_dir
   in
@@ -285,9 +289,14 @@ let create ?pool config =
      must regrow at its first reuse. Untouched, the headroom costs
      address space, not memory. *)
   let live =
-    Pr_arena.of_points_bulk ?backing ~capacity:config.capacity
+    Pr_arena.bulk_of_columns ?backing ~capacity:config.capacity
       ~reserve:(config.base_points + (config.base_points / 8))
-      base
+      ~n:(Array.length base) (fun xs ys ->
+        Array.iteri
+          (fun i (p : Point.t) ->
+            xs.{i} <- p.x;
+            ys.{i} <- p.y)
+          base)
   in
   let pool, owns_pool =
     match pool with

@@ -75,7 +75,8 @@ type t
     (deterministically from [config.seed]), publishes epoch 0, readies
     the pool ([?pool] borrows an existing one, which {!shutdown} then
     leaves running) and, when [churn_ops > 0], spawns the writer
-    domain. Raises [Invalid_argument] on negative [base_points] or
+    domain. With [base_points = 0] the tree and the churn stream both
+    start empty. Raises [Invalid_argument] on negative [base_points] or
     [churn_ops]. *)
 val create : ?pool:Parallel.Pool.t -> config -> t
 

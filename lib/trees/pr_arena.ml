@@ -44,6 +44,7 @@ let quad_pair = [| 2; 3; 0; 1 |]
    62-bit entries are ample for 42-bit codes and slot indices. *)
 type farr = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type iarr = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+type column = farr
 
 type backing = Heap | Mmap of { dir : string }
 
@@ -1385,8 +1386,8 @@ let parallel_build t n pool keys slots keys2 slots2 =
   Probe.arena_phase ~phase:"stitch" (fun () ->
       replay t results slots slots2 plan 0)
 
-(* Shared driver for both bulk entry points: points are already in the
-   columns (slots 0 .. n-1) and [t.size = n]; sort and emit. *)
+(* The sort and emit behind [bulk_of_columns]: points and codes are
+   already in the columns (slots 0 .. n-1) and [t.size = n]. *)
 let bulk_build t n ~jobs ~pool ~packed =
   (* The root leaf registered by [create] is replaced wholesale by the
      build's own registration, mirroring Pr_builder.split_node
@@ -1418,7 +1419,7 @@ let bulk_build t n ~jobs ~pool ~packed =
     | Some packed ->
       (* The packed fast path (see [build_packed]): one word per element
          in two plain int arrays, with the key array already built by
-         the caller's fill loop. The arrays are transient sort scratch —
+         [encode_columns]. The arrays are transient sort scratch —
          at most 16 MB each at the size bound — so a heap build loses
          nothing of the out-of-core story by using them; mmap-backed
          arenas keep every buffer in segments and take the column path
@@ -1448,103 +1449,76 @@ let bulk_build t n ~jobs ~pool ~packed =
         build_sorted t keys slots keys2 slots2 cnt 0 n 0 0 false)
   end
 
-(* Fills slot [i] and returns the stored code, so packed-path callers
-   can build their sort keys inside the fill loop instead of re-reading
-   the codes column in a second pass. *)
-let bulk_fill t i p =
-  if not (Box.contains t.bounds p) then
-    invalid_arg "Pr_arena bulk build: point outside bounds";
-  (* The unit-bounds encode is written out inline rather than routed
-     through [point_code]: a float passed to a non-inlined call gets
-     boxed, and two boxes per point is exactly the O(n) minor-heap
-     traffic the bulk path promises not to have (the alloc test
-     measures this loop). Kept unboxed, the reads feed the Bigarray
-     stores and the quantizing multiply directly. *)
-  if t.unit_bounds then begin
-    let x = p.Point.x and y = p.Point.y in
-    t.xs.{i} <- x;
-    t.ys.{i} <- y;
-    let code =
-      Morton.interleave
-        (int_of_float (x *. quantize_scale))
-        (int_of_float (y *. quantize_scale))
-    in
-    t.codes.{i} <- code;
-    code
-  end
-  else begin
-    t.xs.{i} <- p.Point.x;
-    t.ys.{i} <- p.Point.y;
-    let code = point_code t p.Point.x p.Point.y in
-    t.codes.{i} <- code;
-    code
-  end
-
 (* The packed fast path applies to sequential, heap-backed, unit-bounds
-   builds small enough for single-word keys (see [build_packed]); the
-   entry points share the predicate so they can fuse key packing into
-   their fill loops. *)
+   builds small enough for single-word keys (see [build_packed]). *)
 let packed_capable t n ~jobs ~pool =
   jobs = None && pool = None
   && n <= packed_slot_mask
   && t.backing = Heap && t.unit_bounds
 
-let of_points_bulk ?max_depth ?bounds ?backing ?jobs ?pool ?(reserve = 0)
-    ~capacity ps =
-  let n = List.length ps in
+(* One pass over the filled columns: bounds check, stored code and, on
+   the packed path, the sort key. The unit-bounds encode is written out
+   inline rather than routed through [point_code]: a float passed to a
+   non-inlined call is boxed, and two boxes per point is exactly the
+   O(n) minor-heap traffic the bulk path promises not to have (the
+   alloc tests measure this loop). *)
+let encode_columns t n packed =
+  let b = t.bounds in
+  for i = 0 to n - 1 do
+    let x = t.xs.{i} and y = t.ys.{i} in
+    if not (x >= b.Box.xmin && x < b.Box.xmax && y >= b.Box.ymin
+            && y < b.Box.ymax)
+    then invalid_arg "Pr_arena bulk build: point outside bounds";
+    let code =
+      if t.unit_bounds then
+        Morton.interleave
+          (int_of_float (x *. quantize_scale))
+          (int_of_float (y *. quantize_scale))
+      else point_code t x y
+    in
+    t.codes.{i} <- code;
+    match packed with
+    | Some a -> a.(i) <- (code lsl bits) lor i
+    | None -> ()
+  done
+
+let bulk_of_columns ?max_depth ?bounds ?backing ?jobs ?pool ?(reserve = 0)
+    ~capacity ~n fill =
+  if n < 0 then invalid_arg "Pr_arena.bulk_of_columns: n < 0";
   let t =
     create ?max_depth ?bounds ?backing ~reserve:(max n reserve) ~capacity ()
   in
   Probe.arena_build `Bulk ~inserts:n (fun () ->
+      fill t.xs t.ys;
       let packed =
         if packed_capable t n ~jobs ~pool then Some (Array.make (max n 1) 0)
         else None
       in
-      let i = ref 0 in
-      (match packed with
-      | Some a ->
-        List.iter
-          (fun p ->
-            let code = bulk_fill t !i p in
-            a.(!i) <- (code lsl bits) lor !i;
-            incr i)
-          ps
-      | None ->
-        List.iter
-          (fun p ->
-            ignore (bulk_fill t !i p : int);
-            incr i)
-          ps);
+      encode_columns t n packed;
       t.size <- n;
       t.slots <- n;
       bulk_build t n ~jobs ~pool ~packed);
   t
 
+let of_points_bulk ?max_depth ?bounds ?backing ?jobs ?pool ?reserve
+    ~capacity ps =
+  bulk_of_columns ?max_depth ?bounds ?backing ?jobs ?pool ?reserve ~capacity
+    ~n:(List.length ps) (fun xs ys ->
+      List.iteri
+        (fun i (p : Point.t) ->
+          xs.{i} <- p.x;
+          ys.{i} <- p.y)
+        ps)
+
 let bulk_of_fn ?max_depth ?bounds ?backing ?jobs ?pool ~capacity ~n f =
   if n < 0 then invalid_arg "Pr_arena.bulk_of_fn: n < 0";
-  let t = create ?max_depth ?bounds ?backing ~reserve:n ~capacity () in
-  Probe.arena_build `Bulk ~inserts:n (fun () ->
-      (* Generation is strictly in slot order 0 .. n-1 on the calling
-         domain, so a stateful generator (an RNG stream) draws exactly
-         as it would filling a list first — without the list. *)
-      let packed =
-        if packed_capable t n ~jobs ~pool then Some (Array.make (max n 1) 0)
-        else None
-      in
-      (match packed with
-      | Some a ->
-        for i = 0 to n - 1 do
-          let code = bulk_fill t i (f i) in
-          a.(i) <- (code lsl bits) lor i
-        done
-      | None ->
-        for i = 0 to n - 1 do
-          ignore (bulk_fill t i (f i) : int)
-        done);
-      t.size <- n;
-      t.slots <- n;
-      bulk_build t n ~jobs ~pool ~packed);
-  t
+  bulk_of_columns ?max_depth ?bounds ?backing ?jobs ?pool ~capacity ~n
+    (fun xs ys ->
+      for i = 0 to n - 1 do
+        let p : Point.t = f i in
+        xs.{i} <- p.x;
+        ys.{i} <- p.y
+      done)
 
 (* Analysis paths. *)
 

@@ -28,10 +28,10 @@ open Import
     - {b two build paths}: {!of_points} grows incrementally with the
       same O(1) statistics contract as {!Pr_builder} (size / leaves /
       internals / height / occupancy histogram maintained per insert,
-      so per-step snapshots are free), and {!of_points_bulk} /
-      {!bulk_of_fn} sort the Morton keys once — a top-down MSD radix
-      partition, two bits per level — and emit the finished tree in a
-      single pass, leaves left-to-right in Z-order. The bulk path has
+      so per-step snapshots are free), and {!bulk_of_columns} (with
+      its wrappers {!of_points_bulk} and {!bulk_of_fn}) sorts the
+      Morton keys once — a top-down MSD radix partition, two bits per
+      level — and emits the finished tree in a single pass, leaves left-to-right in Z-order. The bulk path has
       {b no point-count cap}: keys are two parallel columns (key word +
       slot), not a packed word, so nothing reroutes to incremental
       inserts at any n. With [?jobs] or [?pool] the top levels of the
@@ -142,12 +142,26 @@ val slot_high_water : t -> int
 val of_points :
   ?max_depth:int -> ?bounds:Box.t -> capacity:int -> Point.t list -> t
 
-(** [of_points_bulk ?max_depth ?bounds ?backing ?jobs ?pool ?reserve
-    ~capacity ps] bulk-loads: encode every point's Morton key, sort once (top-down
-    MSD radix, stopping exactly where leaves form), then emit the tree
-    in a single linear pass. The PR decomposition is canonical, so the
-    result equals {!of_points} on the same points; insertion history is
-    not replayed, which makes this the fast path for build-then-measure
+(** A float64 point column, as handed to {!bulk_of_columns}'s fill. *)
+type column = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(** [bulk_of_columns ?max_depth ?bounds ?backing ?jobs ?pool ?reserve
+    ~capacity ~n fill] is the bulk build, and the one entry the other
+    bulk builders wrap. It creates the arena, calls [fill xs ys] once
+    with the arena's own x and y columns (at least [n] long), and
+    treats [(xs.{i}, ys.{i})] for [i] in [0 .. n-1] as the points, in
+    slot order. One pass then checks each point against the bounds and
+    derives its Morton code (and, on the packed path, its sort key);
+    the build sorts once (top-down MSD radix, stopping exactly where
+    leaves form) and emits the tree in a single linear pass. Nothing
+    but a handful of handles touches the minor heap, so a fill that
+    allocates nothing (such as {!Popan_rng.Sampler.fill} on the uniform
+    model) makes the whole build O(1) in minor words. The fill must
+    write only slots [0 .. n-1] and must not keep the columns.
+
+    The PR decomposition is canonical, so the result equals
+    {!of_points} on the same points; insertion history is not
+    replayed, which makes this the fast path for build-then-measure
     experiments. There is no point-count cap.
 
     [?jobs] (or an existing [?pool] — [jobs] is ignored when both are
@@ -168,20 +182,31 @@ val of_points :
     byte-identical either way.
 
     [reserve] (default 0) sizes the point columns for at least that
-    many slots, as in {!create}: headroom for inserts to come. *)
+    many slots, as in {!create}: headroom for inserts to come. Raises
+    [Invalid_argument] when [n < 0] or a filled point falls outside
+    the bounds. *)
+val bulk_of_columns :
+  ?max_depth:int -> ?bounds:Box.t -> ?backing:backing -> ?jobs:int ->
+  ?pool:Popan_parallel.Pool.t -> ?reserve:int -> capacity:int -> n:int ->
+  (column -> column -> unit) -> t
+
+(** [of_points_bulk ?max_depth ?bounds ?backing ?jobs ?pool ?reserve
+    ~capacity ps] is {!bulk_of_columns} over the points of [ps], in list
+    order. *)
 val of_points_bulk :
   ?max_depth:int -> ?bounds:Box.t -> ?backing:backing -> ?jobs:int ->
   ?pool:Popan_parallel.Pool.t -> ?reserve:int -> capacity:int ->
   Point.t list -> t
 
 (** [bulk_of_fn ?max_depth ?bounds ?backing ?jobs ?pool ~capacity ~n f]
-    is {!of_points_bulk} on the points [f 0 .. f (n-1)] without ever
-    materializing them as a list — the large-n entry point (a boxed
-    list of 10^8 points costs more than the whole arena). [f] is called
-    strictly in order [0 .. n-1] on the calling domain, so a stateful
-    generator (an RNG stream) draws exactly as it would building the
-    list first. Raises [Invalid_argument] when [n < 0] or some [f i]
-    falls outside the bounds. *)
+    is {!bulk_of_columns} on the points [f 0 .. f (n-1)], without ever
+    materializing them as a list. [f] is called strictly in order
+    [0 .. n-1] on the calling domain, so a stateful generator (an RNG
+    stream) draws exactly as it would building the list first. Each
+    returned point is a heap value, so this path allocates per point;
+    a generator that can write columns should use {!bulk_of_columns}.
+    Raises [Invalid_argument] when [n < 0] or some [f i] falls outside
+    the bounds. *)
 val bulk_of_fn :
   ?max_depth:int -> ?bounds:Box.t -> ?backing:backing -> ?jobs:int ->
   ?pool:Popan_parallel.Pool.t -> capacity:int -> n:int -> (int -> Point.t) ->
@@ -344,7 +369,7 @@ val cell_at_visited : t -> Point.t -> (int * Box.t * Point.t list) * int
     writes with the arena's mutation clock. A copy remembers which
     arena it was taken from and that arena's clock at the time, so
     {!refresh} re-copies only the chunks stamped after it. Bulk builds
-    ({!of_points_bulk}, {!bulk_of_fn}, {!thaw}) write unstamped: they
+    ({!bulk_of_columns} and its wrappers, {!thaw}) write unstamped: they
     finish before any copy of the new arena can exist. *)
 
 (** [snapshot t] is an independent heap-backed deep copy of the arena —

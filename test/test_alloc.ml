@@ -270,6 +270,52 @@ let tests =
               nearest_words queries
               (nearest_words /. float_of_int queries)
         end);
+    Alcotest.test_case
+      "generator-fed uniform bulk build allocates O(1) minor words" `Quick
+      (fun () ->
+        (* The sweep's trial path end to end: the uniform sampler
+           writes straight into the arena's columns, so drawing and
+           building 65536 points must cost no more minor words than
+           the build over pre-drawn points above — at most n/16, a
+           handful of handles and closures. The positive control is
+           the per-point closure path the fill replaced: every
+           [Sampler.point] returns a boxed point (7 words with its two
+           floats), so it must read above one word per point, or the
+           meter has stopped seeing allocation. *)
+        if not native then print_endline "skipped: bytecode boxes floats"
+        else begin
+          let n = 65_536 in
+          let fill_build seed =
+            let rng = Xoshiro.of_int_seed seed in
+            Pr_arena.bulk_of_columns ~capacity:8 ~n (fun xs ys ->
+                Sampler.fill rng Sampler.Uniform xs ys n)
+          in
+          ignore (fill_build 90);
+          let tree = ref None in
+          let words = measure (fun () -> tree := Some (fill_build 91)) in
+          (match !tree with
+          | Some t -> Alcotest.check Alcotest.int "all stored" n (Pr_arena.size t)
+          | None -> assert false);
+          if words > float_of_int (n / 16) then
+            Alcotest.failf
+              "generator-fed bulk build allocated %.0f minor words for \
+               n=%d (%.3f words/point); the uniform fill must not allocate"
+              words n
+              (words /. float_of_int n);
+          let rng = Xoshiro.of_int_seed 91 in
+          let control =
+            measure (fun () ->
+                ignore
+                  (Pr_arena.bulk_of_fn ~capacity:8 ~n (fun _ ->
+                       Sampler.point rng Sampler.Uniform)
+                    : Pr_arena.t))
+          in
+          if control <= float_of_int n then
+            Alcotest.failf
+              "expected the per-point closure path to allocate over n \
+               words (got %.0f for n=%d); the allocation meter is broken"
+              control n
+        end);
   ]
 
 let () = Alcotest.run "popan_alloc" [ ("arena", tests) ]

@@ -617,6 +617,45 @@ let server_tests =
             match Server.handle t Wire.Quit with
             | Wire.Bye, false -> ()
             | _ -> Alcotest.fail "bad quit response"));
+    Alcotest.test_case "an empty server's churn stream starts empty" `Quick
+      (fun () ->
+        (* With base_points = 0 the stream must hold exactly what the
+           arena holds: no phantom first point that the arena never
+           received. One op per batch, so the arena is checked against
+           an independently driven empty stream after every op. *)
+        let config =
+          {
+            Server.default_config with
+            base_points = 0;
+            churn_ops = 1;
+            jobs = Some 1;
+          }
+        in
+        let spec =
+          Workload.Churn.make ~points:1 ~trials:1 ~seed:config.seed ~ops:1
+            ~insert_fraction:config.insert_fraction
+            ~update_fraction:config.update_fraction
+            ~drift_sigma:config.drift_sigma ()
+        in
+        let rng = List.hd (Workload.Churn.map_trials spec ~f:(fun _ r -> r)) in
+        let stream = Workload.Churn.restore ~rng ~live:[||] ~ops_done:0 in
+        let t = Server.create config in
+        let size () =
+          match Server.handle t Wire.Stats with
+          | Wire.Stats_info { size; _ }, _ -> size
+          | _ -> Alcotest.fail "bad stats response"
+        in
+        Fun.protect
+          ~finally:(fun () -> Server.shutdown t)
+          (fun () ->
+            check_int "empty at start" 0 (size ());
+            for op = 1 to 40 do
+              ignore (Server.run_queries t [| Wire.Count Box.unit |]);
+              ignore (Workload.Churn.step spec stream : Workload.Churn.event);
+              check_int
+                (Printf.sprintf "arena size = stream live count after op %d" op)
+                (Workload.Churn.live_count stream) (size ())
+            done));
   ]
 
 (* The Telemetry exchange: codec payloads with real sketch snapshots,
@@ -943,7 +982,11 @@ let replica_of (config : Server.config) =
       ~drift_sigma:config.drift_sigma ()
   in
   let rng = List.hd (Workload.Churn.map_trials spec ~f:(fun _ r -> r)) in
-  let state = Workload.Churn.start spec ~rng in
+  let state =
+    if config.base_points = 0 then
+      Workload.Churn.restore ~rng ~live:[||] ~ops_done:0
+    else Workload.Churn.start spec ~rng
+  in
   let live =
     Pr_arena.of_points_bulk ~capacity:config.capacity
       (Array.to_list (Workload.Churn.live state))
