@@ -19,7 +19,8 @@ test:
 # table bytes untouched and emit trace + metrics JSON that `popan obs
 # validate` accepts. The allocation gate re-runs the arena regression
 # explicitly: a no-split arena insert must allocate zero minor words,
-# and a generator-fed uniform bulk build O(1) of them. The sweep alloc
+# a generator-fed uniform bulk build O(1) of them, and a response frame
+# written through the wire's reused scratch none. The sweep alloc
 # gate runs `popan sweep -j 2` over 393,216 uniform points with the GC
 # summary on (OCAMLRUNPARAM=v=0x400) and requires fewer minor words
 # than points: the sampler fills the arena's columns without boxing.
@@ -35,7 +36,8 @@ test:
 # oracle — with Morton batch-sorting on (the default) AND under
 # --no-batch-sort, so the schedule provably never reaches the wire —
 # serve two sequential clients on one socket, and assert a truncated
-# frame is refused. The query alloc smoke: count-in-box on the
+# frame is refused; a Stats sent between the two batches must read the
+# oracle's epoch and size. The query alloc smoke: count-in-box on the
 # integer-descent path must allocate zero minor words per query. The
 # obs-top smoke: start `popan serve` on a Unix socket with full
 # telemetry under churn, self-warm two batches, scrape it once with
@@ -74,6 +76,12 @@ check: build test
 	else \
 	  echo "alloc smoke FAILED: the uniform column fill allocates per point"; \
 	  dune exec --no-build test/test_alloc.exe -- test arena 7; exit 1; \
+	fi
+	@if dune exec --no-build test/test_alloc.exe -- test wire 0 >/dev/null 2>&1; then \
+	  echo "alloc smoke: a warm response frame write allocates zero minor words"; \
+	else \
+	  echo "alloc smoke FAILED: the wire frame writer allocates"; \
+	  dune exec --no-build test/test_alloc.exe -- test wire 0; exit 1; \
 	fi
 	@words=$$(OCAMLRUNPARAM=v=0x400 _build/default/bin/popan.exe sweep --no-cache \
 	    -j 2 --model uniform -m 8 -t 2 --sizes 65536,131072 2>&1 >/dev/null \

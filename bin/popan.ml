@@ -1474,6 +1474,15 @@ let render_telemetry socket (t : Popan_serve.Wire.telemetry) =
       (float_of_int bytes /. 1048576.0)
       (float_of_int bytes /. 1024.0 /. float_of_int epochs)
   | _ -> ());
+  (* How long requests waited for the writer's slice: the part of the
+     publish the response and the client's turnaround did not hide. *)
+  (match find "serve.writer.wait" with
+  | Some w when snapshot_count w > 0 ->
+    Printf.printf "  writer wait: %d joins, p50 %.0fus, p99 %.0fus\n"
+      (snapshot_count w)
+      (1e6 *. q w 0.5)
+      (1e6 *. q w 0.99)
+  | _ -> ());
   let tail n l =
     let len = List.length l in
     List.filteri (fun i _ -> i >= len - n) l

@@ -77,45 +77,65 @@ module Churn = struct
     | Delete of Point.t
     | Update of Point.t * Point.t
 
+  (* The live multiset as two coordinate columns, [n] points in
+     generator order: no boxed point is kept, so a large base
+     population costs 16 bytes a point outside the OCaml heap, and
+     churn promotes nothing to the major heap. *)
   type state = {
     rng : Xoshiro.t;
-    mutable live : Point.t array;
+    mutable xs : Xoshiro.floats;
+    mutable ys : Xoshiro.floats;
     mutable n : int;
     mutable ops_done : int;
   }
 
-  let dummy = { Point.x = 0.0; Point.y = 0.0 }
+  let column n = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n
 
   let restore ~rng ~live ~ops_done =
     if ops_done < 0 then invalid_arg "Workload.Churn.restore: ops_done < 0";
     let n = Array.length live in
-    let cap = max 16 n in
-    let arr = Array.make cap dummy in
-    Array.blit live 0 arr 0 n;
-    { rng; live = arr; n; ops_done }
+    let xs = column (max 16 n) and ys = column (max 16 n) in
+    Array.iteri
+      (fun i (p : Point.t) ->
+        xs.{i} <- p.Point.x;
+        ys.{i} <- p.Point.y)
+      live;
+    { rng; xs; ys; n; ops_done }
 
-  (* Draw straight into the live array, in index order — the order
-     [Sampler.points] draws in — with no list between. *)
+  (* Draw straight into the columns, in the order [Sampler.points]
+     draws in. *)
   let start spec ~rng =
     let n = spec.base.points in
-    let live = Array.make (max 16 n) dummy in
-    for i = 0 to n - 1 do
-      live.(i) <- Sampler.point rng spec.base.model
-    done;
-    { rng; live; n; ops_done = 0 }
+    let xs = column (max 16 n) and ys = column (max 16 n) in
+    Sampler.fill rng spec.base.model xs ys n;
+    { rng; xs; ys; n; ops_done = 0 }
 
-  let live s = Array.sub s.live 0 s.n
+  let point s k = Point.make s.xs.{k} s.ys.{k}
+  let live s = Array.init s.n (point s)
+
+  let fill_live s xs ys =
+    let open Bigarray.Array1 in
+    if s.n > 0 then begin
+      blit (sub s.xs 0 s.n) (sub xs 0 s.n);
+      blit (sub s.ys 0 s.n) (sub ys 0 s.n)
+    end
+
   let live_count s = s.n
   let ops_done s = s.ops_done
   let rng s = s.rng
 
-  let push s p =
-    if s.n = Array.length s.live then begin
-      let grown = Array.make (2 * s.n) dummy in
-      Array.blit s.live 0 grown 0 s.n;
-      s.live <- grown
+  let push s (p : Point.t) =
+    if s.n = Bigarray.Array1.dim s.xs then begin
+      let grow c =
+        let g = column (2 * s.n) in
+        Bigarray.Array1.(blit c (sub g 0 s.n));
+        g
+      in
+      s.xs <- grow s.xs;
+      s.ys <- grow s.ys
     end;
-    s.live.(s.n) <- p;
+    s.xs.{s.n} <- p.Point.x;
+    s.ys.{s.n} <- p.Point.y;
     s.n <- s.n + 1
 
   (* One uniform step of at most [drift_sigma] per axis, reflected at
@@ -137,9 +157,10 @@ module Churn = struct
     let event =
       if u < spec.update_fraction && s.n > 0 then begin
         let k = Xoshiro.int s.rng s.n in
-        let old = s.live.(k) in
+        let old = point s k in
         let moved = drift spec s old in
-        s.live.(k) <- moved;
+        s.xs.{k} <- moved.Point.x;
+        s.ys.{k} <- moved.Point.y;
         Update (old, moved)
       end
       else begin
@@ -157,8 +178,9 @@ module Churn = struct
         end
         else begin
           let k = Xoshiro.int s.rng s.n in
-          let old = s.live.(k) in
-          s.live.(k) <- s.live.(s.n - 1);
+          let old = point s k in
+          s.xs.{k} <- s.xs.{s.n - 1};
+          s.ys.{k} <- s.ys.{s.n - 1};
           s.n <- s.n - 1;
           Delete old
         end

@@ -101,6 +101,13 @@ module Churn : sig
   (** [live s] is the live multiset, in generator order (a copy). *)
   val live : state -> Point.t array
 
+  (** [fill_live s xs ys] writes the live multiset, in generator order,
+      into the first {!live_count}[ s] entries of two columns — point
+      [i] at [(xs.{i}, ys.{i})] — as {!Popan_trees.Pr_arena.bulk_of_columns}'
+      fill wants them, without building the points {!live} returns.
+      The state keeps its live set unboxed, so this is two blits. *)
+  val fill_live : state -> Xoshiro.floats -> Xoshiro.floats -> unit
+
   (** [live_count s] is the live population. O(1). *)
   val live_count : state -> int
 

@@ -446,6 +446,14 @@ let serve_publish ~epoch ~size =
   Event.emit "serve.epoch.publish"
     [ ("epoch", Event.Int epoch); ("size", Event.Int size) ]
 
+(* The time a request spent joining the churn writer's slice: what of
+   the writer's work the response, the socket and the client's
+   turnaround did not hide. Wall-clock seconds, so unstable. *)
+let serve_writer_wait_sketch = Metrics.sketch ~stable:false "serve.writer.wait"
+
+let serve_writer_wait ~ns =
+  Metrics.record_sketch serve_writer_wait_sketch (float_of_int ns *. 1e-9)
+
 let serve_publish_copy ~bytes ~full =
   Metrics.incr ~by:bytes serve_publish_bytes;
   if full then Metrics.incr serve_publish_full

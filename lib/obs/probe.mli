@@ -248,6 +248,12 @@ val serve_publish : epoch:int -> size:int -> unit
     regrow). Both stable. *)
 val serve_publish_copy : bytes:int -> full:bool -> unit
 
+(** [serve_writer_wait ~ns] records, into the unstable
+    [serve.writer.wait] sketch (seconds), how long a request waited to
+    join the churn writer's slice before it could proceed. The server
+    calls it only with telemetry on. *)
+val serve_writer_wait : ns:int -> unit
+
 (** [serve_pin ~epoch] emits a [Debug]-level [serve.epoch.pin] event —
     below the default stderr mirror, visible in the event ring. *)
 val serve_pin : epoch:int -> unit

@@ -255,6 +255,7 @@ type t = {
   live : Pr_arena.t;  (** the writer's arena; only the writer touches it *)
   epochs : Epoch.t;
   writer : Writer.t option;  (** present iff [churn_ops > 0] *)
+  mutable in_flight : bool;  (** a slice started and not yet joined *)
   mutable batches : int;
   mutable epoch_batches : int;  (** batches answered from the current epoch *)
 }
@@ -279,7 +280,7 @@ let create ?pool config =
       Workload.Churn.restore ~rng ~live:[||] ~ops_done:0
     else Workload.Churn.start spec ~rng
   in
-  let base = Workload.Churn.live state in
+  let n = Workload.Churn.live_count state in
   let backing =
     Option.map (fun dir -> Pr_arena.Mmap { dir }) config.mmap_dir
   in
@@ -291,12 +292,7 @@ let create ?pool config =
   let live =
     Pr_arena.bulk_of_columns ?backing ~capacity:config.capacity
       ~reserve:(config.base_points + (config.base_points / 8))
-      ~n:(Array.length base) (fun xs ys ->
-        Array.iteri
-          (fun i (p : Point.t) ->
-            xs.{i} <- p.x;
-            ys.{i} <- p.y)
-          base)
+      ~n (Workload.Churn.fill_live state)
   in
   let pool, owns_pool =
     match pool with
@@ -321,44 +317,75 @@ let create ?pool config =
              done;
              ignore (Epoch.publish_from epochs live : Epoch.epoch)))
   in
-  { config; pool; owns_pool; live; epochs; writer; batches = 0; epoch_batches = 0 }
+  {
+    config;
+    pool;
+    owns_pool;
+    live;
+    epochs;
+    writer;
+    in_flight = false;
+    batches = 0;
+    epoch_batches = 0;
+  }
 
-let epochs t = t.epochs
+(* Wait for the slice in flight, if any, and surface how it ended: each
+   batch's slice publishes the epoch the next request must see, so
+   every call that reads or changes server state joins first. With
+   telemetry on, the wait goes into [serve.writer.wait] — the part of
+   the writer's work that the response, the socket and the client's
+   turnaround did not hide. *)
+let join t =
+  match t.writer with
+  | Some w when t.in_flight ->
+    t.in_flight <- false;
+    let timed = Probe.serve_telemetry_on () in
+    let t0 = if timed then Clock.now_ns () else 0 in
+    let outcome = Writer.wait w in
+    if timed then Probe.serve_writer_wait ~ns:(Clock.now_ns () - t0);
+    (match outcome with
+    | Ok () -> ()
+    | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt)
+  | _ -> ()
+
+let epochs t =
+  join t;
+  t.epochs
+
 let pool t = t.pool
 let batches t = t.batches
 
 (* Answer one batch from a pinned epoch while the churn writer advances
    the live arena and publishes the next epoch on its own domain. The
    overlap is real — the writer mutates [t.live] and refreshes the
-   spare during the batch — but readers only ever see the pinned
-   epoch, which shares no column with either, so answers are torn-free
-   and depend only on the epoch's contents; and the churn stream itself
-   is deterministic, so the next published epoch is too. Responses are
-   therefore byte-identical at every job count. *)
+   spare during the batch, and keeps going after the answers are
+   returned — but readers only ever see the pinned epoch, which shares
+   no column with either, so answers are torn-free and depend only on
+   the epoch's contents; and the churn stream itself is deterministic,
+   so the next published epoch is too. Responses are therefore
+   byte-identical at every job count. The slice is joined by the next
+   call that needs the epoch it publishes: batch [n] serves epoch [n]
+   and leaves epoch [n+1] installed for the next request. *)
 let run_queries t queries =
+  join t;
   let e = Epoch.pin t.epochs in
-  Option.iter Writer.start t.writer;
-  let writer_outcome = ref (Ok ()) in
+  Option.iter
+    (fun w ->
+      Writer.start w;
+      t.in_flight <- true)
+    t.writer;
   let answers =
     Fun.protect
       ~finally:(fun () ->
-        (* Wait for the writer: each batch serves epoch [n] and leaves
-           epoch [n+1] installed for the next one. *)
-        (match t.writer with
-        | Some w ->
-          writer_outcome := Writer.wait w;
-          t.epoch_batches <- 0
-        | None ->
+        if Option.is_none t.writer then begin
           t.epoch_batches <- t.epoch_batches + 1;
-          Probe.serve_epoch_batch ~age:t.epoch_batches);
+          Probe.serve_epoch_batch ~age:t.epoch_batches
+        end;
         Epoch.unpin t.epochs e)
       (fun () ->
         run_batch ~epoch:(Epoch.id e) ~sort:t.config.batch_sort t.pool
           (Epoch.arena e) queries)
   in
-  (match !writer_outcome with
-  | Ok () -> ()
-  | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt);
   t.batches <- t.batches + 1;
   (Epoch.id e, answers)
 
@@ -390,6 +417,7 @@ let warm t ~batches ~queries:qn =
   done
 
 let handle t (req : Wire.request) : Wire.response * bool =
+  (match req with Wire.Batch _ -> () | _ -> join t);
   match req with
   | Wire.Batch queries ->
     let epoch, answers = run_queries t queries in
@@ -420,7 +448,14 @@ let handle t (req : Wire.request) : Wire.response * bool =
       true )
   | Wire.Quit -> (Wire.Bye, false)
 
+(* A failed last slice is re-raised once everything is released, so
+   no failure of the writer goes unreported. *)
 let shutdown t =
+  let failure =
+    match join t with
+    | () -> None
+    | exception e -> Some (e, Printexc.get_raw_backtrace ())
+  in
   Option.iter Writer.stop t.writer;
   Probe.serve_shutdown ~batches:t.batches ~epoch:(Epoch.current_id t.epochs);
   Epoch.shutdown t.epochs;
@@ -428,7 +463,8 @@ let shutdown t =
   if t.owns_pool then Parallel.Pool.shutdown t.pool;
   (* The at-exit flushes only cover experiment commands; a server must
      leave its admission counters in the store's stats log itself. *)
-  Option.iter Store.flush_counters (Store.default ())
+  Option.iter Store.flush_counters (Store.default ());
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) failure
 
 (* A response too large for one frame is never written: the client
    gets a short [Refused] in its place, and the stream stays in step

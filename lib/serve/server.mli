@@ -11,10 +11,27 @@ open Import
     concurrently applies the next slice of the deterministic churn
     stream to the live arena, publishing the result as the next epoch
     ({!Epoch.publish_from}: a refresh of the spare that copies only the
-    chunks the slice wrote) before the response is written. The churn
-    work runs on one writer domain that lives as long as the server; a
-    static server ([churn_ops = 0]) has none. Readers never observe a
-    torn snapshot: epochs share no mutable state with the live arena. *)
+    chunks the slice wrote). The churn work runs on one writer domain
+    that lives as long as the server; a static server
+    ([churn_ops = 0]) has none. Readers never observe a torn snapshot:
+    epochs share no mutable state with the live arena.
+
+    {b Joins.} A batch's answers are returned as soon as they are
+    computed; its slice keeps running while the response is encoded and
+    written and the client turns around. The slice is joined by the next
+    call that needs what it publishes: {!run_queries} joins before it
+    pins, {!handle} before any request that is not a [Batch]
+    ([Stats], [Telemetry], [Quit]), {!epochs} before it returns the
+    store, and {!shutdown} before it stops the writer. Every request
+    therefore sees what it would if each batch had joined its own slice:
+    batch [n] pins epoch [n] and leaves epoch [n+1] installed for the
+    next request, and a [Stats] after it reports epoch [n+1] and the
+    size after the slice. With telemetry on, each join's wait is
+    recorded in the [serve.writer.wait] sketch.
+
+    {b Writer failures} surface at the join, that is one call after the
+    batch that started the failed slice; that batch's answers came from
+    its pinned epoch and are correct. *)
 
 (** [eval arena q] answers one query sequentially — the same function
     the pool's tasks run when telemetry is off, and the oracle tests
@@ -80,14 +97,21 @@ type t
     [churn_ops]. *)
 val create : ?pool:Parallel.Pool.t -> config -> t
 
+(** [epochs t] is the server's epoch store, after joining the slice in
+    flight — so its current epoch is the one the next batch pins. Raises
+    what the joined slice raised. *)
 val epochs : t -> Epoch.t
+
 val pool : t -> Parallel.Pool.t
 
 (** [batches t] counts batches answered so far. *)
 val batches : t -> int
 
 (** [run_queries t queries] answers one batch as described above and
-    returns the answering epoch's id with the answers. *)
+    returns the answering epoch's id with the answers. It first joins
+    the previous batch's slice (raising what that slice raised), pins
+    the current epoch and starts the next slice, and returns before
+    that slice is joined. *)
 val run_queries : t -> Wire.query array -> int * Wire.answer array
 
 (** [warm t ~batches ~queries] answers [batches] deterministic mixed
@@ -98,7 +122,8 @@ val run_queries : t -> Wire.query array -> int * Wire.answer array
 val warm : t -> batches:int -> queries:int -> unit
 
 (** [handle t req] dispatches one request; the boolean is false when
-    the loop should stop ([Quit]). *)
+    the loop should stop ([Quit]). Every request but a [Batch] joins
+    the slice in flight first. *)
 val handle : t -> Wire.request -> Wire.response * bool
 
 (** [respond oc resp] writes [resp] as one frame, or — when it would
@@ -117,10 +142,11 @@ val respond : out_channel -> Wire.response -> unit
     merely hanging up. *)
 val serve_channels : t -> in_channel -> out_channel -> bool
 
-(** [shutdown t] stops and joins the writer domain, retires every
-    epoch and releases the live arena's mmap segments, shuts down an
-    owned pool, and flushes the obs counters to the default artifact
-    store when one is configured. *)
+(** [shutdown t] joins the slice in flight, stops and joins the writer
+    domain, retires every epoch and releases the live arena's mmap
+    segments, shuts down an owned pool, and flushes the obs counters to
+    the default artifact store when one is configured. When the joined
+    slice failed, its exception is raised after all of that. *)
 val shutdown : t -> unit
 
 (** [run ?pool ?socket ?warm_batches config] is the whole lifecycle:

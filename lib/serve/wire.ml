@@ -61,9 +61,10 @@ let query =
           ~decode:(fun b -> Count b)
           ~encode:(function Count b -> b | _ -> assert false) );
       ( 2,
-        map (pair int point)
-          ~decode:(fun (k, p) -> Knn (k, p))
-          ~encode:(function Knn (k, p) -> (k, p) | _ -> assert false) );
+        map2 int point
+          ~decode:(fun k p -> Knn (k, p))
+          ~get1:(function Knn (k, _) -> k | _ -> assert false)
+          ~get2:(function Knn (_, p) -> p | _ -> assert false) );
       ( 3,
         map point
           ~decode:(fun p -> Nearest p)
@@ -103,11 +104,11 @@ let answer =
           ~decode:(fun n -> Count_of n)
           ~encode:(function Count_of n -> n | _ -> assert false) );
       ( 2,
-        map
-          (triple int box (array point))
-          ~decode:(fun (d, b, ps) -> Cell_info (d, b, ps))
-          ~encode:(function
-            | Cell_info (d, b, ps) -> (d, b, ps) | _ -> assert false) );
+        map3 int box (array point)
+          ~decode:(fun d b ps -> Cell_info (d, b, ps))
+          ~get1:(function Cell_info (d, _, _) -> d | _ -> assert false)
+          ~get2:(function Cell_info (_, b, _) -> b | _ -> assert false)
+          ~get3:(function Cell_info (_, _, ps) -> ps | _ -> assert false) );
       ( 3,
         map string
           ~decode:(fun m -> Rejected m)
@@ -176,12 +177,10 @@ let response =
       | Telemetry_info _ -> 4)
     [
       ( 0,
-        map
-          (pair int (array answer))
-          ~decode:(fun (epoch, answers) -> Answers { epoch; answers })
-          ~encode:(function
-            | Answers { epoch; answers } -> (epoch, answers)
-            | _ -> assert false) );
+        map2 int (array answer)
+          ~decode:(fun epoch answers -> Answers { epoch; answers })
+          ~get1:(function Answers { epoch; _ } -> epoch | _ -> assert false)
+          ~get2:(function Answers { answers; _ } -> answers | _ -> assert false) );
       ( 1,
         map
           (pair (pair int int) (pair int int))
@@ -216,16 +215,16 @@ exception Frame_too_large of int
 (* The writer holds itself to the reader's limit, so every frame it
    writes is one a peer accepts — and the 4-byte prefix can never
    wrap. The check comes before the first byte: a refused frame leaves
-   the stream untouched. *)
+   the stream untouched. The frame is built in the domain's reusable
+   scratch ({!Codec.output_artifact}): the same bytes as
+   [Codec.to_artifact] behind the length prefix, with no allocation on
+   the way. *)
 let write_frame oc ~kind codec v =
-  let s = Codec.to_artifact ~kind ~version ~key:frame_key codec v in
-  let n = String.length s in
+  let n =
+    Codec.output_artifact oc ~max:max_frame ~kind ~version ~key:frame_key
+      codec v
+  in
   if n > max_frame then raise (Frame_too_large n);
-  output_byte oc ((n lsr 24) land 0xff);
-  output_byte oc ((n lsr 16) land 0xff);
-  output_byte oc ((n lsr 8) land 0xff);
-  output_byte oc (n land 0xff);
-  output_string oc s;
   flush oc
 
 let read_frame ic ~kind codec =

@@ -84,7 +84,11 @@ exception Frame_too_large of int
 (** [write_frame oc ~kind codec v] frames and writes [v], then flushes.
     Raises {!Frame_too_large} — before writing any byte — when the
     framed payload would exceed {!max_frame}, the limit {!read_frame}
-    enforces. *)
+    enforces. The frame is built in the calling domain's reusable
+    scratch ({!Codec.output_artifact}) and written with one [output]:
+    its bytes are exactly the length prefix followed by
+    {!Codec.to_artifact}'s, and writing a response, once the scratch is
+    warm, allocates nothing. *)
 val write_frame : out_channel -> kind:string -> 'a Codec.t -> 'a -> unit
 
 (** [read_frame ic ~kind codec] reads one frame: [None] at a clean EOF

@@ -9,15 +9,54 @@ exception Malformed_input of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Malformed_input s)) fmt
 
+(* A growable byte sink, the writers' target. Unlike a [Buffer.t] its
+   bytes can be written at any position below the end, which lets a
+   frame's header go in front of a payload already written, and it can
+   be handed to [output] without a copy. *)
+type sink = { mutable buf : Bytes.t; mutable len : int }
+
+let sink n = { buf = Bytes.create n; len = 0 }
+
+let grow s need =
+  let cap = ref (max 64 (Bytes.length s.buf)) in
+  while !cap < need do
+    cap := 2 * !cap
+  done;
+  let b = Bytes.create !cap in
+  Bytes.blit s.buf 0 b 0 s.len;
+  s.buf <- b
+
+let[@inline] reserve s n = if s.len + n > Bytes.length s.buf then grow s (s.len + n)
+
+let[@inline] add_char s c =
+  reserve s 1;
+  Bytes.unsafe_set s.buf s.len c;
+  s.len <- s.len + 1
+
+let add_string s str =
+  let n = String.length str in
+  reserve s n;
+  Bytes.blit_string str 0 s.buf s.len n;
+  s.len <- s.len + n
+
+(* Inlined, so a float read from a record field reaches the bytes
+   without ever being boxed. *)
+let[@inline] add_int64 s v =
+  reserve s 8;
+  Bytes.set_int64_le s.buf s.len v;
+  s.len <- s.len + 8
+
+let[@inline] add_float s x = add_int64 s (Int64.bits_of_float x)
+
 type 'a t = {
-  write : Buffer.t -> 'a -> unit;
+  write : sink -> 'a -> unit;
   read : cursor -> 'a;
 }
 
 let encode c v =
-  let buffer = Buffer.create 256 in
-  c.write buffer v;
-  Buffer.contents buffer
+  let s = sink 256 in
+  c.write s v;
+  Bytes.sub_string s.buf 0 s.len
 
 let decode c s =
   let cur = { data = s; pos = 0; limit = String.length s } in
@@ -40,15 +79,15 @@ let read_byte cur =
 let u8 =
   {
     write =
-      (fun buffer n ->
+      (fun s n ->
         if n < 0 || n > 255 then invalid_arg "Codec.u8: out of range";
-        Buffer.add_char buffer (Char.chr n));
+        add_char s (Char.chr n));
     read = read_byte;
   }
 
 let bool =
   {
-    write = (fun buffer b -> Buffer.add_char buffer (if b then '\001' else '\000'));
+    write = (fun s b -> add_char s (if b then '\001' else '\000'));
     read =
       (fun cur ->
         match read_byte cur with
@@ -60,15 +99,14 @@ let bool =
 (* Unsigned LEB128 over the full 63-bit word (an int with the sign bit
    set is written as the corresponding large unsigned value, which is
    what zigzagged [min_int]-adjacent values produce). *)
-let write_uvarint buffer n =
-  let rec go n =
-    if n lsr 7 = 0 then Buffer.add_char buffer (Char.chr n)
-    else begin
-      Buffer.add_char buffer (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
+let rec write_uvarint s n =
+  if n lsr 7 = 0 then add_char s (Char.chr n)
+  else begin
+    add_char s (Char.chr (0x80 lor (n land 0x7f)));
+    write_uvarint s (n lsr 7)
+  end
+
+let rec uvarint_length n = if n lsr 7 = 0 then 1 else 1 + uvarint_length (n lsr 7)
 
 let read_uvarint cur =
   let rec go shift acc =
@@ -82,7 +120,7 @@ let read_uvarint cur =
 (* Zigzag: small magnitudes of either sign stay small on disk. *)
 let int =
   {
-    write = (fun buffer n -> write_uvarint buffer ((n lsl 1) lxor (n asr 62)));
+    write = (fun s n -> write_uvarint s ((n lsl 1) lxor (n asr 62)));
     read =
       (fun cur ->
         let z = read_uvarint cur in
@@ -91,13 +129,7 @@ let int =
 
 let int64 =
   {
-    write =
-      (fun buffer v ->
-        for i = 0 to 7 do
-          Buffer.add_char buffer
-            (Char.chr
-               (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
-        done);
+    write = add_int64;
     read =
       (fun cur ->
         let v = ref 0L in
@@ -110,16 +142,16 @@ let int64 =
 
 let float =
   {
-    write = (fun buffer x -> int64.write buffer (Int64.bits_of_float x));
+    write = add_float;
     read = (fun cur -> Int64.float_of_bits (int64.read cur));
   }
 
 let string =
   {
     write =
-      (fun buffer s ->
-        write_uvarint buffer (String.length s);
-        Buffer.add_string buffer s);
+      (fun s str ->
+        write_uvarint s (String.length str);
+        add_string s str);
     read =
       (fun cur ->
         let n = read_uvarint cur in
@@ -135,9 +167,9 @@ let string =
 let pair a b =
   {
     write =
-      (fun buffer (x, y) ->
-        a.write buffer x;
-        b.write buffer y);
+      (fun s (x, y) ->
+        a.write s x;
+        b.write s y);
     read =
       (fun cur ->
         let x = a.read cur in
@@ -148,10 +180,10 @@ let pair a b =
 let triple a b c =
   {
     write =
-      (fun buffer (x, y, z) ->
-        a.write buffer x;
-        b.write buffer y;
-        c.write buffer z);
+      (fun s (x, y, z) ->
+        a.write s x;
+        b.write s y;
+        c.write s z);
     read =
       (fun cur ->
         let x = a.read cur in
@@ -163,12 +195,12 @@ let triple a b c =
 let option c =
   {
     write =
-      (fun buffer v ->
+      (fun s v ->
         match v with
-        | None -> Buffer.add_char buffer '\000'
+        | None -> add_char s '\000'
         | Some x ->
-          Buffer.add_char buffer '\001';
-          c.write buffer x);
+          add_char s '\001';
+          c.write s x);
     read =
       (fun cur ->
         match read_byte cur with
@@ -177,12 +209,21 @@ let option c =
         | b -> fail "bad option tag %d" b);
   }
 
+(* Element loops are plain recursion and [for] loops, not [List.iter]
+   / [Array.iter] over a partial application, which would allocate a
+   closure per container written. *)
+let rec write_elements write s = function
+  | [] -> ()
+  | v :: rest ->
+    write s v;
+    write_elements write s rest
+
 let list c =
   {
     write =
-      (fun buffer vs ->
-        write_uvarint buffer (List.length vs);
-        List.iter (c.write buffer) vs);
+      (fun s vs ->
+        write_uvarint s (List.length vs);
+        write_elements c.write s vs);
     read =
       (fun cur ->
         let n = read_uvarint cur in
@@ -194,9 +235,11 @@ let list c =
 let array c =
   {
     write =
-      (fun buffer vs ->
-        write_uvarint buffer (Array.length vs);
-        Array.iter (c.write buffer) vs);
+      (fun s vs ->
+        write_uvarint s (Array.length vs);
+        for i = 0 to Array.length vs - 1 do
+          c.write s (Array.unsafe_get vs i)
+        done);
     read =
       (fun cur ->
         let n = read_uvarint cur in
@@ -208,7 +251,35 @@ let array c =
 let int_array = array int
 
 let map c ~decode:f ~encode:g =
-  { write = (fun buffer v -> c.write buffer (g v)); read = (fun cur -> f (c.read cur)) }
+  { write = (fun s v -> c.write s (g v)); read = (fun cur -> f (c.read cur)) }
+
+let map2 a b ~decode ~get1 ~get2 =
+  {
+    write =
+      (fun s v ->
+        a.write s (get1 v);
+        b.write s (get2 v));
+    read =
+      (fun cur ->
+        let x = a.read cur in
+        let y = b.read cur in
+        decode x y);
+  }
+
+let map3 a b c ~decode ~get1 ~get2 ~get3 =
+  {
+    write =
+      (fun s v ->
+        a.write s (get1 v);
+        b.write s (get2 v);
+        c.write s (get3 v));
+    read =
+      (fun cur ->
+        let x = a.read cur in
+        let y = b.read cur in
+        let z = c.read cur in
+        decode x y z);
+  }
 
 (* A tagged union: one byte of case tag, then the selected case's
    payload. [map] cannot express sum types (it needs a total inverse);
@@ -221,19 +292,22 @@ let choice ~tag cases =
       if List.length (List.filter (fun (u, _) -> u = t) cases) > 1 then
         invalid_arg (Printf.sprintf "Codec.choice: duplicate tag %d" t))
     cases;
+  (* Indexed by tag: a lookup that allocates no option. *)
+  let table = Array.make 256 None in
+  List.iter (fun (t, c) -> table.(t) <- Some c) cases;
   {
     write =
-      (fun buffer v ->
+      (fun s v ->
         let t = tag v in
-        match List.assoc_opt t cases with
+        match if t < 0 || t > 255 then None else table.(t) with
         | None -> invalid_arg (Printf.sprintf "Codec.choice: unknown tag %d" t)
         | Some c ->
-          Buffer.add_char buffer (Char.chr t);
-          c.write buffer v);
+          add_char s (Char.chr t);
+          c.write s v);
     read =
       (fun cur ->
         let t = read_byte cur in
-        match List.assoc_opt t cases with
+        match table.(t) with
         | None -> fail "bad choice tag %d" t
         | Some c -> c.read cur);
   }
@@ -243,9 +317,9 @@ let choice ~tag cases =
 let point =
   {
     write =
-      (fun buffer (p : Point.t) ->
-        float.write buffer p.Point.x;
-        float.write buffer p.Point.y);
+      (fun s (p : Point.t) ->
+        add_float s p.Point.x;
+        add_float s p.Point.y);
     read =
       (fun cur ->
         let x = float.read cur in
@@ -256,11 +330,11 @@ let point =
 let box =
   {
     write =
-      (fun buffer (b : Box.t) ->
-        float.write buffer b.Box.xmin;
-        float.write buffer b.Box.ymin;
-        float.write buffer b.Box.xmax;
-        float.write buffer b.Box.ymax);
+      (fun s (b : Box.t) ->
+        add_float s b.Box.xmin;
+        add_float s b.Box.ymin;
+        add_float s b.Box.xmax;
+        add_float s b.Box.ymax);
     read =
       (fun cur ->
         let xmin = float.read cur in
@@ -275,8 +349,7 @@ let box =
 let xoshiro =
   {
     write =
-      (fun buffer rng ->
-        Array.iter (int64.write buffer) (Xoshiro.to_words rng));
+      (fun s rng -> Array.iter (add_int64 s) (Xoshiro.to_words rng));
     read =
       (fun cur ->
         let words = Array.init 4 (fun _ -> int64.read cur) in
@@ -286,14 +359,14 @@ let xoshiro =
   }
 
 let pr_quadtree =
-  let rec write_node buffer node =
+  let rec write_node s node =
     match node with
     | Pr_quadtree.Raw.Leaf pts ->
-      Buffer.add_char buffer '\000';
-      (list point).write buffer pts
+      add_char s '\000';
+      (list point).write s pts
     | Pr_quadtree.Raw.Node children ->
-      Buffer.add_char buffer '\001';
-      Array.iter (write_node buffer) children
+      add_char s '\001';
+      Array.iter (write_node s) children
   in
   let rec read_node cur =
     match read_byte cur with
@@ -303,12 +376,12 @@ let pr_quadtree =
   in
   {
     write =
-      (fun buffer tree ->
-        int.write buffer (Pr_quadtree.capacity tree);
-        int.write buffer (Pr_quadtree.max_depth tree);
-        box.write buffer (Pr_quadtree.bounds tree);
-        int.write buffer (Pr_quadtree.size tree);
-        write_node buffer (Pr_quadtree.Raw.root tree));
+      (fun s tree ->
+        int.write s (Pr_quadtree.capacity tree);
+        int.write s (Pr_quadtree.max_depth tree);
+        box.write s (Pr_quadtree.bounds tree);
+        int.write s (Pr_quadtree.size tree);
+        write_node s (Pr_quadtree.Raw.root tree));
     read =
       (fun cur ->
         let capacity = int.read cur in
@@ -326,13 +399,21 @@ let pr_quadtree =
 let magic = "PSTO"
 let container_version = 1
 
-let fnv1a64 s =
+(* FNV-1a 64 over [len] bytes of [b] from [off]. A plain loop over a
+   local ref: the compiler keeps the running hash unboxed, so only the
+   returned value is boxed — and not even that where the call is
+   inlined into a comparison or a store. *)
+let[@inline] fnv1a64_bytes b off len =
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
+  for i = off to off + len - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i))))
+        0x100000001b3L
+  done;
   !h
+
+let fnv1a64 s = fnv1a64_bytes (Bytes.unsafe_of_string s) 0 (String.length s)
 
 type error =
   | Bad_magic
@@ -361,18 +442,82 @@ let error_to_string = function
   | Trailing_garbage -> "trailing bytes after checksum"
   | Malformed msg -> "malformed payload: " ^ msg
 
+(* Build the artifact of [v] in [s] after [headroom] free bytes and
+   return where it starts; it ends at [s.len]. The payload is written
+   first, at the end of room enough for the largest header, and the
+   header then right-aligned in front of it, so nothing is copied; the
+   checksum goes last, hashed in place. *)
+let build_artifact s ~headroom ~kind ~version ~key codec v =
+  let header_max =
+    String.length magic + 10 + (10 + String.length kind) + 10
+    + (10 + String.length key) + 10
+  in
+  let payload_start = headroom + header_max in
+  s.len <- 0;
+  reserve s payload_start;
+  s.len <- payload_start;
+  codec.write s v;
+  let payload_end = s.len in
+  let payload_len = payload_end - payload_start in
+  let header =
+    String.length magic
+    + uvarint_length container_version
+    + uvarint_length (String.length kind) + String.length kind
+    + uvarint_length version
+    + uvarint_length (String.length key) + String.length key
+    + uvarint_length payload_len
+  in
+  let start = payload_start - header in
+  s.len <- start;
+  add_string s magic;
+  write_uvarint s container_version;
+  string.write s kind;
+  write_uvarint s version;
+  string.write s key;
+  write_uvarint s payload_len;
+  s.len <- payload_end;
+  add_int64 s (fnv1a64_bytes s.buf start (payload_end - start));
+  start
+
 let to_artifact ~kind ~version ~key codec v =
-  let buffer = Buffer.create 1024 in
-  Buffer.add_string buffer magic;
-  write_uvarint buffer container_version;
-  string.write buffer kind;
-  write_uvarint buffer version;
-  string.write buffer key;
-  let payload = encode codec v in
-  write_uvarint buffer (String.length payload);
-  Buffer.add_string buffer payload;
-  int64.write buffer (fnv1a64 (Buffer.contents buffer));
-  Buffer.contents buffer
+  let s = sink 1024 in
+  let start = build_artifact s ~headroom:0 ~kind ~version ~key codec v in
+  Bytes.sub_string s.buf start (s.len - start)
+
+(* Each domain frames into its own scratch, reused from one frame to
+   the next; one grown past [scratch_retain] bytes is dropped once its
+   frame is out, so a rare huge frame is a one-off buffer rather than
+   memory the domain keeps. *)
+let scratch_size = 65536
+let scratch_retain = 1 lsl 20
+let scratch = Domain.DLS.new_key (fun () -> sink scratch_size)
+
+let trim s =
+  if Bytes.length s.buf > scratch_retain then s.buf <- Bytes.create scratch_size
+
+let trim_and_reraise s e =
+  let bt = Printexc.get_raw_backtrace () in
+  trim s;
+  Printexc.raise_with_backtrace e bt
+
+let output_artifact oc ~max ~kind ~version ~key codec v =
+  let s = Domain.DLS.get scratch in
+  match build_artifact s ~headroom:4 ~kind ~version ~key codec v with
+  | exception e -> trim_and_reraise s e
+  | start ->
+    let n = s.len - start in
+    if n <= max then begin
+      let b = s.buf and p = start - 4 in
+      Bytes.unsafe_set b p (Char.unsafe_chr ((n lsr 24) land 0xff));
+      Bytes.unsafe_set b (p + 1) (Char.unsafe_chr ((n lsr 16) land 0xff));
+      Bytes.unsafe_set b (p + 2) (Char.unsafe_chr ((n lsr 8) land 0xff));
+      Bytes.unsafe_set b (p + 3) (Char.unsafe_chr (n land 0xff));
+      match output oc b p (n + 4) with
+      | () -> ()
+      | exception e -> trim_and_reraise s e
+    end;
+    trim s;
+    n
 
 (* Validate the frame of [s]; on success return (kind, version, key) and
    the payload extent. Shared by [of_artifact] and [probe]. *)
@@ -381,11 +526,13 @@ let check_frame s =
   if n < String.length magic + 8 then Error Truncated
   else if String.sub s 0 (String.length magic) <> magic then Error Bad_magic
   else begin
-    let body = String.sub s 0 (n - 8) in
-    let stored =
-      (decode int64 (String.sub s (n - 8) 8) : int64)
-    in
-    if not (Int64.equal stored (fnv1a64 body)) then Error Checksum_mismatch
+    (* Hashed in place: the body is the frame less its last 8 bytes. *)
+    if
+      not
+        (Int64.equal
+           (String.get_int64_le s (n - 8))
+           (fnv1a64_bytes (Bytes.unsafe_of_string s) 0 (n - 8)))
+    then Error Checksum_mismatch
     else begin
       let cur = { data = s; pos = String.length magic; limit = n - 8 } in
       match

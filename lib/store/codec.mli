@@ -2,8 +2,8 @@ open Import
 
 (** Compact versioned binary codecs for the artifact store.
 
-    A ['a t] pairs a writer (into a [Buffer.t]) with a reader (from a
-    bounds-checked cursor). Codecs compose with the usual combinators;
+    A ['a t] pairs a writer (into a growable byte sink) with a reader
+    (from a bounds-checked cursor). Codecs compose with the usual combinators;
     every primitive reader validates its input and raises a descriptive
     internal exception that the framing layer converts into a typed
     {!error}, so a truncated or corrupted byte stream is always detected
@@ -81,6 +81,20 @@ val int_array : int array t
     writing). *)
 val map : 'a t -> decode:('a -> 'b) -> encode:('b -> 'a) -> 'b t
 
+(** [map2 a b ~decode ~get1 ~get2] writes exactly the bytes of
+    [map (pair a b) ~decode:(fun (x, y) -> decode x y)
+    ~encode:(fun v -> (get1 v, get2 v))], but writing projects the two
+    fields instead of building a pair, so it allocates nothing — the
+    wire's response codecs use it to stay allocation-free. *)
+val map2 :
+  'a t -> 'b t -> decode:('a -> 'b -> 'c) -> get1:('c -> 'a) ->
+  get2:('c -> 'b) -> 'c t
+
+(** [map3] is {!map2} over {!triple}. *)
+val map3 :
+  'a t -> 'b t -> 'c t -> decode:('a -> 'b -> 'c -> 'd) -> get1:('d -> 'a) ->
+  get2:('d -> 'b) -> get3:('d -> 'c) -> 'd t
+
 (** [choice ~tag cases] is the variant-codec builder ({!map} cannot
     express sum types): writing emits [tag v] as one byte followed by
     the matching case codec's payload; reading dispatches on the tag
@@ -125,6 +139,21 @@ val error_to_string : error -> string
     with the header and checksum described above. *)
 val to_artifact : kind:string -> version:int -> key:string -> 'a t -> 'a -> string
 
+(** [output_artifact oc ~max ~kind ~version ~key codec v] writes the
+    bytes of [to_artifact ~kind ~version ~key codec v], preceded by
+    their length as 4 big-endian bytes, to [oc] in one [output] call,
+    and returns that length — unless it exceeds [max], in which case
+    nothing is written and the length is still returned. It does not
+    flush. The frame is built in place in a scratch buffer owned by the
+    calling domain and reused across calls: payload, header and
+    checksum are written where they go, so a call on a warm scratch
+    allocates nothing for codecs that allocate nothing themselves
+    (such as the wire's). A scratch grown past 1 MiB by a large frame
+    is dropped after that frame, so a domain keeps at most that much. *)
+val output_artifact :
+  out_channel -> max:int -> kind:string -> version:int -> key:string ->
+  'a t -> 'a -> int
+
 (** [of_artifact ~kind ~version ?key codec s] validates the frame (magic,
     kind, version, checksum, exact payload length) and decodes the
     payload. When [?key] is given the embedded key must match — the
@@ -140,5 +169,6 @@ val of_artifact :
 val probe : string -> (string * int * string, error) result
 
 (** [fnv1a64 s] is the 64-bit FNV-1a hash of [s] — the store's
-    content-address hash, exposed for key hashing and tests. *)
+    content-address hash, exposed for key hashing and tests. It
+    allocates only its result. *)
 val fnv1a64 : string -> int64

@@ -94,17 +94,30 @@ type t = {
   qbuf : farr;  (* query point scratch: floats cross into the int-only
                    delete descent unboxed via a Bigarray, never as
                    (boxed) function arguments *)
-  (* Publication stamps (see [refresh]). Every insert or delete bumps
-     [clock], and every column write on those paths stamps its
-     [chunk]-entry chunk with it, so "written since clock c" is one
-     compare per chunk. A copy records whose history it holds ([uid]
-     of the source) and how far ([origin_clock]); [synced_clock] is
-     the copy's own clock at that moment, so a copy that was itself
-     mutated afterwards is recognised and refreshed in full. *)
+  (* Publication stamps and the change log (see [refresh]). Every
+     insert or delete bumps [clock], and every column write on those
+     paths stamps its [chunk]-entry chunk with it; an operation's first
+     write to a chunk also appends the chunk to the log, so the log
+     lists, in clock order, which chunks each operation wrote, and a
+     chunk's newest entry is the one whose clock equals its stamp.
+     Node chunks carry two stamps: the subtree-count updates on an
+     insert's or delete's root path write [count] alone, and most node
+     writes are those, so they stamp [count_stamp] and a refresh copies
+     just that table's entries of the chunk. A copy records whose
+     history it holds ([uid] of the source) and how far
+     ([origin_clock]); [synced_clock] is the copy's own clock at that
+     moment, so a copy that was itself mutated afterwards is recognised
+     and refreshed in full. *)
   mutable uid : int;
   mutable clock : int;
   mutable slot_stamp : int array;  (* per slot chunk: clock of last write *)
   mutable node_stamp : int array;  (* per node chunk: clock of last write *)
+  mutable count_stamp : int array;
+      (* per node chunk: last [count]-only write; [||] until the first
+         insert or delete (see [next_clock]) *)
+  mutable log_chunk : int array;  (* chunk id lsl 2 lor its [entry_kind] *)
+  mutable log_clock : int array;  (* clock of the writing operation *)
+  mutable log_len : int;
   mutable origin : int;  (* uid of the arena last copied in, -1 = none *)
   mutable origin_clock : int;
   mutable synced_clock : int;
@@ -112,21 +125,118 @@ type t = {
 
 (* Chunk size of the publication stamps: 16 entries. Small chunks keep
    a refresh near the entries a churn slice really wrote: at 2^20
-   points, refreshing a copy two 256-op slices old moves 1.1 MB of the
-   40 MB arena with 16-entry chunks, 3.4 MB with 64-entry chunks and
-   39 MB with 4096-entry ones. The stamp arrays cost 1/16 of a
-   column. *)
+   points, refreshing a copy two 256-op slices old moved 1.1 MB of the
+   40 MB arena with 16-entry chunks (0.77 MB once count-only writes
+   copied just the counts), 3.4 MB with 64-entry chunks and 39 MB with
+   4096-entry ones. 4-entry chunks moved 0.36 MB but resolved no
+   faster end to end and cost four times the stamps. A stamp array
+   costs 1/16 of a column. *)
 let chunk_bits = 4
 let chunk = 1 lsl chunk_bits
 let chunks n = (n + chunk - 1) lsr chunk_bits
 let uid_counter = Atomic.make 0
 let fresh_uid () = Atomic.fetch_and_add uid_counter 1
 
-(* Stamp the chunk holding slot [s] / node [n] with the current clock.
-   Called at every column write on the insert and delete paths; bulk
-   builds write unstamped, before any copy of the arena can exist. *)
-let[@inline] touch_slot t s = t.slot_stamp.(s lsr chunk_bits) <- t.clock
-let[@inline] touch_node t n = t.node_stamp.(n lsr chunk_bits) <- t.clock
+(* The change log starts at [log_min] entries, allocated by the first
+   logged write — so only arenas that are mutated carry one (see
+   [log_make_room] for its growth). Large enough that the arrays go
+   straight to the major heap. *)
+let log_min = 1024
+
+(* Log entries name a chunk of one of three kinds. *)
+let slot_entry = 0
+let node_entry = 1
+let count_entry = 2
+
+let[@inline] entry_stamp t e =
+  let c = e lsr 2 and kind = e land 3 in
+  if kind = slot_entry then t.slot_stamp.(c)
+  else if kind = node_entry then t.node_stamp.(c)
+  else t.count_stamp.(c)
+
+(* A full log first drops its superseded entries: only a chunk's newest
+   entry of each kind can decide a refresh, so at most one entry per
+   stamp stays. When that frees less than half of it, the log doubles,
+   up to twice the arena's number of stamps, at which size a pass
+   always frees half. So the log always reaches back to the arena's
+   first logged write — no refresh falls back to a full copy for want
+   of entries, however long the slice — it never holds more than two
+   entries per stamp, and a pass is paid for by the appends that fill
+   it again: O(1) per write, amortized, and no allocation once the log
+   has stopped growing. *)
+let log_make_room t =
+  let cap = Array.length t.log_chunk in
+  if cap = 0 then begin
+    t.log_chunk <- Array.make log_min 0;
+    t.log_clock <- Array.make log_min 0
+  end
+  else begin
+    let kept = ref 0 in
+    for i = 0 to t.log_len - 1 do
+      let e = t.log_chunk.(i) and k = t.log_clock.(i) in
+      if entry_stamp t e = k then begin
+        t.log_chunk.(!kept) <- e;
+        t.log_clock.(!kept) <- k;
+        incr kept
+      end
+    done;
+    t.log_len <- !kept;
+    if 2 * !kept > cap then begin
+      let stamps =
+        chunks (Bigarray.Array1.dim t.xs) + (2 * chunks (Array.length t.child))
+      in
+      let grow a =
+        let g = Array.make (min (2 * cap) (2 * stamps)) 0 in
+        Array.blit a 0 g 0 !kept;
+        g
+      in
+      t.log_chunk <- grow t.log_chunk;
+      t.log_clock <- grow t.log_clock
+    end
+  end
+
+let log_write t e =
+  if t.log_len = Array.length t.log_chunk then log_make_room t;
+  let i = t.log_len in
+  t.log_chunk.(i) <- e;
+  t.log_clock.(i) <- t.clock;
+  t.log_len <- i + 1
+
+(* Stamp the chunk holding slot [s] / node [n] with the current clock,
+   logging the chunk at the operation's first write to it. Called at
+   every column write on the insert and delete paths; bulk builds run
+   at clock 0, where every stamp already reads 0, so they log nothing:
+   they finish before any copy of the new arena can exist. *)
+let[@inline] touch_slot t s =
+  let c = s lsr chunk_bits in
+  if t.slot_stamp.(c) <> t.clock then begin
+    t.slot_stamp.(c) <- t.clock;
+    log_write t ((c lsl 2) lor slot_entry)
+  end
+
+let[@inline] touch_node t n =
+  let c = n lsr chunk_bits in
+  if t.node_stamp.(c) <> t.clock then begin
+    t.node_stamp.(c) <- t.clock;
+    log_write t ((c lsl 2) lor node_entry)
+  end
+
+(* For a write of node [n]'s [count] alone. *)
+let[@inline] touch_count t n =
+  let c = n lsr chunk_bits in
+  if t.count_stamp.(c) <> t.clock then begin
+    t.count_stamp.(c) <- t.clock;
+    log_write t ((c lsl 2) lor count_entry)
+  end
+
+(* Start the next operation's clock. The count stamps are allocated at
+   an arena's first insert or delete, so arenas that are only built and
+   read — epoch copies, sweep trials — carry one stamp array per table
+   and no more. *)
+let[@inline] next_clock t =
+  if Array.length t.count_stamp = 0 then
+    t.count_stamp <- Array.make (chunks (Array.length t.child)) 0;
+  t.clock <- t.clock + 1
 
 (* Segment-backed column allocation. Each arena with [Mmap] backing owns
    a private subdirectory (pid + a process-wide counter, so two arenas
@@ -272,6 +382,10 @@ let create ?(max_depth = 16) ?(bounds = Box.unit) ?(reserve = 0)
       clock = 0;
       slot_stamp = Array.make (chunks pcap) 0;
       node_stamp = Array.make (chunks 16) 0;
+      count_stamp = [||];
+      log_chunk = [||];
+      log_clock = [||];
+      log_len = 0;
       origin = -1;
       origin_clock = 0;
       synced_clock = 0;
@@ -362,7 +476,9 @@ let grow_nodes t needed =
   t.child <- child;
   t.count <- count;
   t.head <- head;
-  t.node_stamp <- grow_stamps t.node_stamp cap
+  t.node_stamp <- grow_stamps t.node_stamp cap;
+  if Array.length t.count_stamp > 0 then
+    t.count_stamp <- grow_stamps t.count_stamp cap
 
 (* Allocate four consecutive children, returned as their base id: a
    freed 4-block off the free list when one exists (so churn splits
@@ -607,7 +723,7 @@ let rec insert_code t node depth code slot =
          increment lives only in the branches that actually step to a
          child. *)
       t.count.(node) <- t.count.(node) + 1;
-      touch_node t node;
+      touch_count t node;
       insert_code t (base + pair_at code depth) (depth + 1) code slot
     end
     else insert_fine t node depth (fine_x t slot) (fine_y t slot) slot
@@ -618,7 +734,7 @@ and insert_fine t node depth qx qy slot =
   if base >= 0 then
     if depth < bits_fine then begin
       t.count.(node) <- t.count.(node) + 1;
-      touch_node t node;
+      touch_count t node;
       insert_fine t (base + pair_fine qx qy depth) (depth + 1) qx qy slot
     end
     else begin
@@ -633,7 +749,7 @@ and insert_float t node depth slot x0 y0 x1 y1 =
   let base = t.child.(node) in
   if base >= 0 then begin
     t.count.(node) <- t.count.(node) + 1;
-    touch_node t node;
+    touch_count t node;
     let cx = 0.5 *. (x0 +. x1) and cy = 0.5 *. (y0 +. y1) in
     if t.ys.{slot} >= cy then
       if t.xs.{slot} >= cx then
@@ -666,7 +782,7 @@ let insert t p =
   if not (Box.contains t.bounds p) then
     invalid_arg "Pr_arena.insert: point outside bounds";
   Probe.builder_insert ();
-  t.clock <- t.clock + 1;
+  next_clock t;
   (* A freed slot is reused before the high-water mark moves, so a
      delete/insert steady state never grows a column. *)
   let slot =
@@ -854,7 +970,7 @@ let delete t p =
   let x = p.Point.x and y = p.Point.y in
   if not (Box.contains t.bounds p) then false
   else begin
-    t.clock <- t.clock + 1;
+    next_clock t;
     t.qbuf.{0} <- x;
     t.qbuf.{1} <- y;
     let depth =
@@ -883,7 +999,7 @@ let delete t p =
       let old_bucket = if c < t.capacity then c else t.capacity in
       let c = c - 1 in
       t.count.(leaf) <- c;
-      touch_node t leaf;
+      touch_count t leaf;
       t.hist.(old_bucket) <- t.hist.(old_bucket) - 1;
       let bucket = if c < t.capacity then c else t.capacity in
       t.hist.(bucket) <- t.hist.(bucket) + 1;
@@ -892,7 +1008,7 @@ let delete t p =
       for d = 0 to depth - 1 do
         let a = t.path.(d) in
         t.count.(a) <- t.count.(a) - 1;
-        touch_node t a
+        touch_count t a
       done;
       merge_up t depth;
       while t.height > 0 && t.depth_count.(t.height) = 0 do
@@ -1301,7 +1417,7 @@ let local_of t =
        so local per-depth counts add straight into the global array. *)
     depth_count = Array.make (t.max_depth + 1) 0;
     (* Its own node stamps: the build's block allocations stamp them,
-       and the shared array is sized for the global ids. *)
+       and the shared arrays are sized for the global ids. *)
     node_stamp = Array.make (chunks 64) 0;
   }
 
@@ -2650,23 +2766,23 @@ let cell_at_visited t (p : Point.t) =
 
 (* --- Snapshots and refresh --------------------------------------------
 
-   One copy routine serves both. [sync] copies every chunk of [t]'s
-   columns stamped after [d]'s last copy of [t] (or every chunk, when
-   [full]), coalescing runs of stale chunks into one blit, then the
-   counters, histograms and free-list heads; [d] then records [t]'s
-   uid and clock. A snapshot is the sync of an empty buffer, where
-   every chunk is stale; a refresh is the sync of an old copy, where
-   only the chunks churn wrote since are. The source is only read, so
-   any number of copies may be taken of a frozen arena concurrently.
-   The copy is a full arena in its own right ([check_invariants]
-   passes, churn may continue on either side) and shares no column
-   with the source: readers of a copy never observe writer
-   mutations. *)
+   One copy routine serves both. [sync] copies [t]'s columns into [d]
+   — all of them, or, when [d] holds an earlier copy of [t], only the
+   chunks [t]'s change log names since that copy — then the counters,
+   histograms and free-list heads; [d] then records [t]'s uid and
+   clock. A snapshot is the sync of an empty buffer; a refresh is the
+   sync of an old copy, where only the chunks churn wrote since are
+   copied, so its cost follows the writes, not the population. The
+   source is only read, so any number of copies may be taken of a
+   frozen arena concurrently. The copy is a full arena in its own right
+   ([check_invariants] passes, churn may continue on either side) and
+   shares no column with the source: readers of a copy never observe
+   writer mutations. *)
 
-type copy_stats = { bytes : int; full : bool }
+type copy_stats = { bytes : int; full : bool; examined : int }
 
 (* Runs shorter than this copy entry by entry: a [Bigarray.sub] view
-   allocates, and a churn refresh copies hundreds of short runs. *)
+   allocates, and a churn refresh copies hundreds of 16-entry chunks. *)
 let short_run = 512
 
 let copy_points t d lo n =
@@ -2700,32 +2816,53 @@ let copy_nodes t d lo n =
     head'.(i) <- head.(i)
   done
 
-(* Copy the stale runs of entries [0, n) chunk by chunk and return the
-   number of entries copied. *)
-let copy_stale (stamps : int array) ~(since : int) ~full n copy =
-  let nc = chunks n in
-  let copied = ref 0 in
-  let c = ref 0 in
-  while !c < nc do
-    if full || stamps.(!c) > since then begin
-      let c0 = !c in
-      incr c;
-      while !c < nc && (full || stamps.(!c) > since) do
-        incr c
-      done;
-      let lo = c0 lsl chunk_bits in
-      let len = min n (!c lsl chunk_bits) - lo in
-      copy lo len;
-      copied := !copied + len
-    end
-    else incr c
+let copy_counts t d lo n =
+  let count = t.count and count' = d.count in
+  for i = lo to lo + n - 1 do
+    count'.(i) <- count.(i)
+  done
+
+(* Walk [t]'s change log newest-first down to clock [since], copying
+   each chunk at its newest entry of each kind — the one whose clock
+   equals the chunk's stamp of that kind — so every chunk written after
+   [since] is copied once per kind. Returns the bytes copied and the
+   log entries examined. *)
+let copy_logged t d ~since =
+  let bytes = ref 0 in
+  let i = ref (t.log_len - 1) in
+  while !i >= 0 && t.log_clock.(!i) > since do
+    let e = t.log_chunk.(!i) in
+    if entry_stamp t e = t.log_clock.(!i) then begin
+      let lo = (e lsr 2) lsl chunk_bits in
+      let kind = e land 3 in
+      let n = min chunk ((if kind = slot_entry then t.slots else t.nodes) - lo) in
+      if n > 0 then
+        if kind = slot_entry then begin
+          copy_points t d lo n;
+          bytes := !bytes + (32 * n)
+        end
+        else if kind = node_entry then begin
+          copy_nodes t d lo n;
+          bytes := !bytes + (24 * n)
+        end
+        else begin
+          copy_counts t d lo n;
+          bytes := !bytes + (8 * n)
+        end
+    end;
+    decr i
   done;
-  !copied
+  (!bytes, t.log_len - 1 - !i)
 
 let sync t d ~full =
-  let since = d.origin_clock in
-  let slots = copy_stale t.slot_stamp ~since ~full t.slots (copy_points t d) in
-  let nodes = copy_stale t.node_stamp ~since ~full t.nodes (copy_nodes t d) in
+  let bytes, examined =
+    if full then begin
+      copy_points t d 0 t.slots;
+      copy_nodes t d 0 t.nodes;
+      ((32 * t.slots) + (24 * t.nodes), chunks t.slots + chunks t.nodes)
+    end
+    else copy_logged t d ~since:d.origin_clock
+  in
   d.nodes <- t.nodes;
   d.size <- t.size;
   d.leaves <- t.leaves;
@@ -2737,12 +2874,14 @@ let sync t d ~full =
   Array.blit t.hist 0 d.hist 0 (Array.length t.hist);
   Array.blit t.depth_count 0 d.depth_count 0 (Array.length t.depth_count);
   (* A new identity: copies taken of [d]'s old contents must not
-     mistake its new ones for a continuation of the same history. *)
+     mistake its new ones for a continuation of the same history, and
+     [d]'s own log, which describes those contents, is void. *)
   d.uid <- fresh_uid ();
+  d.log_len <- 0;
   d.origin <- t.uid;
   d.origin_clock <- t.clock;
   d.synced_clock <- d.clock;
-  { bytes = (32 * slots) + (24 * nodes); full }
+  { bytes; full; examined }
 
 (* An empty heap buffer shaped like [t], with point columns of
    [slot_cap] entries and node tables of [node_cap]. *)
@@ -2778,6 +2917,10 @@ let buffer_like t ~slot_cap ~node_cap =
     clock = 0;
     slot_stamp = Array.make (chunks slot_cap) 0;
     node_stamp = Array.make (chunks node_cap) 0;
+    count_stamp = [||];
+    log_chunk = [||];
+    log_clock = [||];
+    log_len = 0;
     origin = -1;
     origin_clock = 0;
     synced_clock = 0;
@@ -2814,7 +2957,8 @@ let refresh t ~into:d =
     d.child <- Array.make ncap (-1);
     d.count <- Array.make ncap 0;
     d.head <- Array.make ncap (-1);
-    d.node_stamp <- Array.make (chunks ncap) 0
+    d.node_stamp <- Array.make (chunks ncap) 0;
+    d.count_stamp <- [||]
   end;
   (* Incremental only over an untouched copy of this very history. *)
   let current = d.origin = t.uid && d.synced_clock = d.clock in

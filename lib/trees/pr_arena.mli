@@ -366,11 +366,22 @@ val cell_at_visited : t -> Point.t -> (int * Box.t * Point.t list) * int
     A copy costs what churn wrote, not what the arena holds: the slot
     columns and the node tables are cut into chunks of 16 entries, and
     every {!insert}, {!delete} and {!update} stamps each chunk it
-    writes with the arena's mutation clock. A copy remembers which
-    arena it was taken from and that arena's clock at the time, so
-    {!refresh} re-copies only the chunks stamped after it. Bulk builds
-    ({!bulk_of_columns} and its wrappers, {!thaw}) write unstamped: they
-    finish before any copy of the new arena can exist. *)
+    writes with the arena's mutation clock and, at its first write to
+    a chunk, appends the chunk to the arena's change log. (A node
+    chunk whose subtree counts alone were written — the ancestors on
+    an operation's root path — is stamped and logged apart, and a
+    refresh copies only its counts.) A copy remembers which arena it
+    was taken from and that arena's clock at the time, so {!refresh}
+    walks the log back to that clock and re-copies only the chunks
+    written since — its cost is proportional to the writes since the
+    copy, and independent of how many points the arena holds. Bulk
+    builds ({!bulk_of_columns} and its wrappers, {!thaw}) log nothing:
+    they finish before any copy of the new arena can exist. The log is
+    allocated by an arena's first logged write, so only arenas that
+    are mutated carry one; when full it drops superseded entries,
+    which leaves at most one per chunk stamp, and it grows to at most
+    twice the number of stamps, so it always reaches back to the
+    arena's first logged write. *)
 
 (** [snapshot t] is an independent heap-backed deep copy of the arena —
     columns, node tables, free lists and counters — sharing no mutable
@@ -381,9 +392,12 @@ val cell_at_visited : t -> Point.t -> (int * Box.t * Point.t list) * int
     read, so frozen arenas may be copied from several domains at once. *)
 val snapshot : t -> t
 
-(** What a {!refresh} copied: [bytes] is 32 per slot and 24 per node
-    entry copied; [full] says every chunk was. *)
-type copy_stats = { bytes : int; full : bool }
+(** What a {!refresh} copied: [bytes] is 32 per slot entry, 24 per node
+    entry and 8 per node whose count alone was copied; [full] says
+    every chunk was; [examined] counts the chunks the copy looked at —
+    the change-log entries walked by an incremental refresh, every
+    chunk of a full copy. *)
+type copy_stats = { bytes : int; full : bool; examined : int }
 
 (** [refresh t ~into] makes [into] equal to [snapshot t] — every column
     entry below the high-water marks, every counter, both free-list
@@ -393,11 +407,12 @@ type copy_stats = { bytes : int; full : bool }
 
     When [into] was last filled from [t] (by {!snapshot} or [refresh])
     and has not been mutated since, only chunks [t] wrote after that
-    copy are copied. Otherwise — [into] copied from another arena, or
-    inserted into, deleted from, or never a copy — every chunk is.
-    When [into]'s columns are smaller than [t]'s high-water marks, they
-    regrow to [t]'s column capacity first and every chunk is copied.
-    [t] is only read. Raises [Invalid_argument] when [into] is [t] or
+    copy are copied, found by walking [t]'s change log: the cost is
+    proportional to the operations since that copy, not to [t]'s size.
+    Otherwise — [into] copied from another arena, or inserted into,
+    deleted from, or never a copy — every chunk is. When [into]'s columns are smaller
+    than [t]'s high-water marks, they regrow to [t]'s column capacity
+    first and every chunk is copied. [t] is only read. Raises [Invalid_argument] when [into] is [t] or
     the two differ in capacity, depth limit or bounds. *)
 val refresh : t -> into:t -> copy_stats
 

@@ -2,8 +2,10 @@
    over pipes at jobs 1/2/4, drive a 10k-query mixed batch (plus a
    second batch, so a churn-published epoch gets exercised) through the
    framed wire protocol, and verify every response byte-for-byte against
-   an in-process oracle built from the same seed. Then assert a
-   truncated frame is refused, not misparsed. The concurrent churn
+   an in-process oracle built from the same seed, with a Stats between
+   the two batches that must read the oracle's epoch and size — the
+   server joins the first batch's churn slice before it answers. Then
+   assert a truncated frame is refused, not misparsed. The concurrent churn
    writer is live throughout (256 ops per batch): epoch ids must
    advance 0 -> 1 and answers must still match the oracle exactly — a
    torn snapshot would show up as a byte diff. *)
@@ -56,20 +58,26 @@ let config =
 
 (* The oracle: the same server, in process, sequential. Its churn
    stream and initial population are the spawned servers' own, so its
-   per-batch answers are the unique correct response bytes. *)
-let oracle_batches, oracle_size =
+   per-batch answers are the unique correct response bytes. It joins
+   each batch's churn slice before anything else, so the (epoch, size)
+   of a Stats between the batches is what the served Stats must read
+   once it has joined the first slice. *)
+let oracle_batches, oracle_mid, oracle_size =
   let t = Server.create config in
+  let stats () =
+    match Server.handle t Wire.Stats with
+    | Wire.Stats_info { epoch; size; _ }, _ -> (epoch, size)
+    | _ -> fail "oracle: bad Stats response"
+  in
   Fun.protect
     ~finally:(fun () -> Server.shutdown t)
     (fun () ->
       let b1 = Server.run_queries t queries in
+      ignore (Server.epochs t : Popan_serve.Epoch.t);
+      let mid = stats () in
       let b2 = Server.run_queries t queries in
-      let size =
-        match Server.handle t Wire.Stats with
-        | Wire.Stats_info { size; _ }, _ -> size
-        | _ -> fail "oracle: bad Stats response"
-      in
-      ([ b1; b2 ], size))
+      ignore (Server.epochs t : Popan_serve.Epoch.t);
+      ([ b1; b2 ], mid, snd (stats ())))
 
 (* Pipe plumbing *)
 
@@ -103,10 +111,13 @@ let expect_response ic what =
   | Some (Error e) -> fail "%s: malformed response frame: %s" what e
   | None -> fail "%s: server closed the stream early" what
 
-(* One full conversation at a given job count: two batches, stats,
-   quit. Returns the per-batch (epoch, answer bytes) and the reported
-   tree size. [extra] rides along on the command line — the
-   [--no-batch-sort] runs reuse the whole conversation. *)
+(* One full conversation at a given job count: a batch, stats, a
+   second batch, stats, quit. The first Stats arrives while the first
+   batch's churn slice may still be running, so the server must join
+   it before answering. Returns the per-batch (epoch, answer bytes),
+   the first Stats' (epoch, size) and the final reported tree size.
+   [extra] rides along on the command line — the [--no-batch-sort]
+   runs reuse the whole conversation. *)
 let converse ?(extra = []) ?(what = "jobs") jobs =
   let what = Printf.sprintf "%s %d" what jobs in
   let pid, ic, oc =
@@ -124,6 +135,12 @@ let converse ?(extra = []) ?(what = "jobs") jobs =
     | _ -> fail "%s: expected Answers" what
   in
   let b1 = batch () in
+  Wire.write_request oc Wire.Stats;
+  let mid =
+    match expect_response ic what with
+    | Wire.Stats_info { epoch; size; _ } -> (epoch, size)
+    | _ -> fail "%s: expected Stats_info" what
+  in
   let b2 = batch () in
   Wire.write_request oc Wire.Stats;
   let size, batches =
@@ -139,9 +156,14 @@ let converse ?(extra = []) ?(what = "jobs") jobs =
   close_in ic;
   wait_clean pid what;
   if batches <> 2 then fail "%s: reported %d batches, expected 2" what batches;
-  ([ b1; b2 ], size)
+  ([ b1; b2 ], mid, size)
 
-let check_against_oracle ?(what = "jobs") jobs (batches, size) =
+let check_against_oracle ?(what = "jobs") jobs (batches, mid, size) =
+  let (epoch, mid_size), (oracle_epoch, oracle_mid_size) = (mid, oracle_mid) in
+  if epoch <> oracle_epoch || mid_size <> oracle_mid_size then
+    fail "%s %d: Stats between the batches read epoch %d, size %d; oracle \
+          epoch %d, size %d" what jobs epoch mid_size oracle_epoch
+      oracle_mid_size;
   List.iteri
     (fun i ((epoch, bytes), (oracle_epoch, oracle_answers)) ->
       if epoch <> oracle_epoch then
@@ -348,8 +370,9 @@ let () =
   Printf.printf
     "serve smoke: 2x %d-query batches over the wire byte-identical to the \
      sequential oracle at jobs 1/2/4, with and without --no-batch-sort \
-     (epochs 0 -> 1 under live churn); two sequential socket clients \
-     served, state intact; truncated frame refused; full-telemetry \
+     (epochs 0 -> 1 under live churn, a Stats between them at the \
+     oracle's epoch and size); two sequential socket clients served, \
+     state intact; truncated frame refused; full-telemetry \
      scrape consistent (every query in the sketches, publish events \
      retained)\n"
     batch_size

@@ -318,4 +318,57 @@ let tests =
         end);
   ]
 
-let () = Alcotest.run "popan_alloc" [ ("arena", tests) ]
+module Box = Popan_geom.Box
+module Wire = Popan_serve.Wire
+
+(* A response the size of a serve-publish batch's: 64 answers of every
+   kind, ranges and k-NN lists of up to 16 points. *)
+let publish_response () =
+  let rng = Xoshiro.of_int_seed 64 in
+  let pts k = Array.init k (fun _ -> Sampler.point rng Sampler.Uniform) in
+  let answers =
+    Array.init 64 (fun i ->
+        match i mod 5 with
+        | 0 -> Wire.Points (pts 16)
+        | 1 -> Wire.Count_of (1000 + i)
+        | 2 -> Wire.Points (pts (1 + (i mod 16)))
+        | 3 -> Wire.Points (pts 1)
+        | _ ->
+          Wire.Cell_info
+            (10, Box.make ~xmin:0.25 ~ymin:0.5 ~xmax:0.25390625 ~ymax:0.50390625, pts 5))
+  in
+  Wire.Answers { epoch = 4321; answers }
+
+let wire_tests =
+  [
+    Alcotest.test_case "a response frame write allocates zero minor words"
+      `Quick (fun () ->
+        (* The frame is built in the domain's reused scratch, the
+           header and checksum in place, and written with one output:
+           after one warm-up frame, a thousand more must not touch the
+           minor heap. *)
+        if not native then print_endline "skipped: bytecode boxes floats"
+        else begin
+          let resp = publish_response () in
+          let oc = open_out_bin Filename.null in
+          Fun.protect
+            ~finally:(fun () -> close_out oc)
+            (fun () ->
+              Wire.write_response oc resp;
+              let frames = 1000 in
+              let words =
+                measure (fun () ->
+                    for _ = 1 to frames do
+                      Wire.write_response oc resp
+                    done)
+              in
+              if words > slack then
+                Alcotest.failf
+                  "%d response frames allocated %.0f minor words (%.2f per \
+                   frame); the frame writer must not allocate"
+                  frames words
+                  (words /. float_of_int frames))
+        end);
+  ]
+
+let () = Alcotest.run "popan_alloc" [ ("arena", tests); ("wire", wire_tests) ]

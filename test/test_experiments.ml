@@ -471,6 +471,46 @@ let churn_tests =
                    .Popan_core.Fixed_point.distribution))
           (Churn.study ~points:800 ~trials:4 ~seed:1987 ~ops:8000 ~capacity:4
              ()));
+    Alcotest.test_case "event stream is pinned: 10^4 events, seeds 1, 1987"
+      `Quick (fun () ->
+        (* MD5 of the first 10^4 events — kind, then the IEEE bits of
+           every coordinate — over 1000 uniform points with the
+           server's churn mix, as the stream read when the live set was
+           still an array of boxed points. Any change to the draw
+           order, the live-set bookkeeping or a coordinate's bits
+           moves it. *)
+        let digest seed =
+          let s =
+            Workload.Churn.make ~points:1000 ~trials:1 ~seed ~ops:10_000
+              ~insert_fraction:0.5 ~update_fraction:(1.0 /. 3.0)
+              ~drift_sigma:0.01 ()
+          in
+          let rng = List.hd (Workload.Churn.map_trials s ~f:(fun _ r -> r)) in
+          let st = Workload.Churn.start s ~rng in
+          let b = Buffer.create (1 lsl 19) in
+          let pt (p : Popan_geom.Point.t) =
+            Buffer.add_int64_le b (Int64.bits_of_float p.x);
+            Buffer.add_int64_le b (Int64.bits_of_float p.y)
+          in
+          for _ = 1 to 10_000 do
+            match Workload.Churn.step s st with
+            | Workload.Churn.Insert p ->
+              Buffer.add_char b 'i';
+              pt p
+            | Workload.Churn.Delete p ->
+              Buffer.add_char b 'd';
+              pt p
+            | Workload.Churn.Update (p, q) ->
+              Buffer.add_char b 'u';
+              pt p;
+              pt q
+          done;
+          Digest.to_hex (Digest.string (Buffer.contents b))
+        in
+        Alcotest.(check string) "seed 1" "966c8d7bbba94993a545a32554fec0db"
+          (digest 1);
+        Alcotest.(check string) "seed 1987" "2b42d59288417ae828fb7291426408d0"
+          (digest 1987));
   ]
 
 let ext_tests =

@@ -415,7 +415,80 @@ let gen_request =
     | 4 -> return Wire.Telemetry
     | _ -> return Wire.Quit)
 
+let gen_answer =
+  QCheck2.Gen.(
+    let* tag = int_range 0 3 in
+    match tag with
+    | 0 -> map (fun ps -> Wire.Points ps) (array_size (int_range 0 20) gen_point)
+    | 1 -> map (fun n -> Wire.Count_of n) int
+    | 2 ->
+      let* depth = int_range 0 42 in
+      let* b = gen_box in
+      map
+        (fun ps -> Wire.Cell_info (depth, b, ps))
+        (array_size (int_range 0 9) gen_point)
+    | _ -> map (fun m -> Wire.Rejected m) string_small)
+
+(* Responses of every arm but telemetry, now and then one over the
+   scratch's 1 MiB retention (70,000 points), so consecutive frames
+   run through a warm scratch, a grown one and a dropped one. *)
+let gen_response =
+  QCheck2.Gen.(
+    let* tag = int_range 0 6 in
+    match tag with
+    | 0 | 1 | 2 ->
+      let* epoch = int in
+      map
+        (fun answers -> Wire.Answers { epoch; answers })
+        (array_size (int_range 0 40) gen_answer)
+    | 3 ->
+      map
+        (fun (epoch, size, batches, live_epochs) ->
+          Wire.Stats_info { epoch; size; batches; live_epochs })
+        (tup4 nat nat nat nat)
+    | 4 -> map (fun m -> Wire.Refused m) string_small
+    | 5 -> return Wire.Bye
+    | _ ->
+      let* p = gen_point in
+      return
+        (Wire.Answers { epoch = 7; answers = [| Wire.Points (Array.make 70_000 p) |] }))
+
 let roundtrip codec v = Codec.decode codec (Codec.encode codec v) = v
+
+(* The bytes [Wire.write_*] put on a channel, against the length prefix
+   and [Codec.to_artifact] of each frame — the framing the protocol
+   specifies, under its fixed frame key "serve". *)
+let frames_match frames =
+  let path = Filename.temp_file "popan" ".frames" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let oc = open_out_bin path in
+      List.iter
+        (function
+          | Either.Left r -> Wire.write_request oc r
+          | Either.Right r -> Wire.write_response oc r)
+        frames;
+      close_out oc;
+      let written = In_channel.with_open_bin path In_channel.input_all in
+      let expected =
+        List.map
+          (fun frame ->
+            let artifact =
+              match frame with
+              | Either.Left r ->
+                Codec.to_artifact ~kind:Wire.request_kind ~version:Wire.version
+                  ~key:"serve" Wire.request r
+              | Either.Right r ->
+                Codec.to_artifact ~kind:Wire.response_kind ~version:Wire.version
+                  ~key:"serve" Wire.response r
+            in
+            let n = String.length artifact in
+            String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
+            ^ artifact)
+          frames
+      in
+      written = String.concat "" expected)
 
 let frame_roundtrip v =
   let path = Filename.temp_file "popan" ".frame" in
@@ -516,6 +589,12 @@ let wire_tests =
         match Codec.decode Wire.query "\xff" with
         | exception Failure _ -> ()
         | _ -> Alcotest.fail "tag 255 decoded");
+    prop ~count:80 "written frames are the prefixed artifact bytes"
+      QCheck2.Gen.(
+        list_size (int_range 1 6)
+          (oneof
+             [ map Either.left gen_request; map Either.right gen_response ]))
+      frames_match;
   ]
 
 (* Batched execution: byte-identity across job counts *)
@@ -847,22 +926,30 @@ let telemetry_tests =
    independent oracle, the writer domain's lifecycle, and the bytes a
    publish copies. *)
 
-(* A refresh scenario: a live arena built one of two ways over one of
-   three regimes — the unit square, custom bounds (float descent), or
-   duplicate-heavy clusters under max_depth 50 (splits below the 42-bit
-   grid) — driven by random slices of inserts, deletes (merges) and
-   moves, with up to three copies refreshed in random rotation so some
-   lag several slices behind, and now and then one mutated in place. *)
+(* A refresh scenario: a live arena built one of two ways — bulk, or
+   grown by [of_points], whose inserts fill the change log before any
+   copy exists — over one of four regimes — the unit square, custom
+   bounds (float descent), duplicate-heavy clusters under max_depth 50
+   (splits below the 42-bit grid), or clusters inside one cell of the
+   21-bit grid but apart on the 42-bit one (splits on the fine
+   ordinates that end above depth 42) — driven by random slices of
+   inserts, deletes (merges) and moves, with up to three copies
+   refreshed in random rotation so some lag several slices behind, and
+   now and then one mutated in place. With [~big], the arena holds
+   more chunks than the log's first allocation and every other slice
+   runs thousands of operations: the log overflows between refreshes,
+   drops superseded entries and grows, and copies that lag several
+   slices are refreshed from what it kept. *)
 let gen_refresh_case =
   QCheck2.Gen.(
     let* seed = int_range 1 1_000_000 in
     let* bulk = bool in
-    let* regime = int_range 0 2 in
+    let* regime = int_range 0 3 in
     let* copies = int_range 1 3 in
     let* slices = int_range 6 18 in
     return (seed, bulk, regime, copies, slices))
 
-let refresh_case (seed, bulk, regime, copies, slices) =
+let refresh_case ~big (seed, bulk, regime, copies, slices) =
   let rng = Xoshiro.of_int_seed seed in
   let custom = Box.make ~xmin:(-3.0) ~ymin:2.0 ~xmax:5.0 ~ymax:10.0 in
   let cluster = [| Point.make 0.3 0.7; Point.make 0.8125 0.0625 |] in
@@ -873,29 +960,44 @@ let refresh_case (seed, bulk, regime, copies, slices) =
       Point.make
         (-3.0 +. (8.0 *. Xoshiro.float rng))
         (2.0 +. (8.0 *. Xoshiro.float rng))
-    | _ ->
+    | 2 ->
       (* Same 42-bit cell, distinct below it, with exact repeats. *)
       let c = cluster.(Xoshiro.int rng 2) in
       let k = float_of_int (Xoshiro.int rng 6) in
       Point.make (c.Point.x +. ldexp k (-50)) (c.Point.y +. ldexp k (-49))
+    | _ ->
+      (* Same 21-bit cell, spread over 2^12 fine cells of it. *)
+      let c = cluster.(Xoshiro.int rng 2) in
+      Point.make
+        (c.Point.x +. ldexp (float_of_int (Xoshiro.int rng 4096)) (-33))
+        (c.Point.y +. ldexp (float_of_int (Xoshiro.int rng 4096)) (-33))
   in
   let bounds = if regime = 1 then Some custom else None in
-  let max_depth = if regime = 2 then Some 50 else None in
+  let max_depth = if regime >= 2 then Some 50 else None in
   let capacity = 1 + Xoshiro.int rng 4 in
   (* Arenas of hundreds of chunks and slices of a few dozen writes:
      most chunks stay clean between refreshes, so a write that forgot
      its stamp leaves a copy visibly stale. *)
-  let base = List.init (Xoshiro.int rng 1500) (fun _ -> fresh ()) in
+  let base =
+    List.init
+      (if big then 12_000 + Xoshiro.int rng 12_000 else Xoshiro.int rng 1500)
+      (fun _ -> fresh ())
+  in
   let live =
     if bulk then Pr_arena.of_points_bulk ?max_depth ?bounds ~capacity base
     else Pr_arena.of_points ?max_depth ?bounds ~capacity base
   in
-  let pop = ref (Array.of_list base) in
+  (* The live population, a growable array: [!size] entries of [!pop]. *)
+  let pop = ref (Array.of_list base) and size = ref (List.length base) in
+  let push p =
+    if !size = Array.length !pop then
+      pop := Array.append !pop (Array.make (max 16 !size) p);
+    !pop.(!size) <- p;
+    incr size
+  in
   let remove i =
-    let a = !pop in
-    let n = Array.length a in
-    a.(i) <- a.(n - 1);
-    pop := Array.sub a 0 (n - 1)
+    !pop.(i) <- !pop.(!size - 1);
+    decr size
   in
   let held = Array.make copies None in
   let problems = ref [] in
@@ -903,13 +1005,17 @@ let refresh_case (seed, bulk, regime, copies, slices) =
     (* Insert-heavy early slices grow the columns and node tables past
        what the held copies were sized for; later ones delete more. *)
     let insert_share = if slice <= slices / 2 then 0.7 else 0.35 in
-    for _ = 1 to 1 + Xoshiro.int rng 30 do
+    let ops =
+      if big && Xoshiro.bool rng then 200 + Xoshiro.int rng 2800
+      else 1 + Xoshiro.int rng 30
+    in
+    for _ = 1 to ops do
       let u = Xoshiro.float rng in
-      let n = Array.length !pop in
+      let n = !size in
       if n = 0 || u < insert_share then begin
         let p = fresh () in
         Pr_arena.insert live p;
-        pop := Array.append !pop [| p |]
+        push p
       end
       else if u < insert_share +. 0.3 then begin
         let i = Xoshiro.int rng n in
@@ -929,7 +1035,8 @@ let refresh_case (seed, bulk, regime, copies, slices) =
         let p = fresh () in
         if Pr_arena.delete live p then
           match
-            Array.find_index (fun (q : Point.t) -> Point.equal q p) !pop
+            Array.find_index (fun (q : Point.t) -> Point.equal q p)
+              (Array.sub !pop 0 !size)
           with
           | Some i -> remove i
           | None -> problems := "deleted an untracked point" :: !problems
@@ -1003,6 +1110,10 @@ let replica_of (config : Server.config) =
 
 let publish_counter name = Metrics.counter_value (Metrics.counter name)
 
+let print_refresh_case (seed, bulk, regime, copies, slices) =
+  Printf.sprintf "seed=%d bulk=%b regime=%d copies=%d slices=%d" seed bulk
+    regime copies slices
+
 (* Unique domain ids rise by one per spawn: a probe domain spawned on
    either side of some code tells whether that code spawned any. *)
 let next_domain_id () = (Domain.get_id (Domain.spawn ignore) :> int)
@@ -1012,10 +1123,8 @@ let publish_tests =
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~count:300
          ~name:"refresh of a held copy equals a fresh snapshot"
-         ~print:(fun (seed, bulk, regime, copies, slices) ->
-           Printf.sprintf "seed=%d bulk=%b regime=%d copies=%d slices=%d" seed
-             bulk regime copies slices)
-         gen_refresh_case refresh_case);
+         ~print:print_refresh_case gen_refresh_case
+         (refresh_case ~big:false));
     Alcotest.test_case "refresh regrows a small copy and counts bytes"
       `Quick (fun () ->
         let live = Pr_arena.of_points_bulk ~capacity:4 (uniform_points 21 64) in
@@ -1165,8 +1274,12 @@ let publish_tests =
                   ~finally:(fun () -> Server.shutdown t)
                   (fun () ->
                     let queries = [| Wire.Nearest (Point.make 0.25 0.75) |] in
+                    (* A batch's slice publishes in the background; the
+                       next call that reads server state joins it, so
+                       the counter read after [run] sees its bytes. *)
                     let run () =
-                      ignore (Server.run_queries t queries : int * Wire.answer array)
+                      ignore (Server.run_queries t queries : int * Wire.answer array);
+                      ignore (Server.epochs t : Epoch.t)
                     in
                     for _ = 1 to 4 do run () done;
                     let per_publish =
@@ -1191,6 +1304,160 @@ let publish_tests =
                       (contains prom "popan_serve_publish_bytes");
                     check_bool "full copies in the exposition" true
                       (contains prom "popan_serve_publish_full")))));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:25
+         ~name:"refresh equals a snapshot across change-log overflow"
+         ~print:print_refresh_case gen_refresh_case
+         (refresh_case ~big:true));
+    Alcotest.test_case "chunks examined per publish are flat in n (2^14 vs 2^18)"
+      `Quick (fun () ->
+        (* The same 32-op slices at two sizes, each refreshing one of
+           two copies in turn, so every refresh catches up two slices
+           as the epoch store's spare does. A scan of every chunk's
+           stamp examines 16 times more chunks at 2^18 than at 2^14
+           (about 22,000 against 1,400); the change log examines what
+           the slices wrote, which grows only with tree depth. Slices
+           stay small next to 2^14 points: 256-op slices would write
+           most of that arena's chunks, and any scheme would examine
+           them all. *)
+        let config_capacity = Server.default_config.capacity in
+        let median_examined n =
+          let live, step =
+            replica_of
+              { Server.default_config with base_points = n; churn_ops = 32 }
+          in
+          (* Empty copies, as the epoch store starts them: their first
+             refresh is full and sizes them to the live columns. *)
+          let copies =
+            Array.init 2 (fun _ -> Pr_arena.create ~capacity:config_capacity ())
+          in
+          let per_publish =
+            List.init 24 (fun i ->
+                step ();
+                let stats = Pr_arena.refresh live ~into:copies.(i land 1) in
+                if i >= 2 && stats.Pr_arena.full then
+                  Alcotest.failf "n = %d: publish %d copied every chunk" n i;
+                stats.Pr_arena.examined)
+          in
+          let settled = List.sort compare (List.filteri (fun i _ -> i >= 3) per_publish) in
+          List.nth settled 10
+        in
+        let small = median_examined (1 lsl 14)
+        and large = median_examined (1 lsl 18) in
+        if large > 2 * small then
+          Alcotest.failf
+            "median chunks examined per publish: %d at 2^18 against %d at 2^14"
+            large small);
+  ]
+
+(* Joining the writer at the next request instead of before the
+   response: every observable of the server must be what it was when
+   each batch joined its own slice. *)
+
+let stats_of t =
+  match Server.handle t Wire.Stats with
+  | Wire.Stats_info { epoch; size; batches; live_epochs }, true ->
+    (epoch, size, batches, live_epochs)
+  | _ -> Alcotest.fail "bad stats response"
+
+let join_tests =
+  [
+    Alcotest.test_case
+      "interleaved Stats and Telemetry see what a joined replica shows"
+      `Quick (fun () ->
+        with_telemetry (fun () ->
+            let config =
+              {
+                Server.default_config with
+                base_points = 2_000;
+                churn_ops = 300;
+                seed = 31;
+                jobs = Some 2;
+              }
+            in
+            let t = Server.create config and replica = Server.create config in
+            Fun.protect
+              ~finally:(fun () ->
+                Server.shutdown t;
+                Server.shutdown replica)
+              (fun () ->
+                let rng = Xoshiro.of_int_seed 5 in
+                for batch = 0 to 29 do
+                  let queries = mixed_batch rng 40 in
+                  let epoch, answers = Server.run_queries t queries in
+                  let r_epoch, r_answers = Server.run_queries replica queries in
+                  (* The replica joins its slice before anything else. *)
+                  ignore (Server.epochs replica : Epoch.t);
+                  check_int (Printf.sprintf "batch %d epoch" batch) r_epoch epoch;
+                  check_bool
+                    (Printf.sprintf "batch %d answers" batch)
+                    true
+                    (answers_bytes answers = answers_bytes r_answers);
+                  match batch mod 3 with
+                  | 0 ->
+                    let e, size, batches, live = stats_of t in
+                    let e', size', batches', live' = stats_of replica in
+                    check_int "stats epoch" e' e;
+                    check_int "stats epoch is the next one" (batch + 1) e;
+                    check_int "stats size" size' size;
+                    check_int "stats batches" batches' batches;
+                    check_int "stats live epochs" live' live
+                  | 1 -> (
+                    match
+                      (Server.handle t Wire.Telemetry, stats_of replica)
+                    with
+                    | (Wire.Telemetry_info info, true), (e', size', batches', _)
+                      ->
+                      check_int "telemetry epoch" e' info.Wire.epoch;
+                      check_int "telemetry size" size' info.Wire.size;
+                      check_int "telemetry batches" batches' info.Wire.batches
+                    | _ -> Alcotest.fail "bad telemetry response")
+                  | _ -> ()
+                done;
+                let waits =
+                  match
+                    List.assoc_opt "serve.writer.wait"
+                      (Metrics.sketch_snapshots ~prefix:"serve." ())
+                  with
+                  | Some s -> Array.fold_left (fun a (_, n) -> a + n) s.Sketch.zeros s.Sketch.buckets
+                  | None -> 0
+                in
+                (* Thirty slices joined on the replica, and all but
+                   the last on [t], whose shutdown joins it. *)
+                check_int "one writer wait per joined slice" 59 waits)));
+    Alcotest.test_case "Server.epochs right after a batch shows its publish"
+      `Quick (fun () ->
+        let config =
+          { Server.default_config with base_points = 500; churn_ops = 64 }
+        in
+        let t = Server.create config in
+        Fun.protect
+          ~finally:(fun () -> Server.shutdown t)
+          (fun () ->
+            for batch = 0 to 9 do
+              let epoch, _ =
+                Server.run_queries t [| Wire.Count Box.unit |]
+              in
+              check_int "answering epoch" batch epoch;
+              check_int "published epoch" (batch + 1)
+                (Epoch.current_id (Server.epochs t))
+            done));
+    Alcotest.test_case "shutdown joins the slice in flight" `Quick (fun () ->
+        with_telemetry (fun () ->
+            let published () =
+              Metrics.counter_value (Metrics.counter "serve.epochs.published")
+            in
+            let config =
+              { Server.default_config with base_points = 3_000; churn_ops = 2_000 }
+            in
+            let t = Server.create config in
+            let before = published () in
+            for _ = 1 to 3 do
+              ignore (Server.run_queries t [| Wire.Count Box.unit |])
+            done;
+            Server.shutdown t;
+            check_int "every slice published before shutdown returned" 3
+              (published () - before)));
   ]
 
 let () =
@@ -1205,5 +1472,6 @@ let () =
       ("batch", batch_tests);
       ("publish", publish_tests);
       ("server", server_tests);
+      ("join", join_tests);
       ("telemetry", telemetry_tests);
     ]

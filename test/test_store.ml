@@ -179,6 +179,17 @@ let frame_tests =
           (match Codec.of_artifact ~kind:"test-kind" ~version:3 codec (artifact ^ "!") with
            | Error _ -> true
            | Ok _ -> false));
+    Alcotest.test_case "fnv1a64 matches the FNV-1a 64 test vectors" `Quick
+      (fun () ->
+        List.iter
+          (fun (input, expected) ->
+            Alcotest.(check int64) (Printf.sprintf "%S" input) expected
+              (Codec.fnv1a64 input))
+          [
+            ("", 0xcbf29ce484222325L);
+            ("a", 0xaf63dc4c8601ec8cL);
+            ("foobar", 0x85944171f73967e8L);
+          ]);
   ]
 
 (* Store behaviour *)
