@@ -753,20 +753,23 @@ let bench_serve_sequential =
          Sys.opaque_identity
            (Array.map (Server.eval serve_arena) serve_queries)))
 
-(* One pool per job count, spawned once: the benches time the batch,
-   not domain startup. *)
-let serve_pools =
-  List.map (fun jobs -> (jobs, Popan_parallel.Pool.create ~jobs ()))
-    [ 1; 2; 4 ]
+(* A bench over a pool of [jobs] domains, spawned when the bench starts
+   and shut down when it ends: the bench times the batch, not domain
+   startup, and no pool outlives its bench — parked domains would take
+   part in every other bench's stop-the-world minor collections. *)
+let pool_bench ~name jobs f =
+  Test.make_with_resource ~name Test.uniq
+    ~allocate:(fun () -> Popan_parallel.Pool.create ~jobs ())
+    ~free:Popan_parallel.Pool.shutdown (Staged.stage f)
 
 let bench_serve_jobs jobs =
-  let pool = List.assoc jobs serve_pools in
-  Test.make
+  pool_bench
     ~name:(parallel_bench_name
              (format_of_string "serve:batch 1024 mixed arena-native n=16384 j=%d")
              jobs)
-    (Staged.stage (fun () ->
-         Sys.opaque_identity (Server.run_batch pool serve_arena serve_queries)))
+    jobs
+    (fun pool ->
+      Sys.opaque_identity (Server.run_batch pool serve_arena serve_queries))
 
 let bench_serve_freeze_then_query =
   Test.make
@@ -784,21 +787,21 @@ let bench_serve_freeze_then_query =
    acceptance bar says within 10%. Enable/disable flips inside the run
    are two atomics against a millisecond-scale batch. *)
 let bench_serve_telemetry =
-  let pool = List.assoc 1 serve_pools in
-  Test.make
+  pool_bench
     ~name:(Printf.sprintf
              "serve:batch %d mixed arena-native n=%d j=1 telemetry"
              serve_batch serve_n)
-    (Staged.stage (fun () ->
-         Metrics.set_enabled true;
-         Flight.enable ();
-         Fun.protect
-           ~finally:(fun () ->
-             Metrics.set_enabled false;
-             Flight.disable ())
-           (fun () ->
-             Sys.opaque_identity
-               (Server.run_batch ~epoch:0 pool serve_arena serve_queries))))
+    1
+    (fun pool ->
+      Metrics.set_enabled true;
+      Flight.enable ();
+      Fun.protect
+        ~finally:(fun () ->
+          Metrics.set_enabled false;
+          Flight.disable ())
+        (fun () ->
+          Sys.opaque_identity
+            (Server.run_batch ~epoch:0 pool serve_arena serve_queries)))
 
 (* The PR 10 query-kernel ablation: containment pruning priced against
    the unpruned per-leaf walk at three selectivities (the fraction of
@@ -839,15 +842,15 @@ let bench_count_unpruned (sel, box) =
    identical — serve_smoke pins that — so any delta here is pure
    locality. *)
 let bench_serve_unsorted jobs =
-  let pool = List.assoc jobs serve_pools in
-  Test.make
+  pool_bench
     ~name:(parallel_bench_name
              (format_of_string
                 "serve:batch 1024 mixed arrival-order n=16384 j=%d")
              jobs)
-    (Staged.stage (fun () ->
-         Sys.opaque_identity
-           (Server.run_batch ~sort:false pool serve_arena serve_queries)))
+    jobs
+    (fun pool ->
+      Sys.opaque_identity
+        (Server.run_batch ~sort:false pool serve_arena serve_queries))
 
 (* The telemetry primitives priced alone: a raw sketch record (one log,
    one increment), a registry-sharded sketch record (adds the flag check
@@ -900,46 +903,46 @@ let bench_event_emit =
    the same discipline as the hand-timed 2^22 rows. Appended to the
    estimates, so the JSON trajectory carries the honest pair. *)
 let telemetry_paired_rows () =
-  let pool = List.assoc 1 serve_pools in
-  let batch () =
-    ignore
-      (Sys.opaque_identity
-         (Server.run_batch ~epoch:0 pool serve_arena serve_queries))
-  in
-  let time_once f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  (* Called before the bechamel suite runs (see main): minutes of
-     full-load benching first would inflate both sides with heap bloat
-     and thermal/cgroup throttling and amplify the delta. Compact
-     anyway so the module-init workloads above don't linger. *)
-  Gc.compact ();
-  let off = ref infinity and on = ref infinity in
-  (* 101 interleaved rounds: the overhead ratio is a difference of two
-     ~3ms measurements on a box whose host-level contention bursts can
-     inflate any single round by 30%. Contention is strictly additive,
-     so best-of-N converges on the uncontended time for both sides as
-     N grows — and 101 rounds still cost under a second. *)
-  for _ = 1 to 101 do
-    let t = time_once batch in
-    if t < !off then off := t;
-    Metrics.set_enabled true;
-    Flight.enable ();
-    let t =
-      Fun.protect
-        ~finally:(fun () ->
-          Metrics.set_enabled false;
-          Flight.disable ())
-        (fun () -> time_once batch)
+  Popan_parallel.Pool.with_pool ~jobs:1 (fun pool ->
+    let batch () =
+      ignore
+        (Sys.opaque_identity
+           (Server.run_batch ~epoch:0 pool serve_arena serve_queries))
     in
-    if t < !on then on := t
-  done;
-  [ ( "popan/serve:telemetry paired obs-off batch 1024 n=16384 j=1",
-      Some (!off *. 1e9), None );
-    ( "popan/serve:telemetry paired obs-on batch 1024 n=16384 j=1",
-      Some (!on *. 1e9), None ) ]
+    let time_once f =
+      let t0 = Unix.gettimeofday () in
+      f ();
+      Unix.gettimeofday () -. t0
+    in
+    (* Called before the bechamel suite runs (see main): minutes of
+       full-load benching first would inflate both sides with heap bloat
+       and thermal/cgroup throttling and amplify the delta. Compact
+       anyway so the module-init workloads above don't linger. *)
+    Gc.compact ();
+    let off = ref infinity and on = ref infinity in
+    (* 101 interleaved rounds: the overhead ratio is a difference of two
+       ~3ms measurements on a box whose host-level contention bursts can
+       inflate any single round by 30%. Contention is strictly additive,
+       so best-of-N converges on the uncontended time for both sides as
+       N grows — and 101 rounds still cost under a second. *)
+    for _ = 1 to 101 do
+      let t = time_once batch in
+      if t < !off then off := t;
+      Metrics.set_enabled true;
+      Flight.enable ();
+      let t =
+        Fun.protect
+          ~finally:(fun () ->
+            Metrics.set_enabled false;
+            Flight.disable ())
+          (fun () -> time_once batch)
+      in
+      if t < !on then on := t
+    done;
+    [ ( "popan/serve:telemetry paired obs-off batch 1024 n=16384 j=1",
+        Some (!off *. 1e9), None );
+      ( "popan/serve:telemetry paired obs-on batch 1024 n=16384 j=1",
+        Some (!on *. 1e9), None ) ])
 
 let all_benches =
   Test.make_grouped ~name:"popan"

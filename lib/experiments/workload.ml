@@ -113,12 +113,7 @@ module Churn = struct
   let point s k = Point.make s.xs.{k} s.ys.{k}
   let live s = Array.init s.n (point s)
 
-  let fill_live s xs ys =
-    let open Bigarray.Array1 in
-    if s.n > 0 then begin
-      blit (sub s.xs 0 s.n) (sub xs 0 s.n);
-      blit (sub s.ys 0 s.n) (sub ys 0 s.n)
-    end
+  let live_columns s = (s.xs, s.ys)
 
   let live_count s = s.n
   let ops_done s = s.ops_done

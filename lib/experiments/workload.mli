@@ -101,12 +101,13 @@ module Churn : sig
   (** [live s] is the live multiset, in generator order (a copy). *)
   val live : state -> Point.t array
 
-  (** [fill_live s xs ys] writes the live multiset, in generator order,
-      into the first {!live_count}[ s] entries of two columns — point
-      [i] at [(xs.{i}, ys.{i})] — as {!Popan_trees.Pr_arena.bulk_of_columns}'
-      fill wants them, without building the points {!live} returns.
-      The state keeps its live set unboxed, so this is two blits. *)
-  val fill_live : state -> Xoshiro.floats -> Xoshiro.floats -> unit
+  (** [live_columns s] is the state's own live columns, not a copy:
+      point [i] of the live multiset, in generator order, is
+      [(xs.{i}, ys.{i})] for [i] below {!live_count}[ s] — what
+      {!Popan_trees.Pr_arena.bulk_zordered} reads, without building the
+      points {!live} returns. The next {!step} changes them; the caller
+      must not write them. *)
+  val live_columns : state -> Xoshiro.floats * Xoshiro.floats
 
   (** [live_count s] is the live population. O(1). *)
   val live_count : state -> int

@@ -40,13 +40,19 @@ type t
 
 (** [create arena] boots the store with [arena] as epoch 0. The store
     takes ownership: once superseded and unpinned, [arena] becomes the
-    spare and is later overwritten or released (so hand in a
-    {!Pr_arena.snapshot}, not the writer's live arena). *)
+    spare and is later overwritten or released, and {!shutdown}
+    releases it in any case. Handing in a live arena is sound only when
+    nothing will ever write it again — a static server's built arena,
+    which no writer exists to mutate and which is never superseded, so
+    it serves as epoch 0 with no copy. An arena that a writer keeps
+    mutating must go in as a copy ({!create_from}, or a
+    {!Pr_arena.snapshot}): readers of epoch 0 would see its writes. *)
 val create : Pr_arena.t -> t
 
 (** [create_from live] boots the store with a copy of the writer's
     [live] arena as epoch 0 — a full copy, counted in
-    [serve.publish.bytes] / [serve.publish.full]. *)
+    [serve.publish.bytes] / [serve.publish.full]. The copy keeps
+    [live]'s slot layout. *)
 val create_from : Pr_arena.t -> t
 
 (** [publish t arena] installs [arena] as the new current epoch and

@@ -1,32 +1,65 @@
 open Import
 
+let kernel_of (q : Wire.query) =
+  match q with
+  | Wire.Range _ -> `Range
+  | Wire.Count _ -> `Count
+  | Wire.Knn _ -> `Knn
+  | Wire.Nearest _ -> `Nearest
+  | Wire.Cell _ -> `Cell
+
+(* One rule for non-finite input, decided before dispatch so [eval] and
+   [eval_instrumented] cannot drift: a NaN or infinite coordinate, in
+   any field of any kind of query, answers [Rejected] naming the field.
+   None for a finite query, without allocating. *)
+let non_finite (q : Wire.query) =
+  let bad v = not (Float.is_finite v) in
+  match q with
+  | Wire.Range b | Wire.Count b ->
+    if bad b.Box.xmin then Some "box xmin"
+    else if bad b.Box.ymin then Some "box ymin"
+    else if bad b.Box.xmax then Some "box xmax"
+    else if bad b.Box.ymax then Some "box ymax"
+    else None
+  | Wire.Knn (_, p) | Wire.Nearest p | Wire.Cell p ->
+    if bad p.Point.x then Some "point x"
+    else if bad p.Point.y then Some "point y"
+    else None
+
+let non_finite_reason field = "non-finite query coordinate: " ^ field
+
 (* Sequential evaluation of one query against one arena — this single
    function is both what the pool's tasks run and the oracle the tests
    replay, so "batched equals sequential" is equality of schedules, not
    of two implementations. *)
 let eval arena (q : Wire.query) : Wire.answer =
-  match q with
-  | Wire.Range b ->
-    Probe.serve_query ~kernel:`Range;
-    Wire.Points (Array.of_list (Pr_arena.query_box arena b))
-  | Wire.Count b ->
-    Probe.serve_query ~kernel:`Count;
-    Wire.Count_of (Pr_arena.count_in_box arena b)
-  | Wire.Knn (k, p) -> (
-    Probe.serve_query ~kernel:`Knn;
-    match Pr_arena.k_nearest arena k p with
-    | ps -> Wire.Points (Array.of_list ps)
-    | exception Invalid_argument m -> Wire.Rejected m)
-  | Wire.Nearest p -> (
-    Probe.serve_query ~kernel:`Nearest;
-    match Pr_arena.nearest arena p with
-    | None -> Wire.Points [||]
-    | Some q -> Wire.Points [| q |])
-  | Wire.Cell p -> (
-    Probe.serve_query ~kernel:`Cell;
-    match Pr_arena.cell_at arena p with
-    | depth, box, pts -> Wire.Cell_info (depth, box, Array.of_list pts)
-    | exception Invalid_argument m -> Wire.Rejected m)
+  match non_finite q with
+  | Some field ->
+    Probe.serve_query ~kernel:(kernel_of q);
+    Wire.Rejected (non_finite_reason field)
+  | None -> (
+    match q with
+    | Wire.Range b ->
+      Probe.serve_query ~kernel:`Range;
+      Wire.Points (Array.of_list (Pr_arena.query_box arena b))
+    | Wire.Count b ->
+      Probe.serve_query ~kernel:`Count;
+      Wire.Count_of (Pr_arena.count_in_box arena b)
+    | Wire.Knn (k, p) -> (
+      Probe.serve_query ~kernel:`Knn;
+      match Pr_arena.k_nearest arena k p with
+      | ps -> Wire.Points (Array.of_list ps)
+      | exception Invalid_argument m -> Wire.Rejected m)
+    | Wire.Nearest p -> (
+      Probe.serve_query ~kernel:`Nearest;
+      match Pr_arena.nearest arena p with
+      | None -> Wire.Points [||]
+      | Some q -> Wire.Points [| q |])
+    | Wire.Cell p -> (
+      Probe.serve_query ~kernel:`Cell;
+      match Pr_arena.cell_at arena p with
+      | depth, box, pts -> Wire.Cell_info (depth, box, Array.of_list pts)
+      | exception Invalid_argument m -> Wire.Rejected m))
 
 (* [eval] under full telemetry: the visited-counting kernel variants
    plus a per-query clock, feeding the latency/visited sketches and the
@@ -37,41 +70,47 @@ let eval arena (q : Wire.query) : Wire.answer =
    tests replay — keeps its exact instruction stream. *)
 let eval_instrumented arena ~epoch (q : Wire.query) : Wire.answer =
   let t0 = Clock.now_ns () in
-  match q with
-  | Wire.Range b ->
-    let ps, visited = Pr_arena.query_box_visited arena b in
-    let answer = Wire.Points (Array.of_list ps) in
-    Probe.serve_query_done ~kernel:`Range ~epoch ~t0 ~visited ~note:"";
-    answer
-  | Wire.Count b ->
-    let n, visited = Pr_arena.count_in_box_visited arena b in
-    Probe.serve_query_done ~kernel:`Count ~epoch ~t0 ~visited ~note:"";
-    Wire.Count_of n
-  | Wire.Knn (k, p) -> (
-    match Pr_arena.k_nearest_visited arena k p with
-    | ps, visited ->
+  match non_finite q with
+  | Some field ->
+    let m = non_finite_reason field in
+    Probe.serve_query_done ~kernel:(kernel_of q) ~epoch ~t0 ~visited:0 ~note:m;
+    Wire.Rejected m
+  | None -> (
+    match q with
+    | Wire.Range b ->
+      let ps, visited = Pr_arena.query_box_visited arena b in
       let answer = Wire.Points (Array.of_list ps) in
-      Probe.serve_query_done ~kernel:`Knn ~epoch ~t0 ~visited ~note:"";
+      Probe.serve_query_done ~kernel:`Range ~epoch ~t0 ~visited ~note:"";
       answer
-    | exception Invalid_argument m ->
-      Probe.serve_query_done ~kernel:`Knn ~epoch ~t0 ~visited:0 ~note:m;
-      Wire.Rejected m)
-  | Wire.Nearest p ->
-    let found, visited = Pr_arena.nearest_visited arena p in
-    let answer =
-      Wire.Points (match found with None -> [||] | Some q -> [| q |])
-    in
-    Probe.serve_query_done ~kernel:`Nearest ~epoch ~t0 ~visited ~note:"";
-    answer
-  | Wire.Cell p -> (
-    match Pr_arena.cell_at_visited arena p with
-    | (depth, box, pts), visited ->
-      let answer = Wire.Cell_info (depth, box, Array.of_list pts) in
-      Probe.serve_query_done ~kernel:`Cell ~epoch ~t0 ~visited ~note:"";
+    | Wire.Count b ->
+      let n, visited = Pr_arena.count_in_box_visited arena b in
+      Probe.serve_query_done ~kernel:`Count ~epoch ~t0 ~visited ~note:"";
+      Wire.Count_of n
+    | Wire.Knn (k, p) -> (
+      match Pr_arena.k_nearest_visited arena k p with
+      | ps, visited ->
+        let answer = Wire.Points (Array.of_list ps) in
+        Probe.serve_query_done ~kernel:`Knn ~epoch ~t0 ~visited ~note:"";
+        answer
+      | exception Invalid_argument m ->
+        Probe.serve_query_done ~kernel:`Knn ~epoch ~t0 ~visited:0 ~note:m;
+        Wire.Rejected m)
+    | Wire.Nearest p ->
+      let found, visited = Pr_arena.nearest_visited arena p in
+      let answer =
+        Wire.Points (match found with None -> [||] | Some q -> [| q |])
+      in
+      Probe.serve_query_done ~kernel:`Nearest ~epoch ~t0 ~visited ~note:"";
       answer
-    | exception Invalid_argument m ->
-      Probe.serve_query_done ~kernel:`Cell ~epoch ~t0 ~visited:0 ~note:m;
-      Wire.Rejected m)
+    | Wire.Cell p -> (
+      match Pr_arena.cell_at_visited arena p with
+      | (depth, box, pts), visited ->
+        let answer = Wire.Cell_info (depth, box, Array.of_list pts) in
+        Probe.serve_query_done ~kernel:`Cell ~epoch ~t0 ~visited ~note:"";
+        answer
+      | exception Invalid_argument m ->
+        Probe.serve_query_done ~kernel:`Cell ~epoch ~t0 ~visited:0 ~note:m;
+        Wire.Rejected m))
 
 (* Morton scheduling key of one query: the Z-order cell of its anchor —
    a box's low corner, a probe's own point — clamped into the unit
@@ -252,7 +291,9 @@ type t = {
   config : config;
   pool : Parallel.Pool.t;
   owns_pool : bool;
-  live : Pr_arena.t;  (** the writer's arena; only the writer touches it *)
+  live : Pr_arena.t;
+      (** the writer's arena; only the writer touches it. A static
+          server's epoch 0, owned by [epochs]. *)
   epochs : Epoch.t;
   writer : Writer.t option;  (** present iff [churn_ops > 0] *)
   mutable in_flight : bool;  (** a slice started and not yet joined *)
@@ -280,31 +321,39 @@ let create ?pool config =
       Workload.Churn.restore ~rng ~live:[||] ~ops_done:0
     else Workload.Churn.start spec ~rng
   in
-  let n = Workload.Churn.live_count state in
+  let static = config.churn_ops = 0 in
   let backing =
     Option.map (fun dir -> Pr_arena.Mmap { dir }) config.mmap_dir
   in
-  (* Headroom for the slot high-water mark, which churn pushes above the
-     base population from the first slice on: without it the live
-     columns double at once, and the boot epoch's copy, sized to them,
-     must regrow at its first reuse. Untouched, the headroom costs
-     address space, not memory. *)
+  (* The served arena is built in Z order straight from the churn
+     stream's live columns. A churning server reserves headroom for the
+     slot high-water mark, which churn pushes above the base population
+     from the first slice on: without it the live columns double at
+     once, and the boot epoch's copy, sized to them, must regrow at its
+     first reuse. Untouched, the headroom costs address space, not
+     memory. *)
   let live =
-    Pr_arena.bulk_of_columns ?backing ~capacity:config.capacity
-      ~reserve:(config.base_points + (config.base_points / 8))
-      ~n (Workload.Churn.fill_live state)
+    let xs, ys = Workload.Churn.live_columns state in
+    let headroom = if static then 0 else config.base_points / 8 in
+    Pr_arena.bulk_zordered ?backing ~capacity:config.capacity
+      ~reserve:(config.base_points + headroom)
+      ~n:(Workload.Churn.live_count state) xs ys
   in
   let pool, owns_pool =
     match pool with
     | Some p -> (p, false)
     | None -> (Parallel.Pool.create ?jobs:config.jobs (), true)
   in
-  let epochs = Epoch.create_from live in
+  (* No writer ever touches a static server's arena, so it serves as
+     epoch 0 itself and the store releases it at shutdown. A churning
+     server boots from a copy: its writer mutates [live] while batch 0
+     reads epoch 0. *)
+  let epochs = if static then Epoch.create live else Epoch.create_from live in
   (* The writer's one job per batch: the next churn slice, then the
      next epoch, published through the spare so it copies only the
      chunks the slice wrote. *)
   let writer =
-    if config.churn_ops = 0 then None
+    if static then None
     else
       Some
         (Writer.spawn (fun () ->
@@ -459,7 +508,8 @@ let shutdown t =
   Option.iter Writer.stop t.writer;
   Probe.serve_shutdown ~batches:t.batches ~epoch:(Epoch.current_id t.epochs);
   Epoch.shutdown t.epochs;
-  Pr_arena.release t.live;
+  (* A static server's store owns [live] and has released it. *)
+  if Option.is_some t.writer then Pr_arena.release t.live;
   if t.owns_pool then Parallel.Pool.shutdown t.pool;
   (* The at-exit flushes only cover experiment commands; a server must
      leave its admission counters in the store's stats log itself. *)

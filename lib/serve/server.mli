@@ -35,7 +35,10 @@ open Import
 
 (** [eval arena q] answers one query sequentially — the same function
     the pool's tasks run when telemetry is off, and the oracle tests
-    replay. *)
+    replay. A query with a NaN or infinite coordinate, of any kind,
+    answers [Rejected] with a reason naming the field; the check runs
+    before dispatch, in {!eval_instrumented} too. A [Knn] with [k < 0]
+    and a [Cell] probe outside the bounds answer [Rejected] as well. *)
 val eval : Pr_arena.t -> Wire.query -> Wire.answer
 
 (** [eval_instrumented arena ~epoch q] is {!eval} under full telemetry:
@@ -89,10 +92,15 @@ val default_config : config
 type t
 
 (** [create ?pool config] builds the initial population
-    (deterministically from [config.seed]), publishes epoch 0, readies
-    the pool ([?pool] borrows an existing one, which {!shutdown} then
-    leaves running) and, when [churn_ops > 0], spawns the writer
-    domain. With [base_points = 0] the tree and the churn stream both
+    (deterministically from [config.seed]) into the live arena with
+    {!Pr_arena.bulk_zordered}, reading the churn stream's live columns,
+    so each leaf's points sit in consecutive slots. It publishes epoch 0,
+    readies the pool ([?pool] borrows an existing one, which
+    {!shutdown} then leaves running) and, when [churn_ops > 0], spawns
+    the writer domain. Epoch 0 of a static server ([churn_ops = 0]) is
+    the live arena itself, with no copy; a churning server's is a copy,
+    because its writer mutates the live arena while batch 0 reads
+    epoch 0. With [base_points = 0] the tree and the churn stream both
     start empty. Raises [Invalid_argument] on negative [base_points] or
     [churn_ops]. *)
 val create : ?pool:Parallel.Pool.t -> config -> t

@@ -68,7 +68,9 @@ type t = {
                                  kernels prune on containment by adding
                                  this in O(1). *)
   mutable head : int array;  (* leaves: first point slot, -1 = none *)
-  (* Points, parallel columns indexed by slot; slot = insertion rank. *)
+  (* Points, parallel columns indexed by slot: slot = insertion rank
+     after an incremental or in-place bulk build, Z-order rank after
+     [bulk_zordered]; churn reuses freed slots either way. *)
   mutable size : int;
   mutable xs : farr;
   mutable ys : farr;
@@ -1046,17 +1048,35 @@ let of_points ?max_depth ?bounds ~capacity ps =
    build has no point-count cap — the historical silent reroute to
    incremental inserts past 2^21 points is gone. *)
 
-(* Chain slots ss[lo, hi) onto leaf [node] so traversal yields ascending
-   slot (insertion) order, register it at [depth]. *)
-let emit_leaf t (ss : iarr) lo hi node depth =
+(* Leaf emission, in one of two slot numberings. In place ([z] false):
+   chain slots ss[lo, hi) onto leaf [node], so traversal yields
+   ascending slot (insertion) order. Z-ordered ([z] true, see
+   [bulk_zordered]): the leaf takes the consecutive slots [lo, hi) —
+   sort positions are Z-order ranks — and each slot k records, as
+   [zpending], the position ss[k] whose point it must receive and
+   whether it ends the chain; [settle] then moves the points and writes
+   the final links. Either way the chain visits the points in ss order,
+   so the two numberings hold the same tree. *)
+let[@inline] zpending src last = -2 - ((src lsl 1) lor last)
+
+let emit_leaf t z (ss : iarr) lo hi node depth =
   let n = hi - lo in
   t.count.(node) <- n;
   if n > 0 then begin
-    for k = lo to hi - 2 do
-      t.next.{ss.{k}} <- ss.{k + 1}
-    done;
-    t.next.{ss.{hi - 1}} <- -1;
-    t.head.(node) <- ss.{lo}
+    if z then begin
+      for k = lo to hi - 2 do
+        t.next.{k} <- zpending ss.{k} 0
+      done;
+      t.next.{hi - 1} <- zpending ss.{hi - 1} 1;
+      t.head.(node) <- lo
+    end
+    else begin
+      for k = lo to hi - 2 do
+        t.next.{ss.{k}} <- ss.{k + 1}
+      done;
+      t.next.{ss.{hi - 1}} <- -1;
+      t.head.(node) <- ss.{lo}
+    end
   end;
   note_leaf t depth n
 
@@ -1066,10 +1086,10 @@ let emit_leaf t (ss : iarr) lo hi node depth =
    4-slot buffer for the counting pass, reused by every node — pair
    counts land in it branchlessly (indexing, not matching), then it
    holds the running write bases. *)
-let rec build_float t (ss : iarr) (ds : iarr) cnt lo hi node depth x0 y0 x1 y1
-    =
+let rec build_float t z (ss : iarr) (ds : iarr) cnt lo hi node depth x0 y0
+    x1 y1 =
   if hi - lo <= t.capacity || depth >= t.max_depth then
-    emit_leaf t ss lo hi node depth
+    emit_leaf t z ss lo hi node depth
   else begin
     t.internals <- t.internals + 1;
     Probe.builder_split ~depth;
@@ -1107,10 +1127,10 @@ let rec build_float t (ss : iarr) (ds : iarr) cnt lo hi node depth x0 y0 x1 y1
     t.child.(node) <- base;
     t.count.(node) <- hi - lo;
     let cdepth = depth + 1 in
-    build_float t ss ds cnt lo e1 base cdepth x0 y0 cx cy;
-    build_float t ss ds cnt e1 e2 (base + 1) cdepth cx y0 x1 cy;
-    build_float t ss ds cnt e2 e3 (base + 2) cdepth x0 cy cx y1;
-    build_float t ss ds cnt e3 hi (base + 3) cdepth cx cy x1 y1
+    build_float t z ss ds cnt lo e1 base cdepth x0 y0 cx cy;
+    build_float t z ss ds cnt e1 e2 (base + 1) cdepth cx y0 x1 cy;
+    build_float t z ss ds cnt e2 e3 (base + 2) cdepth x0 cy cx y1;
+    build_float t z ss ds cnt e3 hi (base + 3) cdepth cx cy x1 y1
   end
 
 (* The Morton twin of [build_float]: a stable counting partition of
@@ -1122,15 +1142,15 @@ let rec build_float t (ss : iarr) (ds : iarr) cnt lo hi node depth x0 y0 x1 y1
    says the key column already holds lo words; crossing level [bits]
    reloads the column in place (the hi words are constant across the
    range there) and continues at the same depth. *)
-let rec build_sorted t (sk : iarr) (ss : iarr) (dk : iarr) (ds : iarr) cnt lo
-    hi node depth fine =
+let rec build_sorted t z (sk : iarr) (ss : iarr) (dk : iarr) (ds : iarr) cnt
+    lo hi node depth fine =
   if hi - lo <= t.capacity || depth >= t.max_depth then
-    emit_leaf t ss lo hi node depth
+    emit_leaf t z ss lo hi node depth
   else if depth >= bits && not fine then begin
     for k = lo to hi - 1 do
       sk.{k} <- lo_code t ss.{k}
     done;
-    build_sorted t sk ss dk ds cnt lo hi node depth true
+    build_sorted t z sk ss dk ds cnt lo hi node depth true
   end
   else if depth >= bits_fine then begin
     (* Below the fine resolution every key coincides; continue from the
@@ -1139,7 +1159,8 @@ let rec build_sorted t (sk : iarr) (ss : iarr) (dk : iarr) (ds : iarr) cnt lo
     let s = ss.{lo} in
     let x0 = slot_cell_x0 t s depth and y0 = slot_cell_y0 t s depth in
     let side = ldexp 1.0 (-depth) in
-    build_float t ss ds cnt lo hi node depth x0 y0 (x0 +. side) (y0 +. side)
+    build_float t z ss ds cnt lo hi node depth x0 y0 (x0 +. side)
+      (y0 +. side)
   end
   else begin
     t.internals <- t.internals + 1;
@@ -1174,10 +1195,10 @@ let rec build_sorted t (sk : iarr) (ss : iarr) (dk : iarr) (ds : iarr) cnt lo
       cnt.(d) <- p + 1
     done;
     let cdepth = depth + 1 in
-    build_sorted t dk ds sk ss cnt lo e1 base cdepth fine;
-    build_sorted t dk ds sk ss cnt e1 e2 (base + 1) cdepth fine;
-    build_sorted t dk ds sk ss cnt e2 e3 (base + 2) cdepth fine;
-    build_sorted t dk ds sk ss cnt e3 hi (base + 3) cdepth fine
+    build_sorted t z dk ds sk ss cnt lo e1 base cdepth fine;
+    build_sorted t z dk ds sk ss cnt e1 e2 (base + 1) cdepth fine;
+    build_sorted t z dk ds sk ss cnt e2 e3 (base + 2) cdepth fine;
+    build_sorted t z dk ds sk ss cnt e3 hi (base + 3) cdepth fine
   end
 
 (* The packed single-column twin of [build_sorted], the sequential fast
@@ -1202,26 +1223,35 @@ let packed_slot_mask = (1 lsl bits) - 1
 
 (* Works on packed words and on raw slots alike: masking a raw slot is
    the identity (slots fit the field by construction). *)
-let emit_leaf_packed t (order : int array) lo hi node depth =
+let emit_leaf_packed t z (order : int array) lo hi node depth =
   let n = hi - lo in
   t.count.(node) <- n;
   if n > 0 then begin
-    for k = lo to hi - 2 do
-      t.next.{order.(k) land packed_slot_mask} <-
-        order.(k + 1) land packed_slot_mask
-    done;
-    t.next.{order.(hi - 1) land packed_slot_mask} <- -1;
-    t.head.(node) <- order.(lo) land packed_slot_mask
+    if z then begin
+      for k = lo to hi - 2 do
+        t.next.{k} <- zpending (order.(k) land packed_slot_mask) 0
+      done;
+      t.next.{hi - 1} <- zpending (order.(hi - 1) land packed_slot_mask) 1;
+      t.head.(node) <- lo
+    end
+    else begin
+      for k = lo to hi - 2 do
+        t.next.{order.(k) land packed_slot_mask} <-
+          order.(k + 1) land packed_slot_mask
+      done;
+      t.next.{order.(hi - 1) land packed_slot_mask} <- -1;
+      t.head.(node) <- order.(lo) land packed_slot_mask
+    end
   end;
   note_leaf t depth n
 
 (* Float-midpoint partition over raw slots in the packed path's int
    arrays — the [build_float] twin reached only below the fine Morton
    resolution (the caller strips the constant prefixes first). *)
-let rec build_float_packed t (ss : int array) (ds : int array) cnt lo hi node
-    depth x0 y0 x1 y1 =
+let rec build_float_packed t z (ss : int array) (ds : int array) cnt lo hi
+    node depth x0 y0 x1 y1 =
   if hi - lo <= t.capacity || depth >= t.max_depth then
-    emit_leaf_packed t ss lo hi node depth
+    emit_leaf_packed t z ss lo hi node depth
   else begin
     t.internals <- t.internals + 1;
     Probe.builder_split ~depth;
@@ -1257,16 +1287,16 @@ let rec build_float_packed t (ss : int array) (ds : int array) cnt lo hi node
     t.child.(node) <- base;
     t.count.(node) <- hi - lo;
     let cdepth = depth + 1 in
-    build_float_packed t ss ds cnt lo e1 base cdepth x0 y0 cx cy;
-    build_float_packed t ss ds cnt e1 e2 (base + 1) cdepth cx y0 x1 cy;
-    build_float_packed t ss ds cnt e2 e3 (base + 2) cdepth x0 cy cx y1;
-    build_float_packed t ss ds cnt e3 hi (base + 3) cdepth cx cy x1 y1
+    build_float_packed t z ss ds cnt lo e1 base cdepth x0 y0 cx cy;
+    build_float_packed t z ss ds cnt e1 e2 (base + 1) cdepth cx y0 x1 cy;
+    build_float_packed t z ss ds cnt e2 e3 (base + 2) cdepth x0 cy cx y1;
+    build_float_packed t z ss ds cnt e3 hi (base + 3) cdepth cx cy x1 y1
   end
 
-let rec build_packed t (src : int array) (dst : int array) cnt lo hi node
+let rec build_packed t z (src : int array) (dst : int array) cnt lo hi node
     depth fine =
   if hi - lo <= t.capacity || depth >= t.max_depth then
-    emit_leaf_packed t src lo hi node depth
+    emit_leaf_packed t z src lo hi node depth
   else if depth >= bits && not fine then begin
     (* Every hi word in the range coincides; reload each word in place
        with the lo code over the same slot and continue at this
@@ -1275,7 +1305,7 @@ let rec build_packed t (src : int array) (dst : int array) cnt lo hi node
       let slot = src.(k) land packed_slot_mask in
       src.(k) <- (lo_code t slot lsl bits) lor slot
     done;
-    build_packed t src dst cnt lo hi node depth true
+    build_packed t z src dst cnt lo hi node depth true
   end
   else if depth >= bits_fine then begin
     (* Below the fine resolution every key coincides; strip to raw
@@ -1288,7 +1318,7 @@ let rec build_packed t (src : int array) (dst : int array) cnt lo hi node
     let s = src.(lo) in
     let x0 = slot_cell_x0 t s depth and y0 = slot_cell_y0 t s depth in
     let side = ldexp 1.0 (-depth) in
-    build_float_packed t src dst cnt lo hi node depth x0 y0 (x0 +. side)
+    build_float_packed t z src dst cnt lo hi node depth x0 y0 (x0 +. side)
       (y0 +. side)
   end
   else begin
@@ -1324,10 +1354,10 @@ let rec build_packed t (src : int array) (dst : int array) cnt lo hi node
       cnt.(d) <- p + 1
     done;
     let cdepth = depth + 1 in
-    build_packed t dst src cnt lo e1 base cdepth fine;
-    build_packed t dst src cnt e1 e2 (base + 1) cdepth fine;
-    build_packed t dst src cnt e2 e3 (base + 2) cdepth fine;
-    build_packed t dst src cnt e3 hi (base + 3) cdepth fine
+    build_packed t z dst src cnt lo e1 base cdepth fine;
+    build_packed t z dst src cnt e1 e2 (base + 1) cdepth fine;
+    build_packed t z dst src cnt e2 e3 (base + 2) cdepth fine;
+    build_packed t z dst src cnt e3 hi (base + 3) cdepth fine
   end
 
 (* Domain-parallel orchestration of the same sort, in three phases with
@@ -1452,7 +1482,7 @@ let rec replay t results slots_even slots_odd plan node =
   match plan with
   | P_leaf { lo; hi; depth } ->
     let ss = if depth land 1 = 0 then slots_even else slots_odd in
-    emit_leaf t ss lo hi node depth
+    emit_leaf t false ss lo hi node depth
   | P_task { id } -> graft t results.(id) node
   | P_split { depth; lo; hi; parts } ->
     t.internals <- t.internals + 1;
@@ -1495,23 +1525,26 @@ let parallel_build t n pool keys slots keys2 slots2 =
                   if r.r_depth land 1 = 0 then (keys, slots, keys2, slots2)
                   else (keys2, slots2, keys, slots)
                 in
-                build_sorted l sk ss dk ds (Array.make 4 0) r.r_lo r.r_hi 0
-                  r.r_depth false;
+                build_sorted l false sk ss dk ds (Array.make 4 0) r.r_lo
+                  r.r_hi 0 r.r_depth false;
                 l)))
   in
   Probe.arena_phase ~phase:"stitch" (fun () ->
       replay t results slots slots2 plan 0)
 
-(* The sort and emit behind [bulk_of_columns]: points and codes are
-   already in the columns (slots 0 .. n-1) and [t.size = n]. *)
-let bulk_build t n ~jobs ~pool ~packed =
-  (* The root leaf registered by [create] is replaced wholesale by the
-     build's own registration, mirroring Pr_builder.split_node
-     accounting. *)
+(* The root leaf registered by [create] is replaced wholesale by a bulk
+   build's own registration, mirroring Pr_builder.split_node
+   accounting. *)
+let unregister_root t =
   t.leaves <- 0;
   t.hist.(0) <- 0;
   t.height <- 0;
-  t.depth_count.(0) <- 0;
+  t.depth_count.(0) <- 0
+
+(* The sort and emit behind [bulk_of_columns]: points and codes are
+   already in the columns (slots 0 .. n-1) and [t.size = n]. *)
+let bulk_build t n ~jobs ~pool ~packed =
+  unregister_root t;
   let parallel_requested = jobs <> None || pool <> None in
   if not t.unit_bounds then begin
     (* Codes never steer custom bounds; the float partition handles the
@@ -1527,8 +1560,8 @@ let bulk_build t n ~jobs ~pool ~packed =
     done;
     let b = t.bounds in
     let cnt = Array.make 4 0 in
-    build_float t slots slots2 cnt 0 n 0 0 b.Box.xmin b.Box.ymin b.Box.xmax
-      b.Box.ymax
+    build_float t false slots slots2 cnt 0 n 0 0 b.Box.xmin b.Box.ymin
+      b.Box.xmax b.Box.ymax
   end
   else
     match packed with
@@ -1542,7 +1575,7 @@ let bulk_build t n ~jobs ~pool ~packed =
          below. *)
       let scratch = Array.make (max n 1) 0 in
       let cnt = Array.make 4 0 in
-      build_packed t packed scratch cnt 0 n 0 0 false
+      build_packed t false packed scratch cnt 0 n 0 0 false
     | None ->
       begin
     let keys = alloc_i t "keys" (max n 1) in
@@ -1562,7 +1595,7 @@ let bulk_build t n ~jobs ~pool ~packed =
             parallel_build t n p keys slots keys2 slots2)
       | None ->
         let cnt = Array.make 4 0 in
-        build_sorted t keys slots keys2 slots2 cnt 0 n 0 0 false)
+        build_sorted t false keys slots keys2 slots2 cnt 0 n 0 0 false)
   end
 
 (* The packed fast path applies to sequential, heap-backed, unit-bounds
@@ -1635,6 +1668,193 @@ let bulk_of_fn ?max_depth ?bounds ?backing ?jobs ?pool ~capacity ~n f =
         xs.{i} <- p.x;
         ys.{i} <- p.y
       done)
+
+(* The Z-ordered bulk build behind [bulk_zordered]: the served arena's
+   slot numbering. The in-place build numbers slots by input rank, so
+   the points of one leaf sit at unrelated slots and each costs its own
+   cache lines in [xs], [ys] and [next]. Here every leaf takes a run of
+   consecutive slots, the runs in depth-first (Z) order: a slot is its
+   point's sort position. The sort reads coordinates by position (the
+   lo-code reload at depth 21, the float splits past 42), so nothing may
+   overwrite a point before its group is sorted, and a plain gather
+   from the source after the sort would read 16 MB at random at 2^20.
+   Instead the points move twice, each move local:
+
+   1. One pass derives the codes and histograms the top [z_levels] tree
+      levels; a stable scatter moves (x, y, code) from the source into
+      the arena's columns grouped by those levels. A group is a subtree
+      rooted at depth [z_levels], or a whole leaf that forms above it.
+   2. The usual kernel sorts each group on its own, reading the group's
+      positions, and emits its leaves Z-ordered ([emit_leaf] with [z]);
+      [settle] then applies the recorded permutation inside the group.
+      A group of 2^20 uniform points holds about 4k of them, 128 KB of
+      columns, so the permutation runs in cache.
+
+   Every partition is stable, so each leaf's points keep their input
+   order — the in-place chain order. The tree, the node ids, each
+   chain's sequence of points, and so [freeze], [points] and every
+   query answer equal the in-place build's; only slot numbers differ. *)
+
+let z_levels = 4
+let z_buckets = 1 lsl (2 * z_levels)
+let z_shift = 2 * (bits - z_levels)
+
+(* Apply a group's recorded permutation in place, one cycle at a time
+   and without scratch: slot k takes the point at the position its
+   [zpending] entry names, and gets its final chain link — which also
+   marks it settled, links being >= -1 and pending entries <= -2. *)
+let settle t lo hi =
+  for k = lo to hi - 1 do
+    if t.next.{k} <= -2 then begin
+      let x = t.xs.{k} and y = t.ys.{k} and c = t.codes.{k} in
+      let s = ref k and closed = ref false in
+      while not !closed do
+        let j = !s in
+        let e = -2 - t.next.{j} in
+        let src = e lsr 1 in
+        t.next.{j} <- (if e land 1 = 1 then -1 else j + 1);
+        if src = k then begin
+          t.xs.{j} <- x;
+          t.ys.{j} <- y;
+          t.codes.{j} <- c;
+          closed := true
+        end
+        else begin
+          t.xs.{j} <- t.xs.{src};
+          t.ys.{j} <- t.ys.{src};
+          t.codes.{j} <- t.codes.{src};
+          s := src
+        end
+      done
+    end
+  done
+
+let zorder_build t n (sx : farr) (sy : farr) =
+  (* Codes go to [next], which nothing reads before the emission. *)
+  let start = Array.make (z_buckets + 1) 0 in
+  for i = 0 to n - 1 do
+    let x = sx.{i} and y = sy.{i} in
+    if not (x >= 0.0 && x < 1.0 && y >= 0.0 && y < 1.0) then
+      invalid_arg "Pr_arena bulk build: point outside bounds";
+    let code =
+      Morton.interleave
+        (int_of_float (x *. quantize_scale))
+        (int_of_float (y *. quantize_scale))
+    in
+    t.next.{i} <- code;
+    let b = (code lsr z_shift) + 1 in
+    start.(b) <- start.(b) + 1
+  done;
+  for b = 1 to z_buckets do
+    start.(b) <- start.(b) + start.(b - 1)
+  done;
+  (* A node above depth [z_levels] spans a run of [span] buckets; a
+     leaf there scatters all of them as one group, its first bucket, so
+     its points stay in input order. [walk] below makes the same
+     decisions. *)
+  let group = Array.init z_buckets Fun.id in
+  let rec plan b depth =
+    let span = 1 lsl (2 * (z_levels - depth)) in
+    if depth < z_levels then
+      if start.(b + span) - start.(b) <= t.capacity || depth >= t.max_depth
+      then Array.fill group b span b
+      else
+        for i = 0 to 3 do
+          plan (b + (i * (span / 4))) (depth + 1)
+        done
+  in
+  plan 0 0;
+  let cursor = Array.sub start 0 z_buckets in
+  for i = 0 to n - 1 do
+    let code = t.next.{i} in
+    let g = group.(code lsr z_shift) in
+    let p = cursor.(g) in
+    cursor.(g) <- p + 1;
+    t.xs.{p} <- sx.{i};
+    t.ys.{p} <- sy.{i};
+    t.codes.{p} <- code
+  done;
+  t.size <- n;
+  t.slots <- n;
+  unregister_root t;
+  let cnt = Array.make 4 0 in
+  let sort_group =
+    if packed_capable t n ~jobs:None ~pool:None then begin
+      let keys = Array.make (max n 1) 0 and scratch = Array.make (max n 1) 0 in
+      for p = 0 to n - 1 do
+        keys.(p) <- (t.codes.{p} lsl bits) lor p
+      done;
+      fun lo hi node depth ->
+        build_packed t true keys scratch cnt lo hi node depth false
+    end
+    else begin
+      let keys = alloc_i t "keys" (max n 1) in
+      let slots = alloc_i t "slots" (max n 1) in
+      let keys2 = alloc_i t "keys2" (max n 1) in
+      let slots2 = alloc_i t "slots2" (max n 1) in
+      for p = 0 to n - 1 do
+        keys.{p} <- t.codes.{p};
+        slots.{p} <- p
+      done;
+      fun lo hi node depth ->
+        build_sorted t true keys slots keys2 slots2 cnt lo hi node depth false
+    end
+  in
+  (* The top levels split on the histogram; a group goes to the kernel,
+     which emits a leaf above depth [z_levels] at once (its permutation
+     is the identity). *)
+  let rec walk b depth node =
+    let span = 1 lsl (2 * (z_levels - depth)) in
+    let lo = start.(b) and hi = start.(b + span) in
+    if depth = z_levels || hi - lo <= t.capacity || depth >= t.max_depth
+    then begin
+      sort_group lo hi node depth;
+      settle t lo hi
+    end
+    else begin
+      t.internals <- t.internals + 1;
+      Probe.builder_split ~depth;
+      let base = alloc_children t in
+      t.child.(node) <- base;
+      t.count.(node) <- hi - lo;
+      for i = 0 to 3 do
+        walk (b + (i * (span / 4))) (depth + 1) (base + i)
+      done
+    end
+  in
+  walk 0 0 0
+
+let bulk_zordered ?max_depth ?backing ?(reserve = 0) ~capacity ~n
+    (sx : column) (sy : column) =
+  if n < 0 then invalid_arg "Pr_arena.bulk_zordered: n < 0";
+  if Bigarray.Array1.dim sx < n || Bigarray.Array1.dim sy < n then
+    invalid_arg "Pr_arena.bulk_zordered: a source column is shorter than n";
+  let t = create ?max_depth ?backing ~reserve:(max n reserve) ~capacity () in
+  Probe.arena_build `Bulk ~inserts:n (fun () -> zorder_build t n sx sy);
+  t
+
+let is_zordered t =
+  let next_slot = ref 0 and ok = ref true in
+  let rec go node =
+    let base = t.child.(node) in
+    if base >= 0 then
+      for i = 0 to 3 do
+        go (base + i)
+      done
+    else begin
+      let s = ref t.head.(node) in
+      for _ = 1 to t.count.(node) do
+        if !s = !next_slot then begin
+          incr next_slot;
+          s := t.next.{!s}
+        end
+        else ok := false
+      done;
+      if !s <> -1 then ok := false
+    end
+  in
+  go 0;
+  !ok && !next_slot = t.size
 
 (* Analysis paths. *)
 

@@ -38,7 +38,9 @@ open Import
       radix partition fan independent subtree ranges out on the
       deterministic {!Popan_parallel} pool and reduce node-id blocks in
       task order — the resulting arena is {b byte-identical} to the
-      sequential build at every job count.
+      sequential build at every job count. These builds number slots by
+      input rank; {!bulk_zordered}, the serving layer's build, lays the
+      same tree out with each leaf's slots consecutive, in Z order.
     - {b exactness to 42 bits}: over the unit square the Morton bit at
       level [d] equals the float comparison [x >= midpoint] down to
       [d < ]{!Popan_geom.Morton.bits_fine}[ = 42] — cell boundaries are
@@ -150,7 +152,9 @@ type column = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
     bulk builders wrap. It creates the arena, calls [fill xs ys] once
     with the arena's own x and y columns (at least [n] long), and
     treats [(xs.{i}, ys.{i})] for [i] in [0 .. n-1] as the points, in
-    slot order. One pass then checks each point against the bounds and
+    slot order: the build is {e in place}, point [i] keeps slot [i]
+    (slot = input rank; {!bulk_zordered} numbers slots in Z order
+    instead). One pass then checks each point against the bounds and
     derives its Morton code (and, on the packed path, its sort key);
     the build sorts once (top-down MSD radix, stopping exactly where
     leaves form) and emits the tree in a single linear pass. Nothing
@@ -211,6 +215,38 @@ val bulk_of_fn :
   ?max_depth:int -> ?bounds:Box.t -> ?backing:backing -> ?jobs:int ->
   ?pool:Popan_parallel.Pool.t -> capacity:int -> n:int -> (int -> Point.t) ->
   t
+
+(** [bulk_zordered ?max_depth ?backing ?reserve ~capacity ~n xs ys] is
+    the bulk build over the unit square of the points
+    [(xs.{i}, ys.{i})], [i] in [0 .. n-1] — columns the caller owns,
+    which must not change during the call and which the arena does not
+    keep — with its slots in {b Z order}: every leaf's chain is a run of
+    consecutive slots [head, head+1, ...], and the runs ascend in
+    depth-first order ({!is_zordered}). A leaf's points then share one
+    or two cache lines per column, which is what a query's visit pays
+    for; this is the serving layer's build.
+
+    The tree, every chain's sequence of points, and so {!freeze},
+    {!points} and every query answer equal those of {!bulk_of_columns}
+    on the same points in the same order: each leaf's points keep their
+    input order in both numberings, only the slots differ. The build
+    copies the points in two cache-local moves — a stable scatter
+    grouped by the top four tree levels, then a permutation inside each
+    group — and allocates no full column beyond the sort's scratch. It
+    runs sequentially, with the packed kernel on the heap up to
+    [2^21 - 1] points and the two-column kernel otherwise. [max_depth],
+    [backing] and [reserve] are as in {!bulk_of_columns}. Raises
+    [Invalid_argument] when [n < 0], a column is shorter than [n], or a
+    point lies outside the unit square. *)
+val bulk_zordered :
+  ?max_depth:int -> ?backing:backing -> ?reserve:int -> capacity:int ->
+  n:int -> column -> column -> t
+
+(** [is_zordered t] is whether [t]'s slots are in Z order: visiting the
+    leaves depth first, their chains read slots [0, 1, ..., size t - 1]
+    in turn. True of a fresh {!bulk_zordered} build; churn moves points
+    into recycled slots and erodes it. O(size + nodes). *)
+val is_zordered : t -> bool
 
 (** [bulk_footprint ~capacity ~n] estimates the peak resident bytes of
     a bulk build of [n] points: the four point columns, the four sort

@@ -316,6 +316,39 @@ let tests =
                words (got %.0f for n=%d); the allocation meter is broken"
               control n
         end);
+    Alcotest.test_case "the served Z-ordered build allocates O(1) minor words"
+      `Quick (fun () ->
+        (* The serving layer's build from caller-owned columns: the
+           grouped scatter, the per-group sorts and the in-place
+           permutation all run on Bigarray columns and int arrays, so
+           at n = 65536 it must stay within n/16 minor words, like the
+           generator-fed build above. *)
+        if not native then print_endline "skipped: bytecode boxes floats"
+        else begin
+          let n = 65_536 in
+          let column () =
+            Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n
+          in
+          let xs = column () and ys = column () in
+          Sampler.fill (Xoshiro.of_int_seed 92) Sampler.Uniform xs ys n;
+          ignore (Pr_arena.bulk_zordered ~capacity:8 ~n xs ys);
+          let tree = ref None in
+          let words =
+            measure (fun () ->
+                tree := Some (Pr_arena.bulk_zordered ~capacity:8 ~n xs ys))
+          in
+          (match !tree with
+          | Some t ->
+            Alcotest.check Alcotest.int "all stored" n (Pr_arena.size t);
+            Alcotest.check Alcotest.bool "Z-ordered" true (Pr_arena.is_zordered t)
+          | None -> assert false);
+          if words > float_of_int (n / 16) then
+            Alcotest.failf
+              "the Z-ordered build allocated %.0f minor words for n=%d \
+               (%.3f words/point); it must be O(1)"
+              words n
+              (words /. float_of_int n)
+        end);
   ]
 
 module Box = Popan_geom.Box

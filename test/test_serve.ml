@@ -310,6 +310,26 @@ let pruning_tests =
           check_bool "nearest finds the dup point" true
             (p.Point.x = 0.3 && p.Point.y = 0.7)
         | None -> Alcotest.fail "nearest found nothing");
+    Alcotest.test_case "count gate: a 90% box visits a fifth of the walk"
+      `Quick (fun () ->
+        (* Containment pruning's claim as a count, which no host can
+           move: over 2^16 uniform points at capacity 8, a centred
+           square of area 0.9 is answered from the frontier of its
+           edges, at most a fifth of the nodes the unpruned walk
+           enters (about a ninth when this gate was set). *)
+        let arena =
+          Pr_arena.of_points_bulk ~capacity:8 (uniform_points 424242 65_536)
+        in
+        let side = sqrt 0.9 in
+        let lo = 0.5 -. (side /. 2.0) and hi = 0.5 +. (side /. 2.0) in
+        let b = Box.make ~xmin:lo ~ymin:lo ~xmax:hi ~ymax:hi in
+        let count, visited = Pr_arena.count_in_box_visited arena b in
+        let count', walked = Pr_arena.count_in_box_unpruned_visited arena b in
+        check_int "same count" count' count;
+        if 5 * visited > walked then
+          Alcotest.failf "pruned count visited %d nodes, unpruned %d (%.1fx)"
+            visited walked
+            (float_of_int walked /. float_of_int visited));
   ]
 
 (* Snapshots *)
@@ -1460,6 +1480,390 @@ let join_tests =
               (published () - before)));
   ]
 
+(* The served layout. [Server.create] builds its arena with
+   [Pr_arena.bulk_zordered], whose slots run in Z order; everything
+   observable must equal the in-place build of the same points in the
+   same order: frozen tree bytes, [points] order, every answer, and
+   the same again after identical churn. Four regimes: uniform points,
+   tight clusters, duplicate-heavy clusters under max_depth 50 (one
+   cluster spread below the 21-bit grid, one below the 42-bit grid,
+   with exact repeats), and an mmap-backed build over all three
+   shapes, which takes the two-column sort kernel. *)
+let zorder_point rng regime =
+  match regime with
+  | 1 ->
+    let c = Xoshiro.int rng 3 in
+    let cx = 0.2 +. (0.3 *. float_of_int c) in
+    Point.make
+      (cx +. (0.002 *. Xoshiro.float rng))
+      (cx +. (0.002 *. Xoshiro.float rng))
+  | 2 -> (
+    match Xoshiro.int rng 3 with
+    | 0 ->
+      (* Same 21-bit cell, apart on the 42-bit grid. *)
+      Point.make
+        (0.3 +. ldexp (float_of_int (Xoshiro.int rng 4096)) (-33))
+        (0.7 +. ldexp (float_of_int (Xoshiro.int rng 4096)) (-33))
+    | 1 ->
+      (* Same 42-bit cell, apart below it, with exact repeats. *)
+      let k = float_of_int (Xoshiro.int rng 6) in
+      Point.make (0.8125 +. ldexp k (-50)) (0.0625 +. ldexp k (-49))
+    | _ -> Point.make (Xoshiro.float rng) (Xoshiro.float rng))
+  | _ -> Point.make (Xoshiro.float rng) (Xoshiro.float rng)
+
+let columns_of (pts : Point.t array) =
+  let n = Array.length pts in
+  let col () = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (max 1 n) in
+  let xs = col () and ys = col () in
+  Array.iteri
+    (fun i (p : Point.t) ->
+      xs.{i} <- p.Point.x;
+      ys.{i} <- p.Point.y)
+    pts;
+  (xs, ys)
+
+let segment_dir () =
+  Filename.concat (Filename.get_temp_dir_name ()) "popan-test-zorder"
+
+let zorder_case (seed, regime) =
+  let rng = Xoshiro.of_int_seed seed in
+  let point () =
+    zorder_point rng (if regime = 3 then Xoshiro.int rng 3 else regime)
+  in
+  let n = Xoshiro.int rng (if regime = 3 then 3000 else 1500) in
+  let pts = Array.init n (fun _ -> point ()) in
+  let capacity = 1 + Xoshiro.int rng 8 in
+  let max_depth = if regime >= 2 then Some 50 else None in
+  let backing =
+    if regime = 3 then Some (Pr_arena.Mmap { dir = segment_dir () }) else None
+  in
+  let xs, ys = columns_of pts in
+  let inplace =
+    Pr_arena.bulk_of_columns ?max_depth ?backing ~capacity ~n (fun a b ->
+        for i = 0 to n - 1 do
+          a.{i} <- xs.{i};
+          b.{i} <- ys.{i}
+        done)
+  in
+  let z = Pr_arena.bulk_zordered ?max_depth ?backing ~capacity ~n xs ys in
+  let problems = ref [] in
+  let expect what ok = if not ok then problems := what :: !problems in
+  let queries () =
+    Array.init 60 (fun i ->
+        let p = point () in
+        match i mod 5 with
+        | 0 ->
+          let w = ldexp 1.0 (-(1 + Xoshiro.int rng 40)) in
+          Wire.Range
+            (Box.make ~xmin:(p.Point.x -. w) ~ymin:(p.Point.y -. w)
+               ~xmax:(p.Point.x +. w) ~ymax:(p.Point.y +. w))
+        | 1 ->
+          Wire.Count
+            (Box.make ~xmin:(p.Point.x *. 0.5) ~ymin:(p.Point.y *. 0.5)
+               ~xmax:(p.Point.x +. 0.01) ~ymax:(p.Point.y +. 0.01))
+        | 2 -> Wire.Knn (1 + Xoshiro.int rng 12, p)
+        | 3 -> Wire.Nearest p
+        | _ -> Wire.Cell p)
+  in
+  let compare_all stage =
+    let qs = queries () in
+    expect (stage ^ ": frozen bytes") (arena_bytes inplace = arena_bytes z);
+    expect (stage ^ ": points order") (Pr_arena.points inplace = Pr_arena.points z);
+    expect (stage ^ ": answers")
+      (answers_bytes (Array.map (Server.eval inplace) qs)
+      = answers_bytes (Array.map (Server.eval z) qs));
+    expect (stage ^ ": in-place invariants") (Pr_arena.check_invariants inplace = []);
+    expect (stage ^ ": z-ordered invariants") (Pr_arena.check_invariants z = [])
+  in
+  expect "fresh build is Z-ordered" (Pr_arena.is_zordered z);
+  compare_all "fresh";
+  let pop = ref (Array.to_list pts) in
+  for _ = 1 to 1 + Xoshiro.int rng 300 do
+    match (Xoshiro.int rng 3, !pop) with
+    | 0, _ | _, [] ->
+      let p = point () in
+      Pr_arena.insert inplace p;
+      Pr_arena.insert z p;
+      pop := p :: !pop
+    | op, _ ->
+      let victim = List.nth !pop (Xoshiro.int rng (List.length !pop)) in
+      let rest = List.filter (fun q -> q != victim) !pop in
+      if op = 1 then begin
+        let a = Pr_arena.delete inplace victim and b = Pr_arena.delete z victim in
+        expect "delete agrees" (a && b);
+        pop := rest
+      end
+      else begin
+        let q = point () in
+        let a = Pr_arena.update inplace victim q
+        and b = Pr_arena.update z victim q in
+        expect "update agrees" (a && b);
+        pop := q :: rest
+      end
+  done;
+  compare_all "churned";
+  Pr_arena.release inplace;
+  Pr_arena.release z;
+  match !problems with
+  | [] -> true
+  | ps -> QCheck2.Test.fail_report (String.concat "\n" (List.rev ps))
+
+let static_config =
+  {
+    Server.default_config with
+    base_points = 20_000;
+    churn_ops = 0;
+    seed = 613;
+    jobs = Some 2;
+  }
+
+let zorder_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:120
+         ~name:"Z-ordered build ≡ in-place build, fresh and churned"
+         ~print:(fun (seed, regime) ->
+           Printf.sprintf "seed=%d regime=%d" seed regime)
+         QCheck2.Gen.(pair (int_range 1 1_000_000) (int_range 0 3))
+         zorder_case);
+    Alcotest.test_case "served arenas are Z-ordered; input-rank builds are not"
+      `Quick (fun () ->
+        (* Each leaf's chain is head, head+1, ..., head+count-1, the
+           runs ascending depth first — for the boot epoch of a static
+           and of a churning server alike (the churning one serves a
+           copy of its Z-ordered live arena). *)
+        let served config =
+          let t = Server.create config in
+          Fun.protect
+            ~finally:(fun () -> Server.shutdown t)
+            (fun () ->
+              let e = Epoch.pin (Server.epochs t) in
+              let z = Pr_arena.is_zordered (Epoch.arena e) in
+              Epoch.unpin (Server.epochs t) e;
+              z)
+        in
+        check_bool "static epoch 0" true (served static_config);
+        check_bool "churning epoch 0" true
+          (served { static_config with churn_ops = 64 });
+        check_bool "an in-place build numbers slots by input rank" false
+          (Pr_arena.is_zordered
+             (Pr_arena.of_points_bulk ~capacity:8 (uniform_points 3 5_000))));
+    Alcotest.test_case "a static server serves its built arena, copying nothing"
+      `Quick (fun () ->
+        with_telemetry (fun () ->
+            let live, _ = replica_of static_config in
+            let t = Server.create static_config in
+            Fun.protect
+              ~finally:(fun () -> Server.shutdown t)
+              (fun () ->
+                let rng = Xoshiro.of_int_seed 19 in
+                for batch = 0 to 5 do
+                  let queries = mixed_batch rng 200 in
+                  let epoch, answers = Server.run_queries t queries in
+                  check_int "always epoch 0" 0 epoch;
+                  check_bool
+                    (Printf.sprintf "batch %d answers as a churn-free replica" batch)
+                    true
+                    (answers_bytes answers
+                    = answers_bytes (Array.map (Server.eval live) queries));
+                  Alcotest.(check (list string)) "epoch invariants" []
+                    (Epoch.check_invariants (Server.epochs t))
+                done;
+                check_int "no publish bytes" 0
+                  (publish_counter "serve.publish.bytes");
+                check_int "no full copy" 0 (publish_counter "serve.publish.full"))));
+    Alcotest.test_case "an mmap-backed static server removes its segments"
+      `Quick (fun () ->
+        let dir =
+          Filename.concat (segment_dir ())
+            (Printf.sprintf "static-%d" (Unix.getpid ()))
+        in
+        let t =
+          Server.create
+            { static_config with base_points = 5_000; mmap_dir = Some dir }
+        in
+        let e = Epoch.pin (Server.epochs t) in
+        check_bool "mapped" true
+          (Pr_arena.backing (Epoch.arena e) <> Pr_arena.Heap);
+        Epoch.unpin (Server.epochs t) e;
+        let _, answers = Server.run_queries t [| Wire.Count Box.unit |] in
+        check_bool "counts every point" true (answers = [| Wire.Count_of 5_000 |]);
+        Server.shutdown t;
+        Alcotest.(check (array string)) "no segment directory left" [||]
+          (Sys.readdir dir);
+        Unix.rmdir dir);
+  ]
+
+(* Non-finite query input: one rule for every kind. A NaN or infinite
+   coordinate answers [Rejected] naming its field, whichever evaluator
+   runs, wherever the query sits in its batch, and the finite queries
+   around it answer as the kernels do. *)
+let reference_answer arena (q : Wire.query) =
+  match q with
+  | Wire.Range b -> Wire.Points (Array.of_list (Pr_arena.query_box arena b))
+  | Wire.Count b -> Wire.Count_of (Pr_arena.count_in_box arena b)
+  | Wire.Knn (k, p) -> Wire.Points (Array.of_list (Pr_arena.k_nearest arena k p))
+  | Wire.Nearest p ->
+    Wire.Points (Option.to_list (Pr_arena.nearest arena p) |> Array.of_list)
+  | Wire.Cell p ->
+    let depth, box, pts = Pr_arena.cell_at arena p in
+    Wire.Cell_info (depth, box, Array.of_list pts)
+
+let hostile_floats = [| Float.nan; Float.infinity; Float.neg_infinity |]
+
+(* Hostile but well-formed: [Wire] decodes every one of these, because
+   each box keeps xmin < xmax and ymin < ymax. With [~nan_boxes] boxes
+   may also hold NaN — unsendable (the decoder refuses them) but still
+   a value [eval] can be handed in process. *)
+let gen_hostile ~nan_boxes =
+  QCheck2.Gen.(
+    let* v = oneofa hostile_floats in
+    let* field = int_range 0 3 in
+    let* kind = int_range 0 4 in
+    let* p = gen_point in
+    let* b = gen_box in
+    let point =
+      if field land 1 = 0 then { p with Point.x = v } else { p with Point.y = v }
+    in
+    let box =
+      match field with
+      | 0 -> { b with Box.xmin = Float.neg_infinity }
+      | 1 -> { b with Box.ymin = Float.neg_infinity }
+      | 2 -> { b with Box.xmax = Float.infinity }
+      | _ -> { b with Box.ymax = Float.infinity }
+    in
+    let box =
+      if nan_boxes && Float.is_nan v then { box with Box.xmax = Float.nan }
+      else box
+    in
+    return
+      (match kind with
+      | 0 -> Wire.Range box
+      | 1 -> Wire.Count box
+      | 2 -> Wire.Knn (1 + field, point)
+      | 3 -> Wire.Nearest point
+      | _ -> Wire.Cell point))
+
+let hostile_arena = lazy (churned_arena ~seed:29 ~base:2_000 ~ops:1_000)
+
+let is_rejected = function Wire.Rejected _ -> true | _ -> false
+
+let hostile_tests =
+  [
+    prop ~count:150 "non-finite queries are rejected, the rest answered"
+      QCheck2.Gen.(
+        pair
+          (array_size (int_range 0 30) gen_query)
+          (array_size (int_range 1 10)
+             (pair (gen_hostile ~nan_boxes:true) (int_range 0 1000))))
+      (fun (finite, hostile) ->
+        let arena = Lazy.force hostile_arena in
+        (* Splice each hostile query in at a random position. *)
+        let batch = ref (Array.map (fun q -> (q, false)) finite) in
+        Array.iter
+          (fun (q, at) ->
+            let at = at mod (Array.length !batch + 1) in
+            batch :=
+              Array.concat
+                [ Array.sub !batch 0 at; [| (q, true) |];
+                  Array.sub !batch at (Array.length !batch - at) ])
+          hostile;
+        let queries = Array.map fst !batch in
+        let plain = Array.map (Server.eval arena) queries in
+        let instrumented =
+          with_telemetry (fun () ->
+              Array.map (Server.eval_instrumented arena ~epoch:3) queries)
+        in
+        let batched =
+          Parallel.Pool.with_pool ~jobs:2 (fun pool ->
+              Server.run_batch pool arena queries)
+        in
+        Array.length batched = Array.length queries
+        && answers_bytes plain = answers_bytes instrumented
+        && answers_bytes plain = answers_bytes batched
+        && Array.for_all2
+             (fun (q, hostile) a ->
+               if hostile then is_rejected a
+               else
+                 match q with
+                 | Wire.Knn (k, _) when k < 0 -> is_rejected a
+                 | _ -> a = reference_answer arena q)
+             !batch plain);
+    Alcotest.test_case "each rejection names its field" `Quick (fun () ->
+        let arena = Lazy.force hostile_arena in
+        let p = Point.make 0.5 Float.nan in
+        let b = { (Box.make ~xmin:0.1 ~ymin:0.1 ~xmax:0.2 ~ymax:0.2) with
+                  Box.ymin = Float.neg_infinity } in
+        List.iter
+          (fun (q, field) ->
+            match Server.eval arena q with
+            | Wire.Rejected m ->
+              check_bool (Printf.sprintf "%S names %s" m field) true
+                (contains m field)
+            | _ -> Alcotest.fail "a non-finite query was answered")
+          [ (Wire.Range b, "ymin"); (Wire.Count b, "ymin");
+            (Wire.Knn (3, p), "point y"); (Wire.Nearest p, "point y");
+            (Wire.Cell p, "point y") ]);
+    Alcotest.test_case "a served hostile batch, then a normal one" `Quick
+      (fun () ->
+        let config =
+          { Server.default_config with base_points = 3_000; churn_ops = 0 }
+        in
+        let live, _ = replica_of config in
+        let hostile =
+          QCheck2.Gen.generate ~n:40 ~rand:(Random.State.make [| 7 |])
+            (gen_hostile ~nan_boxes:false)
+          |> Array.of_list
+        in
+        let normal = mixed_batch (Xoshiro.of_int_seed 8) 50 in
+        let dir = Filename.get_temp_dir_name () in
+        let requests = Filename.temp_file ~temp_dir:dir "popan" ".req" in
+        let responses = Filename.temp_file ~temp_dir:dir "popan" ".resp" in
+        Fun.protect
+          ~finally:(fun () ->
+            List.iter
+              (fun f -> try Sys.remove f with Sys_error _ -> ())
+              [ requests; responses ])
+          (fun () ->
+            let oc = open_out_bin requests in
+            List.iter (Wire.write_request oc)
+              [ Wire.Batch hostile; Wire.Batch normal; Wire.Quit ];
+            close_out oc;
+            let t = Server.create config in
+            let quit =
+              Fun.protect
+                ~finally:(fun () -> Server.shutdown t)
+                (fun () ->
+                  let ic = open_in_bin requests
+                  and oc = open_out_bin responses in
+                  Fun.protect
+                    ~finally:(fun () ->
+                      close_in ic;
+                      close_out oc)
+                    (fun () -> Server.serve_channels t ic oc))
+            in
+            check_bool "the conversation ended with Quit" true quit;
+            let ic = open_in_bin responses in
+            Fun.protect
+              ~finally:(fun () -> close_in ic)
+              (fun () ->
+                (match Wire.read_response ic with
+                | Some (Ok (Wire.Answers { answers; _ })) ->
+                  check_int "hostile arity" 40 (Array.length answers);
+                  check_bool "every hostile query rejected" true
+                    (Array.for_all is_rejected answers)
+                | _ -> Alcotest.fail "no answers to the hostile batch");
+                (match Wire.read_response ic with
+                | Some (Ok (Wire.Answers { answers; _ })) ->
+                  check_bool "the normal batch answers as the replica" true
+                    (answers_bytes answers
+                    = answers_bytes (Array.map (Server.eval live) normal))
+                | _ -> Alcotest.fail "no answers to the normal batch");
+                match Wire.read_response ic with
+                | Some (Ok Wire.Bye) -> ()
+                | _ -> Alcotest.fail "no Bye")));
+  ]
+
 let () =
   Alcotest.run "popan-serve"
     [
@@ -1474,4 +1878,6 @@ let () =
       ("server", server_tests);
       ("join", join_tests);
       ("telemetry", telemetry_tests);
+      ("zorder", zorder_tests);
+      ("hostile", hostile_tests);
     ]
