@@ -38,8 +38,10 @@ test:
 # --no-batch-sort, so the schedule provably never reaches the wire —
 # serve two sequential clients on one socket, and assert a truncated
 # frame is refused; a Stats sent between the two batches must read the
-# oracle's epoch and size. The query alloc smoke: count-in-box on the
-# integer-descent path must allocate zero minor words per query. The
+# oracle's epoch and size. The query alloc smokes: count-in-box on the
+# integer-descent path must allocate zero minor words per query, and
+# reading a full k-NN collector's pruning bound (Neighbors.worst, read
+# at every node a k-NN descent visits) none per read. The
 # obs-top smoke: start `popan serve` on a Unix socket with full
 # telemetry under churn, self-warm two batches, scrape it once with
 # `popan obs top --prom --quit` (the quit also proves a client can shut
@@ -47,7 +49,8 @@ test:
 # Prometheus line-grammar validator. The pruning gate is a count in
 # `dune runtest` (test_serve's pruning group): at 90% selectivity over
 # 2^16 uniform points, pruned count_in_box visits at most a fifth of the
-# nodes the unpruned walk enters.
+# nodes the unpruned walk (Pr_quadtree's box descent over the frozen
+# arena) enters.
 check: build test
 	@if dune exec --no-build test/test_alloc.exe -- test arena 0 >/dev/null 2>&1; then \
 	  echo "alloc smoke: no-split arena insert allocates zero minor words"; \
@@ -72,6 +75,12 @@ check: build test
 	else \
 	  echo "alloc smoke FAILED: query integer-descent path allocates"; \
 	  dune exec --no-build test/test_alloc.exe -- test arena 6; exit 1; \
+	fi
+	@if dune exec --no-build test/test_alloc.exe -- test knn 0 >/dev/null 2>&1; then \
+	  echo "alloc smoke: a full k-NN collector's pruning bound reads with zero minor words"; \
+	else \
+	  echo "alloc smoke FAILED: Neighbors.worst allocates"; \
+	  dune exec --no-build test/test_alloc.exe -- test knn 0; exit 1; \
 	fi
 	@if dune exec --no-build test/test_alloc.exe -- test arena 7 >/dev/null 2>&1; then \
 	  echo "alloc smoke: generator-fed uniform bulk build allocates O(1) minor words"; \

@@ -14,7 +14,6 @@ module Pr_model = Popan_core.Pr_model
 module Newton_model = Popan_core.Newton_model
 module Mc_transform = Popan_core.Mc_transform
 module Pr_quadtree = Popan_trees.Pr_quadtree
-module Pr_builder = Popan_trees.Pr_builder
 module Pr_arena = Popan_trees.Pr_arena
 module Ext_hash = Popan_trees.Ext_hash
 module Sampler = Popan_rng.Sampler
@@ -146,25 +145,10 @@ let bench_bulk_build =
     (Staged.stage (fun () ->
          Sys.opaque_identity (Pr_quadtree.of_points_bulk ~capacity:8 points_1024)))
 
-(* The mutable simulation core vs the persistent structure: same
-   decomposition, destructive inserts, O(1) statistics. *)
-
-let bench_builder_build =
-  Test.make ~name:"ablation:builder build m=8 n=1024"
-    (Staged.stage (fun () ->
-         Sys.opaque_identity (Pr_builder.of_points ~capacity:8 points_1024)))
-
-let bench_builder_build_freeze =
-  Test.make ~name:"ablation:builder build+freeze m=8 n=1024"
-    (Staged.stage (fun () ->
-         Sys.opaque_identity
-           (Pr_builder.freeze (Pr_builder.of_points ~capacity:8 points_1024))))
-
-(* The arena core against both predecessors, on the same 1024 points:
-   arena-vs-builder prices the structure-of-arrays layout (same
-   insertion algorithm, no boxed nodes or cons cells), bulk-vs-
-   incremental prices the Morton sort against 1024 root-to-leaf
-   descents. A 16k pair checks the gap does not close at larger n. *)
+(* The arena core against the persistent structure, on the same 1024
+   points: bulk-vs-incremental prices the Morton sort against 1024
+   root-to-leaf descents. A 16k pair checks the gap does not close at
+   larger n. *)
 
 let bench_arena_build =
   Test.make ~name:"ablation:arena build m=8 n=1024"
@@ -183,11 +167,6 @@ let bench_arena_build_freeze =
            (Pr_arena.freeze (Pr_arena.of_points ~capacity:8 points_1024))))
 
 let points_16384 = uniform_points 16384
-
-let bench_builder_build_16k =
-  Test.make ~name:"ablation:builder build m=8 n=16384"
-    (Staged.stage (fun () ->
-         Sys.opaque_identity (Pr_builder.of_points ~capacity:8 points_16384)))
 
 let bench_arena_build_16k =
   Test.make ~name:"ablation:arena build m=8 n=16384"
@@ -460,15 +439,6 @@ let bench_persistent_snapshot =
            ( Pr_quadtree.leaf_count tree,
              Pr_quadtree.average_occupancy tree,
              Pr_quadtree.occupancy_histogram tree )))
-
-let bench_builder_snapshot =
-  let builder = Pr_builder.of_points ~capacity:8 points_4096 in
-  Test.make ~name:"ablation:snapshot stats O(1) n=4096"
-    (Staged.stage (fun () ->
-         Sys.opaque_identity
-           ( Pr_builder.leaf_count builder,
-             Pr_builder.average_occupancy builder,
-             Pr_builder.occupancy_histogram builder )))
 
 (* The deterministic multicore trial engine: the same experiment kernel
    at 1/2/4 domains. The outputs are byte-identical (enforced by the
@@ -803,12 +773,12 @@ let bench_serve_telemetry =
           Sys.opaque_identity
             (Server.run_batch ~epoch:0 pool serve_arena serve_queries)))
 
-(* The PR 10 query-kernel ablation: containment pruning priced against
-   the unpruned per-leaf walk at three selectivities (the fraction of
-   the unit square the target covers). The larger the box, the more
-   whole subtrees the pruned kernel answers from the subtree-count
-   field in O(1) — at 90% the unpruned walk touches nearly every leaf
-   while the pruned one only walks the target's perimeter. *)
+(* The query-kernel rows: the pruned count at three
+   selectivities (the fraction of the unit square the target covers).
+   The larger the box, the more whole subtrees the kernel answers from
+   the subtree-count field in O(1). Pruning's claim against the walk
+   that enters every intersecting node is a count gate in test_serve's
+   pruning group, which no host can move. *)
 let query_arena_64k =
   let rng = Xoshiro.of_int_seed 424242 in
   Pr_arena.of_points_bulk ~capacity:8
@@ -827,12 +797,6 @@ let bench_count_pruned (sel, box) =
     ~name:(Printf.sprintf "query:count-in-box pruned sel=%s n=65536" sel)
     (Staged.stage (fun () ->
          Sys.opaque_identity (Pr_arena.count_in_box query_arena_64k box)))
-
-let bench_count_unpruned (sel, box) =
-  Test.make
-    ~name:(Printf.sprintf "query:count-in-box unpruned sel=%s n=65536" sel)
-    (Staged.stage (fun () ->
-         Sys.opaque_identity (Pr_arena.count_in_box_unpruned query_arena_64k box)))
 
 (* The range twin at one mid selectivity: the pruned kernel drains
    contained subtrees chain-by-chain instead of filtering every
@@ -952,14 +916,13 @@ let all_benches =
       bench_mc_transform; bench_ext_hash; bench_excell; bench_mx_cif;
       bench_nearest_seq;
       bench_incremental_build; bench_bulk_build;
-      bench_builder_build; bench_builder_build_freeze;
       bench_arena_build; bench_arena_bulk_build; bench_arena_build_freeze;
-      bench_builder_build_16k; bench_arena_build_16k;
+      bench_arena_build_16k;
       bench_arena_bulk_build_16k;
       bench_radix_array_64k; bench_radix_big_64k;
       bench_pr5_path_bulk_64k; bench_arena_bulk_build_64k;
       bench_arena_bulk_jobs 1; bench_arena_bulk_jobs 4;
-      bench_persistent_snapshot; bench_builder_snapshot;
+      bench_persistent_snapshot;
       bench_sweep_jobs 1; bench_sweep_jobs 2; bench_sweep_jobs 4;
       bench_mc_transform_jobs 1; bench_mc_transform_jobs 4;
       bench_sweep_uncached; bench_sweep_cold; bench_sweep_warm;
@@ -977,11 +940,8 @@ let all_benches =
       bench_serve_freeze_then_query;
       bench_serve_telemetry;
       bench_count_pruned (List.nth sel_boxes 0);
-      bench_count_unpruned (List.nth sel_boxes 0);
       bench_count_pruned (List.nth sel_boxes 1);
-      bench_count_unpruned (List.nth sel_boxes 1);
       bench_count_pruned (List.nth sel_boxes 2);
-      bench_count_unpruned (List.nth sel_boxes 2);
       bench_serve_unsorted 1; bench_serve_unsorted 4;
       bench_sketch_record; bench_registry_sketch_record;
       bench_flight_record; bench_event_emit;
@@ -1056,22 +1016,10 @@ let print_parallel_summary estimates =
       (if Popan_parallel.recommended_jobs () = 1 then "" else "s")
   | _ -> ()
 
-(* The arena ablation, stated against the PR 5 acceptance bars: the
-   arena's incremental build against Pr_builder's (same algorithm,
-   flat arrays vs boxed nodes), and the Morton bulk build against the
-   persistent of_points_bulk this bench file has tracked since PR 1. *)
+(* The arena ablation: the Morton bulk build against the persistent
+   of_points_bulk this bench file has tracked from its first rows. *)
 let print_arena_summary estimates =
   let find = find_estimate estimates in
-  (match
-     ( find "ablation:builder build m=8 n=1024",
-       find "ablation:arena build m=8 n=1024" )
-   with
-  | Some builder, Some arena ->
-    Printf.printf
-      "arena layout: builder build %.1f us/run, arena build %.1f us/run -> \
-       %.2fx\n"
-      (builder /. 1e3) (arena /. 1e3) (builder /. arena)
-  | _ -> ());
   match
     ( find "ablation:bulk build m=8 n=1024",
       find "ablation:arena bulk build m=8 n=1024" )
@@ -1285,25 +1233,17 @@ let churn_footprint_rows () =
     ( "popan/churn:footprint naive append (lifetime inserts) ops=4096",
       Some (float_of_int !lifetime), None ) ]
 
-(* The partial-match cost rows: nodes visited by a full-height
-   x-strip query (x specified, y unconstrained) averaged over 64 random
-   strips, at two tree sizes 16x apart. Flajolet/Puech-style analysis
-   gives the visited-node count of a partial-match query growth
-   exponent (sqrt(17) - 3) / 2 ~ 0.5616 (the Curien-Joseph constant for
-   one specified coordinate of two); the empirical exponent is the
-   log-ratio of the two averages. Counted, not timed — appended to the
-   estimates so the JSON trajectory carries the measurement and the
-   exponent (scaled x1000 to survive the JSON's one-decimal format). *)
-let cj_exponent = (sqrt 17.0 -. 3.0) /. 2.0
-
-(* [pruned:false] runs the unpruned-visited twin, which walks exactly
-   the PR 9 kernel's node set — those rows keep their historical names
-   so the JSON trajectory stays comparable. The pruned rows ride along
-   under new names: a hairline strip contains no whole cell, so
-   containment almost never fires and the two exponents should agree —
-   pruning buys nothing on perimeter-dominated partial-match queries,
-   and these rows keep that claim measured. *)
-let partial_match_visited ~pruned n =
+(* The partial-match cost rows: nodes the count kernel visits on a
+   full-height x-strip query (x specified, y unconstrained), averaged
+   over 64 random strips, at two tree sizes 16x apart; the empirical
+   exponent is the log-ratio of the two averages. A PR quadtree is a
+   trie, so the exponent is 1/2 with a log-periodic factor; the row
+   names keep the (sqrt 17 - 3) / 2 ~ 0.5616 of Curien-Joseph's point
+   quadtree they were first set against. Counted, not timed — appended
+   to the estimates so the JSON trajectory carries the measurement and
+   the exponent (scaled x1000 to survive the JSON's one-decimal
+   format). *)
+let partial_match_visited n =
   let rng = Xoshiro.of_int_seed 12345 in
   let arena =
     Pr_arena.of_points_bulk ~capacity:8 (Sampler.points rng Sampler.Uniform n)
@@ -1318,11 +1258,7 @@ let partial_match_visited ~pruned n =
         ~xmax:(Float.min 1.0 (x +. 1e-9))
         ~ymax:1.0
     in
-    let _, visited =
-      if pruned then Pr_arena.count_in_box_visited arena strip
-      else Pr_arena.count_in_box_unpruned_visited arena strip
-    in
-    total := !total + visited
+    total := !total + snd (Pr_arena.count_in_box_visited arena strip)
   done;
   float_of_int !total /. float_of_int strips
 
@@ -1331,17 +1267,8 @@ let partial_match_rows () =
   let exponent v1 v2 =
     log (v2 /. v1) /. log (float_of_int n2 /. float_of_int n1)
   in
-  let u1 = partial_match_visited ~pruned:false n1
-  and u2 = partial_match_visited ~pruned:false n2 in
-  let p1 = partial_match_visited ~pruned:true n1
-  and p2 = partial_match_visited ~pruned:true n2 in
-  [ ( Printf.sprintf "serve:partial-match visited nodes strip n=%d" n1,
-      Some u1, None );
-    ( Printf.sprintf "serve:partial-match visited nodes strip n=%d" n2,
-      Some u2, None );
-    ( "serve:partial-match empirical exponent x1000 (CJ 561.6)",
-      Some (exponent u1 u2 *. 1000.0), None );
-    ( Printf.sprintf "serve:partial-match pruned visited nodes strip n=%d" n1,
+  let p1 = partial_match_visited n1 and p2 = partial_match_visited n2 in
+  [ ( Printf.sprintf "serve:partial-match pruned visited nodes strip n=%d" n1,
       Some p1, None );
     ( Printf.sprintf "serve:partial-match pruned visited nodes strip n=%d" n2,
       Some p2, None );
@@ -1349,15 +1276,14 @@ let partial_match_rows () =
       Some (exponent p1 p2 *. 1000.0), None ) ]
   |> List.map (fun (name, v, r) -> ("popan/" ^ name, v, r))
 
-(* The range ablation, hand-timed and paired rather than bechamel'd:
-   both kernels cons a ~16k-point result list per call, and under
-   bechamel's allocation pressure the run-order GC debt swamps the
-   traversal difference (the pruned row came out *slower* than the walk
-   it strictly undercuts). A Gc.compact before each round and best-of-7
-   interleaved rounds measure the kernels, not the collector. *)
+(* The range row, hand-timed rather than bechamel'd: the kernel conses
+   a ~16k-point result list per call, and under bechamel's allocation
+   pressure the run-order GC debt swamps the traversal. A Gc.compact
+   before each round and best-of-7 rounds measure the kernel, not the
+   collector. *)
 let range_paired_rows () =
   let box = List.assoc "25%" sel_boxes in
-  let pruned = ref infinity and unpruned = ref infinity in
+  let pruned = ref infinity in
   let inner = 20 in
   for _ = 1 to 7 do
     Gc.compact ();
@@ -1366,26 +1292,15 @@ let range_paired_rows () =
       ignore (Sys.opaque_identity (Pr_arena.query_box query_arena_64k box))
     done;
     let t = (Unix.gettimeofday () -. t0) /. float_of_int inner in
-    if t < !pruned then pruned := t;
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to inner do
-      ignore
-        (Sys.opaque_identity (Pr_arena.query_box_unpruned query_arena_64k box))
-    done;
-    let t = (Unix.gettimeofday () -. t0) /. float_of_int inner in
-    if t < !unpruned then unpruned := t
+    if t < !pruned then pruned := t
   done;
-  [ ("popan/query:range pruned sel=25% n=65536", Some (!pruned *. 1e9), None);
-    ( "popan/query:range unpruned sel=25% n=65536",
-      Some (!unpruned *. 1e9), None ) ]
+  [ ("popan/query:range pruned sel=25% n=65536", Some (!pruned *. 1e9), None) ]
 
-(* The 2^22 pruning rows, hand-timed like the bulk builds (the unpruned
-   90% count walks ~4M points — far past bechamel's quota) and paired:
-   pruned and unpruned interleave within each of 7 rounds, best wall
-   clock each, the same discipline as the telemetry pair. The pruned
-   side is microseconds, so it runs x64 per sample against clock
-   granularity. This pair carries the PR 10 acceptance bar: pruned
-   must be >= 5x faster at 90% selectivity. *)
+(* The 2^22 count row at 90% selectivity, hand-timed like the bulk
+   builds, best wall clock of 7 rounds. The count is microseconds, so
+   it runs x64 per sample against clock granularity. The row names
+   keep the "paired" of the pruned-against-unpruned ablation they come
+   from, so the JSON trajectory stays comparable. *)
 let query_paired_rows () =
   let rng = Xoshiro.of_int_seed 777 in
   let arena =
@@ -1394,7 +1309,7 @@ let query_paired_rows () =
   in
   let box = List.assoc "90%" sel_boxes in
   Gc.compact ();
-  let pruned = ref infinity and unpruned = ref infinity in
+  let pruned = ref infinity in
   let inner = 64 in
   for _ = 1 to 7 do
     let t0 = Unix.gettimeofday () in
@@ -1402,17 +1317,11 @@ let query_paired_rows () =
       ignore (Sys.opaque_identity (Pr_arena.count_in_box arena box))
     done;
     let t = (Unix.gettimeofday () -. t0) /. float_of_int inner in
-    if t < !pruned then pruned := t;
-    let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (Pr_arena.count_in_box_unpruned arena box));
-    let t = Unix.gettimeofday () -. t0 in
-    if t < !unpruned then unpruned := t
+    if t < !pruned then pruned := t
   done;
   Pr_arena.release arena;
   [ ( "popan/query:count-in-box paired pruned sel=90% n=4194304",
-      Some (!pruned *. 1e9), None );
-    ( "popan/query:count-in-box paired unpruned sel=90% n=4194304",
-      Some (!unpruned *. 1e9), None ) ]
+      Some (!pruned *. 1e9), None ) ]
 
 (* The serving ablation, stated against the acceptance bar: the batch
    answered arena-native must beat freezing into the persistent tree
@@ -1452,58 +1361,20 @@ let print_serve_summary estimates =
        else "speedup")
   | _ -> ());
   match
-    ( find "serve:partial-match visited nodes strip n=4096",
-      find "serve:partial-match visited nodes strip n=65536",
-      find "serve:partial-match empirical exponent x1000 (CJ 561.6)" )
+    ( find "serve:partial-match pruned visited nodes strip n=4096",
+      find "serve:partial-match pruned visited nodes strip n=65536",
+      find "serve:partial-match pruned empirical exponent x1000 (CJ 561.6)" )
   with
   | Some v1, Some v2, Some e ->
     Printf.printf
       "partial match (x-strip): %.1f nodes at n=4096, %.1f at n=65536 -> \
-       empirical exponent %.3f vs (sqrt 17 - 3)/2 = %.4f\n"
-      v1 v2 (e /. 1000.0) cj_exponent
+       empirical exponent %.3f (PR trie: 1/2)\n"
+      v1 v2 (e /. 1000.0)
   | _ -> ()
 
-(* The PR 10 pruning ablation, stated against its acceptance bar: the
-   pruned count must beat the unpruned per-leaf walk by a factor that
-   grows with selectivity — >= 5x at 90% on the 2^22 tree — and the
-   Morton batch schedule is priced against arrival order. *)
+(* The Morton batch schedule, priced against arrival order. *)
 let print_query_summary estimates =
   let find = find_estimate estimates in
-  List.iter
-    (fun sel ->
-      match
-        ( find
-            (Printf.sprintf "query:count-in-box unpruned sel=%s n=65536" sel),
-          find (Printf.sprintf "query:count-in-box pruned sel=%s n=65536" sel)
-        )
-      with
-      | Some u, Some p ->
-        Printf.printf
-          "count-in-box n=65536 sel=%s: unpruned %.1f us/run, pruned %.1f \
-           us/run -> %.1fx\n"
-          sel (u /. 1e3) (p /. 1e3) (u /. p)
-      | _ -> ())
-    [ "1%"; "25%"; "90%" ];
-  (match
-     ( find "query:range unpruned sel=25% n=65536",
-       find "query:range pruned sel=25% n=65536" )
-   with
-  | Some u, Some p ->
-    Printf.printf
-      "range n=65536 sel=25%% (paired best-of): unpruned %.1f us/run, \
-       pruned (subtree drain) %.1f us/run -> %.2fx\n"
-      (u /. 1e3) (p /. 1e3) (u /. p)
-  | _ -> ());
-  (match
-     ( find "query:count-in-box paired unpruned sel=90% n=4194304",
-       find "query:count-in-box paired pruned sel=90% n=4194304" )
-   with
-  | Some u, Some p ->
-    Printf.printf
-      "count-in-box n=4194304 sel=90%% (paired best-of): unpruned %.2f ms, \
-       pruned %.4f ms -> %.0fx (bar: >= 5x)\n"
-      (u /. 1e6) (p /. 1e6) (u /. p)
-  | _ -> ());
   match
     ( find
         (parallel_bench_name

@@ -133,9 +133,9 @@ let run_incremental ?(capacity = 8) ?(max_depth = 16) ?sizes ?jobs
       Codec.(array (pair float float))
       (fun () ->
         let out = Array.make nsizes (0.0, 0.0) in
-        (* Growing trees use the arena's incremental path: same O(1)
-           statistics contract as Pr_builder, so every snapshot is
-           still free, and freeze/thaw keep the checkpoint format. *)
+        (* Growing trees use the arena's incremental path: its O(1)
+           statistics make every snapshot free, and freeze/thaw keep
+           the checkpoint format. *)
         let fresh () = (Pr_arena.create ~max_depth ~capacity (), rng0, 0, 0) in
         let tree, rng, have0, start =
           match store with

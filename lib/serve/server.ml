@@ -8,10 +8,10 @@ let kernel_of (q : Wire.query) =
   | Wire.Nearest _ -> `Nearest
   | Wire.Cell _ -> `Cell
 
-(* One rule for non-finite input, decided before dispatch so [eval] and
-   [eval_instrumented] cannot drift: a NaN or infinite coordinate, in
-   any field of any kind of query, answers [Rejected] naming the field.
-   None for a finite query, without allocating. *)
+(* One rule for non-finite input, decided before the kernels run: a NaN
+   or infinite coordinate, in any field of any kind of query, answers
+   [Rejected] naming the field. None for a finite query, without
+   allocating. *)
 let non_finite (q : Wire.query) =
   let bad v = not (Float.is_finite v) in
   match q with
@@ -28,89 +28,60 @@ let non_finite (q : Wire.query) =
 
 let non_finite_reason field = "non-finite query coordinate: " ^ field
 
-(* Sequential evaluation of one query against one arena — this single
-   function is both what the pool's tasks run and the oracle the tests
-   replay, so "batched equals sequential" is equality of schedules, not
-   of two implementations. *)
-let eval arena (q : Wire.query) : Wire.answer =
-  match non_finite q with
-  | Some field ->
-    Probe.serve_query ~kernel:(kernel_of q);
-    Wire.Rejected (non_finite_reason field)
-  | None -> (
-    match q with
-    | Wire.Range b ->
-      Probe.serve_query ~kernel:`Range;
-      Wire.Points (Array.of_list (Pr_arena.query_box arena b))
-    | Wire.Count b ->
-      Probe.serve_query ~kernel:`Count;
-      Wire.Count_of (Pr_arena.count_in_box arena b)
-    | Wire.Knn (k, p) -> (
-      Probe.serve_query ~kernel:`Knn;
-      match Pr_arena.k_nearest arena k p with
-      | ps -> Wire.Points (Array.of_list ps)
-      | exception Invalid_argument m -> Wire.Rejected m)
-    | Wire.Nearest p -> (
-      Probe.serve_query ~kernel:`Nearest;
-      match Pr_arena.nearest arena p with
-      | None -> Wire.Points [||]
-      | Some q -> Wire.Points [| q |])
-    | Wire.Cell p -> (
-      Probe.serve_query ~kernel:`Cell;
-      match Pr_arena.cell_at arena p with
-      | depth, box, pts -> Wire.Cell_info (depth, box, Array.of_list pts)
-      | exception Invalid_argument m -> Wire.Rejected m))
+(* One query against one arena: the single dispatch behind both
+   [eval] and [eval_instrumented]. Untimed, it is what the pool's tasks
+   run with telemetry off and the oracle the tests replay, so "batched
+   equals sequential" is equality of schedules, not of two
+   implementations. Timed, the same kernels report the nodes they
+   visited, a clock brackets the query, and [serve_query_done] — which
+   reads the stop clock, bumps the admission counter, and takes only
+   immediates — feeds the latency/visited sketches and the flight
+   recorder. Count and range call their [_visited] entries only when
+   timed, because those also record the subtrees they prune, which
+   the untimed path must not; the other kinds' plain entries are their
+   [_visited] walks with the tally dropped. *)
+let dispatch ~timed arena ~epoch (q : Wire.query) : Wire.answer =
+  let t0 = if timed then Clock.now_ns () else 0 in
+  let kernel = kernel_of q in
+  let answer, visited, note =
+    match non_finite q with
+    | Some field ->
+      let m = non_finite_reason field in
+      (Wire.Rejected m, 0, m)
+    | None -> (
+      match q with
+      | Wire.Range b ->
+        let ps, visited =
+          if timed then Pr_arena.query_box_visited arena b
+          else (Pr_arena.query_box arena b, 0)
+        in
+        (Wire.Points (Array.of_list ps), visited, "")
+      | Wire.Count b ->
+        let n, visited =
+          if timed then Pr_arena.count_in_box_visited arena b
+          else (Pr_arena.count_in_box arena b, 0)
+        in
+        (Wire.Count_of n, visited, "")
+      | Wire.Knn (k, p) -> (
+        match Pr_arena.k_nearest_visited arena k p with
+        | ps, visited -> (Wire.Points (Array.of_list ps), visited, "")
+        | exception Invalid_argument m -> (Wire.Rejected m, 0, m))
+      | Wire.Nearest p ->
+        let found, visited = Pr_arena.nearest_visited arena p in
+        (Wire.Points (match found with None -> [||] | Some q -> [| q |]),
+         visited, "")
+      | Wire.Cell p -> (
+        match Pr_arena.cell_at_visited arena p with
+        | (depth, box, pts), visited ->
+          (Wire.Cell_info (depth, box, Array.of_list pts), visited, "")
+        | exception Invalid_argument m -> (Wire.Rejected m, 0, m)))
+  in
+  if timed then Probe.serve_query_done ~kernel ~epoch ~t0 ~visited ~note
+  else Probe.serve_query ~kernel;
+  answer
 
-(* [eval] under full telemetry: the visited-counting kernel variants
-   plus a per-query clock, feeding the latency/visited sketches and the
-   flight recorder through [serve_query_done] — which reads the stop
-   clock, bumps the admission counter, and takes only immediates, so
-   each arm is kernel + one probe call with no closure and no boxing.
-   A separate copy of the dispatch so the plain [eval] — the oracle the
-   tests replay — keeps its exact instruction stream. *)
-let eval_instrumented arena ~epoch (q : Wire.query) : Wire.answer =
-  let t0 = Clock.now_ns () in
-  match non_finite q with
-  | Some field ->
-    let m = non_finite_reason field in
-    Probe.serve_query_done ~kernel:(kernel_of q) ~epoch ~t0 ~visited:0 ~note:m;
-    Wire.Rejected m
-  | None -> (
-    match q with
-    | Wire.Range b ->
-      let ps, visited = Pr_arena.query_box_visited arena b in
-      let answer = Wire.Points (Array.of_list ps) in
-      Probe.serve_query_done ~kernel:`Range ~epoch ~t0 ~visited ~note:"";
-      answer
-    | Wire.Count b ->
-      let n, visited = Pr_arena.count_in_box_visited arena b in
-      Probe.serve_query_done ~kernel:`Count ~epoch ~t0 ~visited ~note:"";
-      Wire.Count_of n
-    | Wire.Knn (k, p) -> (
-      match Pr_arena.k_nearest_visited arena k p with
-      | ps, visited ->
-        let answer = Wire.Points (Array.of_list ps) in
-        Probe.serve_query_done ~kernel:`Knn ~epoch ~t0 ~visited ~note:"";
-        answer
-      | exception Invalid_argument m ->
-        Probe.serve_query_done ~kernel:`Knn ~epoch ~t0 ~visited:0 ~note:m;
-        Wire.Rejected m)
-    | Wire.Nearest p ->
-      let found, visited = Pr_arena.nearest_visited arena p in
-      let answer =
-        Wire.Points (match found with None -> [||] | Some q -> [| q |])
-      in
-      Probe.serve_query_done ~kernel:`Nearest ~epoch ~t0 ~visited ~note:"";
-      answer
-    | Wire.Cell p -> (
-      match Pr_arena.cell_at_visited arena p with
-      | (depth, box, pts), visited ->
-        let answer = Wire.Cell_info (depth, box, Array.of_list pts) in
-        Probe.serve_query_done ~kernel:`Cell ~epoch ~t0 ~visited ~note:"";
-        answer
-      | exception Invalid_argument m ->
-        Probe.serve_query_done ~kernel:`Cell ~epoch ~t0 ~visited:0 ~note:m;
-        Wire.Rejected m))
+let eval arena q = dispatch ~timed:false arena ~epoch:0 q
+let eval_instrumented arena ~epoch q = dispatch ~timed:true arena ~epoch q
 
 (* Morton scheduling key of one query: the Z-order cell of its anchor —
    a box's low corner, a probe's own point — clamped into the unit
@@ -147,8 +118,8 @@ let schedule_order queries =
    results in index order, byte-identical at every job count — is what
    makes the whole response deterministic; the chunk keeps per-task
    overhead amortized over thousands of tiny queries. Telemetry is one
-   flag check per batch: off, the tasks run the plain [eval]; on, the
-   instrumented copy.
+   flag check per batch: off, the tasks run [eval]; on,
+   [eval_instrumented] — the same dispatch, timed.
 
    With [sort] (the default), tasks run in Morton order of the query
    anchors and the inverse permutation scatters answers back to arrival

@@ -36,15 +36,18 @@ open Import
 (** [eval arena q] answers one query sequentially — the same function
     the pool's tasks run when telemetry is off, and the oracle tests
     replay. A query with a NaN or infinite coordinate, of any kind,
-    answers [Rejected] with a reason naming the field; the check runs
-    before dispatch, in {!eval_instrumented} too. A [Knn] with [k < 0]
-    and a [Cell] probe outside the bounds answer [Rejected] as well. *)
+    answers [Rejected] with a reason naming the field, decided before
+    any kernel runs. A [Knn] with [k < 0] and a [Cell] probe outside the
+    bounds answer [Rejected] as well. *)
 val eval : Pr_arena.t -> Wire.query -> Wire.answer
 
-(** [eval_instrumented arena ~epoch q] is {!eval} under full telemetry:
-    the visited-counting kernels plus a per-query clock, recorded
+(** [eval_instrumented arena ~epoch q] is {!eval} plus a clock: the same
+    dispatch and the same kernels, each reporting the tree nodes it
+    visited, with the query's latency and visited count recorded
     through {!Probe.serve_query_done} (latency/visited sketches and the
-    flight recorder). Same answers as {!eval}, always. *)
+    flight recorder), and the subtrees count and range queries pruned
+    added to [serve.pruned.subtrees]. Same answers as {!eval},
+    always. *)
 val eval_instrumented : Pr_arena.t -> epoch:int -> Wire.query -> Wire.answer
 
 (** [run_batch ?chunk ?epoch ?sort pool arena queries] answers a whole

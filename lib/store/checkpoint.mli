@@ -3,7 +3,7 @@ open Import
 (** Checkpoint/resume for long trial runs — N-growth sweeps and churn
     streams.
 
-    [Sweep.run_incremental] grows one {!Pr_builder} per trial through the
+    [Sweep.run_incremental] grows one {!Pr_arena} per trial through the
     whole size grid; [Churn.run] drives an arena through an
     insert/delete/update stream. A checkpoint freezes everything either
     run needs to continue: the tree so far, the exact position of the
@@ -20,7 +20,7 @@ open Import
     — old caches fall back to recomputation, never to misdecoding. *)
 
 type growth = {
-  tree : Pr_quadtree.t;  (** frozen builder/arena state *)
+  tree : Pr_quadtree.t;  (** frozen arena state *)
   rng : Xoshiro.t;  (** the trial stream, exactly where it paused *)
   next_index : int;  (** next size-grid / checkpoint index to produce *)
   have : int;  (** points inserted so far (growth); live count (churn) *)

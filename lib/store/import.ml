@@ -4,4 +4,3 @@ module Point = Popan_geom.Point
 module Box = Popan_geom.Box
 module Xoshiro = Popan_rng.Xoshiro
 module Pr_quadtree = Popan_trees.Pr_quadtree
-module Pr_builder = Popan_trees.Pr_builder

@@ -84,30 +84,34 @@ let drain q =
    candidate and every offer costs O(log k). Shared by the persistent
    and arena k-NN kernels so the pruning bound lives in one place. *)
 module Neighbors = struct
-  type nonrec 'a t = { k : int; heap : 'a t }
+  (* [bound] is the pruning bound [worst] returns, kept current by
+     [offer] and [drain_nearest]. A k-NN descent reads it at every node
+     it visits and every point it scans, so the read must not allocate:
+     a float returned by a computation boxes at the call (the kernels
+     live in other modules, which cannot inline it), while one read
+     from a record field is returned in the box it already has. Only an
+     offer accepted by a full collector boxes the new bound. *)
+  type nonrec 'a t = { k : int; heap : 'a t; mutable bound : float }
+
+  let open_bound k = if k = 0 then 0.0 else Float.infinity
 
   let create k =
     if k < 0 then invalid_arg "Pqueue.Neighbors.create: k < 0";
-    { k; heap = create () }
+    { k; heap = create (); bound = open_bound k }
 
   let capacity n = n.k
   let size n = size n.heap
-
-  let worst n =
-    if n.k = 0 then 0.0
-    else if size n < n.k then Float.infinity
-    else
-      match peek_min n.heap with
-      | Some (neg_d, _) -> -.neg_d
-      | None -> Float.infinity
+  let worst n = n.bound
 
   let offer n ~dist v =
-    if dist < worst n then begin
+    if dist < n.bound then begin
       insert n.heap (-.dist) v;
-      if size n > n.k then ignore (pop_min n.heap)
+      if size n > n.k then ignore (pop_min n.heap);
+      if size n = n.k then n.bound <- -.n.heap.keys.(0)
     end
 
   let drain_nearest n =
+    n.bound <- open_bound n.k;
     (* The negated-distance heap drains farthest-first. *)
     List.rev_map snd (drain n.heap)
 end

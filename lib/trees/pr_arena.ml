@@ -76,7 +76,7 @@ type t = {
   mutable ys : farr;
   mutable codes : iarr;  (* hi Morton word of each slot *)
   mutable next : iarr;  (* intrusive per-leaf chain, -1 ends *)
-  (* O(1) statistics, maintained exactly like Pr_builder's. *)
+  (* O(1) statistics, maintained per insert and delete. *)
   mutable leaves : int;
   mutable internals : int;
   mutable height : int;
@@ -310,20 +310,34 @@ let alloc_i t name n : iarr =
       mmap_failed t e;
       heap_i n)
 
-let release t =
+(* Delete the segment files [names] names, and their bytes from the
+   mapped total. A mapping stays readable until its Bigarray is
+   collected; POSIX keeps an unlinked file alive while mapped. *)
+let drop_segments t names =
   match t.seg_dir with
   | None -> ()
   | Some dir ->
+    let dropped, kept =
+      List.partition (fun (name, _) -> List.mem name names) t.seg_bytes
+    in
     List.iter
       (fun (name, _) ->
         try Sys.remove (Filename.concat dir (name ^ ".seg"))
         with Sys_error _ -> ())
-      t.seg_bytes;
-    let freed = List.fold_left (fun a (_, b) -> a + b) 0 t.seg_bytes in
-    t.seg_bytes <- [];
+      dropped;
+    let freed = List.fold_left (fun a (_, b) -> a + b) 0 dropped in
+    t.seg_bytes <- kept;
     let total = Atomic.fetch_and_add global_mapped (-freed) - freed in
-    Probe.arena_mapped_bytes ~bytes:total;
-    (try Unix.rmdir dir with Unix.Unix_error _ | Sys_error _ -> ())
+    Probe.arena_mapped_bytes ~bytes:total
+
+(* The sort scratch a bulk build maps, dropped when its sort is done. *)
+let sort_segments = [ "keys"; "slots"; "keys2"; "slots2" ]
+
+let release t =
+  drop_segments t (List.map fst t.seg_bytes);
+  Option.iter
+    (fun dir -> try Unix.rmdir dir with Unix.Unix_error _ | Sys_error _ -> ())
+    t.seg_dir
 
 let create ?(max_depth = 16) ?(bounds = Box.unit) ?(reserve = 0)
     ?(backing = Heap) ~capacity () =
@@ -1533,8 +1547,7 @@ let parallel_build t n pool keys slots keys2 slots2 =
       replay t results slots slots2 plan 0)
 
 (* The root leaf registered by [create] is replaced wholesale by a bulk
-   build's own registration, mirroring Pr_builder.split_node
-   accounting. *)
+   build's own registration. *)
 let unregister_root t =
   t.leaves <- 0;
   t.hist.(0) <- 0;
@@ -1646,7 +1659,8 @@ let bulk_of_columns ?max_depth ?bounds ?backing ?jobs ?pool ?(reserve = 0)
       encode_columns t n packed;
       t.size <- n;
       t.slots <- n;
-      bulk_build t n ~jobs ~pool ~packed);
+      bulk_build t n ~jobs ~pool ~packed;
+      drop_segments t sort_segments);
   t
 
 let of_points_bulk ?max_depth ?bounds ?backing ?jobs ?pool ?reserve
@@ -1830,7 +1844,9 @@ let bulk_zordered ?max_depth ?backing ?(reserve = 0) ~capacity ~n
   if Bigarray.Array1.dim sx < n || Bigarray.Array1.dim sy < n then
     invalid_arg "Pr_arena.bulk_zordered: a source column is shorter than n";
   let t = create ?max_depth ?backing ~reserve:(max n reserve) ~capacity () in
-  Probe.arena_build `Bulk ~inserts:n (fun () -> zorder_build t n sx sy);
+  Probe.arena_build `Bulk ~inserts:n (fun () ->
+      zorder_build t n sx sy;
+      drop_segments t sort_segments);
   t
 
 let is_zordered t =
@@ -1864,7 +1880,7 @@ let leaf_points t node =
     else go (Point.make t.xs.{slot} t.ys.{slot} :: acc) t.next.{slot}
   in
   (* Collect then reverse so the list follows chain order (for an
-     incremental build: reverse insertion order, like Pr_builder). *)
+     incremental build: reverse insertion order). *)
   List.rev (go [] t.head.(node))
 
 let fold_leaves t ~init ~f =
@@ -1914,37 +1930,56 @@ let points t =
 (* --- Arena-native query kernels --------------------------------------
 
    These walk the child-base table and the slot columns directly — no
-   freeze to a boxed {!Pr_quadtree} per query — and mutate nothing, so
-   any number of domains may query one arena concurrently (the serving
-   layer fans batches out over a shared epoch snapshot).
+   freeze to a boxed {!Pr_quadtree} per query — and mutate nothing the
+   arena holds, so any number of domains may query one arena
+   concurrently (the serving layer fans batches out over a shared epoch
+   snapshot).
 
-   Two structural upgrades over a plain box-descent walk:
+   One traversal per query kind. Count, range, nearest and k-NN each
+   have one integer descent and one float fallback (nearest and k-NN
+   share theirs, [ranked_walk], each with its own leaf scan), and every
+   descent tallies the nodes it enters; the plain entry points and
+   their [_visited] twins run the same walk. A node entered counts one; a
+   pruned subtree, disjoint or contained, costs its root's test and
+   nothing below (a containment drain walks chains, but that is answer
+   emission, not traversal), so the counts line up with the
+   partial-match cost the population analysis predicts. Only the
+   [_visited] entries of count and range report the subtrees they
+   pruned ([Probe.serve_pruned_subtrees]).
 
    Containment pruning. Every node carries its exact subtree population
    ([t.count]), so when the target box contains a node's whole cell the
-   kernel answers for the subtree without testing a single point:
-   [count_in_box] adds the stored count in O(1) and [query_box] drains
-   the subtree's leaf chains with no per-point box test. Cost then
-   tracks the visited-node frontier — the Curien–Joseph partial-match
-   regime — instead of the answer's population. Cells are half-open on
-   their high edges (exactly [Box.contains]'s convention, enforced by
-   the [>= mid] distribution rule at every split), so cell ⊆ target
-   reduces to four closed corner compares.
+   kernel answers for the subtree without testing a single point: a
+   count adds the stored count in O(1) and a range drains the subtree's
+   leaf chains with no per-point box test. Cost then tracks the
+   visited-node frontier — the Curien–Joseph partial-match regime —
+   instead of the answer's population. Cells are half-open on their
+   high edges (exactly [Box.contains]'s convention, enforced by the
+   [>= mid] distribution rule at every split), so cell ⊆ target reduces
+   to four closed corner compares.
 
    Integer cell descent. For unit-bounds arenas no deeper than the fine
-   Morton resolution — the overwhelmingly common case — the range and
-   count kernels carry cells as fine integer corners [(qx0, qy0)] with
-   a side exponent, materializing the exact dyadic corner floats
-   [k / 2^42] only for the target compares: no [Box.child] record per
-   visited node, and the traversal allocates zero minor words (asserted
-   in test_alloc). Custom bounds or deeper-than-42 arenas take the
-   float-midpoint fallback — same answers, still containment-pruned,
-   one [Probe.arena_query_fallback] warning per process. The two paths
+   Morton resolution — the overwhelmingly common case — the kernels
+   carry cells as fine integer corners [(qx0, qy0)] with a side
+   exponent, materializing the exact dyadic corner floats [k / 2^42]
+   only for the float compares: no [Box.child] record per visited node.
+   Custom bounds or deeper-than-42 arenas take the float-midpoint
+   fallback — same answers, still containment-pruned, one
+   [Probe.arena_query_fallback] warning per process. The two descents
    compare identical float values: dyadic corners at depth <= 42 are
    exactly representable, and [Box.child]'s midpoint cascade reproduces
-   them bit for bit, which is what lets the *_visited twins keep the
-   box-descent form and still mirror the fast path's traversal node for
-   node. *)
+   them bit for bit, so both visit the same nodes.
+
+   Carrying the tally. The count descent returns its visit tally —
+   register adds on the way back up — and adds its count and pruned
+   subtrees into the domain's [tally] cell, touched only at contained
+   subtrees and boundary leaves; the range descent returns its points
+   and keeps its visit and pruned tallies in the cell. The cell is per
+   domain, so a count allocates nothing — no closure, ref or tuple —
+   and concurrent domains never share it. An entry point reads the
+   fields it uses before the walk and puts them back after, so a walk
+   that another query on the same domain interrupts (a signal handler,
+   a finaliser) still reads its own difference. *)
 
 (* Squared distance from [(x, y)] to the closed extent of [b]; 0 inside.
    The clamp form matches [Pr_quadtree.distance_sq_to_box] bit for bit,
@@ -1959,6 +1994,10 @@ let dist_sq_to_box x y (b : Box.t) =
    unit square no finer than the 2^-42 grid: custom bounds never
    qualify, and a leaf below depth 42 means some cells are. *)
 let int_descent t = t.unit_bounds && t.height <= bits_fine
+
+type tally = { mutable hits : int; mutable visits : int; mutable pruned : int }
+
+let tally = Domain.DLS.new_key (fun () -> { hits = 0; visits = 0; pruned = 0 })
 
 (* Chain folds, threaded tail-recursively so the counting walk builds
    no closure and touches no ref cell. The target travels as the query
@@ -1995,8 +2034,8 @@ let rec filter_chain t (target : Box.t) slot acc =
 
 (* Cons a chain (head to tail) and a whole subtree (children in
    quadrant order NW, NE, SW, SE — pair ids 2, 3, 0, 1) onto [acc]:
-   exactly the accumulation order of the unpruned walk when every point
-   passes, so pruning never reorders a result list. *)
+   exactly the accumulation order of a walk that tests every point when
+   every point passes, so pruning never reorders a result list. *)
 let rec drain_chain t slot acc =
   if slot < 0 then acc
   else drain_chain t t.next.{slot} (Point.make t.xs.{slot} t.ys.{slot} :: acc)
@@ -2011,12 +2050,20 @@ let rec drain_subtree t node acc =
     drain_subtree t (base + 1) acc
   end
 
-(* The integer-descent counting walk. [shift] is the cell's side
-   exponent on the fine grid (root: [bits_fine]); a child halves the
-   side and offsets its corner by [hs]. Disjointness and containment
-   are the same predicates the box walk tests, on bit-identical corner
-   values. *)
-let rec count_int t (target : Box.t) node qx0 qy0 shift acc =
+(* [cell ⊆ target] on float corners, for the fallbacks: sound for
+   closed corner compares because every cell owns its low edges and
+   excludes its high ones. *)
+let box_contains_cell (target : Box.t) (cell : Box.t) =
+  target.Box.xmin <= cell.Box.xmin
+  && cell.Box.xmax <= target.Box.xmax
+  && target.Box.ymin <= cell.Box.ymin
+  && cell.Box.ymax <= target.Box.ymax
+
+(* The integer count descent. [shift] is the cell's side exponent on
+   the fine grid (root: [bits_fine]); a child halves the side and
+   offsets its corner by [hs]. Returns the nodes entered; the count and
+   the pruned subtrees go into [s]. *)
+let rec count_int t (target : Box.t) s node qx0 qy0 shift =
   let side = 1 lsl shift in
   let x0 = float_of_int qx0 *. inv_fine_scale
   and y0 = float_of_int qy0 *. inv_fine_scale
@@ -2025,26 +2072,63 @@ let rec count_int t (target : Box.t) node qx0 qy0 shift acc =
   if
     x0 >= target.Box.xmax || target.Box.xmin >= x1 || y0 >= target.Box.ymax
     || target.Box.ymin >= y1
-  then acc (* disjoint *)
+  then 1 (* disjoint *)
   else if
     target.Box.xmin <= x0 && x1 <= target.Box.xmax && target.Box.ymin <= y0
     && y1 <= target.Box.ymax
-  then acc + t.count.(node) (* contained: the whole subtree in O(1) *)
+  then begin
+    (* contained: the whole subtree in O(1) *)
+    s.hits <- s.hits + t.count.(node);
+    s.pruned <- s.pruned + 1;
+    1
+  end
   else begin
     let base = t.child.(node) in
-    if base < 0 then count_chain t target t.head.(node) acc
+    if base < 0 then begin
+      s.hits <- count_chain t target t.head.(node) s.hits;
+      1
+    end
     else begin
       let h = shift - 1 in
       let hs = 1 lsl h in
-      let acc = count_int t target (base + 2) qx0 (qy0 + hs) h acc in
-      let acc = count_int t target (base + 3) (qx0 + hs) (qy0 + hs) h acc in
-      let acc = count_int t target (base + 0) qx0 qy0 h acc in
-      count_int t target (base + 1) (qx0 + hs) qy0 h acc
+      let v = count_int t target s (base + 2) qx0 (qy0 + hs) h in
+      let v = v + count_int t target s (base + 3) (qx0 + hs) (qy0 + hs) h in
+      let v = v + count_int t target s (base + 0) qx0 qy0 h in
+      1 + v + count_int t target s (base + 1) (qx0 + hs) qy0 h
     end
   end
 
-(* The integer-descent range walk: same traversal, consing hits. *)
-let rec range_int t (target : Box.t) node qx0 qy0 shift acc =
+(* The float-midpoint count fallback: [Box.child] descent, the same
+   tests on the same corner values. *)
+let rec count_float t (target : Box.t) s node ~box =
+  if not (Box.intersects box target) then 1
+  else if box_contains_cell target box then begin
+    s.hits <- s.hits + t.count.(node);
+    s.pruned <- s.pruned + 1;
+    1
+  end
+  else begin
+    let base = t.child.(node) in
+    if base < 0 then begin
+      s.hits <- count_chain t target t.head.(node) s.hits;
+      1
+    end
+    else begin
+      let v = ref 1 in
+      for q = 0 to 3 do
+        v :=
+          !v
+          + count_float t target s (base + quad_pair.(q))
+              ~box:(Box.child box (Quadrant.of_index q))
+      done;
+      !v
+    end
+  end
+
+(* The range descents: the count's traversal, consing hits onto the
+   returned list; visits and pruned subtrees go into [s]. *)
+let rec range_int t (target : Box.t) s node qx0 qy0 shift acc =
+  s.visits <- s.visits + 1;
   let side = 1 lsl shift in
   let x0 = float_of_int qx0 *. inv_fine_scale
   and y0 = float_of_int qy0 *. inv_fine_scale
@@ -2057,259 +2141,102 @@ let rec range_int t (target : Box.t) node qx0 qy0 shift acc =
   else if
     target.Box.xmin <= x0 && x1 <= target.Box.xmax && target.Box.ymin <= y0
     && y1 <= target.Box.ymax
-  then drain_subtree t node acc
+  then begin
+    s.pruned <- s.pruned + 1;
+    drain_subtree t node acc
+  end
   else begin
     let base = t.child.(node) in
     if base < 0 then filter_chain t target t.head.(node) acc
     else begin
       let h = shift - 1 in
       let hs = 1 lsl h in
-      let acc = range_int t target (base + 2) qx0 (qy0 + hs) h acc in
-      let acc = range_int t target (base + 3) (qx0 + hs) (qy0 + hs) h acc in
-      let acc = range_int t target (base + 0) qx0 qy0 h acc in
-      range_int t target (base + 1) (qx0 + hs) qy0 h acc
+      let acc = range_int t target s (base + 2) qx0 (qy0 + hs) h acc in
+      let acc = range_int t target s (base + 3) (qx0 + hs) (qy0 + hs) h acc in
+      let acc = range_int t target s (base + 0) qx0 qy0 h acc in
+      range_int t target s (base + 1) (qx0 + hs) qy0 h acc
     end
   end
 
-(* [cell ⊆ target] on float corners, for the fallback and *_visited
-   walks: sound for closed corner compares because every cell owns its
-   low edges and excludes its high ones. *)
-let box_contains_cell (target : Box.t) (cell : Box.t) =
-  target.Box.xmin <= cell.Box.xmin
-  && cell.Box.xmax <= target.Box.xmax
-  && target.Box.ymin <= cell.Box.ymin
-  && cell.Box.ymax <= target.Box.ymax
+let rec range_float t (target : Box.t) s node ~box acc =
+  s.visits <- s.visits + 1;
+  if not (Box.intersects box target) then acc
+  else if box_contains_cell target box then begin
+    s.pruned <- s.pruned + 1;
+    drain_subtree t node acc
+  end
+  else begin
+    let base = t.child.(node) in
+    if base < 0 then filter_chain t target t.head.(node) acc
+    else begin
+      let acc = ref acc in
+      for q = 0 to 3 do
+        acc :=
+          range_float t target s (base + quad_pair.(q))
+            ~box:(Box.child box (Quadrant.of_index q))
+            !acc
+      done;
+      !acc
+    end
+  end
 
-(* Float-midpoint fallbacks (custom bounds, or arenas split below the
-   fine grid): [Box.child] descent, still containment-pruned, same
-   answers as the integer walks where both apply. *)
-let count_float_pruned t target =
-  let acc = ref 0 in
-  let rec go node ~box =
-    if Box.intersects box target then
-      if box_contains_cell target box then acc := !acc + t.count.(node)
-      else begin
-        let base = t.child.(node) in
-        if base < 0 then acc := count_chain t target t.head.(node) !acc
-        else
-          for q = 0 to 3 do
-            go (base + quad_pair.(q)) ~box:(Box.child box (Quadrant.of_index q))
-          done
-      end
-  in
-  go 0 ~box:t.bounds;
-  !acc
-
-let range_float_pruned t target =
-  let acc = ref [] in
-  let rec go node ~box =
-    if Box.intersects box target then
-      if box_contains_cell target box then acc := drain_subtree t node !acc
-      else begin
-        let base = t.child.(node) in
-        if base < 0 then acc := filter_chain t target t.head.(node) !acc
-        else
-          for q = 0 to 3 do
-            go (base + quad_pair.(q)) ~box:(Box.child box (Quadrant.of_index q))
-          done
-      end
-  in
-  go 0 ~box:t.bounds;
-  !acc
+let count_walk t target s =
+  if int_descent t then count_int t target s 0 0 0 bits_fine
+  else begin
+    Probe.arena_query_fallback ();
+    count_float t target s 0 ~box:t.bounds
+  end
 
 let count_in_box t target =
-  if int_descent t then count_int t target 0 0 0 bits_fine 0
-  else begin
-    Probe.arena_query_fallback ();
-    count_float_pruned t target
-  end
+  let s = Domain.DLS.get tally in
+  let hits = s.hits and pruned = s.pruned in
+  ignore (count_walk t target s : int);
+  let n = s.hits - hits in
+  s.hits <- hits;
+  s.pruned <- pruned;
+  n
+
+let count_in_box_visited t target =
+  let s = Domain.DLS.get tally in
+  let hits = s.hits and pruned = s.pruned in
+  let visited = count_walk t target s in
+  let n = s.hits - hits and p = s.pruned - pruned in
+  s.hits <- hits;
+  s.pruned <- pruned;
+  Probe.serve_pruned_subtrees p;
+  (n, visited)
+
+(* One range walk: its points, visits and pruned subtrees. *)
+let range_walk t target =
+  let s = Domain.DLS.get tally in
+  let visits = s.visits and pruned = s.pruned in
+  let pts =
+    if int_descent t then range_int t target s 0 0 0 bits_fine []
+    else begin
+      Probe.arena_query_fallback ();
+      range_float t target s 0 ~box:t.bounds []
+    end
+  in
+  let v = s.visits - visits and p = s.pruned - pruned in
+  s.visits <- visits;
+  s.pruned <- pruned;
+  (pts, v, p)
 
 let query_box t target =
-  if int_descent t then range_int t target 0 0 0 bits_fine []
-  else begin
-    Probe.arena_query_fallback ();
-    range_float_pruned t target
-  end
+  let pts, _, _ = range_walk t target in
+  pts
 
-(* The pre-pruning kernels, kept callable for the ablation benches and
-   the pruned-visits-is-monotone property: every node whose cell meets
-   the target is entered and every chained point is tested. *)
-let count_in_box_unpruned t target =
-  let xmin = target.Box.xmin and xmax = target.Box.xmax in
-  let ymin = target.Box.ymin and ymax = target.Box.ymax in
-  let acc = ref 0 in
-  let rec go node ~box =
-    if Box.intersects box target then begin
-      let base = t.child.(node) in
-      if base < 0 then begin
-        let slot = ref t.head.(node) in
-        while !slot >= 0 do
-          let s = !slot in
-          let x = t.xs.{s} and y = t.ys.{s} in
-          if x >= xmin && x < xmax && y >= ymin && y < ymax then incr acc;
-          slot := t.next.{s}
-        done
-      end
-      else
-        for q = 0 to 3 do
-          go (base + quad_pair.(q)) ~box:(Box.child box (Quadrant.of_index q))
-        done
-    end
-  in
-  go 0 ~box:t.bounds;
-  !acc
-
-let query_box_unpruned t target =
-  let xmin = target.Box.xmin and xmax = target.Box.xmax in
-  let ymin = target.Box.ymin and ymax = target.Box.ymax in
-  let acc = ref [] in
-  let rec go node ~box =
-    if Box.intersects box target then begin
-      let base = t.child.(node) in
-      if base < 0 then begin
-        let slot = ref t.head.(node) in
-        while !slot >= 0 do
-          let s = !slot in
-          let x = t.xs.{s} and y = t.ys.{s} in
-          if x >= xmin && x < xmax && y >= ymin && y < ymax then
-            acc := Point.make x y :: !acc;
-          slot := t.next.{s}
-        done
-      end
-      else
-        for q = 0 to 3 do
-          go (base + quad_pair.(q)) ~box:(Box.child box (Quadrant.of_index q))
-        done
-    end
-  in
-  go 0 ~box:t.bounds;
-  !acc
-
-(* [count_in_box] that also counts nodes touched (a pruned subtree —
-   disjoint or contained — costs exactly its root's test, nothing
-   below) — the observable for the Curien–Joseph partial-match cost
-   exponent, which predicts the visited-node count of a degenerate
-   range query (a full-height strip) to grow as n^((sqrt 17 - 3) / 2).
-   A separate copy of the kernel, so the instrumentation (visit tally,
-   [Probe.serve_pruned_subtrees]) stays off the uninstrumented kernels
-   entirely; both descents — integer fast path and float fallback —
-   are carried, with corner values bit-identical between them, so the
-   visit count mirrors the plain kernel's traversal exactly. *)
-let count_in_box_visited t target =
-  (* Pruning events tally locally and flush once per query: a
-     per-event probe would put a sharded-counter increment inside the
-     descent. *)
-  let pruned = ref 0 in
-  if int_descent t then begin
-    (* The visit tally rides the return value — register adds on the
-       way back up — while the running count lives in a ref touched
-       only at contained subtrees and boundary leaves. A per-node
-       [incr] on a heap cell was the twins' largest remaining cost
-       against the telemetry overhead bar: a large-box count visits
-       hundreds of nodes, each paying a load/add/store. *)
-    let count = ref 0 in
-    let rec go node qx0 qy0 shift =
-      let side = 1 lsl shift in
-      let x0 = float_of_int qx0 *. inv_fine_scale
-      and y0 = float_of_int qy0 *. inv_fine_scale
-      and x1 = float_of_int (qx0 + side) *. inv_fine_scale
-      and y1 = float_of_int (qy0 + side) *. inv_fine_scale in
-      if
-        x0 >= target.Box.xmax || target.Box.xmin >= x1
-        || y0 >= target.Box.ymax || target.Box.ymin >= y1
-      then 1
-      else if
-        target.Box.xmin <= x0 && x1 <= target.Box.xmax
-        && target.Box.ymin <= y0 && y1 <= target.Box.ymax
-      then begin
-        incr pruned;
-        count := !count + t.count.(node);
-        1
-      end
-      else begin
-        let base = t.child.(node) in
-        if base < 0 then begin
-          count := count_chain t target t.head.(node) !count;
-          1
-        end
-        else begin
-          let h = shift - 1 in
-          let hs = 1 lsl h in
-          let v = go (base + 2) qx0 (qy0 + hs) h in
-          let v = v + go (base + 3) (qx0 + hs) (qy0 + hs) h in
-          let v = v + go (base + 0) qx0 qy0 h in
-          1 + v + go (base + 1) (qx0 + hs) qy0 h
-        end
-      end
-    in
-    let visited = go 0 0 0 bits_fine in
-    Probe.serve_pruned_subtrees !pruned;
-    (!count, visited)
-  end
-  else begin
-    Probe.arena_query_fallback ();
-    let visited = ref 0 in
-    let acc = ref 0 in
-    let rec go node ~box =
-      incr visited;
-      if Box.intersects box target then
-        if box_contains_cell target box then begin
-          incr pruned;
-          acc := !acc + t.count.(node)
-        end
-        else begin
-          let base = t.child.(node) in
-          if base < 0 then acc := count_chain t target t.head.(node) !acc
-          else
-            for q = 0 to 3 do
-              go
-                (base + quad_pair.(q))
-                ~box:(Box.child box (Quadrant.of_index q))
-            done
-        end
-    in
-    go 0 ~box:t.bounds;
-    Probe.serve_pruned_subtrees !pruned;
-    (!acc, !visited)
-  end
-
-(* The unpruned visit counter, for the monotonicity property (pruned
-   visits <= unpruned visits on every box) and the with/without
-   exponent ablation. *)
-let count_in_box_unpruned_visited t target =
-  let xmin = target.Box.xmin and xmax = target.Box.xmax in
-  let ymin = target.Box.ymin and ymax = target.Box.ymax in
-  let acc = ref 0 in
-  let visited = ref 0 in
-  let rec go node ~box =
-    incr visited;
-    if Box.intersects box target then begin
-      let base = t.child.(node) in
-      if base < 0 then begin
-        let slot = ref t.head.(node) in
-        while !slot >= 0 do
-          let s = !slot in
-          let x = t.xs.{s} and y = t.ys.{s} in
-          if x >= xmin && x < xmax && y >= ymin && y < ymax then incr acc;
-          slot := t.next.{s}
-        done
-      end
-      else
-        for q = 0 to 3 do
-          go (base + quad_pair.(q)) ~box:(Box.child box (Quadrant.of_index q))
-        done
-    end
-  in
-  go 0 ~box:t.bounds;
-  (!acc, !visited)
+let query_box_visited t target =
+  let pts, visited, pruned = range_walk t target in
+  Probe.serve_pruned_subtrees pruned;
+  (pts, visited)
 
 (* Rank a node's four children by box distance, closest first, ties by
    child order. Insertion sort over index pairs packed as locals. Used
-   only by the *_visited twins and the float fallback, where the two
-   4-cell arrays per internal node are tolerable; the hot nearest /
-   k-NN path packs the same ranking into one int (below) and allocates
-   nothing. The arrays stay local so concurrent queries never share
-   scratch. *)
+   only by the float fallback, where the two 4-cell arrays per internal
+   node are tolerable; the integer descent packs the same ranking into
+   one int (rank4, below) and allocates nothing per node. The arrays
+   stay local so concurrent queries never share scratch. *)
 let ranked_children px py ~box =
   let boxes = Array.init 4 (fun q -> Box.child box (Quadrant.of_index q)) in
   let order = [| 0; 1; 2; 3 |] in
@@ -2326,27 +2253,145 @@ let ranked_children px py ~box =
   done;
   (order, boxes)
 
-(* rank4 — the allocation-free twin of [ranked_children], written out
-   inline at each use instead of defined as a function: four float
-   arguments crossing a non-inlined call boundary box on every internal
-   node visited (this compiler is not flambda). Each quadrant's rank is
-   how many quadrants sort strictly before it (distance, ties by
-   quadrant index — exactly the stable insertion sort's order), and the
-   permutation packs into one int, two bits per rank; decode with
-   [(perm lsr (2 * i)) land 3] for visit position [i]. The copies in
-   [nearest], [k_nearest] and their [_visited] twins must stay in
-   sync. *)
+(* The closest-first descent nearest and k-NN share, and its one float
+   fallback. [bound.(0)] is the query's pruning distance² — a flat
+   float array, so reads and writes stay unboxed — and [scan node]
+   scans a leaf's chain, lowering the bound as it finds closer points.
+   A node is entered when its cell's clamp distance is below the bound;
+   its children are visited closest first. Returns the nodes entered,
+   as the count descent does.
 
-let nearest t (p : Point.t) =
-  if t.size = 0 then None
+   The integer descent carries cells as fine corners and writes out the
+   clamp of [dist_sq_to_box] on exact dyadic corner floats, child
+   distances in quadrant order NW, NE, SW, SE, and ranks them with
+   rank4: the allocation-free form of [ranked_children], written out
+   inline because four float arguments crossing a non-inlined call box
+   on every internal node (this compiler is not flambda). Each
+   quadrant's rank is how many quadrants sort strictly before it
+   (distance, ties by quadrant index — exactly the stable insertion
+   sort's order), and the permutation packs into one int, two bits per
+   rank; [(perm lsr (2 * i)) land 3] decodes visit position [i]. *)
+let ranked_walk t (p : Point.t) (bound : float array) scan =
+  let px = p.Point.x and py = p.Point.y in
+  let rec go_int node qx0 qy0 shift =
+    let side = 1 lsl shift in
+    let x0 = float_of_int qx0 *. inv_fine_scale
+    and y0 = float_of_int qy0 *. inv_fine_scale
+    and x1 = float_of_int (qx0 + side) *. inv_fine_scale
+    and y1 = float_of_int (qy0 + side) *. inv_fine_scale in
+    let cx = if px < x0 then x0 else if px > x1 then x1 else px in
+    let cy = if py < y0 then y0 else if py > y1 then y1 else py in
+    let dx = px -. cx and dy = py -. cy in
+    if (dx *. dx) +. (dy *. dy) < bound.(0) then begin
+      let base = t.child.(node) in
+      if base < 0 then begin
+        scan node;
+        1
+      end
+      else begin
+        let h = shift - 1 in
+        let hs = 1 lsl h in
+        let xm = float_of_int (qx0 + hs) *. inv_fine_scale
+        and ym = float_of_int (qy0 + hs) *. inv_fine_scale in
+        let d0 =
+          let cx = if px < x0 then x0 else if px > xm then xm else px
+          and cy = if py < ym then ym else if py > y1 then y1 else py in
+          let dx = px -. cx and dy = py -. cy in
+          (dx *. dx) +. (dy *. dy)
+        in
+        let d1 =
+          let cx = if px < xm then xm else if px > x1 then x1 else px
+          and cy = if py < ym then ym else if py > y1 then y1 else py in
+          let dx = px -. cx and dy = py -. cy in
+          (dx *. dx) +. (dy *. dy)
+        in
+        let d2 =
+          let cx = if px < x0 then x0 else if px > xm then xm else px
+          and cy = if py < y0 then y0 else if py > ym then ym else py in
+          let dx = px -. cx and dy = py -. cy in
+          (dx *. dx) +. (dy *. dy)
+        in
+        let d3 =
+          let cx = if px < xm then xm else if px > x1 then x1 else px
+          and cy = if py < y0 then y0 else if py > ym then ym else py in
+          let dx = px -. cx and dy = py -. cy in
+          (dx *. dx) +. (dy *. dy)
+        in
+        let r0 =
+          (if d1 < d0 then 1 else 0)
+          + (if d2 < d0 then 1 else 0)
+          + if d3 < d0 then 1 else 0
+        in
+        let r1 =
+          (if d0 <= d1 then 1 else 0)
+          + (if d2 < d1 then 1 else 0)
+          + if d3 < d1 then 1 else 0
+        in
+        let r2 =
+          (if d0 <= d2 then 1 else 0)
+          + (if d1 <= d2 then 1 else 0)
+          + if d3 < d2 then 1 else 0
+        in
+        let r3 =
+          (if d0 <= d3 then 1 else 0)
+          + (if d1 <= d3 then 1 else 0)
+          + if d2 <= d3 then 1 else 0
+        in
+        let perm =
+          (0 lsl (2 * r0)) lor (1 lsl (2 * r1)) lor (2 lsl (2 * r2))
+          lor (3 lsl (2 * r3))
+        in
+        let v = ref 1 in
+        for i = 0 to 3 do
+          v :=
+            !v
+            + (match (perm lsr (2 * i)) land 3 with
+              | 0 -> go_int (base + 2) qx0 (qy0 + hs) h
+              | 1 -> go_int (base + 3) (qx0 + hs) (qy0 + hs) h
+              | 2 -> go_int (base + 0) qx0 qy0 h
+              | _ -> go_int (base + 1) (qx0 + hs) qy0 h)
+        done;
+        !v
+      end
+    end
+    else 1
+  in
+  let rec go_float node ~box =
+    if dist_sq_to_box px py box < bound.(0) then begin
+      let base = t.child.(node) in
+      if base < 0 then begin
+        scan node;
+        1
+      end
+      else begin
+        let order, boxes = ranked_children px py ~box in
+        let v = ref 1 in
+        for i = 0 to 3 do
+          let q = order.(i) in
+          v := !v + go_float (base + quad_pair.(q)) ~box:boxes.(q)
+        done;
+        !v
+      end
+    end
+    else 1
+  in
+  if int_descent t then go_int 0 0 0 bits_fine
+  else begin
+    Probe.arena_query_fallback ();
+    go_float 0 ~box:t.bounds
+  end
+
+(* Nearest keeps its own state rather than being [k_nearest 1]: the
+   bounded collector answers the same, but a flat best-so-far array is
+   about a fifth faster and allocates a third of the words. Layout:
+   [| best distance² (the bound); best x; best y |]. *)
+let nearest_visited t (p : Point.t) =
+  if t.size = 0 then (None, 0)
   else begin
     let px = p.Point.x and py = p.Point.y in
-    (* Best-so-far state lives in a flat float array — unboxed writes —
-       because a [float ref] boxes a fresh float on every [:=]. Layout:
-       [| best distance²; best x; best y |]. *)
     let best = [| Float.infinity; 0.0; 0.0 |] in
     let found = ref false in
-    let scan_chain node =
+    let scan node =
       let slot = ref t.head.(node) in
       while !slot >= 0 do
         let s = !slot in
@@ -2362,224 +2407,40 @@ let nearest t (p : Point.t) =
         slot := t.next.{s}
       done
     in
-    (* Integer descent: cells as fine corners, the clamp of
-       [dist_sq_to_box] written out on exact dyadic corner floats (a
-       float-argument helper would box at every call). Child distances
-       are computed inline in quadrant order NW, NE, SW, SE. *)
-    let rec go_int node qx0 qy0 shift =
-      let side = 1 lsl shift in
-      let x0 = float_of_int qx0 *. inv_fine_scale
-      and y0 = float_of_int qy0 *. inv_fine_scale
-      and x1 = float_of_int (qx0 + side) *. inv_fine_scale
-      and y1 = float_of_int (qy0 + side) *. inv_fine_scale in
-      let cx = if px < x0 then x0 else if px > x1 then x1 else px in
-      let cy = if py < y0 then y0 else if py > y1 then y1 else py in
-      let dx = px -. cx and dy = py -. cy in
-      if (dx *. dx) +. (dy *. dy) < best.(0) then begin
-        let base = t.child.(node) in
-        if base < 0 then scan_chain node
-        else begin
-          let h = shift - 1 in
-          let hs = 1 lsl h in
-          let xm = float_of_int (qx0 + hs) *. inv_fine_scale
-          and ym = float_of_int (qy0 + hs) *. inv_fine_scale in
-          let d0 =
-            let cx = if px < x0 then x0 else if px > xm then xm else px
-            and cy = if py < ym then ym else if py > y1 then y1 else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          let d1 =
-            let cx = if px < xm then xm else if px > x1 then x1 else px
-            and cy = if py < ym then ym else if py > y1 then y1 else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          let d2 =
-            let cx = if px < x0 then x0 else if px > xm then xm else px
-            and cy = if py < y0 then y0 else if py > ym then ym else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          let d3 =
-            let cx = if px < xm then xm else if px > x1 then x1 else px
-            and cy = if py < y0 then y0 else if py > ym then ym else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          (* rank4, written out inline: see its comment — a float
-             argument crossing a non-inlined call boxes per node. *)
-          let r0 =
-            (if d1 < d0 then 1 else 0)
-            + (if d2 < d0 then 1 else 0)
-            + if d3 < d0 then 1 else 0
-          in
-          let r1 =
-            (if d0 <= d1 then 1 else 0)
-            + (if d2 < d1 then 1 else 0)
-            + if d3 < d1 then 1 else 0
-          in
-          let r2 =
-            (if d0 <= d2 then 1 else 0)
-            + (if d1 <= d2 then 1 else 0)
-            + if d3 < d2 then 1 else 0
-          in
-          let r3 =
-            (if d0 <= d3 then 1 else 0)
-            + (if d1 <= d3 then 1 else 0)
-            + if d2 <= d3 then 1 else 0
-          in
-          let perm =
-            (0 lsl (2 * r0)) lor (1 lsl (2 * r1)) lor (2 lsl (2 * r2))
-            lor (3 lsl (2 * r3))
-          in
-          for i = 0 to 3 do
-            match (perm lsr (2 * i)) land 3 with
-            | 0 -> go_int (base + 2) qx0 (qy0 + hs) h
-            | 1 -> go_int (base + 3) (qx0 + hs) (qy0 + hs) h
-            | 2 -> go_int (base + 0) qx0 qy0 h
-            | _ -> go_int (base + 1) (qx0 + hs) qy0 h
-          done
-        end
-      end
-    in
-    let rec go_float node ~box =
-      if dist_sq_to_box px py box < best.(0) then begin
-        let base = t.child.(node) in
-        if base < 0 then scan_chain node
-        else begin
-          let order, boxes = ranked_children px py ~box in
-          for i = 0 to 3 do
-            let q = order.(i) in
-            go_float (base + quad_pair.(q)) ~box:boxes.(q)
-          done
-        end
-      end
-    in
-    if int_descent t then go_int 0 0 0 bits_fine
-    else begin
-      Probe.arena_query_fallback ();
-      go_float 0 ~box:t.bounds
-    end;
-    if !found then Some (Point.make best.(1) best.(2)) else None
+    let visited = ranked_walk t p best scan in
+    ((if !found then Some (Point.make best.(1) best.(2)) else None), visited)
   end
 
-let k_nearest t k (p : Point.t) =
+let nearest t p = fst (nearest_visited t p)
+
+(* The same shared bounded collector as [Pr_quadtree.k_nearest]; the
+   bound cell mirrors its [worst] and changes only when it accepts. *)
+let k_nearest_visited t k (p : Point.t) =
   if k < 0 then invalid_arg "Pr_arena.k_nearest: k < 0";
-  if k = 0 || t.size = 0 then []
+  if k = 0 || t.size = 0 then ([], 0)
   else begin
     let px = p.Point.x and py = p.Point.y in
-    (* The same shared bounded collector as [Pr_quadtree.k_nearest]. *)
     let nbrs = Pqueue.Neighbors.create k in
-    let scan_chain node =
+    let bound = [| Pqueue.Neighbors.worst nbrs |] in
+    let scan node =
       let slot = ref t.head.(node) in
       while !slot >= 0 do
         let s = !slot in
         let x = t.xs.{s} and y = t.ys.{s} in
         let dx = x -. px and dy = y -. py in
         let d = (dx *. dx) +. (dy *. dy) in
-        if d < Pqueue.Neighbors.worst nbrs then
+        if d < bound.(0) then begin
           Pqueue.Neighbors.offer nbrs ~dist:d (Point.make x y);
+          bound.(0) <- Pqueue.Neighbors.worst nbrs
+        end;
         slot := t.next.{s}
       done
     in
-    let rec go_int node qx0 qy0 shift =
-      let side = 1 lsl shift in
-      let x0 = float_of_int qx0 *. inv_fine_scale
-      and y0 = float_of_int qy0 *. inv_fine_scale
-      and x1 = float_of_int (qx0 + side) *. inv_fine_scale
-      and y1 = float_of_int (qy0 + side) *. inv_fine_scale in
-      let cx = if px < x0 then x0 else if px > x1 then x1 else px in
-      let cy = if py < y0 then y0 else if py > y1 then y1 else py in
-      let dx = px -. cx and dy = py -. cy in
-      if (dx *. dx) +. (dy *. dy) < Pqueue.Neighbors.worst nbrs then begin
-        let base = t.child.(node) in
-        if base < 0 then scan_chain node
-        else begin
-          let h = shift - 1 in
-          let hs = 1 lsl h in
-          let xm = float_of_int (qx0 + hs) *. inv_fine_scale
-          and ym = float_of_int (qy0 + hs) *. inv_fine_scale in
-          let d0 =
-            let cx = if px < x0 then x0 else if px > xm then xm else px
-            and cy = if py < ym then ym else if py > y1 then y1 else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          let d1 =
-            let cx = if px < xm then xm else if px > x1 then x1 else px
-            and cy = if py < ym then ym else if py > y1 then y1 else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          let d2 =
-            let cx = if px < x0 then x0 else if px > xm then xm else px
-            and cy = if py < y0 then y0 else if py > ym then ym else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          let d3 =
-            let cx = if px < xm then xm else if px > x1 then x1 else px
-            and cy = if py < y0 then y0 else if py > ym then ym else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          (* rank4, written out inline: see its comment — a float
-             argument crossing a non-inlined call boxes per node. *)
-          let r0 =
-            (if d1 < d0 then 1 else 0)
-            + (if d2 < d0 then 1 else 0)
-            + if d3 < d0 then 1 else 0
-          in
-          let r1 =
-            (if d0 <= d1 then 1 else 0)
-            + (if d2 < d1 then 1 else 0)
-            + if d3 < d1 then 1 else 0
-          in
-          let r2 =
-            (if d0 <= d2 then 1 else 0)
-            + (if d1 <= d2 then 1 else 0)
-            + if d3 < d2 then 1 else 0
-          in
-          let r3 =
-            (if d0 <= d3 then 1 else 0)
-            + (if d1 <= d3 then 1 else 0)
-            + if d2 <= d3 then 1 else 0
-          in
-          let perm =
-            (0 lsl (2 * r0)) lor (1 lsl (2 * r1)) lor (2 lsl (2 * r2))
-            lor (3 lsl (2 * r3))
-          in
-          for i = 0 to 3 do
-            match (perm lsr (2 * i)) land 3 with
-            | 0 -> go_int (base + 2) qx0 (qy0 + hs) h
-            | 1 -> go_int (base + 3) (qx0 + hs) (qy0 + hs) h
-            | 2 -> go_int (base + 0) qx0 qy0 h
-            | _ -> go_int (base + 1) (qx0 + hs) qy0 h
-          done
-        end
-      end
-    in
-    let rec go_float node ~box =
-      if dist_sq_to_box px py box < Pqueue.Neighbors.worst nbrs then begin
-        let base = t.child.(node) in
-        if base < 0 then scan_chain node
-        else begin
-          let order, boxes = ranked_children px py ~box in
-          for i = 0 to 3 do
-            let q = order.(i) in
-            go_float (base + quad_pair.(q)) ~box:boxes.(q)
-          done
-        end
-      end
-    in
-    if int_descent t then go_int 0 0 0 bits_fine
-    else begin
-      Probe.arena_query_fallback ();
-      go_float 0 ~box:t.bounds
-    end;
-    Pqueue.Neighbors.drain_nearest nbrs
+    let visited = ranked_walk t p bound scan in
+    (Pqueue.Neighbors.drain_nearest nbrs, visited)
   end
+
+let k_nearest t k p = fst (k_nearest_visited t k p)
 
 let cell_at t (p : Point.t) =
   if not (Box.contains t.bounds p) then
@@ -2596,6 +2457,12 @@ let cell_at t (p : Point.t) =
   in
   let depth, box, node = go 0 ~depth:0 ~box:t.bounds in
   (depth, box, leaf_points t node)
+
+(* A point descent enters one node per level: the root-to-leaf path of
+   [depth] internal steps visits [depth + 1] nodes. *)
+let cell_at_visited t (p : Point.t) =
+  let ((depth, _, _) as cell) = cell_at t p in
+  (cell, depth + 1)
 
 let mem t (p : Point.t) =
   Box.contains t.bounds p
@@ -2617,372 +2484,6 @@ let mem t (p : Point.t) =
     in
     go 0 ~box:t.bounds
   end
-
-(* Visited-counting duplicates of the query kernels, for the serving
-   layer's per-query telemetry. Same cost accounting as
-   [count_in_box_visited]: every node entered counts one — a pruned
-   subtree, whether pruned by disjointness or by containment, costs its
-   root's test and nothing below (the containment drain walks chains,
-   but chain work is answer emission, not traversal cost) — so the
-   counts line up with the partial-match exponent the population
-   analysis predicts. Kept as separate copies rather than a counter
-   threaded through the plain kernels, so the uninstrumented hot path
-   keeps its exact instruction stream. Each twin carries the same two
-   descents as its plain kernel — the integer fast path and the float
-   fallback — because telemetry must stay within 10% of the plain
-   batch: a box-descent-only twin was measured at more than 2x the
-   integer kernels, which would price the *instrumentation* at the cost
-   of the slower *traversal*. The corner floats are bit-identical
-   between the descents, so the visit counts are too. On the integer
-   descents the tally itself rides the recursion's return value — pure
-   register adds on the way back up — because at hundreds of visited
-   nodes per large query, even one heap-cell [incr] per node was
-   measurable against the telemetry overhead bar. *)
-
-let query_box_visited t target =
-  let pruned = ref 0 in
-  if int_descent t then begin
-    (* Visit tally in the return value, answer points in a ref touched
-       only where points are emitted — same shape (and reason) as
-       [count_in_box_visited]. The ref updates happen in the same
-       traversal order the threaded accumulator did, so the result
-       list is unchanged. *)
-    let pts = ref [] in
-    let rec go node qx0 qy0 shift =
-      let side = 1 lsl shift in
-      let x0 = float_of_int qx0 *. inv_fine_scale
-      and y0 = float_of_int qy0 *. inv_fine_scale
-      and x1 = float_of_int (qx0 + side) *. inv_fine_scale
-      and y1 = float_of_int (qy0 + side) *. inv_fine_scale in
-      if
-        x0 >= target.Box.xmax || target.Box.xmin >= x1
-        || y0 >= target.Box.ymax || target.Box.ymin >= y1
-      then 1
-      else if
-        target.Box.xmin <= x0 && x1 <= target.Box.xmax
-        && target.Box.ymin <= y0 && y1 <= target.Box.ymax
-      then begin
-        incr pruned;
-        pts := drain_subtree t node !pts;
-        1
-      end
-      else begin
-        let base = t.child.(node) in
-        if base < 0 then begin
-          pts := filter_chain t target t.head.(node) !pts;
-          1
-        end
-        else begin
-          let h = shift - 1 in
-          let hs = 1 lsl h in
-          let v = go (base + 2) qx0 (qy0 + hs) h in
-          let v = v + go (base + 3) (qx0 + hs) (qy0 + hs) h in
-          let v = v + go (base + 0) qx0 qy0 h in
-          1 + v + go (base + 1) (qx0 + hs) qy0 h
-        end
-      end
-    in
-    let visited = go 0 0 0 bits_fine in
-    Probe.serve_pruned_subtrees !pruned;
-    (!pts, visited)
-  end
-  else begin
-    Probe.arena_query_fallback ();
-    let visited = ref 0 in
-    let acc = ref [] in
-    let rec go node ~box =
-      incr visited;
-      if Box.intersects box target then
-        if box_contains_cell target box then begin
-          incr pruned;
-          acc := drain_subtree t node !acc
-        end
-        else begin
-          let base = t.child.(node) in
-          if base < 0 then acc := filter_chain t target t.head.(node) !acc
-          else
-            for q = 0 to 3 do
-              go
-                (base + quad_pair.(q))
-                ~box:(Box.child box (Quadrant.of_index q))
-            done
-        end
-    in
-    go 0 ~box:t.bounds;
-    Probe.serve_pruned_subtrees !pruned;
-    (!acc, !visited)
-  end
-
-let nearest_visited t (p : Point.t) =
-  if t.size = 0 then (None, 0)
-  else begin
-    let px = p.Point.x and py = p.Point.y in
-    let best = [| Float.infinity; 0.0; 0.0 |] in
-    let found = ref false in
-    (* Fallback-path tally only; the integer descent returns its visit
-       count (see [count_in_box_visited] for why). *)
-    let visited = ref 0 in
-    let scan_chain node =
-      let slot = ref t.head.(node) in
-      while !slot >= 0 do
-        let s = !slot in
-        let x = t.xs.{s} and y = t.ys.{s} in
-        let dx = x -. px and dy = y -. py in
-        let d = (dx *. dx) +. (dy *. dy) in
-        if d < best.(0) then begin
-          best.(0) <- d;
-          best.(1) <- x;
-          best.(2) <- y;
-          found := true
-        end;
-        slot := t.next.{s}
-      done
-    in
-    let rec go_int node qx0 qy0 shift =
-      let side = 1 lsl shift in
-      let x0 = float_of_int qx0 *. inv_fine_scale
-      and y0 = float_of_int qy0 *. inv_fine_scale
-      and x1 = float_of_int (qx0 + side) *. inv_fine_scale
-      and y1 = float_of_int (qy0 + side) *. inv_fine_scale in
-      let cx = if px < x0 then x0 else if px > x1 then x1 else px in
-      let cy = if py < y0 then y0 else if py > y1 then y1 else py in
-      let dx = px -. cx and dy = py -. cy in
-      if (dx *. dx) +. (dy *. dy) < best.(0) then begin
-        let base = t.child.(node) in
-        if base < 0 then begin
-          scan_chain node;
-          1
-        end
-        else begin
-          let h = shift - 1 in
-          let hs = 1 lsl h in
-          let xm = float_of_int (qx0 + hs) *. inv_fine_scale
-          and ym = float_of_int (qy0 + hs) *. inv_fine_scale in
-          let d0 =
-            let cx = if px < x0 then x0 else if px > xm then xm else px
-            and cy = if py < ym then ym else if py > y1 then y1 else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          let d1 =
-            let cx = if px < xm then xm else if px > x1 then x1 else px
-            and cy = if py < ym then ym else if py > y1 then y1 else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          let d2 =
-            let cx = if px < x0 then x0 else if px > xm then xm else px
-            and cy = if py < y0 then y0 else if py > ym then ym else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          let d3 =
-            let cx = if px < xm then xm else if px > x1 then x1 else px
-            and cy = if py < y0 then y0 else if py > ym then ym else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          (* rank4, written out inline: see its comment — a float
-             argument crossing a non-inlined call boxes per node. *)
-          let r0 =
-            (if d1 < d0 then 1 else 0)
-            + (if d2 < d0 then 1 else 0)
-            + if d3 < d0 then 1 else 0
-          in
-          let r1 =
-            (if d0 <= d1 then 1 else 0)
-            + (if d2 < d1 then 1 else 0)
-            + if d3 < d1 then 1 else 0
-          in
-          let r2 =
-            (if d0 <= d2 then 1 else 0)
-            + (if d1 <= d2 then 1 else 0)
-            + if d3 < d2 then 1 else 0
-          in
-          let r3 =
-            (if d0 <= d3 then 1 else 0)
-            + (if d1 <= d3 then 1 else 0)
-            + if d2 <= d3 then 1 else 0
-          in
-          let perm =
-            (0 lsl (2 * r0)) lor (1 lsl (2 * r1)) lor (2 lsl (2 * r2))
-            lor (3 lsl (2 * r3))
-          in
-          let v = ref 1 in
-          for i = 0 to 3 do
-            v :=
-              !v
-              + (match (perm lsr (2 * i)) land 3 with
-                | 0 -> go_int (base + 2) qx0 (qy0 + hs) h
-                | 1 -> go_int (base + 3) (qx0 + hs) (qy0 + hs) h
-                | 2 -> go_int (base + 0) qx0 qy0 h
-                | _ -> go_int (base + 1) (qx0 + hs) qy0 h)
-          done;
-          !v
-        end
-      end
-      else 1
-    in
-    let rec go_float node ~box =
-      incr visited;
-      if dist_sq_to_box px py box < best.(0) then begin
-        let base = t.child.(node) in
-        if base < 0 then scan_chain node
-        else begin
-          let order, boxes = ranked_children px py ~box in
-          for i = 0 to 3 do
-            let q = order.(i) in
-            go_float (base + quad_pair.(q)) ~box:boxes.(q)
-          done
-        end
-      end
-    in
-    let visits =
-      if int_descent t then go_int 0 0 0 bits_fine
-      else begin
-        Probe.arena_query_fallback ();
-        go_float 0 ~box:t.bounds;
-        !visited
-      end
-    in
-    ((if !found then Some (Point.make best.(1) best.(2)) else None), visits)
-  end
-
-let k_nearest_visited t k (p : Point.t) =
-  if k < 0 then invalid_arg "Pr_arena.k_nearest_visited: k < 0";
-  if k = 0 || t.size = 0 then ([], 0)
-  else begin
-    let px = p.Point.x and py = p.Point.y in
-    let nbrs = Pqueue.Neighbors.create k in
-    (* Fallback-path tally only, as in [nearest_visited]. *)
-    let visited = ref 0 in
-    let scan_chain node =
-      let slot = ref t.head.(node) in
-      while !slot >= 0 do
-        let s = !slot in
-        let x = t.xs.{s} and y = t.ys.{s} in
-        let dx = x -. px and dy = y -. py in
-        let d = (dx *. dx) +. (dy *. dy) in
-        if d < Pqueue.Neighbors.worst nbrs then
-          Pqueue.Neighbors.offer nbrs ~dist:d (Point.make x y);
-        slot := t.next.{s}
-      done
-    in
-    let rec go_int node qx0 qy0 shift =
-      let side = 1 lsl shift in
-      let x0 = float_of_int qx0 *. inv_fine_scale
-      and y0 = float_of_int qy0 *. inv_fine_scale
-      and x1 = float_of_int (qx0 + side) *. inv_fine_scale
-      and y1 = float_of_int (qy0 + side) *. inv_fine_scale in
-      let cx = if px < x0 then x0 else if px > x1 then x1 else px in
-      let cy = if py < y0 then y0 else if py > y1 then y1 else py in
-      let dx = px -. cx and dy = py -. cy in
-      if (dx *. dx) +. (dy *. dy) < Pqueue.Neighbors.worst nbrs then begin
-        let base = t.child.(node) in
-        if base < 0 then begin
-          scan_chain node;
-          1
-        end
-        else begin
-          let h = shift - 1 in
-          let hs = 1 lsl h in
-          let xm = float_of_int (qx0 + hs) *. inv_fine_scale
-          and ym = float_of_int (qy0 + hs) *. inv_fine_scale in
-          let d0 =
-            let cx = if px < x0 then x0 else if px > xm then xm else px
-            and cy = if py < ym then ym else if py > y1 then y1 else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          let d1 =
-            let cx = if px < xm then xm else if px > x1 then x1 else px
-            and cy = if py < ym then ym else if py > y1 then y1 else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          let d2 =
-            let cx = if px < x0 then x0 else if px > xm then xm else px
-            and cy = if py < y0 then y0 else if py > ym then ym else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          let d3 =
-            let cx = if px < xm then xm else if px > x1 then x1 else px
-            and cy = if py < y0 then y0 else if py > ym then ym else py in
-            let dx = px -. cx and dy = py -. cy in
-            (dx *. dx) +. (dy *. dy)
-          in
-          (* rank4, written out inline: see its comment — a float
-             argument crossing a non-inlined call boxes per node. *)
-          let r0 =
-            (if d1 < d0 then 1 else 0)
-            + (if d2 < d0 then 1 else 0)
-            + if d3 < d0 then 1 else 0
-          in
-          let r1 =
-            (if d0 <= d1 then 1 else 0)
-            + (if d2 < d1 then 1 else 0)
-            + if d3 < d1 then 1 else 0
-          in
-          let r2 =
-            (if d0 <= d2 then 1 else 0)
-            + (if d1 <= d2 then 1 else 0)
-            + if d3 < d2 then 1 else 0
-          in
-          let r3 =
-            (if d0 <= d3 then 1 else 0)
-            + (if d1 <= d3 then 1 else 0)
-            + if d2 <= d3 then 1 else 0
-          in
-          let perm =
-            (0 lsl (2 * r0)) lor (1 lsl (2 * r1)) lor (2 lsl (2 * r2))
-            lor (3 lsl (2 * r3))
-          in
-          let v = ref 1 in
-          for i = 0 to 3 do
-            v :=
-              !v
-              + (match (perm lsr (2 * i)) land 3 with
-                | 0 -> go_int (base + 2) qx0 (qy0 + hs) h
-                | 1 -> go_int (base + 3) (qx0 + hs) (qy0 + hs) h
-                | 2 -> go_int (base + 0) qx0 qy0 h
-                | _ -> go_int (base + 1) (qx0 + hs) qy0 h)
-          done;
-          !v
-        end
-      end
-      else 1
-    in
-    let rec go_float node ~box =
-      incr visited;
-      if dist_sq_to_box px py box < Pqueue.Neighbors.worst nbrs then begin
-        let base = t.child.(node) in
-        if base < 0 then scan_chain node
-        else begin
-          let order, boxes = ranked_children px py ~box in
-          for i = 0 to 3 do
-            let q = order.(i) in
-            go_float (base + quad_pair.(q)) ~box:boxes.(q)
-          done
-        end
-      end
-    in
-    let visits =
-      if int_descent t then go_int 0 0 0 bits_fine
-      else begin
-        Probe.arena_query_fallback ();
-        go_float 0 ~box:t.bounds;
-        !visited
-      end
-    in
-    (Pqueue.Neighbors.drain_nearest nbrs, visits)
-  end
-
-(* A point descent enters one node per level: the root-to-leaf path of
-   [depth] internal steps visits [depth + 1] nodes. *)
-let cell_at_visited t (p : Point.t) =
-  let ((depth, _, _) as cell) = cell_at t p in
-  (cell, depth + 1)
 
 (* --- Snapshots and refresh --------------------------------------------
 

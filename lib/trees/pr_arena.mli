@@ -1,8 +1,8 @@
 open Import
 
 (** The arena-backed PR quadtree core: the same canonical PR
-    decomposition as {!Pr_quadtree} and {!Pr_builder}, stored as a
-    structure of arrays instead of a boxed node graph.
+    decomposition as {!Pr_quadtree}, stored as a structure of arrays
+    instead of a boxed node graph.
 
     Nodes are int indices into flat growable arrays — a child-base table
     ([-1] marks a leaf; a non-negative entry is the index of the first
@@ -25,10 +25,10 @@ open Import
       and bump-allocate four node indices. Nothing touches the minor
       heap except doubling a backing column ([make check] asserts the
       zero-minor-words claim via [Gc.minor_words]).
-    - {b two build paths}: {!of_points} grows incrementally with the
-      same O(1) statistics contract as {!Pr_builder} (size / leaves /
-      internals / height / occupancy histogram maintained per insert,
-      so per-step snapshots are free), and {!bulk_of_columns} (with
+    - {b two build paths}: {!of_points} grows incrementally with O(1)
+      statistics (size / leaves / internals / height / occupancy
+      histogram maintained per insert, so per-step snapshots are
+      free), and {!bulk_of_columns} (with
       its wrappers {!of_points_bulk} and {!bulk_of_fn}) sorts the
       Morton keys once — a top-down MSD radix partition, two bits per
       level — and emits the finished tree in a single pass, leaves left-to-right in Z-order. The bulk path has
@@ -46,9 +46,8 @@ open Import
       [d < ]{!Popan_geom.Morton.bits_fine}[ = 42] — cell boundaries are
       dyadic rationals, exactly representable, and [floor (x *. 2^42)]
       is computed without rounding — so both build paths produce
-      bit-for-bit the decomposition {!Pr_builder} and
-      {!Pr_quadtree.of_points} produce, with integer descent the whole
-      way. Custom bounds (and the pathological regime below 42 bits:
+      bit-for-bit the decomposition {!Pr_quadtree.of_points} produces,
+      with integer descent the whole way. Custom bounds (and the pathological regime below 42 bits:
       duplicate-heavy data under [max_depth > 42], which warns via
       [Probe.arena_deep_float]) descend by the same float-midpoint
       arithmetic as {!Popan_geom.Box.step}, preserving the equivalence
@@ -56,9 +55,9 @@ open Import
 
     {!freeze} converts a build into a persistent {!Pr_quadtree.t} and
     {!thaw} goes the other way, so snapshots, checkpoints and golden
-    tables are unchanged by the representation. {!Pr_builder} remains
+    tables are unchanged by the representation. {!Pr_quadtree} remains
     the reference implementation; the test suite keeps the two
-    qcheck-equal. *)
+    qcheck-equal, builds and queries alike. *)
 
 type t
 
@@ -66,8 +65,10 @@ type t
     Bigarrays. [Mmap { dir }] maps each column from a segment file in a
     private subdirectory of [dir] (created per arena, so arenas never
     collide), letting builds larger than RAM page through the file
-    cache; growth remaps the same file in place. If mapping ever fails
-    the arena degrades to heap columns — loudly, via
+    cache; growth remaps the same file in place. A bulk build maps its
+    sort scratch there too and deletes it when the sort is done, so a
+    built arena keeps only its four point columns on disk. If mapping
+    ever fails the arena degrades to heap columns — loudly, via
     [Probe.arena_fallback], never silently. *)
 type backing = Heap | Mmap of { dir : string }
 
@@ -284,7 +285,7 @@ val average_occupancy : t -> float
 
 (** [fold_leaves t ~init ~f] folds [f] over every leaf with its depth,
     block, stored points and their count. Leaves are visited in the
-    same child order as {!Pr_builder.fold_leaves} (NW, NE, SW, SE).
+    same child order as {!Pr_quadtree.fold_leaves} (NW, NE, SW, SE).
     The point lists are materialized per leaf; this is an analysis
     path, not a build path. *)
 val fold_leaves :
@@ -301,58 +302,52 @@ val points : t -> Point.t list
 (** {2 Arena-native queries}
 
     The query kernels walk the structure-of-arrays columns directly —
-    no freeze to {!Pr_quadtree} per query — and mutate nothing, so any
-    number of domains may query one arena concurrently; the serving
-    layer fans batched queries out over a shared epoch {!snapshot}.
-    Each kernel is differential-tested against its {!Pr_quadtree}
-    counterpart.
+    no freeze to {!Pr_quadtree} per query — and mutate nothing the
+    arena holds, so any number of domains may query one arena
+    concurrently; the serving layer fans batched queries out over a
+    shared epoch {!snapshot}. Each kernel is differential-tested
+    against its {!Pr_quadtree} counterpart.
 
-    Two structural properties of the range/count kernels:
+    {b One traversal per kind.} Count, range, nearest and k-NN each
+    have one traversal that tallies the tree nodes it enters; each
+    plain entry point and its [_visited] twin run that same walk, so
+    [count_in_box t b = fst (count_in_box_visited t b)], and likewise
+    for [query_box], [nearest] and [k_nearest]. A node entered counts
+    one: a pruned subtree — disjoint or contained — costs exactly its
+    root. That count is the observable for the partial-match cost
+    analysis: on a full-height strip query it grows as √n times a
+    log-periodic factor, because a PR quadtree is a trie
+    (Curien–Joseph's n^0.562 belongs to the point quadtree). The
+    serving layer records it into the stable [serve.visited.*]
+    sketches.
 
     {b Containment pruning.} Every node carries its exact subtree
     population, so a node whose cell the target box fully contains is
     answered wholesale — {!count_in_box} adds the stored count in O(1),
     {!query_box} drains the subtree's chains with no per-point test.
-    Cost tracks the visited-node frontier (the Curien–Joseph
-    partial-match regime), not the answer's population. Soundness rests
-    on cells being half-open on their high edges, exactly
-    {!Box.contains}'s convention.
+    Cost tracks the visited-node frontier, not the answer's population.
+    Soundness rests on cells being half-open on their high edges,
+    exactly {!Box.contains}'s convention.
 
     {b Integer cell descent.} Unit-bounds arenas no deeper than the
     42-bit fine Morton grid descend on integer cell corners — no box
-    record per visited node, zero minor words allocated per query.
+    record per visited node; a count allocates zero minor words.
     Custom bounds or deeper arenas fall back to float-midpoint descent
-    (same answers, still containment-pruned) and say so once per
-    process via [Probe.arena_query_fallback]. *)
+    (same answers and visits, still containment-pruned) and say so once
+    per process via [Probe.arena_query_fallback]. *)
 
 (** [query_box t b] lists the stored points inside [b] (half-open, as
     {!Box.contains}), in no specified but deterministic order —
-    identical, element for element, to {!query_box_unpruned}'s.
-    Subtrees whose cells miss [b] are pruned; subtrees whose cells [b]
-    contains are drained without per-point tests. *)
+    identical, element for element, to {!Pr_quadtree.query_box} over
+    {!freeze}[ t]. Subtrees whose cells miss [b] are pruned; subtrees
+    whose cells [b] contains are drained without per-point tests. *)
 val query_box : t -> Box.t -> Point.t list
 
 (** [count_in_box t b] is [List.length (query_box t b)] without
     materializing the points; boxes containing whole subtree cells are
-    answered from the stored per-node counts in O(frontier). *)
+    answered from the stored per-node counts in O(frontier). Allocates
+    nothing on the integer descent. *)
 val count_in_box : t -> Box.t -> int
-
-(** [count_in_box_visited t b] is [count_in_box t b] paired with the
-    number of tree nodes the traversal touched (a pruned subtree —
-    disjoint or contained — costs exactly its root) — the observable
-    for the partial-match cost analysis: on a full-height strip query
-    the visited count grows as [n^((sqrt 17 - 3) / 2)]
-    (Curien–Joseph). *)
-val count_in_box_visited : t -> Box.t -> int * int
-
-(** The pre-pruning kernels, kept callable for ablation benches and the
-    monotonicity property (pruned visits <= unpruned visits on every
-    box): identical answers, but every intersecting subtree is entered
-    and every chained point tested. *)
-
-val query_box_unpruned : t -> Box.t -> Point.t list
-val count_in_box_unpruned : t -> Box.t -> int
-val count_in_box_unpruned_visited : t -> Box.t -> int * int
 
 (** [nearest t p] is a stored point at minimal Euclidean distance from
     [p] (ties arbitrary), or [None] when empty. Children are visited
@@ -375,16 +370,14 @@ val cell_at : t -> Point.t -> int * Box.t * Point.t list
 (** [mem t p] is whether some stored point equals [p] exactly. *)
 val mem : t -> Point.t -> bool
 
-(** {2 Visited-counting kernels}
+(** {2 Visit tallies}
 
-    Each [_visited] kernel returns the plain kernel's answer paired
-    with the number of tree nodes the traversal entered, under
-    {!count_in_box_visited}'s accounting (a pruned subtree costs
-    exactly its root). The serving layer records these counts into the
-    stable [serve.visited.*] sketches — the live analog of the
-    population analysis' cost observables. Separate copies, so the
-    uninstrumented kernels keep their exact instruction stream. *)
+    Each [_visited] entry point returns its plain twin's answer paired
+    with the number of tree nodes the walk entered. The count and range
+    entries also add the subtrees they pruned to the
+    [serve.pruned.subtrees] counter; the plain entries report nothing. *)
 
+val count_in_box_visited : t -> Box.t -> int * int
 val query_box_visited : t -> Box.t -> Point.t list * int
 val nearest_visited : t -> Point.t -> Point.t option * int
 

@@ -167,7 +167,7 @@ val equal_structure : t -> t -> bool
     Intended for debugging and the examples; not a stable format. *)
 val pp_structure : Format.formatter -> t -> unit
 
-(** Direct access to the node spine. This exists so {!Pr_builder} can
+(** Direct access to the node spine. This exists so {!Pr_arena} can
     freeze a mutable build into a persistent tree (and thaw one back)
     without an O(n log n) rebuild; it is not a stable public API. A tree
     assembled through {!Raw.make} must satisfy the PR invariants

@@ -13,7 +13,8 @@
 
 module Point = Popan_geom.Point
 module Pr_arena = Popan_trees.Pr_arena
-module Pr_builder = Popan_trees.Pr_builder
+module Pr_quadtree = Popan_trees.Pr_quadtree
+module Pqueue = Popan_trees.Pqueue
 module Xoshiro = Popan_rng.Xoshiro
 module Sampler = Popan_rng.Sampler
 
@@ -63,25 +64,26 @@ let tests =
               words (inserts - 1)
               (words /. float_of_int (inserts - 1))
         end);
-    Alcotest.test_case "positive control: Pr_builder inserts do allocate"
+    Alcotest.test_case "positive control: Pr_quadtree inserts do allocate"
       `Quick (fun () ->
         (* If the measurement harness ever stops seeing allocation, the
-           zero-alloc assertion above becomes vacuous — the cons-cell
-           reference implementation proves the meter still works. *)
+           zero-alloc assertion above becomes vacuous — the persistent
+           tree, which conses a fresh leaf list per insert, proves the
+           meter still works. *)
         if not native then print_endline "skipped: bytecode boxes floats"
         else begin
           let pts = points () in
-          let b = Pr_builder.create ~capacity:inserts () in
-          Pr_builder.insert b pts.(0);
+          let tree = ref (Pr_quadtree.create ~capacity:inserts ()) in
+          tree := Pr_quadtree.insert !tree pts.(0);
           let words =
             measure (fun () ->
                 for i = 1 to inserts - 1 do
-                  Pr_builder.insert b pts.(i)
+                  tree := Pr_quadtree.insert !tree pts.(i)
                 done)
           in
           if words < float_of_int inserts then
             Alcotest.failf
-              "expected the boxed builder to allocate (got %.0f words); \
+              "expected the persistent tree to allocate (got %.0f words); \
                the allocation meter is broken"
               words
         end);
@@ -184,8 +186,8 @@ let tests =
     Alcotest.test_case "splits and growth stay amortized-modest" `Quick
       (fun () ->
         (* Not zero — splits bump-allocate node quads and growth doubles
-           arrays — but a full 10k-point build must stay far below the
-           boxed builder's per-point cons traffic. *)
+           arrays — but a full 10k-point build must stay far below a
+           boxed tree's per-point cons traffic. *)
         if not native then print_endline "skipped: bytecode boxes floats"
         else begin
           let pts = points () in
@@ -404,4 +406,41 @@ let wire_tests =
         end);
   ]
 
-let () = Alcotest.run "popan_alloc" [ ("arena", tests); ("wire", wire_tests) ]
+let knn_tests =
+  [
+    Alcotest.test_case "Neighbors.worst on a full collector allocates nothing"
+      `Quick (fun () ->
+        (* Every node a k-NN descent visits reads the pruning bound, so
+           reading it must not box: 10^5 reads of a full collector's
+           bound, folded into an unboxed float sum, must stay within the
+           meter's slack. *)
+        if not native then print_endline "skipped: bytecode boxes floats"
+        else begin
+          let k = 16 in
+          let n = Pqueue.Neighbors.create k in
+          for i = 1 to 2 * k do
+            Pqueue.Neighbors.offer n ~dist:(float_of_int i) i
+          done;
+          (* A float array cell: a [float ref] would box every sum. *)
+          let sum = [| 0.0 |] in
+          let calls = 100_000 in
+          let words =
+            measure (fun () ->
+                for _ = 1 to calls do
+                  sum.(0) <- sum.(0) +. Pqueue.Neighbors.worst n
+                done)
+          in
+          Alcotest.(check (float 0.0)) "the kth distance"
+            (float_of_int (calls * k)) sum.(0);
+          if words > slack then
+            Alcotest.failf
+              "%d Neighbors.worst calls allocated %.0f minor words (%.2f per \
+               call); the k-NN pruning bound must not allocate"
+              calls words
+              (words /. float_of_int calls)
+        end);
+  ]
+
+let () =
+  Alcotest.run "popan_alloc"
+    [ ("arena", tests); ("wire", wire_tests); ("knn", knn_tests) ]

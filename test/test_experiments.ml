@@ -119,8 +119,8 @@ let occupancy_tests =
           comparisons);
     Alcotest.test_case "builder path agrees with the persistent path" `Quick
       (fun () ->
-        (* measure_pr runs on Pr_builder; recompute every statistic from
-           persistent trees and demand exact agreement. *)
+        (* measure_pr runs on the arena's bulk builder; recompute every
+           statistic from persistent trees and demand exact agreement. *)
         let m = Occupancy.measure_pr small_workload ~capacity:4 in
         let trees =
           Workload.map_trials small_workload ~f:(fun _ pts ->

@@ -14,7 +14,6 @@ module Parallel = Popan_parallel
 module Distribution = Popan_core.Distribution
 module Mc_transform = Popan_core.Mc_transform
 module Transform = Popan_core.Transform
-module Pr_builder = Popan_trees.Pr_builder
 module Pr_arena = Popan_trees.Pr_arena
 module Pr_quadtree = Popan_trees.Pr_quadtree
 module Sampler = Popan_rng.Sampler
@@ -149,11 +148,11 @@ let sweep_reference ~capacity ~max_depth ~sizes ~model ~trials ~seed =
       let measurements =
         List.init trials (fun t ->
             let tree =
-              Pr_builder.of_points ~max_depth ~capacity
+              Pr_quadtree.of_points ~max_depth ~capacity
                 (Sampler.points rngs.(t) model points)
             in
-            ( float_of_int (Pr_builder.leaf_count tree),
-              Pr_builder.average_occupancy tree ))
+            ( float_of_int (Pr_quadtree.leaf_count tree),
+              Pr_quadtree.average_occupancy tree ))
       in
       {
         Sweep.points;
@@ -273,10 +272,10 @@ let determinism_tests =
         quad (int_range 0 10_000) (int_range 1 6) (int_range 2 16)
           (int_range 1 8))
       (fun (seed, capacity, max_depth, trials) ->
-        (* The three implementations of the canonical PR decomposition
-           must coincide structurally on every trial's point set, and
-           the frozen trees coming back through the pool must be
-           (=)-identical whichever domain built them. *)
+        (* The arena's bulk build, its incremental builder and the
+           persistent tree must coincide structurally on every trial's
+           point set, and the frozen trees coming back through the pool
+           must be (=)-identical whichever domain built them. *)
         let w = Workload.make ~points:200 ~trials ~seed () in
         let per_jobs =
           List.map
@@ -285,7 +284,7 @@ let determinism_tests =
                   let reference =
                     Pr_quadtree.of_points ~capacity ~max_depth pts
                   in
-                  let via_arena =
+                  let via_builder =
                     Pr_arena.freeze
                       (Pr_arena.of_points ~capacity ~max_depth pts)
                   in
@@ -293,13 +292,8 @@ let determinism_tests =
                     Pr_arena.freeze
                       (Pr_arena.of_points_bulk ~capacity ~max_depth pts)
                   in
-                  let via_builder =
-                    Pr_builder.freeze
-                      (Pr_builder.of_points ~capacity ~max_depth pts)
-                  in
-                  ( Pr_quadtree.equal_structure via_arena reference
-                    && Pr_quadtree.equal_structure via_bulk reference
-                    && Pr_quadtree.equal_structure via_builder reference,
+                  ( Pr_quadtree.equal_structure via_builder reference
+                    && Pr_quadtree.equal_structure via_bulk reference,
                     via_bulk )))
             job_counts
         in

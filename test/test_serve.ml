@@ -186,9 +186,39 @@ let kernel_tests =
             ignore (Pr_arena.cell_at arena (Point.make 2.0 0.5))));
   ]
 
-(* The pruned kernels against their unpruned twins, and the boundary
-   semantics both must share: half-open edges, targets that coincide
-   with cells, degenerate boxes, duplicate chains at max depth. *)
+(* The pruned kernels against the walk without pruning, and the
+   boundary semantics both must share: half-open edges, targets that
+   coincide with cells, degenerate boxes, duplicate chains at max
+   depth. *)
+
+(* The walk without pruning, as the oracle: [Pr_quadtree]'s box descent
+   over the frozen arena enters every node whose cell meets the target
+   and tests every stored point. [freeze] keeps each leaf's chain
+   order, so its range answers come in the arena kernel's order. *)
+let query_box_unpruned arena b = Pr_quadtree.query_box (Pr_arena.freeze arena) b
+
+let count_in_box_unpruned arena b =
+  Pr_quadtree.count_in_box (Pr_arena.freeze arena) b
+
+(* That walk's count with the nodes it enters, one per call. *)
+let count_in_box_unpruned_visited arena b =
+  let tree = Pr_arena.freeze arena in
+  let rec go node box =
+    if not (Box.intersects box b) then (0, 1)
+    else
+      match node with
+      | Pr_quadtree.Raw.Leaf pts -> (List.length (List.filter (Box.contains b) pts), 1)
+      | Pr_quadtree.Raw.Node children ->
+        let count = ref 0 and visited = ref 1 in
+        Array.iteri
+          (fun i c ->
+            let n, v = go c (Box.child box (Popan_geom.Quadrant.of_index i)) in
+            count := !count + n;
+            visited := !visited + v)
+          children;
+        (!count, !visited)
+  in
+  go (Pr_quadtree.Raw.root tree) (Pr_quadtree.bounds tree)
 
 let dup_arena ~copies =
   (* A duplicate chain saturated past the split depth: every copy of
@@ -208,16 +238,16 @@ let pruning_tests =
       (fun ((arena, _), b) ->
         (* Element-for-element, not as multisets: the bulk subtree drain
            must emit exactly the sequence the per-leaf walk does. *)
-        Pr_arena.query_box arena b = Pr_arena.query_box_unpruned arena b);
+        Pr_arena.query_box arena b = query_box_unpruned arena b);
     prop ~count:100 "count_in_box ≡ count_in_box_unpruned"
       QCheck2.Gen.(pair gen_pair gen_box)
       (fun ((arena, _), b) ->
-        Pr_arena.count_in_box arena b = Pr_arena.count_in_box_unpruned arena b);
+        Pr_arena.count_in_box arena b = count_in_box_unpruned arena b);
     prop ~count:80 "pruned visits ≤ unpruned visits, same count"
       QCheck2.Gen.(pair gen_pair gen_box)
       (fun ((arena, _), b) ->
         let count_p, visited_p = Pr_arena.count_in_box_visited arena b in
-        let count_u, visited_u = Pr_arena.count_in_box_unpruned_visited arena b in
+        let count_u, visited_u = count_in_box_unpruned_visited arena b in
         count_p = count_u && visited_p <= visited_u && visited_p >= 1);
     Alcotest.test_case "half-open edges: low edge in, high edge out" `Quick
       (fun () ->
@@ -256,12 +286,12 @@ let pruning_tests =
         in
         let arena = Pr_arena.of_points_bulk ~capacity:2 pts in
         let b = Box.make ~xmin:0.25 ~ymin:0.25 ~xmax:0.5 ~ymax:0.5 in
-        check_int "count agrees" (Pr_arena.count_in_box_unpruned arena b)
+        check_int "count agrees" (count_in_box_unpruned arena b)
           (Pr_arena.count_in_box arena b);
         check_bool "range agrees" true
-          (Pr_arena.query_box arena b = Pr_arena.query_box_unpruned arena b);
+          (Pr_arena.query_box arena b = query_box_unpruned arena b);
         let _, visited_p = Pr_arena.count_in_box_visited arena b in
-        let _, visited_u = Pr_arena.count_in_box_unpruned_visited arena b in
+        let _, visited_u = count_in_box_unpruned_visited arena b in
         check_bool "containment actually pruned" true (visited_p < visited_u));
     Alcotest.test_case "whole unit square counts everything in O(root)" `Quick
       (fun () ->
@@ -286,7 +316,7 @@ let pruning_tests =
           (fun b ->
             check_int "count empty" 0 (Pr_arena.count_in_box arena b);
             check_int "count unpruned empty" 0
-              (Pr_arena.count_in_box_unpruned arena b);
+              (count_in_box_unpruned arena b);
             check_bool "range empty" true (Pr_arena.query_box arena b = []))
           [ point_box; line_box ]);
     Alcotest.test_case "duplicate chain at max depth: count and drain" `Quick
@@ -303,7 +333,7 @@ let pruning_tests =
         let miss = Box.make ~xmin:0.31 ~ymin:0.69 ~xmax:0.33 ~ymax:0.71 in
         check_int "tight box" copies (Pr_arena.count_in_box arena hit);
         check_int "tight box unpruned" copies
-          (Pr_arena.count_in_box_unpruned arena hit);
+          (count_in_box_unpruned arena hit);
         check_int "miss box" 0 (Pr_arena.count_in_box arena miss);
         match Pr_arena.nearest arena (Point.make 0.9 0.1) with
         | Some p ->
@@ -324,7 +354,7 @@ let pruning_tests =
         let lo = 0.5 -. (side /. 2.0) and hi = 0.5 +. (side /. 2.0) in
         let b = Box.make ~xmin:lo ~ymin:lo ~xmax:hi ~ymax:hi in
         let count, visited = Pr_arena.count_in_box_visited arena b in
-        let count', walked = Pr_arena.count_in_box_unpruned_visited arena b in
+        let count', walked = count_in_box_unpruned_visited arena b in
         check_int "same count" count' count;
         if 5 * visited > walked then
           Alcotest.failf "pruned count visited %d nodes, unpruned %d (%.1fx)"
@@ -940,6 +970,41 @@ let telemetry_tests =
                         (e.Flight.visited > 0))
                     info.Wire.flight
                 | _ -> Alcotest.fail "bad telemetry response")));
+    Alcotest.test_case "only the instrumented path records a query's facts"
+      `Quick (fun () ->
+        (* [eval] and [eval_instrumented] are one dispatch: both admit
+           each query once, but only the timed one feeds the sketches,
+           the flight ring and [serve.pruned.subtrees] — even with the
+           registry on. A 90% box prunes on containment. *)
+        let arena = Pr_arena.of_points_bulk ~capacity:4 (uniform_points 5 4000) in
+        let b = Box.make ~xmin:0.02 ~ymin:0.02 ~xmax:0.97 ~ymax:0.97 in
+        let queries = [| Wire.Count b; Wire.Range b |] in
+        let value name = Metrics.counter_value (Metrics.counter name) in
+        let sketch_count name =
+          match
+            List.find_opt
+              (fun (n, _) -> n = name)
+              (Metrics.sketch_snapshots ~prefix:"serve." ())
+          with
+          | Some (_, snap) -> (
+            match Sketch.of_snapshot snap with Ok sk -> Sketch.count sk | Error _ -> -1)
+          | None -> 0
+        in
+        with_telemetry (fun () ->
+            let plain = Array.map (Server.eval arena) queries in
+            check_int "plain: admitted" 2
+              (value "serve.queries.count" + value "serve.queries.range");
+            check_int "plain: no pruning record" 0 (value "serve.pruned.subtrees");
+            check_int "plain: no visited record" 0 (sketch_count "serve.visited.count");
+            check_int "plain: no flight record" 0 (List.length (Flight.recent ()));
+            let timed = Array.map (Server.eval_instrumented arena ~epoch:0) queries in
+            check_bool "same answers" true (plain = timed);
+            check_int "timed: admitted" 4
+              (value "serve.queries.count" + value "serve.queries.range");
+            check_bool "timed: pruning recorded" true
+              (value "serve.pruned.subtrees" > 0);
+            check_int "timed: visited recorded" 1 (sketch_count "serve.visited.count");
+            check_int "timed: flight records" 2 (List.length (Flight.recent ()))));
   ]
 
 (* Publication: refresh of a recycled copy, the server against an
@@ -1864,11 +1929,192 @@ let hostile_tests =
                 | _ -> Alcotest.fail "no Bye")));
   ]
 
+(* Arenas for the kernels' two descents. Regime 0 is the unit square
+   (the integer descent); regimes 1 and 2 take the float fallback,
+   which the arenas of [gen_pair] never reach: custom bounds, and
+   duplicate-heavy clusters under max_depth 50 (the [zorder_point]
+   shapes), deeper than the 42-bit grid. Each case is one arena —
+   built in bulk, incrementally, or in bulk and then churned — with
+   capacity 1–8, its frozen tree, and twenty queries aimed at its
+   points: boxes from half the space wide down to below the fine
+   grid, probes, and k. *)
+let kernel_case (seed, regime) =
+  let rng = Xoshiro.of_int_seed seed in
+  let bounds =
+    if regime = 1 then Some (Box.make ~xmin:(-3.0) ~ymin:2.0 ~xmax:5.0 ~ymax:10.0)
+    else None
+  in
+  let max_depth = if regime = 2 then Some 50 else None in
+  let point () =
+    match regime with
+    | 1 ->
+      Point.make
+        (-3.0 +. (8.0 *. Xoshiro.float rng))
+        (2.0 +. (8.0 *. Xoshiro.float rng))
+    | 2 -> zorder_point rng 2
+    | _ -> Point.make (Xoshiro.float rng) (Xoshiro.float rng)
+  in
+  let capacity = 1 + Xoshiro.int rng 8 in
+  let pts = List.init (200 + Xoshiro.int rng 800) (fun _ -> point ()) in
+  let arena =
+    match Xoshiro.int rng 3 with
+    | 0 -> Pr_arena.of_points_bulk ?max_depth ?bounds ~capacity pts
+    | 1 -> Pr_arena.of_points ?max_depth ?bounds ~capacity pts
+    | _ ->
+      let a = Pr_arena.of_points_bulk ?max_depth ?bounds ~capacity pts in
+      List.iteri
+        (fun i p ->
+          if i mod 3 = 0 then ignore (Pr_arena.delete a p : bool)
+          else if i mod 3 = 1 then Pr_arena.insert a (point ()))
+        pts;
+      a
+  in
+  let scale = if regime = 1 then 8.0 else 1.0 in
+  let queries =
+    List.init 20 (fun _ ->
+        let p = point () in
+        let w = scale *. ldexp 1.0 (-(1 + Xoshiro.int rng 50)) in
+        let b =
+          Box.make ~xmin:(p.Point.x -. w) ~ymin:(p.Point.y -. w)
+            ~xmax:(p.Point.x +. (w *. Xoshiro.float rng) +. w)
+            ~ymax:(p.Point.y +. w)
+        in
+        (b, point (), 1 + Xoshiro.int rng 16))
+  in
+  (arena, Pr_arena.freeze arena, queries)
+
+let print_kernel_case (seed, regime) = Printf.sprintf "seed=%d regime=%d" seed regime
+
+(* The fixed arena of the pinned totals: 2^14 uniform points at capacity
+   8, built in place and Z-ordered (the same tree, two slot layouts),
+   and 512 mixed boxes, probes and k. *)
+let pinned_arenas () =
+  let n = 1 lsl 14 in
+  let xs, ys =
+    columns_of (Array.of_list (uniform_points 1987 n))
+  in
+  let inplace =
+    Pr_arena.bulk_of_columns ~capacity:8 ~n (fun a b ->
+        for i = 0 to n - 1 do
+          a.{i} <- xs.{i};
+          b.{i} <- ys.{i}
+        done)
+  in
+  [ ("in place", inplace); ("Z-ordered", Pr_arena.bulk_zordered ~capacity:8 ~n xs ys) ]
+
+let pinned_queries () =
+  let rng = Xoshiro.of_int_seed 1414 in
+  Array.init 512 (fun i ->
+      let p = Point.make (Xoshiro.float rng) (Xoshiro.float rng) in
+      let w = 0.001 +. (0.3 *. Xoshiro.float rng) in
+      let h = 0.001 +. (0.3 *. Xoshiro.float rng) in
+      let x = (1.0 -. w) *. Xoshiro.float rng in
+      let y = (1.0 -. h) *. Xoshiro.float rng in
+      (Box.make ~xmin:x ~ymin:y ~xmax:(x +. w) ~ymax:(y +. h), p, 1 + (i mod 16)))
+
+let fallback_kernel_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:80 ~print:print_kernel_case
+         ~name:"float fallbacks ≡ Pr_quadtree (custom bounds, depth > 42)"
+         QCheck2.Gen.(pair (int_range 1 1_000_000) (int_range 1 2))
+         (fun case ->
+           let arena, tree, queries = kernel_case case in
+           (* The deep regime must really split below the fine grid. *)
+           (snd case = 1 || Pr_arena.height arena > 42)
+           && List.for_all
+                (fun (b, p, k) ->
+                  let knn = Pr_arena.k_nearest arena k p in
+                  Pr_arena.query_box arena b = Pr_quadtree.query_box tree b
+                  && Pr_arena.count_in_box arena b = Pr_quadtree.count_in_box tree b
+                  && knn_distances p knn
+                     = knn_distances p (Pr_quadtree.k_nearest tree k p)
+                  && List.for_all (Pr_quadtree.mem tree) knn
+                  &&
+                  match (Pr_arena.nearest arena p, Pr_quadtree.nearest tree p) with
+                  | None, None -> true
+                  | Some a, Some t ->
+                    Point.distance_sq p a = Point.distance_sq p t
+                    && Pr_quadtree.mem tree a
+                  | _ -> false)
+                queries));
+    prop ~count:60 "float fallbacks visit what the integer descents do"
+      QCheck2.Gen.(pair (int_range 1 1_000_000) (int_range 1 8))
+      (fun (seed, capacity) ->
+        (* Doubling is exact in floating point, so an arena over
+           [0, 2)^2 holding every point doubled — which takes the float
+           fallback — has the unit arena's tree with every cell doubled,
+           and each doubled query must enter the same nodes. *)
+        let pts = uniform_points seed (200 + (seed mod 800)) in
+        let double (p : Point.t) = Point.make (2.0 *. p.Point.x) (2.0 *. p.Point.y) in
+        let unit_arena = Pr_arena.of_points_bulk ~capacity pts in
+        let doubled =
+          Pr_arena.of_points_bulk ~capacity
+            ~bounds:(Box.make ~xmin:0.0 ~ymin:0.0 ~xmax:2.0 ~ymax:2.0)
+            (List.map double pts)
+        in
+        let rng = Xoshiro.of_int_seed seed in
+        List.for_all
+          (fun _ ->
+            let p = Point.make (Xoshiro.float rng) (Xoshiro.float rng) in
+            let w = ldexp 1.0 (-(1 + Xoshiro.int rng 12)) in
+            let b =
+              Box.make ~xmin:p.Point.x ~ymin:p.Point.y ~xmax:(p.Point.x +. w)
+                ~ymax:(p.Point.y +. (w *. (0.5 +. Xoshiro.float rng)))
+            in
+            let b2 =
+              Box.make ~xmin:(2.0 *. b.Box.xmin) ~ymin:(2.0 *. b.Box.ymin)
+                ~xmax:(2.0 *. b.Box.xmax) ~ymax:(2.0 *. b.Box.ymax)
+            in
+            let k = 1 + Xoshiro.int rng 16 in
+            let pts1, v1 = Pr_arena.query_box_visited unit_arena b in
+            let pts2, v2 = Pr_arena.query_box_visited doubled b2 in
+            List.map double pts1 = pts2 && v1 = v2
+            && Pr_arena.count_in_box_visited unit_arena b
+               = Pr_arena.count_in_box_visited doubled b2
+            && snd (Pr_arena.nearest_visited unit_arena p)
+               = snd (Pr_arena.nearest_visited doubled (double p))
+            && snd (Pr_arena.k_nearest_visited unit_arena k p)
+               = snd (Pr_arena.k_nearest_visited doubled k (double p)))
+          (List.init 20 Fun.id));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:60 ~print:print_kernel_case
+         ~name:"each plain entry point is fst of its _visited twin"
+         QCheck2.Gen.(pair (int_range 1 1_000_000) (int_range 0 2))
+         (fun case ->
+           let a, _, queries = kernel_case case in
+           List.for_all
+             (fun (b, p, k) ->
+               Pr_arena.count_in_box a b = fst (Pr_arena.count_in_box_visited a b)
+               && Pr_arena.query_box a b = fst (Pr_arena.query_box_visited a b)
+               && Pr_arena.nearest a p = fst (Pr_arena.nearest_visited a p)
+               && Pr_arena.k_nearest a k p = fst (Pr_arena.k_nearest_visited a k p))
+             queries));
+    Alcotest.test_case "pinned visited totals over a fixed arena" `Quick
+      (fun () ->
+        (* Totals over 512 queries per kind, computed before the kernels
+           were folded into one tallying walk per kind; both layouts of
+           the one tree must read them. *)
+        let queries = pinned_queries () in
+        List.iter
+          (fun (layout, a) ->
+            let total f = Array.fold_left (fun acc q -> acc + f q) 0 queries in
+            let check kind expected f =
+              check_int (Printf.sprintf "%s %s" layout kind) expected (total f)
+            in
+            check "range" 80_868 (fun (b, _, _) -> snd (Pr_arena.query_box_visited a b));
+            check "count" 80_868 (fun (b, _, _) -> snd (Pr_arena.count_in_box_visited a b));
+            check "nearest" 14_848 (fun (_, p, _) -> snd (Pr_arena.nearest_visited a p));
+            check "k-NN" 20_060 (fun (_, p, k) -> snd (Pr_arena.k_nearest_visited a k p));
+            check "cell" 3_579 (fun (_, p, _) -> snd (Pr_arena.cell_at_visited a p)))
+          (pinned_arenas ()));
+  ]
+
 let () =
   Alcotest.run "popan-serve"
     [
       ("neighbors", neighbors_tests);
-      ("kernels", kernel_tests);
+      ("kernels", kernel_tests @ fallback_kernel_tests);
       ("pruning", pruning_tests);
       ("snapshot", snapshot_tests);
       ("epochs", epoch_tests);

@@ -325,148 +325,6 @@ let pr_tests =
         Pr_quadtree.check_invariants !t = []);
   ]
 
-(* Pr_builder: the mutable simulation core must agree with the
-   persistent structure in decomposition and in every incrementally
-   maintained statistic. *)
-
-let pr_builder_tests =
-  [
-    Alcotest.test_case "empty builder statistics" `Quick (fun () ->
-        let b = Pr_builder.create ~capacity:3 () in
-        check_int "size" 0 (Pr_builder.size b);
-        check_int "leaves" 1 (Pr_builder.leaf_count b);
-        check_int "internals" 0 (Pr_builder.internal_count b);
-        check_int "height" 0 (Pr_builder.height b);
-        check_bool "empty" true (Pr_builder.is_empty b);
-        Alcotest.(check (array int)) "hist" [| 1; 0; 0; 0 |]
-          (Pr_builder.occupancy_histogram b));
-    Alcotest.test_case "create validates" `Quick (fun () ->
-        Alcotest.check_raises "cap"
-          (Invalid_argument "Pr_builder.create: capacity < 1") (fun () ->
-            ignore (Pr_builder.create ~capacity:0 ())));
-    Alcotest.test_case "insert outside bounds rejected" `Quick (fun () ->
-        let b = Pr_builder.create ~capacity:1 () in
-        Alcotest.check_raises "out"
-          (Invalid_argument "Pr_builder.insert: point outside bounds")
-          (fun () -> Pr_builder.insert b (Point.make 1.5 0.5)));
-    Alcotest.test_case "freeze of empty equals empty tree" `Quick (fun () ->
-        let b = Pr_builder.create ~capacity:2 () in
-        check_bool "equal" true
-          (Pr_quadtree.equal_structure (Pr_builder.freeze b)
-             (Pr_quadtree.create ~capacity:2 ())));
-    Alcotest.test_case "max_depth truncates and clamps histogram" `Quick
-      (fun () ->
-        let p = Point.make 0.3 0.3 in
-        let b = Pr_builder.of_points ~capacity:1 ~max_depth:5 [ p; p; p ] in
-        check_int "size" 3 (Pr_builder.size b);
-        check_bool "height capped" true (Pr_builder.height b <= 5);
-        let hist = Pr_builder.occupancy_histogram b in
-        check_int "clamped cell" 1 hist.(1);
-        no_violations "inv" (Pr_builder.check_invariants b));
-    Alcotest.test_case "frozen snapshot survives further growth" `Quick
-      (fun () ->
-        (* Inserts replace leaf lists rather than mutating them, so a
-           frozen snapshot keeps its own view of the tree. *)
-        let pts = uniform_points 130 200 in
-        let first, rest =
-          (List.filteri (fun i _ -> i < 100) pts,
-           List.filteri (fun i _ -> i >= 100) pts)
-        in
-        let b = Pr_builder.of_points ~capacity:2 first in
-        let snapshot = Pr_quadtree.of_points ~capacity:2 first in
-        let frozen = Pr_builder.freeze b in
-        Pr_builder.insert_all b rest;
-        check_bool "snapshot intact" true
-          (Pr_quadtree.equal_structure frozen snapshot);
-        check_bool "builder moved on" true
-          (Pr_quadtree.equal_structure (Pr_builder.freeze b)
-             (Pr_quadtree.of_points ~capacity:2 pts)));
-    Alcotest.test_case "thaw resumes a persistent build" `Quick (fun () ->
-        let pts = uniform_points 131 150 in
-        let first, rest =
-          (List.filteri (fun i _ -> i < 75) pts,
-           List.filteri (fun i _ -> i >= 75) pts)
-        in
-        let b = Pr_builder.thaw (Pr_quadtree.of_points ~capacity:3 first) in
-        Pr_builder.insert_all b rest;
-        check_bool "same tree" true
-          (Pr_quadtree.equal_structure (Pr_builder.freeze b)
-             (Pr_quadtree.of_points ~capacity:3 pts)));
-    Alcotest.test_case "fold_leaves counts are free and correct" `Quick
-      (fun () ->
-        let b = Pr_builder.of_points ~capacity:4 (uniform_points 132 300) in
-        Pr_builder.fold_leaves b ~init:()
-          ~f:(fun () ~depth:_ ~box ~points ~count ->
-            check_int "count" (List.length points) count;
-            List.iter
-              (fun p ->
-                if not (Box.contains box p) then
-                  Alcotest.fail "point outside its leaf block")
-              points));
-    prop "freeze equals of_points for any point set and capacity"
-      QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 6))
-      (fun (seed, capacity) ->
-        let pts = uniform_points seed 250 in
-        let b = Pr_builder.of_points ~capacity pts in
-        let frozen = Pr_builder.freeze b in
-        Pr_quadtree.equal_structure frozen (Pr_quadtree.of_points ~capacity pts)
-        && Pr_quadtree.check_invariants frozen = []);
-    prop "incremental statistics match the frozen tree's recomputation"
-      QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 8))
-      (fun (seed, capacity) ->
-        let pts = uniform_points seed 300 in
-        let b = Pr_builder.of_points ~capacity pts in
-        let frozen = Pr_builder.freeze b in
-        Pr_builder.size b = Pr_quadtree.size frozen
-        && Pr_builder.leaf_count b = Pr_quadtree.leaf_count frozen
-        && Pr_builder.internal_count b = Pr_quadtree.internal_count frozen
-        && Pr_builder.height b = Pr_quadtree.height frozen
-        && Pr_builder.occupancy_histogram b
-           = Pr_quadtree.occupancy_histogram frozen
-        && Pr_builder.average_occupancy b
-           = Pr_quadtree.average_occupancy frozen
-        && Pr_builder.check_invariants b = []);
-    prop "thaw then freeze is the identity"
-      QCheck2.Gen.(pair (int_range 0 5000) (int_range 1 5))
-      (fun (seed, capacity) ->
-        let t = Pr_quadtree.of_points ~capacity (uniform_points seed 150) in
-        let b = Pr_builder.thaw t in
-        Pr_quadtree.equal_structure t (Pr_builder.freeze b)
-        && Pr_builder.leaf_count b = Pr_quadtree.leaf_count t
-        && Pr_builder.height b = Pr_quadtree.height t
-        && Pr_builder.check_invariants b = []);
-    Alcotest.test_case "freeze/thaw at max_depth saturation, duplicates"
-      `Quick (fun () ->
-        (* Duplicate coordinates can never be separated by splitting, so
-           the depth cap takes over and the leaf holds more points than
-           its capacity. Freeze, thaw and the incremental statistics all
-           have to agree on that clamped shape. *)
-        let p = Point.make 0.3 0.3 in
-        let dups = [ p; p; p; p; p ] in
-        let b = Pr_builder.of_points ~capacity:1 ~max_depth:3 dups in
-        check_int "height capped" 3 (Pr_builder.height b);
-        check_int "size" 5 (Pr_builder.size b);
-        no_violations "builder inv" (Pr_builder.check_invariants b);
-        (* The histogram clamps the over-capacity leaf into its last cell. *)
-        let hist = Pr_builder.occupancy_histogram b in
-        check_int "clamped cell" 1 (hist.(Array.length hist - 1));
-        let frozen = Pr_builder.freeze b in
-        check_bool "matches persistent build" true
-          (Pr_quadtree.equal_structure frozen
-             (Pr_quadtree.of_points ~capacity:1 ~max_depth:3 dups));
-        check_bool "histograms agree" true
-          (Pr_quadtree.occupancy_histogram frozen = hist);
-        (* Thaw the saturated tree and keep growing it at the same spot:
-           the cap must hold and the statistics must stay consistent. *)
-        let b' = Pr_builder.thaw frozen in
-        Pr_builder.insert_all b' [ p; p ];
-        check_int "still capped" 3 (Pr_builder.height b');
-        check_int "grown size" 7 (Pr_builder.size b');
-        no_violations "thawed inv" (Pr_builder.check_invariants b');
-        check_bool "frozen snapshot unaffected" true
-          (Pr_quadtree.size frozen = 5));
-  ]
-
 (* Arena-backed builder *)
 
 let pr_arena_tests =
@@ -546,21 +404,23 @@ let pr_arena_tests =
                 if not (Box.contains box p) then
                   Alcotest.fail "point outside its leaf block")
               points));
-    Alcotest.test_case "fold_leaves visits leaves like Pr_builder" `Quick
+    Alcotest.test_case "fold_leaves visits leaves like Pr_quadtree" `Quick
       (fun () ->
         (* Same traversal order (NW, NE, SW, SE), depths, boxes and
            counts — Depth_profile depends on the leaf sequence. *)
         let pts = uniform_points 133 400 in
-        let visit fold =
+        let via_arena =
           List.rev
-            (fold ~init:[] ~f:(fun acc ~depth ~box ~points:_ ~count ->
-                 (depth, box, count) :: acc))
+            (Pr_arena.fold_leaves (Pr_arena.of_points ~capacity:3 pts) ~init:[]
+               ~f:(fun acc ~depth ~box ~points:_ ~count -> (depth, box, count) :: acc))
         in
-        let via_arena = visit (Pr_arena.fold_leaves (Pr_arena.of_points ~capacity:3 pts)) in
-        let via_builder =
-          visit (Pr_builder.fold_leaves (Pr_builder.of_points ~capacity:3 pts))
+        let via_tree =
+          List.rev
+            (Pr_quadtree.fold_leaves (Pr_quadtree.of_points ~capacity:3 pts)
+               ~init:[] ~f:(fun acc ~depth ~box ~points ->
+                 (depth, box, List.length points) :: acc))
         in
-        check_bool "same leaf sequence" true (via_arena = via_builder));
+        check_bool "same leaf sequence" true (via_arena = via_tree));
     prop "freeze equals of_points for any point set and capacity"
       QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 6))
       (fun (seed, capacity) ->
@@ -569,17 +429,16 @@ let pr_arena_tests =
         let frozen = Pr_arena.freeze a in
         Pr_quadtree.equal_structure frozen (Pr_quadtree.of_points ~capacity pts)
         && Pr_quadtree.check_invariants frozen = []);
-    prop "bulk build equals incremental build (and Pr_builder)"
+    prop "bulk build equals incremental build (and Pr_quadtree)"
       QCheck2.Gen.(triple (int_range 0 10_000) (int_range 1 6) (int_range 2 12))
       (fun (seed, capacity, max_depth) ->
         let pts = uniform_points seed 250 in
         let bulk = Pr_arena.of_points_bulk ~capacity ~max_depth pts in
         let inc = Pr_arena.of_points ~capacity ~max_depth pts in
-        let reference = Pr_builder.of_points ~capacity ~max_depth pts in
+        let reference = Pr_quadtree.of_points ~capacity ~max_depth pts in
         Pr_quadtree.equal_structure (Pr_arena.freeze bulk)
           (Pr_arena.freeze inc)
-        && Pr_quadtree.equal_structure (Pr_arena.freeze bulk)
-             (Pr_builder.freeze reference)
+        && Pr_quadtree.equal_structure (Pr_arena.freeze bulk) reference
         && Pr_arena.leaf_count bulk = Pr_arena.leaf_count inc
         && Pr_arena.internal_count bulk = Pr_arena.internal_count inc
         && Pr_arena.height bulk = Pr_arena.height inc
@@ -599,13 +458,11 @@ let pr_arena_tests =
             (uniform_points seed 200)
         in
         let pts = List.filter (Box.contains bounds) pts in
-        let reference = Pr_builder.of_points ~bounds ~capacity pts in
+        let reference = Pr_quadtree.of_points ~bounds ~capacity pts in
         let inc = Pr_arena.of_points ~bounds ~capacity pts in
         let bulk = Pr_arena.of_points_bulk ~bounds ~capacity pts in
-        Pr_quadtree.equal_structure (Pr_arena.freeze inc)
-          (Pr_builder.freeze reference)
-        && Pr_quadtree.equal_structure (Pr_arena.freeze bulk)
-             (Pr_builder.freeze reference)
+        Pr_quadtree.equal_structure (Pr_arena.freeze inc) reference
+        && Pr_quadtree.equal_structure (Pr_arena.freeze bulk) reference
         && Pr_arena.check_invariants inc = []
         && Pr_arena.check_invariants bulk = []);
     prop "incremental statistics match the frozen tree's recomputation"
@@ -667,15 +524,13 @@ let pr_arena_tests =
           [ base; Point.make (base.Point.x +. eps) (base.Point.y +. eps);
             base; Point.make 0.7 0.2 ]
         in
-        let reference = Pr_builder.of_points ~capacity:1 ~max_depth:30 pts in
+        let reference = Pr_quadtree.of_points ~capacity:1 ~max_depth:30 pts in
         let inc = Pr_arena.of_points ~capacity:1 ~max_depth:30 pts in
         let bulk = Pr_arena.of_points_bulk ~capacity:1 ~max_depth:30 pts in
         check_bool "incremental matches" true
-          (Pr_quadtree.equal_structure (Pr_arena.freeze inc)
-             (Pr_builder.freeze reference));
+          (Pr_quadtree.equal_structure (Pr_arena.freeze inc) reference);
         check_bool "bulk matches" true
-          (Pr_quadtree.equal_structure (Pr_arena.freeze bulk)
-             (Pr_builder.freeze reference));
+          (Pr_quadtree.equal_structure (Pr_arena.freeze bulk) reference);
         check_bool "went below the code bits" true (Pr_arena.height inc > 21);
         no_violations "inv inc" (Pr_arena.check_invariants inc);
         no_violations "inv bulk" (Pr_arena.check_invariants bulk));
@@ -913,9 +768,6 @@ let pr_arena_bulk_tests =
           Pr_arena.freeze (Pr_arena.of_points_bulk ~capacity ~max_depth pts)
         in
         let reference = Pr_quadtree.of_points ~capacity ~max_depth pts in
-        let builder =
-          Pr_builder.freeze (Pr_builder.of_points ~capacity ~max_depth pts)
-        in
         List.for_all
           (fun jobs ->
             let par =
@@ -924,8 +776,7 @@ let pr_arena_bulk_tests =
             Pr_arena.check_invariants par = []
             && Pr_quadtree.equal_structure (Pr_arena.freeze par) sequential)
           [ 1; 2; 4 ]
-        && Pr_quadtree.equal_structure sequential reference
-        && Pr_quadtree.equal_structure sequential builder);
+        && Pr_quadtree.equal_structure sequential reference);
     prop "bulk_of_fn streams the same tree as the point list"
       QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 6))
       (fun (seed, capacity) ->
@@ -1031,6 +882,293 @@ let pr_arena_bulk_tests =
         Alcotest.check_raises "capacity < 1"
           (Invalid_argument "Pr_arena.bulk_footprint: capacity < 1") (fun () ->
             ignore (Pr_arena.bulk_footprint ~capacity:0 ~n:1)));
+    Alcotest.test_case "an mmap build keeps only its point columns on disk"
+      `Quick (fun () ->
+        (* The sort scratch (keys, slots and their ping-pong twins) is
+           mapped as segments too; every bulk entry deletes it when its
+           sort is done, and [release] still removes the directory. *)
+        let n = 20_000 in
+        let pts = uniform_points 91 n in
+        let xs = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+        let ys = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+        List.iteri
+          (fun i (p : Point.t) ->
+            xs.{i} <- p.Point.x;
+            ys.{i} <- p.Point.y)
+          pts;
+        let custom = Box.make ~xmin:0.0 ~ymin:0.0 ~xmax:2.0 ~ymax:2.0 in
+        List.iter
+          (fun (what, build) ->
+            let dir = Filename.temp_dir "popan-test" "-segments" in
+            let a = build (Pr_arena.Mmap { dir }) in
+            check_bool (what ^ ": mapped") true (Pr_arena.backing a <> Pr_arena.Heap);
+            check_int (what ^ ": size") n (Pr_arena.size a);
+            let segments =
+              match Sys.readdir dir with
+              | [| arena |] ->
+                List.sort compare (Array.to_list (Sys.readdir (Filename.concat dir arena)))
+              | entries -> Array.to_list entries
+            in
+            Alcotest.(check (list string)) (what ^ ": segments")
+              [ "codes.seg"; "next.seg"; "xs.seg"; "ys.seg" ] segments;
+            Pr_arena.release a;
+            check_int (what ^ ": released") 0 (Array.length (Sys.readdir dir));
+            Sys.rmdir dir)
+          [ ("Z-ordered", fun backing ->
+                Pr_arena.bulk_zordered ~backing ~capacity:8 ~n xs ys);
+            ("in place", fun backing ->
+                Pr_arena.of_points_bulk ~backing ~capacity:8 pts);
+            ("in place at 2 jobs", fun backing ->
+                Pr_arena.of_points_bulk ~backing ~jobs:2 ~capacity:8 pts);
+            ("custom bounds", fun backing ->
+                Pr_arena.of_points_bulk ~backing ~bounds:custom ~capacity:8 pts) ]);
+  ]
+
+(* The builder contract on bulk-built arenas. The experiments grow PR
+   trees through one mutable builder: O(1) statistics, destructive
+   inserts, freeze/thaw with Pr_quadtree. The pr_arena group holds the
+   incremental arena to it; here both bulk routes, in place and
+   Z-ordered, must hand back the same builder. The build has to seed
+   every counter that later inserts maintain, and the arena must go on
+   growing after it. (The group keeps the name of Pr_builder, the
+   list-based builder that the arena replaced.) *)
+
+type bulk_route = In_place | Z_ordered
+
+let bulk_routes = [ ("in place", In_place); ("Z-ordered", Z_ordered) ]
+
+let bulk_build route ?max_depth ~capacity pts =
+  match route with
+  | In_place -> Pr_arena.of_points_bulk ?max_depth ~capacity pts
+  | Z_ordered ->
+    let n = List.length pts in
+    let xs = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+    let ys = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+    List.iteri
+      (fun i (p : Point.t) ->
+        xs.{i} <- p.Point.x;
+        ys.{i} <- p.Point.y)
+      pts;
+    Pr_arena.bulk_zordered ?max_depth ~capacity ~n xs ys
+
+let on_routes f = List.iter (fun (what, route) -> f what route) bulk_routes
+let all_routes law = List.for_all (fun (_, route) -> law route) bulk_routes
+
+let pr_builder_tests =
+  [
+    Alcotest.test_case "empty builder statistics" `Quick (fun () ->
+        on_routes (fun what route ->
+            let a = bulk_build route ~capacity:3 [] in
+            check_int (what ^ ": size") 0 (Pr_arena.size a);
+            check_int (what ^ ": leaves") 1 (Pr_arena.leaf_count a);
+            check_int (what ^ ": internals") 0 (Pr_arena.internal_count a);
+            check_int (what ^ ": height") 0 (Pr_arena.height a);
+            check_bool (what ^ ": empty") true (Pr_arena.is_empty a);
+            Alcotest.(check (array int)) (what ^ ": hist") [| 1; 0; 0; 0 |]
+              (Pr_arena.occupancy_histogram a);
+            (* An empty build is a live builder: its first insert counts. *)
+            Pr_arena.insert a (Point.make 0.5 0.5);
+            check_int (what ^ ": size after insert") 1 (Pr_arena.size a);
+            Alcotest.(check (array int)) (what ^ ": hist after insert")
+              [| 0; 1; 0; 0 |] (Pr_arena.occupancy_histogram a)));
+    Alcotest.test_case "create validates" `Quick (fun () ->
+        (* Both routes make their arena with [create], so they reject
+           what it rejects. *)
+        on_routes (fun what route ->
+            Alcotest.check_raises (what ^ ": cap")
+              (Invalid_argument "Pr_arena.create: capacity < 1") (fun () ->
+                ignore (bulk_build route ~capacity:0 [ Point.make 0.5 0.5 ]));
+            Alcotest.check_raises (what ^ ": depth")
+              (Invalid_argument "Pr_arena.create: max_depth < 0") (fun () ->
+                ignore (bulk_build route ~max_depth:(-1) ~capacity:1 [])));
+        Alcotest.check_raises "in place: n < 0"
+          (Invalid_argument "Pr_arena.bulk_of_columns: n < 0") (fun () ->
+            ignore
+              (Pr_arena.bulk_of_columns ~capacity:1 ~n:(-1) (fun _ _ -> ())));
+        let empty = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0 in
+        Alcotest.check_raises "Z-ordered: n < 0"
+          (Invalid_argument "Pr_arena.bulk_zordered: n < 0") (fun () ->
+            ignore (Pr_arena.bulk_zordered ~capacity:1 ~n:(-1) empty empty));
+        Alcotest.check_raises "Z-ordered: short column"
+          (Invalid_argument
+             "Pr_arena.bulk_zordered: a source column is shorter than n")
+          (fun () ->
+            ignore (Pr_arena.bulk_zordered ~capacity:1 ~n:1 empty empty)));
+    Alcotest.test_case "insert outside bounds rejected" `Quick (fun () ->
+        on_routes (fun what route ->
+            Alcotest.check_raises (what ^ ": build")
+              (Invalid_argument "Pr_arena bulk build: point outside bounds")
+              (fun () ->
+                ignore
+                  (bulk_build route ~capacity:1
+                     [ Point.make 0.5 0.5; Point.make 1.0 0.5 ]));
+            let a = bulk_build route ~capacity:1 (uniform_points 134 50) in
+            Alcotest.check_raises (what ^ ": insert")
+              (Invalid_argument "Pr_arena.insert: point outside bounds")
+              (fun () -> Pr_arena.insert a (Point.make 1.5 0.5));
+            check_int (what ^ ": size kept") 50 (Pr_arena.size a);
+            no_violations (what ^ ": inv") (Pr_arena.check_invariants a)));
+    Alcotest.test_case "freeze of empty equals empty tree" `Quick (fun () ->
+        on_routes (fun what route ->
+            check_bool what true
+              (Pr_quadtree.equal_structure
+                 (Pr_arena.freeze (bulk_build route ~capacity:2 []))
+                 (Pr_quadtree.create ~capacity:2 ()))));
+    Alcotest.test_case "max_depth truncates and clamps histogram" `Quick
+      (fun () ->
+        (* Three duplicates split down to the cap: three empty siblings
+           per level and one over-capacity leaf in the last cell. *)
+        let p = Point.make 0.3 0.3 in
+        on_routes (fun what route ->
+            let a = bulk_build route ~capacity:1 ~max_depth:5 [ p; p; p ] in
+            check_int (what ^ ": size") 3 (Pr_arena.size a);
+            check_int (what ^ ": height capped") 5 (Pr_arena.height a);
+            Alcotest.(check (array int)) (what ^ ": hist") [| 15; 1 |]
+              (Pr_arena.occupancy_histogram a);
+            no_violations (what ^ ": inv") (Pr_arena.check_invariants a)));
+    Alcotest.test_case "frozen snapshot survives further growth" `Quick
+      (fun () ->
+        (* A bulk build sizes its columns for exactly its points, so the
+           inserts after it grow and replace them; freeze copies out and
+           keeps its own view. *)
+        let pts = uniform_points 130 200 in
+        let first, rest =
+          ( List.filteri (fun i _ -> i < 100) pts,
+            List.filteri (fun i _ -> i >= 100) pts )
+        in
+        let snapshot = Pr_quadtree.of_points ~capacity:2 first in
+        on_routes (fun what route ->
+            let a = bulk_build route ~capacity:2 first in
+            let frozen = Pr_arena.freeze a in
+            Pr_arena.insert_all a rest;
+            check_bool (what ^ ": snapshot intact") true
+              (Pr_quadtree.equal_structure frozen snapshot);
+            check_bool (what ^ ": arena moved on") true
+              (Pr_quadtree.equal_structure (Pr_arena.freeze a)
+                 (Pr_quadtree.of_points ~capacity:2 pts));
+            no_violations (what ^ ": inv") (Pr_arena.check_invariants a)));
+    Alcotest.test_case "thaw resumes a persistent build" `Quick (fun () ->
+        (* Freeze a bulk build of the first half, thaw it and insert the
+           rest: the result is the tree, and has the statistics, of a
+           bulk build of all the points. *)
+        let pts = uniform_points 131 150 in
+        let first, rest =
+          ( List.filteri (fun i _ -> i < 75) pts,
+            List.filteri (fun i _ -> i >= 75) pts )
+        in
+        on_routes (fun what route ->
+            let a =
+              Pr_arena.thaw (Pr_arena.freeze (bulk_build route ~capacity:3 first))
+            in
+            Pr_arena.insert_all a rest;
+            let whole = bulk_build route ~capacity:3 pts in
+            check_bool (what ^ ": same tree") true
+              (Pr_quadtree.equal_structure (Pr_arena.freeze a)
+                 (Pr_quadtree.of_points ~capacity:3 pts));
+            check_bool (what ^ ": bulk of all agrees") true
+              (Pr_quadtree.equal_structure (Pr_arena.freeze a)
+                 (Pr_arena.freeze whole));
+            check_int (what ^ ": height") (Pr_arena.height whole)
+              (Pr_arena.height a);
+            Alcotest.(check (array int)) (what ^ ": hist")
+              (Pr_arena.occupancy_histogram whole)
+              (Pr_arena.occupancy_histogram a)));
+    Alcotest.test_case "fold_leaves counts are free and correct" `Quick
+      (fun () ->
+        on_routes (fun what route ->
+            let a = bulk_build route ~capacity:4 (uniform_points 132 300) in
+            let leaves, total =
+              Pr_arena.fold_leaves a ~init:(0, 0)
+                ~f:(fun (leaves, total) ~depth:_ ~box ~points ~count ->
+                  check_int (what ^ ": count") (List.length points) count;
+                  List.iter
+                    (fun p ->
+                      if not (Box.contains box p) then
+                        Alcotest.fail (what ^ ": point outside its leaf block"))
+                    points;
+                  (leaves + 1, total + count))
+            in
+            check_int (what ^ ": leaves") (Pr_arena.leaf_count a) leaves;
+            check_int (what ^ ": points") 300 total));
+    prop "freeze equals of_points for any point set and capacity"
+      QCheck2.Gen.(triple (int_range 0 10_000) (int_range 0 300) (int_range 1 6))
+      (fun (seed, n, capacity) ->
+        let pts = uniform_points seed n in
+        let reference = Pr_quadtree.of_points ~capacity pts in
+        all_routes (fun route ->
+            let frozen = Pr_arena.freeze (bulk_build route ~capacity pts) in
+            Pr_quadtree.equal_structure frozen reference
+            && Pr_quadtree.check_invariants frozen = []));
+    prop "incremental statistics match the frozen tree's recomputation"
+      QCheck2.Gen.(triple (int_range 0 10_000) (int_range 0 300) (int_range 1 8))
+      (fun (seed, split, capacity) ->
+        (* Bulk-build a prefix, then insert the rest. *)
+        let pts = uniform_points seed 300 in
+        let first = List.filteri (fun i _ -> i < split) pts
+        and rest = List.filteri (fun i _ -> i >= split) pts in
+        all_routes (fun route ->
+            let a = bulk_build route ~capacity first in
+            let recomputed () =
+              let frozen = Pr_arena.freeze a in
+              Pr_arena.size a = Pr_quadtree.size frozen
+              && Pr_arena.leaf_count a = Pr_quadtree.leaf_count frozen
+              && Pr_arena.internal_count a = Pr_quadtree.internal_count frozen
+              && Pr_arena.height a = Pr_quadtree.height frozen
+              && Pr_arena.occupancy_histogram a
+                 = Pr_quadtree.occupancy_histogram frozen
+              && Pr_arena.average_occupancy a
+                 = Pr_quadtree.average_occupancy frozen
+              && Pr_arena.check_invariants a = []
+            in
+            let after_build = recomputed () in
+            Pr_arena.insert_all a rest;
+            after_build && recomputed () && Pr_arena.size a = 300));
+    prop "thaw then freeze is the identity"
+      QCheck2.Gen.(pair (int_range 0 5000) (int_range 1 5))
+      (fun (seed, capacity) ->
+        let pts = uniform_points seed 150 in
+        all_routes (fun route ->
+            let bulk = bulk_build route ~capacity pts in
+            let t = Pr_arena.freeze bulk in
+            let a = Pr_arena.thaw t in
+            Pr_quadtree.equal_structure t (Pr_arena.freeze a)
+            && Pr_arena.leaf_count a = Pr_arena.leaf_count bulk
+            && Pr_arena.internal_count a = Pr_arena.internal_count bulk
+            && Pr_arena.height a = Pr_arena.height bulk
+            && Pr_arena.occupancy_histogram a
+               = Pr_arena.occupancy_histogram bulk
+            && Pr_arena.check_invariants a = []));
+    Alcotest.test_case "freeze/thaw at max_depth saturation, duplicates"
+      `Quick (fun () ->
+        (* The bulk sort cannot separate duplicates either: it stops at
+           the depth cap with an over-capacity leaf. Inserts after the
+           build, freeze and thaw must all keep that clamped shape. *)
+        let p = Point.make 0.3 0.3 in
+        let dups = [ p; p; p; p; p ] in
+        let reference = Pr_quadtree.of_points ~capacity:1 ~max_depth:3 dups in
+        on_routes (fun what route ->
+            let a = bulk_build route ~capacity:1 ~max_depth:3 dups in
+            check_int (what ^ ": height capped") 3 (Pr_arena.height a);
+            check_int (what ^ ": size") 5 (Pr_arena.size a);
+            no_violations (what ^ ": inv") (Pr_arena.check_invariants a);
+            let hist = Pr_arena.occupancy_histogram a in
+            check_int (what ^ ": clamped cell") 1 hist.(Array.length hist - 1);
+            let frozen = Pr_arena.freeze a in
+            check_bool (what ^ ": matches persistent build") true
+              (Pr_quadtree.equal_structure frozen reference);
+            check_bool (what ^ ": histograms agree") true
+              (Pr_quadtree.occupancy_histogram frozen = hist);
+            Pr_arena.insert_all a [ p; p ];
+            check_int (what ^ ": still capped") 3 (Pr_arena.height a);
+            check_int (what ^ ": grown size") 7 (Pr_arena.size a);
+            no_violations (what ^ ": grown inv") (Pr_arena.check_invariants a);
+            let thawed = Pr_arena.thaw frozen in
+            Pr_arena.insert_all thawed [ p; p ];
+            check_bool (what ^ ": thawed growth agrees") true
+              (Pr_quadtree.equal_structure (Pr_arena.freeze thawed)
+                 (Pr_arena.freeze a));
+            check_bool (what ^ ": frozen snapshot unaffected") true
+              (Pr_quadtree.size frozen = 5)));
   ]
 
 (* Bintree *)
@@ -2020,10 +2158,10 @@ let () =
   Alcotest.run "popan_trees"
     [
       ("pr_quadtree", pr_tests);
-      ("pr_builder", pr_builder_tests);
       ("pr_arena", pr_arena_tests);
       ("pr_arena_churn", pr_arena_churn_tests);
       ("pr_arena_bulk", pr_arena_bulk_tests);
+      ("pr_builder", pr_builder_tests);
       ("bintree", bintree_tests);
       ("md_tree", md_tests);
       ("point_quadtree", point_quadtree_tests);
