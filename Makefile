@@ -28,7 +28,11 @@ test:
 # The bulk smoke: a 2^22-point bulk build must complete on the
 # sort path with no fallback, and the arenas built at jobs 1 and 4 must
 # be byte-identical to the sequential one (compared on encoded frozen
-# trees). Finally the churn smoke: a 10^6-operation insert/delete/update
+# trees). The measure smoke: `popan measure` must refuse a --max-depth
+# outside [0, 42] (the arena's 2^-42 grid) with exit status 1 and a
+# one-line diagnostic, and at --max-depth 42 must build exact
+# duplicates at capacity 1 down to height 42. Finally the churn smoke:
+# a 10^6-operation insert/delete/update
 # stream whose arena must equal a fresh rebuild of the survivors, with
 # trial fan-out byte-identical at jobs 1/2/4. The serve smoke: spawn
 # `popan serve` at jobs 1/2/4, drive two framed 10k-query mixed batches
@@ -149,6 +153,26 @@ check: build test
 	fi
 	@dune exec --no-build test/bulk_smoke.exe || \
 	  { echo "bulk smoke FAILED: see diagnosis above"; exit 1; }
+	@tmp=$$(mktemp -d); \
+	printf 'x,y\n0.25,0.75\n0.5,0.125\n0.75,0.5\n' > $$tmp/points.csv; \
+	for d in 43 -1; do \
+	  _build/default/bin/popan.exe measure -i $$tmp/points.csv --max-depth=$$d \
+	    > /dev/null 2> $$tmp/err.txt; status=$$?; \
+	  if [ $$status -ne 1 ] || [ $$(wc -l < $$tmp/err.txt) -ne 1 ]; then \
+	    echo "measure smoke FAILED: --max-depth=$$d exited $$status with stderr:"; \
+	    cat $$tmp/err.txt; rm -rf $$tmp; exit 1; \
+	  fi; \
+	done; \
+	printf '0.3,0.3\n0.3,0.3\n0.3,0.3\n' > $$tmp/dups.csv; \
+	if _build/default/bin/popan.exe measure -i $$tmp/dups.csv --max-depth 42 -m 1 \
+	     > $$tmp/out.txt 2> $$tmp/err.txt \
+	   && grep -q ', height 42$$' $$tmp/out.txt; then \
+	  echo "measure smoke: --max-depth outside [0, 42] refused; duplicates reach height 42"; \
+	  rm -rf $$tmp; \
+	else \
+	  echo "measure smoke FAILED: duplicates at --max-depth 42:"; \
+	  cat $$tmp/out.txt $$tmp/err.txt; rm -rf $$tmp; exit 1; \
+	fi
 	@dune exec --no-build test/churn_smoke.exe || \
 	  { echo "churn smoke FAILED: see diagnosis above"; exit 1; }
 	@dune exec --no-build test/serve_smoke.exe -- _build/default/bin/popan.exe || \

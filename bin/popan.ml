@@ -1000,6 +1000,10 @@ let measure_cmd =
       Printf.eprintf "popan: %s\n" msg;
       exit 1
   and go input capacity max_depth no_normalize =
+    if max_depth < 0 || max_depth > Popan_geom.Morton.bits_fine then
+      failwith
+        (Printf.sprintf "measure: --max-depth must be in [0, %d]"
+           Popan_geom.Morton.bits_fine);
     let raw = Points_io.load input in
     if raw = [] then failwith "measure: no points in input";
     let points = if no_normalize then raw else Points_io.normalize raw in
@@ -1052,7 +1056,7 @@ let measure_cmd =
     Arg.(required & opt (some string) None & info [ "i"; "input" ] ~docv:"FILE" ~doc)
   in
   let max_depth =
-    let doc = "Maximum tree depth." in
+    let doc = "Maximum tree depth, 0 to 42 (the arena's 2^-42 grid)." in
     Arg.(value & opt int 16 & info [ "max-depth" ] ~docv:"D" ~doc)
   in
   let no_normalize =

@@ -176,11 +176,13 @@ let log_bounds ~per_decade ~lo ~hi =
 
 (* Updates *)
 
-let incr ?(by = 1) c =
+let add c n =
   if c.c_always || Atomic.get enabled_flag then begin
     let s = shard_index () in
-    c.c_shards.(s) <- c.c_shards.(s) + by
+    c.c_shards.(s) <- c.c_shards.(s) + n
   end
+
+let incr c = add c 1
 
 let set_gauge g v = if Atomic.get enabled_flag then Atomic.set g.g_cell v
 

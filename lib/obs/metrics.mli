@@ -81,7 +81,13 @@ val log_bounds : per_decade:int -> lo:float -> hi:float -> float array
 
 (** {1 Updates} *)
 
-val incr : ?by:int -> counter -> unit
+(** [incr c] adds one to [c]. *)
+val incr : counter -> unit
+
+(** [add c n] adds [n] to [c]: [incr] for a count that is not one. A
+    plain argument, where an optional [?by] would box [Some n] at every
+    call. *)
+val add : counter -> int -> unit
 val set_gauge : gauge -> float -> unit
 val observe : histogram -> float -> unit
 

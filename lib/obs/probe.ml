@@ -113,8 +113,8 @@ let arena_build_seconds =
 let arena_build kind ~inserts f =
   (match kind with
   | `Bulk ->
-    Metrics.incr ~by:inserts builder_inserts;
-    Metrics.incr ~by:inserts arena_bulk_points
+    Metrics.add builder_inserts inserts;
+    Metrics.add arena_bulk_points inserts
   | `Incremental -> ());
   if not (Metrics.enabled () || Trace.enabled ()) then f ()
   else begin
@@ -152,7 +152,7 @@ let arena_phase ~phase f =
 
 let arena_parallel ~tasks ~jobs:_ =
   Metrics.incr arena_parallel_builds;
-  Metrics.incr ~by:tasks arena_parallel_tasks
+  Metrics.add arena_parallel_tasks tasks
 
 let arena_subtree ~index f =
   if not (Metrics.enabled () || Trace.enabled ()) then f ()
@@ -180,19 +180,16 @@ let arena_merge () = Metrics.incr arena_merges
    switches say — so a large-n run cannot quietly take a different build
    path than the one asked for. The historical instance (bulk builds
    past 2^21 points silently rerouting to incremental inserts) is gone
-   with the two-word keys; the two that remain are descending past the
-   42-bit Morton resolution (duplicate-heavy data under a deep
-   [max_depth]) and an mmap request degrading to heap backing. *)
+   with the two-word keys; the one that remains is an mmap request
+   degrading to heap backing. *)
 
 let arena_fallbacks = Metrics.counter ~stable:false "arena.fallbacks"
-let arena_deep_float_splits = Metrics.counter "arena.deep.float.splits"
 let warned : (string, unit) Hashtbl.t = Hashtbl.create 4
 let warn_mutex = Mutex.create ()
 
 (* Degrade warnings flow through the structured event log: one event
-   per distinct key per process (a deep bulk build may take millions of
-   deep-float splits; the counter counts them all, the event fires
-   once). {!Event} mirrors Warn-level events to stderr unless the
+   per distinct key per process (the counter counts every fallback, the
+   event fires once). {!Event} mirrors Warn-level events to stderr unless the
    mirror was switched off, preserving the old loud-by-default
    behavior while making the warning visible to tooling. *)
 let warn_once key fields fmt =
@@ -213,25 +210,6 @@ let arena_fallback ~what ~detail =
     [ ("what", Event.Str what); ("detail", Event.Str detail) ]
     "%s (%s); build path differs from the one requested" what detail
 
-let arena_deep_float ~depth =
-  Metrics.incr arena_deep_float_splits;
-  warn_once "arena.deep_float"
-    [ ("depth", Event.Int depth) ]
-    "bulk build descending below the 42-bit Morton resolution at depth %d; \
-     switching to float-midpoint splits"
-    depth
-
-(* Query kernels leaving the integer-descent fast path (custom bounds,
-   or an arena split below the fine Morton grid): same discipline as
-   the build fallbacks — count every occurrence, warn once. *)
-let arena_query_fallbacks = Metrics.counter "arena.query.fallbacks"
-
-let arena_query_fallback () =
-  Metrics.incr arena_query_fallbacks;
-  warn_once "arena.query_fallback" []
-    "query kernel on the float-midpoint fallback path (custom bounds or \
-     deeper-than-42 arena); integer cell descent does not apply"
-
 (* The domain pool *)
 
 let pool_maps = Metrics.counter "pool.maps"
@@ -244,7 +222,7 @@ let pool_reduce_seconds = Metrics.histogram ~stable:false "pool.reduce.seconds" 
 
 let pool_map ~tasks ~jobs f =
   Metrics.incr pool_maps;
-  Metrics.incr ~by:tasks pool_tasks;
+  Metrics.add pool_tasks tasks;
   Metrics.set_gauge pool_jobs (float_of_int jobs);
   timed ~span:"pool:batch"
     ~args:[ ("tasks", Trace.Int tasks); ("jobs", Trace.Int jobs) ]
@@ -339,7 +317,7 @@ let serve_pruned_subtrees_total = Metrics.counter "serve.pruned.subtrees"
    of subtrees, and a sharded-counter increment per event is the kind
    of per-node cost the instrumented kernels must not carry. *)
 let serve_pruned_subtrees n =
-  if n > 0 then Metrics.incr ~by:n serve_pruned_subtrees_total
+  if n > 0 then Metrics.add serve_pruned_subtrees_total n
 let serve_epochs_published = Metrics.counter "serve.epochs.published"
 let serve_epochs_retired = Metrics.counter "serve.epochs.retired"
 
@@ -455,7 +433,7 @@ let serve_writer_wait ~ns =
   Metrics.record_sketch serve_writer_wait_sketch (float_of_int ns *. 1e-9)
 
 let serve_publish_copy ~bytes ~full =
-  Metrics.incr ~by:bytes serve_publish_bytes;
+  Metrics.add serve_publish_bytes bytes;
   if full then Metrics.incr serve_publish_full
 
 let serve_pin ~epoch =

@@ -100,25 +100,12 @@ val arena_delete : unit -> unit
 val arena_merge : unit -> unit
 
 (** [arena_fallback ~what ~detail] records that a build took a
-    different path than requested ([arena.fallbacks]) and emits a
+    different path than requested ([arena.fallbacks]; the one such path
+    is an mmap-backed arena degrading to heap columns) and emits a
     one-per-process [arena.fallback] {!Event} at [Warn] — mirrored to
     stderr unless {!Event.set_stderr_mirror}[ false] — because large-n
     runs must never change build path silently. *)
 val arena_fallback : what:string -> detail:string -> unit
-
-(** [arena_deep_float ~depth] counts a split below the 42-bit Morton
-    resolution ([arena.deep.float.splits] — duplicate-heavy data under a
-    deep [max_depth]) and emits a one-per-process [arena.deep_float]
-    event at [Warn]. *)
-val arena_deep_float : depth:int -> unit
-
-(** [arena_query_fallback ()] counts a query kernel taking the
-    float-midpoint fallback instead of integer cell descent
-    ([arena.query.fallbacks] — custom bounds, or an arena split below
-    the 42-bit fine grid) and emits a one-per-process
-    [arena.query_fallback] event at [Warn] — the same loud-degrade
-    discipline as the build fallbacks. *)
-val arena_query_fallback : unit -> unit
 
 (** {1 The domain pool} *)
 
@@ -199,8 +186,9 @@ val serve_kernel_name : int -> string
     ([serve.pruned.subtrees] — stable: a pure function of tree shape
     and queries, independent of scheduling). The kernels tally locally
     and flush once per query so the counter costs O(1) per query, not
-    O(pruning events). Bumped only on the telemetry path; the plain
-    kernels prune identically but stay probe-free. *)
+    O(pruning events), and allocates nothing, registry on or off.
+    Bumped only on the telemetry path; the plain kernels prune
+    identically but stay probe-free. *)
 val serve_pruned_subtrees : int -> unit
 
 (** [serve_telemetry_on ()] is true when either the flight recorder or

@@ -69,7 +69,7 @@ let copy_into live arena =
 
 let empty_like live =
   Pr_arena.create ~max_depth:(Pr_arena.max_depth live)
-    ~bounds:(Pr_arena.bounds live) ~capacity:(Pr_arena.capacity live) ()
+    ~capacity:(Pr_arena.capacity live) ()
 
 let create_from live = create (copy_into live (empty_like live))
 
@@ -90,7 +90,6 @@ let publish t arena =
 let same_shape a b =
   Pr_arena.capacity a = Pr_arena.capacity b
   && Pr_arena.max_depth a = Pr_arena.max_depth b
-  && Box.equal (Pr_arena.bounds a) (Pr_arena.bounds b)
 
 (* The copy runs outside the lock: readers keep pinning and unpinning
    while the writer refreshes the spare, which no reader can reach. *)

@@ -62,7 +62,7 @@ val publish : t -> Pr_arena.t -> epoch
 
 (** [publish_from t live] publishes a copy of the writer's [live] arena
     as the new current epoch. The copy refreshes the spare when there
-    is one of [live]'s capacity, depth limit and bounds, and an empty
+    is one of [live]'s capacity and depth limit, and an empty
     arena otherwise — the full-copy cases being no spare (every retired
     epoch was still pinned) and a spare too small for [live], which
     regrows to [live]'s column capacity. [serve.publish.bytes] counts the bytes

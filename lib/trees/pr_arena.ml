@@ -1,15 +1,16 @@
 open Import
 module Parallel = Popan_parallel
 
-(* 42 bits of Morton resolution per coordinate, carried as two words
-   (Morton.encode_fine): tree levels 0..20 are decided by the hi word —
-   the historical 21-bit-per-axis interleave, still the stored per-slot
-   [codes] entry — and levels 21..41 by the lo word, computed on demand
-   from the float coordinates. Only below depth 42 (duplicate-heavy data
-   under a deep max_depth) does the build fall back to float-midpoint
-   arithmetic, and that path warns via [Probe.arena_deep_float]. *)
+(* One integer grid: the arena covers the unit square, and every cell
+   down to [max_depth] <= 42 is a dyadic square of the 2^-42 grid. A
+   point's fine ordinates [floor (x * 2^42)] and [floor (y * 2^42)]
+   decide its child at every level, computed on demand from the float
+   columns — a slot stores its coordinates and its chain link, nothing
+   else. The bulk sort carries the same bits as two Morton words
+   (Morton.encode_fine): the hi word, interleaving the top 21 bits of
+   each ordinate, keys levels 0..20, and the lo word levels 21..41. *)
 let bits = Morton.bits
-let bits_fine = 2 * bits
+let bits_fine = Morton.bits_fine
 let axis_mask = (1 lsl bits) - 1
 
 (* Morton.quantize / quantize_fine, open-coded: calling across the
@@ -51,15 +52,14 @@ type backing = Heap | Mmap of { dir : string }
 type t = {
   capacity : int;
   max_depth : int;
-  bounds : Box.t;
-  unit_bounds : bool;
   mutable backing : backing;  (* effective: Heap after an mmap failure *)
   seg_dir : string option;  (* this arena's private segment directory *)
   mutable seg_bytes : (string * int) list;  (* segment name -> bytes *)
   (* Nodes, parallel arrays indexed by node id; node 0 is the root.
-     These stay OCaml int arrays: they are tiny next to the point
-     columns (3 words per node vs 8 per point plus sort buffers) and
-     are the one part the parallel stitch rewrites wholesale. *)
+     These stay OCaml int arrays: they are small next to the point
+     columns (3 words per node, a node per few points, vs 3 words per
+     point plus sort buffers) and are the one part the parallel stitch
+     rewrites wholesale. *)
   mutable nodes : int;  (* ids in use *)
   mutable child : int array;  (* -1 = leaf; else first of 4 children *)
   mutable count : int array;  (* live points in the node's subtree: a
@@ -74,7 +74,6 @@ type t = {
   mutable size : int;
   mutable xs : farr;
   mutable ys : farr;
-  mutable codes : iarr;  (* hi Morton word of each slot *)
   mutable next : iarr;  (* intrusive per-leaf chain, -1 ends *)
   (* O(1) statistics, maintained per insert and delete. *)
   mutable leaves : int;
@@ -339,10 +338,10 @@ let release t =
     (fun dir -> try Unix.rmdir dir with Unix.Unix_error _ | Sys_error _ -> ())
     t.seg_dir
 
-let create ?(max_depth = 16) ?(bounds = Box.unit) ?(reserve = 0)
-    ?(backing = Heap) ~capacity () =
+let create ?(max_depth = 16) ?(reserve = 0) ?(backing = Heap) ~capacity () =
   if capacity < 1 then invalid_arg "Pr_arena.create: capacity < 1";
   if max_depth < 0 then invalid_arg "Pr_arena.create: max_depth < 0";
+  if max_depth > bits_fine then invalid_arg "Pr_arena.create: max_depth > 42";
   if reserve < 0 then invalid_arg "Pr_arena.create: reserve < 0";
   let hist = Array.make (capacity + 1) 0 in
   hist.(0) <- 1;
@@ -365,8 +364,6 @@ let create ?(max_depth = 16) ?(bounds = Box.unit) ?(reserve = 0)
     {
       capacity;
       max_depth;
-      bounds;
-      unit_bounds = Box.equal bounds Box.unit;
       backing;
       seg_dir;
       seg_bytes = [];
@@ -379,7 +376,6 @@ let create ?(max_depth = 16) ?(bounds = Box.unit) ?(reserve = 0)
          them to any read path. *)
       xs = heap_f 0;
       ys = heap_f 0;
-      codes = heap_i 0;
       next = heap_i 0;
       leaves = 1;
       internals = 0;
@@ -409,13 +405,11 @@ let create ?(max_depth = 16) ?(bounds = Box.unit) ?(reserve = 0)
   in
   t.xs <- alloc_f t "xs" pcap;
   t.ys <- alloc_f t "ys" pcap;
-  t.codes <- alloc_i t "codes" pcap;
   t.next <- alloc_i t "next" pcap;
   t
 
 let capacity t = t.capacity
 let max_depth t = t.max_depth
-let bounds t = t.bounds
 let backing t = t.backing
 let size t = t.size
 let is_empty t = t.size = 0
@@ -426,7 +420,7 @@ let height t = t.height
 let occupancy_histogram t = Array.copy t.hist
 let average_occupancy t = float_of_int t.size /. float_of_int t.leaves
 
-(* Estimated peak resident bytes of a bulk build: the four point
+(* Estimated peak resident bytes of a bulk build: the three point
    columns, the four sort columns (keys + slots, ping-ponged), and a
    generous bound on the node arrays. Advisory — the CLI prints it and
    checks it against available memory before committing to a build. *)
@@ -434,7 +428,7 @@ let bulk_footprint ~capacity ~n =
   if capacity < 1 then invalid_arg "Pr_arena.bulk_footprint: capacity < 1";
   if n < 0 then invalid_arg "Pr_arena.bulk_footprint: n < 0";
   let n = max n 1 in
-  let columns = 8 * 8 * n in
+  let columns = 7 * 8 * n in
   let leaves = 1 + ((n + capacity - 1) / capacity) in
   let nodes = 1 + (8 * leaves) in
   columns + (3 * 8 * nodes)
@@ -460,7 +454,6 @@ let grow_points t needed =
   let cap = !cap in
   let xs = alloc_f t "xs" cap
   and ys = alloc_f t "ys" cap
-  and codes = alloc_i t "codes" cap
   and next = alloc_i t "next" cap in
   let open Bigarray.Array1 in
   (* Copy up to the slot high-water mark, not [size]: freed slots below
@@ -468,12 +461,10 @@ let grow_points t needed =
   if t.slots > 0 then begin
     blit (sub t.xs 0 t.slots) (sub xs 0 t.slots);
     blit (sub t.ys 0 t.slots) (sub ys 0 t.slots);
-    blit (sub t.codes 0 t.slots) (sub codes 0 t.slots);
     blit (sub t.next 0 t.slots) (sub next 0 t.slots)
   end;
   t.xs <- xs;
   t.ys <- ys;
-  t.codes <- codes;
   t.next <- next;
   t.slot_stamp <- grow_stamps t.slot_stamp cap
 
@@ -550,23 +541,21 @@ let drop_leaf t depth count =
   t.hist.(bucket) <- t.hist.(bucket) - 1;
   t.depth_count.(depth) <- t.depth_count.(depth) - 1
 
-(* The two Morton bits separating the children of a node at [depth]
-   (depth < bits): (y bit << 1) | x bit. *)
-let pair_at code depth = (code lsr (2 * (bits - 1 - depth))) land 3
-
 (* The fine (42-bit) ordinates of a stored slot, computed on demand from
    the float columns — exact, the multiply only shifts the exponent.
-   Nothing below the hi word is stored per slot: levels 21..41 are rare
-   enough that recomputing beats an extra 8n-byte column. *)
+   They take the slot, not the coordinates, so no float crosses a call.
+   No code is stored per slot: a stored Morton word made churn no
+   faster and cost 8 bytes a point in every arena and epoch copy. *)
 let fine_x t slot = int_of_float (t.xs.{slot} *. fine_scale)
 let fine_y t slot = int_of_float (t.ys.{slot} *. fine_scale)
 
-(* The lo Morton word of a slot: the next 21 bits of each axis below the
-   stored hi word, interleaved. *)
+(* The lo Morton word of a slot: the low 21 bits of each fine ordinate,
+   interleaved — what the bulk sort keys on below level [bits]. *)
 let lo_code t slot =
   Morton.interleave (fine_x t slot land axis_mask) (fine_y t slot land axis_mask)
 
-(* The child pair of fine ordinates at [depth] in [bits, bits_fine). *)
+(* The child pair of fine ordinates at [depth] < [bits_fine]:
+   (y bit << 1) | x bit. *)
 let pair_fine qx qy depth =
   let sh = bits_fine - 1 - depth in
   (((qy lsr sh) land 1) lsl 1) lor ((qx lsr sh) land 1)
@@ -597,21 +586,8 @@ let absorb t node depth slot =
   end
 
 (* Relink an over-full leaf's chain onto the four fresh children at
-   [base], keyed by the Morton pair at [depth]. Ints only. *)
-let rec distribute_code t base depth slot =
-  if slot >= 0 then begin
-    let nxt = t.next.{slot} in
-    let c = base + pair_at t.codes.{slot} depth in
-    t.next.{slot} <- t.head.(c);
-    t.head.(c) <- slot;
-    t.count.(c) <- t.count.(c) + 1;
-    touch_slot t slot;
-    touch_node t c;
-    distribute_code t base depth nxt
-  end
-
-(* Same, keyed by the fine ordinates (levels bits .. bits_fine - 1). *)
-let rec distribute_fine t base depth slot =
+   [base], keyed by each slot's fine ordinates at [depth]. Ints only. *)
+let rec distribute t base depth slot =
   if slot >= 0 then begin
     let nxt = t.next.{slot} in
     let c = base + pair_fine (fine_x t slot) (fine_y t slot) depth in
@@ -620,182 +596,49 @@ let rec distribute_fine t base depth slot =
     t.count.(c) <- t.count.(c) + 1;
     touch_slot t slot;
     touch_node t c;
-    distribute_fine t base depth nxt
+    distribute t base depth nxt
   end
-
-(* Same, keyed by float midpoint comparisons (custom bounds, or cells
-   below the fine Morton resolution). *)
-let rec distribute_float t base cx cy slot =
-  if slot >= 0 then begin
-    let nxt = t.next.{slot} in
-    let px = if t.xs.{slot} >= cx then 1 else 0 in
-    let py = if t.ys.{slot} >= cy then 2 else 0 in
-    let c = base + px + py in
-    t.next.{slot} <- t.head.(c);
-    t.head.(c) <- slot;
-    t.count.(c) <- t.count.(c) + 1;
-    touch_slot t slot;
-    touch_node t c;
-    distribute_float t base cx cy nxt
-  end
-
-(* The (exactly representable, dyadic) lower-left corner of the cell at
-   [depth] <= bits_fine containing stored slot [slot]. *)
-let slot_cell_x0 t slot depth =
-  ldexp (float_of_int (fine_x t slot lsr (bits_fine - depth))) (-depth)
-
-let slot_cell_y0 t slot depth =
-  ldexp (float_of_int (fine_y t slot lsr (bits_fine - depth))) (-depth)
 
 (* Split an over-full, deregistered former leaf [node] at [depth]
-   (< max_depth). Levels above [bits] key on the stored hi word, levels
-   in [bits, bits_fine) on the on-demand fine ordinates; only below the
-   fine resolution (42) does the split switch to float midpoints,
-   deriving the (exactly representable) cell from any chained slot. *)
-let rec split_code t node depth =
-  if depth >= bits then split_fine t node depth
-  else begin
-    t.internals <- t.internals + 1;
-    Probe.builder_split ~depth;
-    let base = alloc_children t in
-    let chain = t.head.(node) in
-    t.child.(node) <- base;
-    t.head.(node) <- -1;
-    touch_node t node;
-    (* [t.count.(node)] keeps the overflowed chain total: with subtree
-       counts it is exactly the new internal node's population. *)
-    distribute_code t base depth chain;
-    let cdepth = depth + 1 in
-    for i = 0 to 3 do
-      let c = base + i in
-      let cc = t.count.(c) in
-      if cc <= t.capacity || cdepth >= t.max_depth then note_leaf t cdepth cc
-      else split_code t c cdepth
-    done
-  end
-
-and split_fine t node depth =
-  if depth >= bits_fine then begin
-    Probe.arena_deep_float ~depth;
-    let s = t.head.(node) in
-    let x0 = slot_cell_x0 t s bits_fine and y0 = slot_cell_y0 t s bits_fine in
-    let side = ldexp 1.0 (-bits_fine) in
-    split_float t node depth x0 y0 (x0 +. side) (y0 +. side)
-  end
-  else begin
-    t.internals <- t.internals + 1;
-    Probe.builder_split ~depth;
-    let base = alloc_children t in
-    let chain = t.head.(node) in
-    t.child.(node) <- base;
-    t.head.(node) <- -1;
-    touch_node t node;
-    distribute_fine t base depth chain;
-    let cdepth = depth + 1 in
-    for i = 0 to 3 do
-      let c = base + i in
-      let cc = t.count.(c) in
-      if cc <= t.capacity || cdepth >= t.max_depth then note_leaf t cdepth cc
-      else split_fine t c cdepth
-    done
-  end
-
-and split_float t node depth x0 y0 x1 y1 =
+   (< max_depth), and any child that is still over-full in turn. *)
+let rec split t node depth =
   t.internals <- t.internals + 1;
   Probe.builder_split ~depth;
-  let cx = 0.5 *. (x0 +. x1) and cy = 0.5 *. (y0 +. y1) in
   let base = alloc_children t in
   let chain = t.head.(node) in
   t.child.(node) <- base;
   t.head.(node) <- -1;
   touch_node t node;
-  distribute_float t base cx cy chain;
+  (* [t.count.(node)] keeps the overflowed chain total: with subtree
+     counts it is exactly the new internal node's population. *)
+  distribute t base depth chain;
   let cdepth = depth + 1 in
   for i = 0 to 3 do
     let c = base + i in
     let cc = t.count.(c) in
     if cc <= t.capacity || cdepth >= t.max_depth then note_leaf t cdepth cc
-    else
-      split_float t c cdepth
-        (if i land 1 = 1 then cx else x0)
-        (if i land 2 = 2 then cy else y0)
-        (if i land 1 = 1 then x1 else cx)
-        (if i land 2 = 2 then y1 else cy)
+    else split t c cdepth
   done
 
-(* Descend by Morton bits (unit bounds): the hi word down to level
-   [bits], then the fine ordinates down to level [bits_fine] — ints
-   only, so a no-split insert allocates nothing at any depth above 42.
-   The equivalence with float midpoints holds level for level: the cell
-   midpoint at depth d <= 41 is the dyadic k/2^(d+1), and
-   [x >= k/2^(d+1)] iff bit (41 - d) of [floor (x * 2^42)] is set,
-   given the shared cell prefix. *)
-let rec insert_code t node depth code slot =
-  let base = t.child.(node) in
-  if base >= 0 then
-    if depth < bits then begin
-      (* Subtree counts: every internal node on the descent gains the
-         point. Regime hand-offs below re-enter the SAME node, so the
-         increment lives only in the branches that actually step to a
-         child. *)
-      t.count.(node) <- t.count.(node) + 1;
-      touch_count t node;
-      insert_code t (base + pair_at code depth) (depth + 1) code slot
-    end
-    else insert_fine t node depth (fine_x t slot) (fine_y t slot) slot
-  else if absorb t node depth slot then split_code t node depth
-
-and insert_fine t node depth qx qy slot =
-  let base = t.child.(node) in
-  if base >= 0 then
-    if depth < bits_fine then begin
-      t.count.(node) <- t.count.(node) + 1;
-      touch_count t node;
-      insert_fine t (base + pair_fine qx qy depth) (depth + 1) qx qy slot
-    end
-    else begin
-      let x0 = ldexp (float_of_int qx) (-bits_fine)
-      and y0 = ldexp (float_of_int qy) (-bits_fine) in
-      let side = ldexp 1.0 (-bits_fine) in
-      insert_float t node depth slot x0 y0 (x0 +. side) (y0 +. side)
-    end
-  else if absorb t node depth slot then split_fine t node depth
-
-and insert_float t node depth slot x0 y0 x1 y1 =
+(* Descend by the fine ordinates [qx], [qy] from the root — ints only,
+   so a no-split insert allocates nothing. The equivalence with float
+   midpoints holds level for level: the cell midpoint at depth d <= 41
+   is the dyadic k/2^(d+1), and [x >= k/2^(d+1)] iff bit (41 - d) of
+   [floor (x * 2^42)] is set, given the shared cell prefix. An internal
+   node lies above [max_depth] <= 42, so its bit always exists. *)
+let rec insert_from t node depth qx qy slot =
   let base = t.child.(node) in
   if base >= 0 then begin
+    (* Subtree counts: every internal node on the descent gains the
+       point. *)
     t.count.(node) <- t.count.(node) + 1;
     touch_count t node;
-    let cx = 0.5 *. (x0 +. x1) and cy = 0.5 *. (y0 +. y1) in
-    if t.ys.{slot} >= cy then
-      if t.xs.{slot} >= cx then
-        insert_float t (base + 3) (depth + 1) slot cx cy x1 y1
-      else insert_float t (base + 2) (depth + 1) slot x0 cy cx y1
-    else if t.xs.{slot} >= cx then
-      insert_float t (base + 1) (depth + 1) slot cx y0 x1 cy
-    else insert_float t base (depth + 1) slot x0 y0 cx cy
+    insert_from t (base + pair_fine qx qy depth) (depth + 1) qx qy slot
   end
-  else if absorb t node depth slot then split_float t node depth x0 y0 x1 y1
-
-(* Quantized normalized code. For unit bounds this is Morton.encode and
-   drives the decomposition exactly; for custom bounds it is advisory
-   (the decomposition uses float midpoints) but keeps Z-order sorting
-   meaningful. *)
-let point_code t x y =
-  if t.unit_bounds then
-    Morton.interleave
-      (int_of_float (x *. quantize_scale))
-      (int_of_float (y *. quantize_scale))
-  else begin
-    let b = t.bounds in
-    let nx = (x -. b.Box.xmin) /. (b.Box.xmax -. b.Box.xmin) in
-    let ny = (y -. b.Box.ymin) /. (b.Box.ymax -. b.Box.ymin) in
-    let clamp v = if v < 0.0 then 0.0 else if v >= 1.0 then 0x1FFFFFp-21 else v in
-    Morton.interleave (Morton.quantize (clamp nx)) (Morton.quantize (clamp ny))
-  end
+  else if absorb t node depth slot then split t node depth
 
 let insert t p =
-  if not (Box.contains t.bounds p) then
+  if not (Point.in_unit_square p) then
     invalid_arg "Pr_arena.insert: point outside bounds";
   Probe.builder_insert ();
   next_clock t;
@@ -819,20 +662,10 @@ let insert t p =
   t.xs.{slot} <- x;
   t.ys.{slot} <- y;
   touch_slot t slot;
-  if t.unit_bounds then begin
-    let code =
-      Morton.interleave
-        (int_of_float (x *. quantize_scale))
-        (int_of_float (y *. quantize_scale))
-    in
-    t.codes.{slot} <- code;
-    insert_code t 0 0 code slot
-  end
-  else begin
-    t.codes.{slot} <- point_code t x y;
-    let b = t.bounds in
-    insert_float t 0 0 slot b.Box.xmin b.Box.ymin b.Box.xmax b.Box.ymax
-  end
+  insert_from t 0 0
+    (int_of_float (x *. fine_scale))
+    (int_of_float (y *. fine_scale))
+    slot
 
 let insert_all t ps = List.iter (insert t) ps
 
@@ -858,52 +691,20 @@ let insert_all t ps = List.iter (insert t) ps
    [capacity] live points lie under it, the same shape a fresh build
    of the survivors produces. *)
 
-(* Descend to the leaf whose cell contains the query point, writing
-   every visited node id (the leaf included) into [t.path] and
-   returning the leaf depth. Mirrors [insert_code] / [insert_fine] /
-   [insert_float] regime for regime; the int-only levels pass the
-   query as Morton words and fine ordinates, and the float levels read
-   the coordinates back out of [t.qbuf] (unboxed Bigarray loads). *)
-let rec locate_code t node depth code qx qy =
+(* Descend to the leaf whose cell contains the fine ordinates [qx],
+   [qy], writing every visited node id (the leaf included) into
+   [t.path] and returning the leaf depth: [insert_from]'s walk. *)
+let rec locate t node depth qx qy =
   t.path.(depth) <- node;
   let base = t.child.(node) in
   if base < 0 then depth
-  else if depth < bits then
-    locate_code t (base + pair_at code depth) (depth + 1) code qx qy
-  else locate_fine t node depth qx qy
-
-and locate_fine t node depth qx qy =
-  t.path.(depth) <- node;
-  let base = t.child.(node) in
-  if base < 0 then depth
-  else if depth < bits_fine then
-    locate_fine t (base + pair_fine qx qy depth) (depth + 1) qx qy
-  else begin
-    let x0 = ldexp (float_of_int qx) (-bits_fine)
-    and y0 = ldexp (float_of_int qy) (-bits_fine) in
-    let side = ldexp 1.0 (-bits_fine) in
-    locate_float t node depth x0 y0 (x0 +. side) (y0 +. side)
-  end
-
-and locate_float t node depth x0 y0 x1 y1 =
-  t.path.(depth) <- node;
-  let base = t.child.(node) in
-  if base < 0 then depth
-  else begin
-    let cx = 0.5 *. (x0 +. x1) and cy = 0.5 *. (y0 +. y1) in
-    if t.qbuf.{1} >= cy then
-      if t.qbuf.{0} >= cx then
-        locate_float t (base + 3) (depth + 1) cx cy x1 y1
-      else locate_float t (base + 2) (depth + 1) x0 cy cx y1
-    else if t.qbuf.{0} >= cx then
-      locate_float t (base + 1) (depth + 1) cx y0 x1 cy
-    else locate_float t base (depth + 1) x0 y0 cx cy
-  end
+  else locate t (base + pair_fine qx qy depth) (depth + 1) qx qy
 
 (* Unlink the first slot in [leaf]'s chain equal to the query point in
    [t.qbuf] and return it, or -1 when absent. Exact float comparison:
-   distinct floats can share a Morton code, so codes cannot stand in
-   for the coordinates here. *)
+   distinct floats can share a fine cell, so ordinates cannot stand in
+   for the coordinates here. The query point travels in [t.qbuf], an
+   unboxed Bigarray, never as (boxed) float arguments. *)
 let rec unlink_slot t leaf prev slot =
   if slot < 0 then -1
   else if t.xs.{slot} = t.qbuf.{0} && t.ys.{slot} = t.qbuf.{1} then begin
@@ -984,23 +785,15 @@ let rec merge_up t depth =
 
 let delete t p =
   let x = p.Point.x and y = p.Point.y in
-  if not (Box.contains t.bounds p) then false
+  if not (Point.in_unit_square p) then false
   else begin
     next_clock t;
     t.qbuf.{0} <- x;
     t.qbuf.{1} <- y;
     let depth =
-      if t.unit_bounds then
-        locate_code t 0 0
-          (Morton.interleave
-             (int_of_float (x *. quantize_scale))
-             (int_of_float (y *. quantize_scale)))
-          (int_of_float (x *. fine_scale))
-          (int_of_float (y *. fine_scale))
-      else begin
-        let b = t.bounds in
-        locate_float t 0 0 b.Box.xmin b.Box.ymin b.Box.xmax b.Box.ymax
-      end
+      locate t 0 0
+        (int_of_float (x *. fine_scale))
+        (int_of_float (y *. fine_scale))
     in
     let leaf = t.path.(depth) in
     let slot = unlink_slot t leaf (-1) t.head.(leaf) in
@@ -1035,7 +828,7 @@ let delete t p =
   end
 
 let update t p q =
-  if not (Box.contains t.bounds q) then
+  if not (Point.in_unit_square q) then
     invalid_arg "Pr_arena.update: replacement point outside bounds";
   delete t p
   && begin
@@ -1043,8 +836,8 @@ let update t p q =
        true
      end
 
-let of_points ?max_depth ?bounds ~capacity ps =
-  let t = create ?max_depth ?bounds ~capacity () in
+let of_points ?max_depth ~capacity ps =
+  let t = create ?max_depth ~capacity () in
   Probe.arena_build `Incremental ~inserts:(List.length ps) (fun () ->
       insert_all t ps);
   t
@@ -1094,68 +887,18 @@ let emit_leaf t z (ss : iarr) lo hi node depth =
   end;
   note_leaf t depth n
 
-(* Stable 4-way partition of slots ss[lo, hi) by float midpoints, used
-   for custom bounds and for cells below the fine Morton resolution.
-   [ds] is a whole-column scratch shared down the recursion; [cnt] is a
-   4-slot buffer for the counting pass, reused by every node — pair
-   counts land in it branchlessly (indexing, not matching), then it
-   holds the running write bases. *)
-let rec build_float t z (ss : iarr) (ds : iarr) cnt lo hi node depth x0 y0
-    x1 y1 =
-  if hi - lo <= t.capacity || depth >= t.max_depth then
-    emit_leaf t z ss lo hi node depth
-  else begin
-    t.internals <- t.internals + 1;
-    Probe.builder_split ~depth;
-    let cx = 0.5 *. (x0 +. x1) and cy = 0.5 *. (y0 +. y1) in
-    let pair slot =
-      (if t.xs.{slot} >= cx then 1 else 0)
-      + if t.ys.{slot} >= cy then 2 else 0
-    in
-    cnt.(0) <- 0;
-    cnt.(1) <- 0;
-    cnt.(2) <- 0;
-    cnt.(3) <- 0;
-    for k = lo to hi - 1 do
-      let d = pair ss.{k} in
-      cnt.(d) <- cnt.(d) + 1
-    done;
-    let e1 = lo + cnt.(0) in
-    let e2 = e1 + cnt.(1) in
-    let e3 = e2 + cnt.(2) in
-    cnt.(0) <- lo;
-    cnt.(1) <- e1;
-    cnt.(2) <- e2;
-    cnt.(3) <- e3;
-    for k = lo to hi - 1 do
-      let slot = ss.{k} in
-      let d = pair slot in
-      let p = cnt.(d) in
-      ds.{p} <- slot;
-      cnt.(d) <- p + 1
-    done;
-    for k = lo to hi - 1 do
-      ss.{k} <- ds.{k}
-    done;
-    let base = alloc_children t in
-    t.child.(node) <- base;
-    t.count.(node) <- hi - lo;
-    let cdepth = depth + 1 in
-    build_float t z ss ds cnt lo e1 base cdepth x0 y0 cx cy;
-    build_float t z ss ds cnt e1 e2 (base + 1) cdepth cx y0 x1 cy;
-    build_float t z ss ds cnt e2 e3 (base + 2) cdepth x0 cy cx y1;
-    build_float t z ss ds cnt e3 hi (base + 3) cdepth cx cy x1 y1
-  end
-
-(* The Morton twin of [build_float]: a stable counting partition of
-   (sk, ss)[lo, hi) on the two key bits at [depth] — MSD radix, one
-   level per split. The scatter lands in (dk, ds) and the children swap
-   the buffer pairs — no copy back; sibling ranges are disjoint, so
-   each subtree ping-pongs its own slice independently, which is also
-   what makes the range fan-out below safe on shared buffers. [fine]
-   says the key column already holds lo words; crossing level [bits]
-   reloads the column in place (the hi words are constant across the
-   range there) and continues at the same depth. *)
+(* A stable counting partition of (sk, ss)[lo, hi) on the two key bits
+   at [depth] — MSD radix, one level per split. [cnt] is a 4-slot
+   buffer for the counting pass, reused by every node: pair counts land
+   in it branchlessly (indexing, not matching), then it holds the
+   running write bases. The scatter lands in (dk, ds) and the children
+   swap the buffer pairs — no copy back; sibling ranges are disjoint,
+   so each subtree ping-pongs its own slice independently, which is
+   also what makes the range fan-out below safe on shared buffers.
+   [fine] says the key column already holds lo words; crossing level
+   [bits] reloads the column in place (the hi words are constant across
+   the range there) and continues at the same depth. A split lies above
+   [max_depth] <= 42, so the lo word always holds its two bits. *)
 let rec build_sorted t z (sk : iarr) (ss : iarr) (dk : iarr) (ds : iarr) cnt
     lo hi node depth fine =
   if hi - lo <= t.capacity || depth >= t.max_depth then
@@ -1165,16 +908,6 @@ let rec build_sorted t z (sk : iarr) (ss : iarr) (dk : iarr) (ds : iarr) cnt
       sk.{k} <- lo_code t ss.{k}
     done;
     build_sorted t z sk ss dk ds cnt lo hi node depth true
-  end
-  else if depth >= bits_fine then begin
-    (* Below the fine resolution every key coincides; continue from the
-       shared (exactly representable) cell with float midpoints. *)
-    Probe.arena_deep_float ~depth;
-    let s = ss.{lo} in
-    let x0 = slot_cell_x0 t s depth and y0 = slot_cell_y0 t s depth in
-    let side = ldexp 1.0 (-depth) in
-    build_float t z ss ds cnt lo hi node depth x0 y0 (x0 +. side)
-      (y0 +. side)
   end
   else begin
     t.internals <- t.internals + 1;
@@ -1221,9 +954,10 @@ let rec build_sorted t z (sk : iarr) (ss : iarr) (dk : iarr) (ds : iarr) cnt
    int arrays, so every partition pass moves one word per element
    instead of a key and a slot column entry. This is PR 5's kernel
    (it was the whole bulk build then, and its 21-bit slot field is why
-   that build capped at 2^21 points), kept because at small n it is
-   measurably faster than the two-column sort — the `ablation:` bench
-   rows price the difference — and extended past depth 21 the same way
+   that build capped at 2^21 points), kept because it is measurably
+   faster than the two-column sort — the `ablation:radix kernel` bench
+   rows price it at 2.39 against 2.91 ms for 65,536 points — and
+   extended past depth 21 the same way
    as [build_sorted]: when a partition range crosses level [bits], the
    hi code above every slot in the range coincides, so each word is
    reloaded in place with the lo code over the same slot. Builds that
@@ -1235,8 +969,6 @@ let rec build_sorted t z (sk : iarr) (ss : iarr) (dk : iarr) (ds : iarr) cnt
 
 let packed_slot_mask = (1 lsl bits) - 1
 
-(* Works on packed words and on raw slots alike: masking a raw slot is
-   the identity (slots fit the field by construction). *)
 let emit_leaf_packed t z (order : int array) lo hi node depth =
   let n = hi - lo in
   t.count.(node) <- n;
@@ -1259,54 +991,6 @@ let emit_leaf_packed t z (order : int array) lo hi node depth =
   end;
   note_leaf t depth n
 
-(* Float-midpoint partition over raw slots in the packed path's int
-   arrays — the [build_float] twin reached only below the fine Morton
-   resolution (the caller strips the constant prefixes first). *)
-let rec build_float_packed t z (ss : int array) (ds : int array) cnt lo hi
-    node depth x0 y0 x1 y1 =
-  if hi - lo <= t.capacity || depth >= t.max_depth then
-    emit_leaf_packed t z ss lo hi node depth
-  else begin
-    t.internals <- t.internals + 1;
-    Probe.builder_split ~depth;
-    let cx = 0.5 *. (x0 +. x1) and cy = 0.5 *. (y0 +. y1) in
-    let pair slot =
-      (if t.xs.{slot} >= cx then 1 else 0)
-      + if t.ys.{slot} >= cy then 2 else 0
-    in
-    cnt.(0) <- 0;
-    cnt.(1) <- 0;
-    cnt.(2) <- 0;
-    cnt.(3) <- 0;
-    for k = lo to hi - 1 do
-      let d = pair ss.(k) in
-      cnt.(d) <- cnt.(d) + 1
-    done;
-    let e1 = lo + cnt.(0) in
-    let e2 = e1 + cnt.(1) in
-    let e3 = e2 + cnt.(2) in
-    cnt.(0) <- lo;
-    cnt.(1) <- e1;
-    cnt.(2) <- e2;
-    cnt.(3) <- e3;
-    for k = lo to hi - 1 do
-      let slot = ss.(k) in
-      let d = pair slot in
-      let p = cnt.(d) in
-      ds.(p) <- slot;
-      cnt.(d) <- p + 1
-    done;
-    Array.blit ds lo ss lo (hi - lo);
-    let base = alloc_children t in
-    t.child.(node) <- base;
-    t.count.(node) <- hi - lo;
-    let cdepth = depth + 1 in
-    build_float_packed t z ss ds cnt lo e1 base cdepth x0 y0 cx cy;
-    build_float_packed t z ss ds cnt e1 e2 (base + 1) cdepth cx y0 x1 cy;
-    build_float_packed t z ss ds cnt e2 e3 (base + 2) cdepth x0 cy cx y1;
-    build_float_packed t z ss ds cnt e3 hi (base + 3) cdepth cx cy x1 y1
-  end
-
 let rec build_packed t z (src : int array) (dst : int array) cnt lo hi node
     depth fine =
   if hi - lo <= t.capacity || depth >= t.max_depth then
@@ -1320,20 +1004,6 @@ let rec build_packed t z (src : int array) (dst : int array) cnt lo hi node
       src.(k) <- (lo_code t slot lsl bits) lor slot
     done;
     build_packed t z src dst cnt lo hi node depth true
-  end
-  else if depth >= bits_fine then begin
-    (* Below the fine resolution every key coincides; strip to raw
-       slots and continue from the shared (exactly representable) cell
-       with float midpoints. *)
-    Probe.arena_deep_float ~depth;
-    for k = lo to hi - 1 do
-      src.(k) <- src.(k) land packed_slot_mask
-    done;
-    let s = src.(lo) in
-    let x0 = slot_cell_x0 t s depth and y0 = slot_cell_y0 t s depth in
-    let side = ldexp 1.0 (-depth) in
-    build_float_packed t z src dst cnt lo hi node depth x0 y0 (x0 +. side)
-      (y0 +. side)
   end
   else begin
     t.internals <- t.internals + 1;
@@ -1554,118 +1224,90 @@ let unregister_root t =
   t.height <- 0;
   t.depth_count.(0) <- 0
 
-(* The sort and emit behind [bulk_of_columns]: points and codes are
-   already in the columns (slots 0 .. n-1) and [t.size = n]. *)
-let bulk_build t n ~jobs ~pool ~packed =
+(* The hi Morton word of point [i] of the columns [xs], [ys] — the sort
+   key of the top 21 levels — after checking that the point lies in the
+   unit square: the first pass of both bulk builds. The encode is
+   written out here rather than routed through a function of the two
+   coordinates: a float passed to a non-inlined call is boxed, and two
+   boxes per point is exactly the O(n) minor-heap traffic the bulk path
+   promises not to have (the alloc tests measure these passes). *)
+let hi_key (xs : farr) (ys : farr) i =
+  let x = xs.{i} and y = ys.{i} in
+  if not (x >= 0.0 && x < 1.0 && y >= 0.0 && y < 1.0) then
+    invalid_arg "Pr_arena bulk build: point outside bounds";
+  Morton.interleave
+    (int_of_float (x *. quantize_scale))
+    (int_of_float (y *. quantize_scale))
+
+(* The packed fast path applies to sequential, heap-backed builds small
+   enough for single-word keys (see [build_packed]). *)
+let packed_capable t n ~jobs ~pool =
+  jobs = None && pool = None && n <= packed_slot_mask && t.backing = Heap
+
+(* The sort and emit behind [bulk_of_columns]: the points are in the
+   columns (slots 0 .. n-1) and [t.size = n]. One pass checks them and
+   writes their sort keys; the sort then emits the tree. *)
+let bulk_build t n ~jobs ~pool =
   unregister_root t;
-  let parallel_requested = jobs <> None || pool <> None in
-  if not t.unit_bounds then begin
-    (* Codes never steer custom bounds; the float partition handles the
-       whole tree. The fan-out keys on Morton ranges, so it does not
-       apply here — say so rather than quietly building differently. *)
-    if parallel_requested then
-      Probe.arena_fallback ~what:"parallel-custom-bounds"
-        ~detail:"custom bounds build sequentially (float-midpoint path)";
-    let slots = alloc_i t "slots" (max n 1) in
-    let slots2 = alloc_i t "slots2" (max n 1) in
+  let cnt = Array.make 4 0 in
+  if packed_capable t n ~jobs ~pool then begin
+    (* The packed fast path (see [build_packed]): one word per element
+       in two plain int arrays. The arrays are transient sort scratch —
+       at most 16 MB each at the size bound — so a heap build loses
+       nothing of the out-of-core story by using them; mmap-backed
+       arenas keep every buffer in segments and take the column path
+       below. *)
+    let packed = Array.make (max n 1) 0 in
     for i = 0 to n - 1 do
-      slots.{i} <- i
+      packed.(i) <- (hi_key t.xs t.ys i lsl bits) lor i
     done;
-    let b = t.bounds in
-    let cnt = Array.make 4 0 in
-    build_float t false slots slots2 cnt 0 n 0 0 b.Box.xmin b.Box.ymin
-      b.Box.xmax b.Box.ymax
+    let scratch = Array.make (max n 1) 0 in
+    build_packed t false packed scratch cnt 0 n 0 0 false
   end
-  else
-    match packed with
-    | Some packed ->
-      (* The packed fast path (see [build_packed]): one word per element
-         in two plain int arrays, with the key array already built by
-         [encode_columns]. The arrays are transient sort scratch —
-         at most 16 MB each at the size bound — so a heap build loses
-         nothing of the out-of-core story by using them; mmap-backed
-         arenas keep every buffer in segments and take the column path
-         below. *)
-      let scratch = Array.make (max n 1) 0 in
-      let cnt = Array.make 4 0 in
-      build_packed t false packed scratch cnt 0 n 0 0 false
-    | None ->
-      begin
+  else begin
     let keys = alloc_i t "keys" (max n 1) in
     let slots = alloc_i t "slots" (max n 1) in
     let keys2 = alloc_i t "keys2" (max n 1) in
     let slots2 = alloc_i t "slots2" (max n 1) in
     for i = 0 to n - 1 do
-      keys.{i} <- t.codes.{i};
+      keys.{i} <- hi_key t.xs t.ys i;
       slots.{i} <- i
     done;
-    match pool with
-    | Some p -> parallel_build t n p keys slots keys2 slots2
-    | None -> (
-      match jobs with
-      | Some j ->
-        Parallel.Pool.with_pool ~jobs:(max 1 j) (fun p ->
-            parallel_build t n p keys slots keys2 slots2)
-      | None ->
-        let cnt = Array.make 4 0 in
-        build_sorted t false keys slots keys2 slots2 cnt 0 n 0 0 false)
+    match (pool, jobs) with
+    | Some p, _ -> parallel_build t n p keys slots keys2 slots2
+    | None, Some j ->
+      Parallel.Pool.with_pool ~jobs:(max 1 j) (fun p ->
+          parallel_build t n p keys slots keys2 slots2)
+    | None, None ->
+      build_sorted t false keys slots keys2 slots2 cnt 0 n 0 0 false
   end
 
-(* The packed fast path applies to sequential, heap-backed, unit-bounds
-   builds small enough for single-word keys (see [build_packed]). *)
-let packed_capable t n ~jobs ~pool =
-  jobs = None && pool = None
-  && n <= packed_slot_mask
-  && t.backing = Heap && t.unit_bounds
+(* Run a bulk build's body over its fresh arena [t] and return [t]. A
+   body that raises — a point outside the unit square, a failing fill —
+   releases the arena first: its caller never receives it, so nothing
+   else could delete its segment files. *)
+let building t body =
+  match body () with
+  | () -> t
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    release t;
+    Printexc.raise_with_backtrace e bt
 
-(* One pass over the filled columns: bounds check, stored code and, on
-   the packed path, the sort key. The unit-bounds encode is written out
-   inline rather than routed through [point_code]: a float passed to a
-   non-inlined call is boxed, and two boxes per point is exactly the
-   O(n) minor-heap traffic the bulk path promises not to have (the
-   alloc tests measure this loop). *)
-let encode_columns t n packed =
-  let b = t.bounds in
-  for i = 0 to n - 1 do
-    let x = t.xs.{i} and y = t.ys.{i} in
-    if not (x >= b.Box.xmin && x < b.Box.xmax && y >= b.Box.ymin
-            && y < b.Box.ymax)
-    then invalid_arg "Pr_arena bulk build: point outside bounds";
-    let code =
-      if t.unit_bounds then
-        Morton.interleave
-          (int_of_float (x *. quantize_scale))
-          (int_of_float (y *. quantize_scale))
-      else point_code t x y
-    in
-    t.codes.{i} <- code;
-    match packed with
-    | Some a -> a.(i) <- (code lsl bits) lor i
-    | None -> ()
-  done
-
-let bulk_of_columns ?max_depth ?bounds ?backing ?jobs ?pool ?(reserve = 0)
-    ~capacity ~n fill =
+let bulk_of_columns ?max_depth ?backing ?jobs ?pool ?(reserve = 0) ~capacity
+    ~n fill =
   if n < 0 then invalid_arg "Pr_arena.bulk_of_columns: n < 0";
-  let t =
-    create ?max_depth ?bounds ?backing ~reserve:(max n reserve) ~capacity ()
-  in
-  Probe.arena_build `Bulk ~inserts:n (fun () ->
-      fill t.xs t.ys;
-      let packed =
-        if packed_capable t n ~jobs ~pool then Some (Array.make (max n 1) 0)
-        else None
-      in
-      encode_columns t n packed;
-      t.size <- n;
-      t.slots <- n;
-      bulk_build t n ~jobs ~pool ~packed;
-      drop_segments t sort_segments);
-  t
+  let t = create ?max_depth ?backing ~reserve:(max n reserve) ~capacity () in
+  building t (fun () ->
+      Probe.arena_build `Bulk ~inserts:n (fun () ->
+          fill t.xs t.ys;
+          t.size <- n;
+          t.slots <- n;
+          bulk_build t n ~jobs ~pool;
+          drop_segments t sort_segments))
 
-let of_points_bulk ?max_depth ?bounds ?backing ?jobs ?pool ?reserve
-    ~capacity ps =
-  bulk_of_columns ?max_depth ?bounds ?backing ?jobs ?pool ?reserve ~capacity
+let of_points_bulk ?max_depth ?backing ?jobs ?pool ?reserve ~capacity ps =
+  bulk_of_columns ?max_depth ?backing ?jobs ?pool ?reserve ~capacity
     ~n:(List.length ps) (fun xs ys ->
       List.iteri
         (fun i (p : Point.t) ->
@@ -1673,10 +1315,9 @@ let of_points_bulk ?max_depth ?bounds ?backing ?jobs ?pool ?reserve
           ys.{i} <- p.y)
         ps)
 
-let bulk_of_fn ?max_depth ?bounds ?backing ?jobs ?pool ~capacity ~n f =
+let bulk_of_fn ?max_depth ?backing ?jobs ?pool ~capacity ~n f =
   if n < 0 then invalid_arg "Pr_arena.bulk_of_fn: n < 0";
-  bulk_of_columns ?max_depth ?bounds ?backing ?jobs ?pool ~capacity ~n
-    (fun xs ys ->
+  bulk_of_columns ?max_depth ?backing ?jobs ?pool ~capacity ~n (fun xs ys ->
       for i = 0 to n - 1 do
         let p : Point.t = f i in
         xs.{i} <- p.x;
@@ -1689,19 +1330,20 @@ let bulk_of_fn ?max_depth ?bounds ?backing ?jobs ?pool ~capacity ~n f =
    cache lines in [xs], [ys] and [next]. Here every leaf takes a run of
    consecutive slots, the runs in depth-first (Z) order: a slot is its
    point's sort position. The sort reads coordinates by position (the
-   lo-code reload at depth 21, the float splits past 42), so nothing may
-   overwrite a point before its group is sorted, and a plain gather
-   from the source after the sort would read 16 MB at random at 2^20.
-   Instead the points move twice, each move local:
+   lo-code reload at depth 21), so nothing may overwrite a point before
+   its group is sorted, and a plain gather from the source after the
+   sort would read 16 MB at random at 2^20. Instead the points move
+   twice, each move local:
 
-   1. One pass derives the codes and histograms the top [z_levels] tree
-      levels; a stable scatter moves (x, y, code) from the source into
-      the arena's columns grouped by those levels. A group is a subtree
-      rooted at depth [z_levels], or a whole leaf that forms above it.
+   1. One pass derives the hi words and histograms the top [z_levels]
+      tree levels; a stable scatter moves each point from the source
+      into the arena's columns grouped by those levels, and writes its
+      sort key at its new position. A group is a subtree rooted at
+      depth [z_levels], or a whole leaf that forms above it.
    2. The usual kernel sorts each group on its own, reading the group's
       positions, and emits its leaves Z-ordered ([emit_leaf] with [z]);
       [settle] then applies the recorded permutation inside the group.
-      A group of 2^20 uniform points holds about 4k of them, 128 KB of
+      A group of 2^20 uniform points holds about 4k of them, 96 KB of
       columns, so the permutation runs in cache.
 
    Every partition is stable, so each leaf's points keep their input
@@ -1720,7 +1362,7 @@ let z_shift = 2 * (bits - z_levels)
 let settle t lo hi =
   for k = lo to hi - 1 do
     if t.next.{k} <= -2 then begin
-      let x = t.xs.{k} and y = t.ys.{k} and c = t.codes.{k} in
+      let x = t.xs.{k} and y = t.ys.{k} in
       let s = ref k and closed = ref false in
       while not !closed do
         let j = !s in
@@ -1730,13 +1372,11 @@ let settle t lo hi =
         if src = k then begin
           t.xs.{j} <- x;
           t.ys.{j} <- y;
-          t.codes.{j} <- c;
           closed := true
         end
         else begin
           t.xs.{j} <- t.xs.{src};
           t.ys.{j} <- t.ys.{src};
-          t.codes.{j} <- t.codes.{src};
           s := src
         end
       done
@@ -1744,17 +1384,10 @@ let settle t lo hi =
   done
 
 let zorder_build t n (sx : farr) (sy : farr) =
-  (* Codes go to [next], which nothing reads before the emission. *)
+  (* Hi words go to [next], which nothing reads before the emission. *)
   let start = Array.make (z_buckets + 1) 0 in
   for i = 0 to n - 1 do
-    let x = sx.{i} and y = sy.{i} in
-    if not (x >= 0.0 && x < 1.0 && y >= 0.0 && y < 1.0) then
-      invalid_arg "Pr_arena bulk build: point outside bounds";
-    let code =
-      Morton.interleave
-        (int_of_float (x *. quantize_scale))
-        (int_of_float (y *. quantize_scale))
-    in
+    let code = hi_key sx sy i in
     t.next.{i} <- code;
     let b = (code lsr z_shift) + 1 in
     start.(b) <- start.(b) + 1
@@ -1778,6 +1411,31 @@ let zorder_build t n (sx : farr) (sy : farr) =
         done
   in
   plan 0 0;
+  t.size <- n;
+  t.slots <- n;
+  unregister_root t;
+  (* The kernel, its buffers, and how the scatter writes a key. *)
+  let cnt = Array.make 4 0 in
+  let set_key, sort_group =
+    if packed_capable t n ~jobs:None ~pool:None then begin
+      let keys = Array.make (max n 1) 0 and scratch = Array.make (max n 1) 0 in
+      ( (fun p code -> keys.(p) <- (code lsl bits) lor p),
+        fun lo hi node depth ->
+          build_packed t true keys scratch cnt lo hi node depth false )
+    end
+    else begin
+      let keys = alloc_i t "keys" (max n 1) in
+      let slots = alloc_i t "slots" (max n 1) in
+      let keys2 = alloc_i t "keys2" (max n 1) in
+      let slots2 = alloc_i t "slots2" (max n 1) in
+      ( (fun p code ->
+          keys.{p} <- code;
+          slots.{p} <- p),
+        fun lo hi node depth ->
+          build_sorted t true keys slots keys2 slots2 cnt lo hi node depth
+            false )
+    end
+  in
   let cursor = Array.sub start 0 z_buckets in
   for i = 0 to n - 1 do
     let code = t.next.{i} in
@@ -1786,34 +1444,8 @@ let zorder_build t n (sx : farr) (sy : farr) =
     cursor.(g) <- p + 1;
     t.xs.{p} <- sx.{i};
     t.ys.{p} <- sy.{i};
-    t.codes.{p} <- code
+    set_key p code
   done;
-  t.size <- n;
-  t.slots <- n;
-  unregister_root t;
-  let cnt = Array.make 4 0 in
-  let sort_group =
-    if packed_capable t n ~jobs:None ~pool:None then begin
-      let keys = Array.make (max n 1) 0 and scratch = Array.make (max n 1) 0 in
-      for p = 0 to n - 1 do
-        keys.(p) <- (t.codes.{p} lsl bits) lor p
-      done;
-      fun lo hi node depth ->
-        build_packed t true keys scratch cnt lo hi node depth false
-    end
-    else begin
-      let keys = alloc_i t "keys" (max n 1) in
-      let slots = alloc_i t "slots" (max n 1) in
-      let keys2 = alloc_i t "keys2" (max n 1) in
-      let slots2 = alloc_i t "slots2" (max n 1) in
-      for p = 0 to n - 1 do
-        keys.{p} <- t.codes.{p};
-        slots.{p} <- p
-      done;
-      fun lo hi node depth ->
-        build_sorted t true keys slots keys2 slots2 cnt lo hi node depth false
-    end
-  in
   (* The top levels split on the histogram; a group goes to the kernel,
      which emits a leaf above depth [z_levels] at once (its permutation
      is the identity). *)
@@ -1844,10 +1476,10 @@ let bulk_zordered ?max_depth ?backing ?(reserve = 0) ~capacity ~n
   if Bigarray.Array1.dim sx < n || Bigarray.Array1.dim sy < n then
     invalid_arg "Pr_arena.bulk_zordered: a source column is shorter than n";
   let t = create ?max_depth ?backing ~reserve:(max n reserve) ~capacity () in
-  Probe.arena_build `Bulk ~inserts:n (fun () ->
-      zorder_build t n sx sy;
-      drop_segments t sort_segments);
-  t
+  building t (fun () ->
+      Probe.arena_build `Bulk ~inserts:n (fun () ->
+          zorder_build t n sx sy;
+          drop_segments t sort_segments))
 
 let is_zordered t =
   let next_slot = ref 0 and ok = ref true in
@@ -1900,7 +1532,7 @@ let fold_leaves t ~init ~f =
       !acc
     end
   in
-  go init 0 ~depth:0 ~box:t.bounds
+  go init 0 ~depth:0 ~box:Box.unit
 
 let iter_points t ~f =
   (* Walk the leaf chains, not the slot range: once points have been
@@ -1936,10 +1568,10 @@ let points t =
    snapshot).
 
    One traversal per query kind. Count, range, nearest and k-NN each
-   have one integer descent and one float fallback (nearest and k-NN
-   share theirs, [ranked_walk], each with its own leaf scan), and every
-   descent tallies the nodes it enters; the plain entry points and
-   their [_visited] twins run the same walk. A node entered counts one; a
+   have one integer descent (nearest and k-NN share theirs,
+   [ranked_walk], each with its own leaf scan), and every descent
+   tallies the nodes it enters; the plain entry points and their
+   [_visited] twins run the same walk. A node entered counts one; a
    pruned subtree, disjoint or contained, costs its root's test and
    nothing below (a containment drain walks chains, but that is answer
    emission, not traversal), so the counts line up with the
@@ -1958,17 +1590,14 @@ let points t =
    [>= mid] distribution rule at every split), so cell ⊆ target reduces
    to four closed corner compares.
 
-   Integer cell descent. For unit-bounds arenas no deeper than the fine
-   Morton resolution — the overwhelmingly common case — the kernels
-   carry cells as fine integer corners [(qx0, qy0)] with a side
-   exponent, materializing the exact dyadic corner floats [k / 2^42]
-   only for the float compares: no [Box.child] record per visited node.
-   Custom bounds or deeper-than-42 arenas take the float-midpoint
-   fallback — same answers, still containment-pruned, one
-   [Probe.arena_query_fallback] warning per process. The two descents
-   compare identical float values: dyadic corners at depth <= 42 are
-   exactly representable, and [Box.child]'s midpoint cascade reproduces
-   them bit for bit, so both visit the same nodes.
+   Integer cell descent. Every cell is a dyadic square of the 2^-42
+   grid, so the kernels carry cells as fine integer corners
+   [(qx0, qy0)] with a side exponent, materializing the exact corner
+   floats [k / 2^42] only for the float compares: no [Box.child] record
+   per visited node. Those are the very floats [Box.child]'s midpoint
+   cascade produces — dyadic corners at depth <= 42 are exactly
+   representable — so every compare reads the floats {!Pr_quadtree}'s
+   walks compare.
 
    Carrying the tally. The count descent returns its visit tally —
    register adds on the way back up — and adds its count and pruned
@@ -1980,20 +1609,6 @@ let points t =
    fields it uses before the walk and puts them back after, so a walk
    that another query on the same domain interrupts (a signal handler,
    a finaliser) still reads its own difference. *)
-
-(* Squared distance from [(x, y)] to the closed extent of [b]; 0 inside.
-   The clamp form matches [Pr_quadtree.distance_sq_to_box] bit for bit,
-   which the differential suites rely on. *)
-let dist_sq_to_box x y (b : Box.t) =
-  let cx = Float.max b.Box.xmin (Float.min x b.Box.xmax) in
-  let cy = Float.max b.Box.ymin (Float.min y b.Box.ymax) in
-  let dx = x -. cx and dy = y -. cy in
-  (dx *. dx) +. (dy *. dy)
-
-(* Integer descent applies when every cell is a dyadic sub-cell of the
-   unit square no finer than the 2^-42 grid: custom bounds never
-   qualify, and a leaf below depth 42 means some cells are. *)
-let int_descent t = t.unit_bounds && t.height <= bits_fine
 
 type tally = { mutable hits : int; mutable visits : int; mutable pruned : int }
 
@@ -2050,15 +1665,6 @@ let rec drain_subtree t node acc =
     drain_subtree t (base + 1) acc
   end
 
-(* [cell ⊆ target] on float corners, for the fallbacks: sound for
-   closed corner compares because every cell owns its low edges and
-   excludes its high ones. *)
-let box_contains_cell (target : Box.t) (cell : Box.t) =
-  target.Box.xmin <= cell.Box.xmin
-  && cell.Box.xmax <= target.Box.xmax
-  && target.Box.ymin <= cell.Box.ymin
-  && cell.Box.ymax <= target.Box.ymax
-
 (* The integer count descent. [shift] is the cell's side exponent on
    the fine grid (root: [bits_fine]); a child halves the side and
    offsets its corner by [hs]. Returns the nodes entered; the count and
@@ -2098,34 +1704,7 @@ let rec count_int t (target : Box.t) s node qx0 qy0 shift =
     end
   end
 
-(* The float-midpoint count fallback: [Box.child] descent, the same
-   tests on the same corner values. *)
-let rec count_float t (target : Box.t) s node ~box =
-  if not (Box.intersects box target) then 1
-  else if box_contains_cell target box then begin
-    s.hits <- s.hits + t.count.(node);
-    s.pruned <- s.pruned + 1;
-    1
-  end
-  else begin
-    let base = t.child.(node) in
-    if base < 0 then begin
-      s.hits <- count_chain t target t.head.(node) s.hits;
-      1
-    end
-    else begin
-      let v = ref 1 in
-      for q = 0 to 3 do
-        v :=
-          !v
-          + count_float t target s (base + quad_pair.(q))
-              ~box:(Box.child box (Quadrant.of_index q))
-      done;
-      !v
-    end
-  end
-
-(* The range descents: the count's traversal, consing hits onto the
+(* The range descent: the count's traversal, consing hits onto the
    returned list; visits and pruned subtrees go into [s]. *)
 let rec range_int t (target : Box.t) s node qx0 qy0 shift acc =
   s.visits <- s.visits + 1;
@@ -2158,39 +1737,10 @@ let rec range_int t (target : Box.t) s node qx0 qy0 shift acc =
     end
   end
 
-let rec range_float t (target : Box.t) s node ~box acc =
-  s.visits <- s.visits + 1;
-  if not (Box.intersects box target) then acc
-  else if box_contains_cell target box then begin
-    s.pruned <- s.pruned + 1;
-    drain_subtree t node acc
-  end
-  else begin
-    let base = t.child.(node) in
-    if base < 0 then filter_chain t target t.head.(node) acc
-    else begin
-      let acc = ref acc in
-      for q = 0 to 3 do
-        acc :=
-          range_float t target s (base + quad_pair.(q))
-            ~box:(Box.child box (Quadrant.of_index q))
-            !acc
-      done;
-      !acc
-    end
-  end
-
-let count_walk t target s =
-  if int_descent t then count_int t target s 0 0 0 bits_fine
-  else begin
-    Probe.arena_query_fallback ();
-    count_float t target s 0 ~box:t.bounds
-  end
-
 let count_in_box t target =
   let s = Domain.DLS.get tally in
   let hits = s.hits and pruned = s.pruned in
-  ignore (count_walk t target s : int);
+  ignore (count_int t target s 0 0 0 bits_fine : int);
   let n = s.hits - hits in
   s.hits <- hits;
   s.pruned <- pruned;
@@ -2199,7 +1749,7 @@ let count_in_box t target =
 let count_in_box_visited t target =
   let s = Domain.DLS.get tally in
   let hits = s.hits and pruned = s.pruned in
-  let visited = count_walk t target s in
+  let visited = count_int t target s 0 0 0 bits_fine in
   let n = s.hits - hits and p = s.pruned - pruned in
   s.hits <- hits;
   s.pruned <- pruned;
@@ -2210,13 +1760,7 @@ let count_in_box_visited t target =
 let range_walk t target =
   let s = Domain.DLS.get tally in
   let visits = s.visits and pruned = s.pruned in
-  let pts =
-    if int_descent t then range_int t target s 0 0 0 bits_fine []
-    else begin
-      Probe.arena_query_fallback ();
-      range_float t target s 0 ~box:t.bounds []
-    end
-  in
+  let pts = range_int t target s 0 0 0 bits_fine [] in
   let v = s.visits - visits and p = s.pruned - pruned in
   s.visits <- visits;
   s.pruned <- pruned;
@@ -2231,49 +1775,27 @@ let query_box_visited t target =
   Probe.serve_pruned_subtrees pruned;
   (pts, visited)
 
-(* Rank a node's four children by box distance, closest first, ties by
-   child order. Insertion sort over index pairs packed as locals. Used
-   only by the float fallback, where the two 4-cell arrays per internal
-   node are tolerable; the integer descent packs the same ranking into
-   one int (rank4, below) and allocates nothing per node. The arrays
-   stay local so concurrent queries never share scratch. *)
-let ranked_children px py ~box =
-  let boxes = Array.init 4 (fun q -> Box.child box (Quadrant.of_index q)) in
-  let order = [| 0; 1; 2; 3 |] in
-  let dist q = dist_sq_to_box px py boxes.(q) in
-  for i = 1 to 3 do
-    let v = order.(i) in
-    let dv = dist v in
-    let j = ref (i - 1) in
-    while !j >= 0 && dist order.(!j) > dv do
-      order.(!j + 1) <- order.(!j);
-      decr j
-    done;
-    order.(!j + 1) <- v
-  done;
-  (order, boxes)
+(* The closest-first descent nearest and k-NN share. [bound.(0)] is
+   the query's pruning distance² — a flat float array, so reads and
+   writes stay unboxed — and [scan node] scans a leaf's chain, lowering
+   the bound as it finds closer points. A node is entered when its
+   cell's clamp distance is below the bound; its children are visited
+   closest first. Returns the nodes entered, as the count descent does.
 
-(* The closest-first descent nearest and k-NN share, and its one float
-   fallback. [bound.(0)] is the query's pruning distance² — a flat
-   float array, so reads and writes stay unboxed — and [scan node]
-   scans a leaf's chain, lowering the bound as it finds closer points.
-   A node is entered when its cell's clamp distance is below the bound;
-   its children are visited closest first. Returns the nodes entered,
-   as the count descent does.
-
-   The integer descent carries cells as fine corners and writes out the
-   clamp of [dist_sq_to_box] on exact dyadic corner floats, child
-   distances in quadrant order NW, NE, SW, SE, and ranks them with
-   rank4: the allocation-free form of [ranked_children], written out
-   inline because four float arguments crossing a non-inlined call box
-   on every internal node (this compiler is not flambda). Each
-   quadrant's rank is how many quadrants sort strictly before it
-   (distance, ties by quadrant index — exactly the stable insertion
-   sort's order), and the permutation packs into one int, two bits per
-   rank; [(perm lsr (2 * i)) land 3] decodes visit position [i]. *)
+   Cells travel as fine corners. The clamp distance is
+   [Pr_quadtree.distance_sq_to_box]'s clamp form, bit for bit, on the
+   exact dyadic corner floats; the four child distances, in quadrant
+   order NW, NE, SW, SE, are ranked by rank4, written out inline
+   because four float arguments crossing a non-inlined call box on
+   every internal node (this compiler is not flambda). Each quadrant's
+   rank is how many quadrants sort strictly before it (distance, ties
+   by quadrant index — the order of a stable sort of the quadrants by
+   distance, which is how {!Pr_quadtree.nearest} ranks them), and the
+   permutation packs into one int, two bits per rank;
+   [(perm lsr (2 * i)) land 3] decodes visit position [i]. *)
 let ranked_walk t (p : Point.t) (bound : float array) scan =
   let px = p.Point.x and py = p.Point.y in
-  let rec go_int node qx0 qy0 shift =
+  let rec go node qx0 qy0 shift =
     let side = 1 lsl shift in
     let x0 = float_of_int qx0 *. inv_fine_scale
     and y0 = float_of_int qy0 *. inv_fine_scale
@@ -2346,40 +1868,17 @@ let ranked_walk t (p : Point.t) (bound : float array) scan =
           v :=
             !v
             + (match (perm lsr (2 * i)) land 3 with
-              | 0 -> go_int (base + 2) qx0 (qy0 + hs) h
-              | 1 -> go_int (base + 3) (qx0 + hs) (qy0 + hs) h
-              | 2 -> go_int (base + 0) qx0 qy0 h
-              | _ -> go_int (base + 1) (qx0 + hs) qy0 h)
+              | 0 -> go (base + 2) qx0 (qy0 + hs) h
+              | 1 -> go (base + 3) (qx0 + hs) (qy0 + hs) h
+              | 2 -> go (base + 0) qx0 qy0 h
+              | _ -> go (base + 1) (qx0 + hs) qy0 h)
         done;
         !v
       end
     end
     else 1
   in
-  let rec go_float node ~box =
-    if dist_sq_to_box px py box < bound.(0) then begin
-      let base = t.child.(node) in
-      if base < 0 then begin
-        scan node;
-        1
-      end
-      else begin
-        let order, boxes = ranked_children px py ~box in
-        let v = ref 1 in
-        for i = 0 to 3 do
-          let q = order.(i) in
-          v := !v + go_float (base + quad_pair.(q)) ~box:boxes.(q)
-        done;
-        !v
-      end
-    end
-    else 1
-  in
-  if int_descent t then go_int 0 0 0 bits_fine
-  else begin
-    Probe.arena_query_fallback ();
-    go_float 0 ~box:t.bounds
-  end
+  go 0 0 0 bits_fine
 
 (* Nearest keeps its own state rather than being [k_nearest 1]: the
    bounded collector answers the same, but a flat best-so-far array is
@@ -2443,7 +1942,7 @@ let k_nearest_visited t k (p : Point.t) =
 let k_nearest t k p = fst (k_nearest_visited t k p)
 
 let cell_at t (p : Point.t) =
-  if not (Box.contains t.bounds p) then
+  if not (Point.in_unit_square p) then
     invalid_arg "Pr_arena.cell_at: point outside bounds";
   let rec go node ~depth ~box =
     let base = t.child.(node) in
@@ -2455,7 +1954,7 @@ let cell_at t (p : Point.t) =
         ~depth:(depth + 1) ~box:(Box.child box q)
     end
   in
-  let depth, box, node = go 0 ~depth:0 ~box:t.bounds in
+  let depth, box, node = go 0 ~depth:0 ~box:Box.unit in
   (depth, box, leaf_points t node)
 
 (* A point descent enters one node per level: the root-to-leaf path of
@@ -2465,7 +1964,7 @@ let cell_at_visited t (p : Point.t) =
   (cell, depth + 1)
 
 let mem t (p : Point.t) =
-  Box.contains t.bounds p
+  Point.in_unit_square p
   && begin
     let rec go node ~box =
       let base = t.child.(node) in
@@ -2482,7 +1981,7 @@ let mem t (p : Point.t) =
         go (base + quad_pair.(Quadrant.to_index q)) ~box:(Box.child box q)
       end
     in
-    go 0 ~box:t.bounds
+    go 0 ~box:Box.unit
   end
 
 (* --- Snapshots and refresh --------------------------------------------
@@ -2508,12 +2007,11 @@ let short_run = 512
 
 let copy_points t d lo n =
   if n < short_run then begin
-    let xs = t.xs and ys = t.ys and codes = t.codes and next = t.next in
-    let xs' = d.xs and ys' = d.ys and codes' = d.codes and next' = d.next in
+    let xs = t.xs and ys = t.ys and next = t.next in
+    let xs' = d.xs and ys' = d.ys and next' = d.next in
     for i = lo to lo + n - 1 do
       xs'.{i} <- xs.{i};
       ys'.{i} <- ys.{i};
-      codes'.{i} <- codes.{i};
       next'.{i} <- next.{i}
     done
   end
@@ -2521,7 +2019,6 @@ let copy_points t d lo n =
     let open Bigarray.Array1 in
     blit (sub t.xs lo n) (sub d.xs lo n);
     blit (sub t.ys lo n) (sub d.ys lo n);
-    blit (sub t.codes lo n) (sub d.codes lo n);
     blit (sub t.next lo n) (sub d.next lo n)
   end
 
@@ -2560,7 +2057,7 @@ let copy_logged t d ~since =
       if n > 0 then
         if kind = slot_entry then begin
           copy_points t d lo n;
-          bytes := !bytes + (32 * n)
+          bytes := !bytes + (24 * n)
         end
         else if kind = node_entry then begin
           copy_nodes t d lo n;
@@ -2580,7 +2077,7 @@ let sync t d ~full =
     if full then begin
       copy_points t d 0 t.slots;
       copy_nodes t d 0 t.nodes;
-      ((32 * t.slots) + (24 * t.nodes), chunks t.slots + chunks t.nodes)
+      ((24 * t.slots) + (24 * t.nodes), chunks t.slots + chunks t.nodes)
     end
     else copy_logged t d ~since:d.origin_clock
   in
@@ -2610,8 +2107,6 @@ let buffer_like t ~slot_cap ~node_cap =
   {
     capacity = t.capacity;
     max_depth = t.max_depth;
-    bounds = t.bounds;
-    unit_bounds = t.unit_bounds;
     backing = Heap;
     seg_dir = None;
     seg_bytes = [];
@@ -2622,7 +2117,6 @@ let buffer_like t ~slot_cap ~node_cap =
     size = 0;
     xs = heap_f slot_cap;
     ys = heap_f slot_cap;
-    codes = heap_i slot_cap;
     next = heap_i slot_cap;
     leaves = 0;
     internals = 0;
@@ -2656,11 +2150,8 @@ let snapshot t =
 
 let refresh t ~into:d =
   if d == t then invalid_arg "Pr_arena.refresh: an arena cannot refresh itself";
-  if
-    d.capacity <> t.capacity
-    || d.max_depth <> t.max_depth
-    || not (Box.equal d.bounds t.bounds)
-  then invalid_arg "Pr_arena.refresh: arenas differ in capacity, depth or bounds";
+  if d.capacity <> t.capacity || d.max_depth <> t.max_depth then
+    invalid_arg "Pr_arena.refresh: arenas differ in capacity or depth";
   (* A target too small for [t]'s high-water marks regrows to [t]'s
      column capacity, not to the marks: they creep up under churn, and
      an exact fit would regrow again a few publishes later. *)
@@ -2671,7 +2162,6 @@ let refresh t ~into:d =
     let cap = Bigarray.Array1.dim t.xs in
     d.xs <- alloc_f d "xs" cap;
     d.ys <- alloc_f d "ys" cap;
-    d.codes <- alloc_i d "codes" cap;
     d.next <- alloc_i d "next" cap;
     d.slot_stamp <- Array.make (chunks cap) 0;
     let ncap = Array.length t.child in
@@ -2688,7 +2178,7 @@ let refresh t ~into:d =
 let shares_columns a b =
   let any xs ys = List.exists (fun x -> List.exists (( == ) x) ys) xs in
   any [ a.xs; a.ys ] [ b.xs; b.ys ]
-  || any [ a.codes; a.next ] [ b.codes; b.next ]
+  || a.next == b.next
   || any [ a.child; a.count; a.head ] [ b.child; b.count; b.head ]
 
 let diff_state a b =
@@ -2697,7 +2187,6 @@ let diff_state a b =
   let field name x y = if x <> y then report "%s: %d vs %d" name x y in
   field "capacity" a.capacity b.capacity;
   field "max_depth" a.max_depth b.max_depth;
-  if not (Box.equal a.bounds b.bounds) then report "bounds differ";
   field "size" a.size b.size;
   field "slot high-water" a.slots b.slots;
   field "nodes in use" a.nodes b.nodes;
@@ -2717,7 +2206,6 @@ let diff_state a b =
     (first (min a.slots b.slots) (fun i ->
          bits a.xs.{i} <> bits b.xs.{i}
          || bits a.ys.{i} <> bits b.ys.{i}
-         || a.codes.{i} <> b.codes.{i}
          || a.next.{i} <> b.next.{i}));
   Option.iter (report "node tables differ at node %d")
     (first (min a.nodes b.nodes) (fun i ->
@@ -2735,14 +2223,15 @@ let freeze t =
         (Array.init 4 (fun q -> conv (base + quad_pair.(q))))
   in
   Pr_quadtree.Raw.make ~capacity:t.capacity ~max_depth:t.max_depth
-    ~bounds:t.bounds ~size:t.size ~root:(conv 0)
+    ~bounds:Box.unit ~size:t.size ~root:(conv 0)
 
 let thaw tree =
+  if not (Box.equal (Pr_quadtree.bounds tree) Box.unit) then
+    invalid_arg "Pr_arena.thaw: bounds are not the unit square";
   let capacity = Pr_quadtree.capacity tree in
   let n = Pr_quadtree.size tree in
   let t =
-    create ~max_depth:(Pr_quadtree.max_depth tree)
-      ~bounds:(Pr_quadtree.bounds tree) ~reserve:n ~capacity ()
+    create ~max_depth:(Pr_quadtree.max_depth tree) ~reserve:n ~capacity ()
   in
   t.leaves <- 0;
   t.hist.(0) <- 0;
@@ -2760,7 +2249,6 @@ let thaw tree =
           incr slot;
           t.xs.{s} <- p.Point.x;
           t.ys.{s} <- p.Point.y;
-          t.codes.{s} <- point_code t p.Point.x p.Point.y;
           t.next.{s} <- -1;
           if !last < 0 then t.head.(node) <- s else t.next.{!last} <- s;
           last := s;
@@ -2813,8 +2301,6 @@ let check_invariants t =
         let p = Point.make t.xs.{s} t.ys.{s} in
         if not (Box.contains box p) then
           report "slot %d outside its leaf cell" s;
-        if t.unit_bounds && t.codes.{s} <> Morton.encode p then
-          report "slot %d code diverges from its coordinates" s;
         slot := t.next.{s}
       done;
       if !chain <> c then
@@ -2830,7 +2316,7 @@ let check_invariants t =
       done
     end
   in
-  go 0 ~depth:0 ~box:t.bounds;
+  go 0 ~depth:0 ~box:Box.unit;
   if !leaves <> t.leaves then
     report "leaf counter %d but %d leaves present" t.leaves !leaves;
   if !internals <> t.internals then

@@ -1,30 +1,29 @@
 open Import
 
 (** The arena-backed PR quadtree core: the same canonical PR
-    decomposition as {!Pr_quadtree}, stored as a structure of arrays
-    instead of a boxed node graph.
+    decomposition as {!Pr_quadtree} over the unit square, stored as a
+    structure of arrays instead of a boxed node graph.
 
     Nodes are int indices into flat growable arrays — a child-base table
     ([-1] marks a leaf; a non-negative entry is the index of the first
-    of four consecutive children), a per-leaf occupancy count, and a
-    per-leaf head into an intrusive slot chain. Points live as Morton
-    codes plus parallel coordinate columns; each point occupies one slot
-    and leaves thread their slots through a [next] column. The point,
-    key and scratch columns are [Bigarray]s ([float64] for coordinates,
-    the word-sized unboxed [int] kind for codes and chains — not
-    [int64], whose accessors box), so the columns live off the OCaml
-    heap entirely, radix loops compile to unboxed loads, and an arena
-    can be {b mmap-backed} ({!backing}) for out-of-core builds larger
-    than RAM. There is no per-node boxing and no cons cell anywhere on
-    the build path:
+    of four consecutive children), a per-node count, and a per-leaf head
+    into an intrusive slot chain. Each point occupies one slot of three
+    parallel columns: its two coordinates and the [next] link that
+    threads a leaf's slots. The point, key and scratch columns are
+    [Bigarray]s ([float64] for coordinates, the word-sized unboxed [int]
+    kind for keys and chains — not [int64], whose accessors box), so the
+    columns live off the OCaml heap entirely, radix loops compile to
+    unboxed loads, and an arena can be {b mmap-backed} ({!backing}) for
+    out-of-core builds larger than RAM. There is no per-node boxing and
+    no cons cell anywhere on the build path:
 
-    - {b allocation-free inserts}: over the unit square (the default
-      bounds) an insert is an integer walk down the child-base table
-      driven by the point's Morton code — two bits per level — followed
-      by three column writes. Splits redistribute an intrusive chain
-      and bump-allocate four node indices. Nothing touches the minor
-      heap except doubling a backing column ([make check] asserts the
-      zero-minor-words claim via [Gc.minor_words]).
+    - {b allocation-free inserts}: an insert is an integer walk down the
+      child-base table driven by the point's 42-bit fine ordinates —
+      one bit of each per level — followed by three column writes.
+      Splits redistribute an intrusive chain and bump-allocate four node
+      indices. Nothing touches the minor heap except doubling a backing
+      column ([make check] asserts the zero-minor-words claim via
+      [Gc.minor_words]).
     - {b two build paths}: {!of_points} grows incrementally with O(1)
       statistics (size / leaves / internals / height / occupancy
       histogram maintained per insert, so per-step snapshots are
@@ -41,17 +40,16 @@ open Import
       sequential build at every job count. These builds number slots by
       input rank; {!bulk_zordered}, the serving layer's build, lays the
       same tree out with each leaf's slots consecutive, in Z order.
-    - {b exactness to 42 bits}: over the unit square the Morton bit at
-      level [d] equals the float comparison [x >= midpoint] down to
-      [d < ]{!Popan_geom.Morton.bits_fine}[ = 42] — cell boundaries are
-      dyadic rationals, exactly representable, and [floor (x *. 2^42)]
-      is computed without rounding — so both build paths produce
-      bit-for-bit the decomposition {!Pr_quadtree.of_points} produces,
-      with integer descent the whole way. Custom bounds (and the pathological regime below 42 bits:
-      duplicate-heavy data under [max_depth > 42], which warns via
-      [Probe.arena_deep_float]) descend by the same float-midpoint
-      arithmetic as {!Popan_geom.Box.step}, preserving the equivalence
-      there too.
+    - {b one integer grid}: the depth limit is at most
+      {!Popan_geom.Morton.bits_fine}[ = 42], and down to it the fine
+      ordinate bit at level [d] equals the float comparison
+      [x >= midpoint] — cell boundaries are dyadic rationals, exactly
+      representable, and [floor (x *. 2^42)] is computed without
+      rounding — so every build path, churn and every query kernel
+      descend on integers the whole way and produce bit-for-bit the
+      decomposition {!Pr_quadtree.of_points} produces. Points closer
+      than 2^-42 share a leaf at depth 42, over capacity if need be —
+      the rule [max_depth] applies at any depth.
 
     {!freeze} converts a build into a persistent {!Pr_quadtree.t} and
     {!thaw} goes the other way, so snapshots, checkpoints and golden
@@ -67,30 +65,27 @@ type t
     collide), letting builds larger than RAM page through the file
     cache; growth remaps the same file in place. A bulk build maps its
     sort scratch there too and deletes it when the sort is done, so a
-    built arena keeps only its four point columns on disk. If mapping
+    built arena keeps only its three point columns on disk. If mapping
     ever fails the arena degrades to heap columns — loudly, via
     [Probe.arena_fallback], never silently. *)
 type backing = Heap | Mmap of { dir : string }
 
-(** [create ?max_depth ?bounds ?reserve ?backing ~capacity ()] is an
-    empty arena over [bounds] (default the unit square) with leaf
-    capacity [capacity] (>= 1) and depth limit [max_depth] (default 16;
-    >= 0). [reserve] (default 0) pre-sizes the point columns so the
-    first [reserve] inserts never grow one. [backing] (default
-    {!Heap}) places the columns. Raises [Invalid_argument] on a
-    nonpositive capacity or negative max_depth or reserve. *)
+(** [create ?max_depth ?reserve ?backing ~capacity ()] is an empty
+    arena over the unit square with leaf capacity [capacity] (>= 1) and
+    depth limit [max_depth] (default 16; 0 to 42). [reserve] (default 0)
+    pre-sizes the point columns so the first [reserve] inserts never
+    grow one. [backing] (default {!Heap}) places the columns. Raises
+    [Invalid_argument] on a nonpositive capacity, a max_depth outside
+    [0 .. 42] or a negative reserve. *)
 val create :
-  ?max_depth:int -> ?bounds:Box.t -> ?reserve:int -> ?backing:backing ->
-  capacity:int -> unit -> t
+  ?max_depth:int -> ?reserve:int -> ?backing:backing -> capacity:int ->
+  unit -> t
 
 (** [capacity t] is the leaf capacity. *)
 val capacity : t -> int
 
 (** [max_depth t] is the depth limit. *)
 val max_depth : t -> int
-
-(** [bounds t] is the root block. *)
-val bounds : t -> Box.t
 
 (** [backing t] is the arena's {e effective} backing: {!Heap} when an
     {!Mmap} request degraded (see {!backing}). *)
@@ -104,8 +99,8 @@ val is_empty : t -> bool
 
 (** [insert t p] adds [p], destructively. Duplicate points are stored
     again (multiset semantics). Raises [Invalid_argument] when [p] is
-    outside the bounds. Allocation-free over the unit square except
-    when a backing column doubles. *)
+    outside the unit square. Allocation-free except when a backing
+    column doubles. *)
 val insert : t -> Point.t -> unit
 
 (** [insert_all t ps] inserts every point of [ps] in order. *)
@@ -113,7 +108,7 @@ val insert_all : t -> Point.t list -> unit
 
 (** [delete t p] removes one stored occurrence of [p] (multiset
     semantics: duplicates go one at a time) and returns whether a point
-    was removed; absent points — including points outside the bounds —
+    was removed; absent points — including points outside the unit square —
     leave the arena untouched and return [false]. The slot is unlinked
     from its leaf's intrusive chain in O(chain), and every ancestor
     whose subtree population has fallen to at most [capacity] collapses
@@ -124,13 +119,13 @@ val insert_all : t -> Point.t list -> unit
     arena footprint is bounded by the live-population high-water mark
     ({!slot_high_water}), not lifetime inserts — and a churn steady
     state is allocation-free: a no-merge delete, like a no-split
-    insert, writes zero minor-heap words over the unit square. *)
+    insert, writes zero minor-heap words. *)
 val delete : t -> Point.t -> bool
 
 (** [update t p q] is a moving-object step: {!delete} [p] and, when it
     was present, {!insert} [q], returning whether the move happened
     ([p] absent leaves the arena untouched). Raises [Invalid_argument]
-    when [q] is outside the bounds (checked before any mutation). *)
+    when [q] is outside the unit square (checked before any mutation). *)
 val update : t -> Point.t -> Point.t -> bool
 
 (** [slot_high_water t] is the number of point slots ever in use at
@@ -139,26 +134,26 @@ val update : t -> Point.t -> Point.t -> bool
     population while lifetime inserts grow without bound. O(1). *)
 val slot_high_water : t -> int
 
-(** [of_points ?max_depth ?bounds ~capacity ps] builds by successive
+(** [of_points ?max_depth ~capacity ps] builds by successive
     destructive insertion — the same growth history (and the same
     decomposition) as {!Pr_quadtree.of_points}. *)
-val of_points :
-  ?max_depth:int -> ?bounds:Box.t -> capacity:int -> Point.t list -> t
+val of_points : ?max_depth:int -> capacity:int -> Point.t list -> t
 
 (** A float64 point column, as handed to {!bulk_of_columns}'s fill. *)
 type column = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(** [bulk_of_columns ?max_depth ?bounds ?backing ?jobs ?pool ?reserve
+(** [bulk_of_columns ?max_depth ?backing ?jobs ?pool ?reserve
     ~capacity ~n fill] is the bulk build, and the one entry the other
     bulk builders wrap. It creates the arena, calls [fill xs ys] once
     with the arena's own x and y columns (at least [n] long), and
     treats [(xs.{i}, ys.{i})] for [i] in [0 .. n-1] as the points, in
     slot order: the build is {e in place}, point [i] keeps slot [i]
     (slot = input rank; {!bulk_zordered} numbers slots in Z order
-    instead). One pass then checks each point against the bounds and
-    derives its Morton code (and, on the packed path, its sort key);
-    the build sorts once (top-down MSD radix, stopping exactly where
-    leaves form) and emits the tree in a single linear pass. Nothing
+    instead). One pass then checks each point against the unit square
+    and derives its sort key, the hi Morton word; the build sorts once
+    (top-down MSD radix, stopping exactly where leaves form, reloading
+    a range's keys with the lo word at level 21) and emits the tree in
+    a single linear pass. Nothing
     but a handful of handles touches the minor heap, so a fill that
     allocates nothing (such as {!Popan_rng.Sampler.fill} on the uniform
     model) makes the whole build O(1) in minor words. The fill must
@@ -172,38 +167,35 @@ type column = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
     [?jobs] (or an existing [?pool] — [jobs] is ignored when both are
     given) runs the build's subtree ranges on the deterministic domain
     pool; the finished arena is byte-identical to the sequential build
-    ([jobs] omitted) for every job count, including [jobs = 1]. Custom
-    bounds (or cells below the Morton resolution) fall back to an
-    in-place float-midpoint partition with the same split rule; the
-    fan-out does not apply to custom bounds (a parallel request there
-    warns via [Probe.arena_fallback] and builds sequentially).
+    ([jobs] omitted) for every job count, including [jobs = 1].
 
     Sequential heap-backed builds with at most [2^21 - 1] points sort
-    packed single-word keys (code shifted over slot) in plain int
+    packed single-word keys (key word shifted over slot) in plain int
     arrays instead of the two Bigarray key/slot columns — PR 5's
     kernel, kept because it moves half the words per partition level.
     The choice selects sort scratch only: both kernels are stable MSD
-    partitions over the same codes, so the finished arena is
+    partitions over the same keys, so the finished arena is
     byte-identical either way.
 
     [reserve] (default 0) sizes the point columns for at least that
     many slots, as in {!create}: headroom for inserts to come. Raises
     [Invalid_argument] when [n < 0] or a filled point falls outside
-    the bounds. *)
+    the unit square. A build that raises — there, in [fill], or
+    anywhere else — first releases its arena ({!release}), so an
+    mmap-backed build leaves no segment behind. *)
 val bulk_of_columns :
-  ?max_depth:int -> ?bounds:Box.t -> ?backing:backing -> ?jobs:int ->
+  ?max_depth:int -> ?backing:backing -> ?jobs:int ->
   ?pool:Popan_parallel.Pool.t -> ?reserve:int -> capacity:int -> n:int ->
   (column -> column -> unit) -> t
 
-(** [of_points_bulk ?max_depth ?bounds ?backing ?jobs ?pool ?reserve
-    ~capacity ps] is {!bulk_of_columns} over the points of [ps], in list
-    order. *)
+(** [of_points_bulk ?max_depth ?backing ?jobs ?pool ?reserve ~capacity
+    ps] is {!bulk_of_columns} over the points of [ps], in list order. *)
 val of_points_bulk :
-  ?max_depth:int -> ?bounds:Box.t -> ?backing:backing -> ?jobs:int ->
+  ?max_depth:int -> ?backing:backing -> ?jobs:int ->
   ?pool:Popan_parallel.Pool.t -> ?reserve:int -> capacity:int ->
   Point.t list -> t
 
-(** [bulk_of_fn ?max_depth ?bounds ?backing ?jobs ?pool ~capacity ~n f]
+(** [bulk_of_fn ?max_depth ?backing ?jobs ?pool ~capacity ~n f]
     is {!bulk_of_columns} on the points [f 0 .. f (n-1)], without ever
     materializing them as a list. [f] is called strictly in order
     [0 .. n-1] on the calling domain, so a stateful generator (an RNG
@@ -211,9 +203,9 @@ val of_points_bulk :
     returned point is a heap value, so this path allocates per point;
     a generator that can write columns should use {!bulk_of_columns}.
     Raises [Invalid_argument] when [n < 0] or some [f i] falls outside
-    the bounds. *)
+    the unit square. *)
 val bulk_of_fn :
-  ?max_depth:int -> ?bounds:Box.t -> ?backing:backing -> ?jobs:int ->
+  ?max_depth:int -> ?backing:backing -> ?jobs:int ->
   ?pool:Popan_parallel.Pool.t -> capacity:int -> n:int -> (int -> Point.t) ->
   t
 
@@ -236,9 +228,10 @@ val bulk_of_fn :
     group — and allocates no full column beyond the sort's scratch. It
     runs sequentially, with the packed kernel on the heap up to
     [2^21 - 1] points and the two-column kernel otherwise. [max_depth],
-    [backing] and [reserve] are as in {!bulk_of_columns}. Raises
-    [Invalid_argument] when [n < 0], a column is shorter than [n], or a
-    point lies outside the unit square. *)
+    [backing] and [reserve] are as in {!bulk_of_columns}, and so is
+    the release of a build that raises. Raises [Invalid_argument] when
+    [n < 0], a column is shorter than [n], or a point lies outside the
+    unit square. *)
 val bulk_zordered :
   ?max_depth:int -> ?backing:backing -> ?reserve:int -> capacity:int ->
   n:int -> column -> column -> t
@@ -250,8 +243,9 @@ val bulk_zordered :
 val is_zordered : t -> bool
 
 (** [bulk_footprint ~capacity ~n] estimates the peak resident bytes of
-    a bulk build of [n] points: the four point columns, the four sort
-    columns, and a generous bound on the node arrays. Advisory — the
+    a bulk build of [n] points: the three point columns, the four sort
+    columns (seven 8-byte columns, [56 n] bytes), and a generous bound
+    on the node arrays. Advisory — the
     CLI prints it and checks it against available memory before
     committing to a large build. Raises [Invalid_argument] when
     [capacity < 1] or [n < 0]. *)
@@ -329,12 +323,12 @@ val points : t -> Point.t list
     Soundness rests on cells being half-open on their high edges,
     exactly {!Box.contains}'s convention.
 
-    {b Integer cell descent.} Unit-bounds arenas no deeper than the
-    42-bit fine Morton grid descend on integer cell corners — no box
-    record per visited node; a count allocates zero minor words.
-    Custom bounds or deeper arenas fall back to float-midpoint descent
-    (same answers and visits, still containment-pruned) and say so once
-    per process via [Probe.arena_query_fallback]. *)
+    {b Integer cell descent.} Every cell is a dyadic square of the
+    2^-42 grid, so the kernels descend on integer cell corners and
+    compare the exact corner floats {!Pr_quadtree}'s walks compare — no
+    box record per visited node; a plain count allocates zero minor
+    words, and a [_visited] one only its result pair.
+    {!cell_at} and {!mem} walk {!Box.child} blocks instead. *)
 
 (** [query_box t b] lists the stored points inside [b] (half-open, as
     {!Box.contains}), in no specified but deterministic order —
@@ -364,7 +358,7 @@ val k_nearest : t -> int -> Point.t -> Point.t list
 (** [cell_at t p] is the leaf cell containing [p]: its depth, its
     block, and the points stored in it — the arena analog of
     {!Pr_quadtree.leaf_at}. Raises [Invalid_argument] when [p] is
-    outside the bounds. *)
+    outside the unit square. *)
 val cell_at : t -> Point.t -> int * Box.t * Point.t list
 
 (** [mem t p] is whether some stored point equals [p] exactly. *)
@@ -386,7 +380,7 @@ val k_nearest_visited : t -> int -> Point.t -> Point.t list * int
 
 (** [cell_at_visited t p] is [cell_at t p] with its visited count
     [depth + 1] — a point descent enters one node per level. Raises
-    [Invalid_argument] when [p] is outside the bounds. *)
+    [Invalid_argument] when [p] is outside the unit square. *)
 val cell_at_visited : t -> Point.t -> (int * Box.t * Point.t list) * int
 
 (** {2 Snapshots and refresh}
@@ -421,7 +415,7 @@ val cell_at_visited : t -> Point.t -> (int * Box.t * Point.t list) * int
     read, so frozen arenas may be copied from several domains at once. *)
 val snapshot : t -> t
 
-(** What a {!refresh} copied: [bytes] is 32 per slot entry, 24 per node
+(** What a {!refresh} copied: [bytes] is 24 per slot entry, 24 per node
     entry and 8 per node whose count alone was copied; [full] says
     every chunk was; [examined] counts the chunks the copy looked at —
     the change-log entries walked by an incremental refresh, every
@@ -441,8 +435,9 @@ type copy_stats = { bytes : int; full : bool; examined : int }
     Otherwise — [into] copied from another arena, or inserted into,
     deleted from, or never a copy — every chunk is. When [into]'s columns are smaller
     than [t]'s high-water marks, they regrow to [t]'s column capacity
-    first and every chunk is copied. [t] is only read. Raises [Invalid_argument] when [into] is [t] or
-    the two differ in capacity, depth limit or bounds. *)
+    first and every chunk is copied. [t] is only read. Raises
+    [Invalid_argument] when [into] is [t] or the two differ in capacity
+    or depth limit. *)
 val refresh : t -> into:t -> copy_stats
 
 (** [shares_columns a b] is whether [a] and [b] hold a physically equal
@@ -465,12 +460,13 @@ val freeze : t -> Pr_quadtree.t
 
 (** [thaw tree] is an arena resuming from a persistent tree's state,
     with all incremental statistics recomputed in one traversal. The
-    input tree is not affected by subsequent inserts. *)
+    input tree is not affected by subsequent inserts. Raises
+    [Invalid_argument] when [tree]'s bounds are not the unit square or
+    its depth limit exceeds 42. *)
 val thaw : Pr_quadtree.t -> t
 
 (** [check_invariants t] verifies the PR invariants of the frozen view
     plus the arena's own bookkeeping (chain lengths vs counts, counters
-    and histogram vs a recount, every point's Morton code vs its
-    coordinates, every point inside its leaf cell) and returns the
-    violations found (empty when healthy). *)
+    and histogram vs a recount, every point inside its leaf cell) and
+    returns the violations found (empty when healthy). *)
 val check_invariants : t -> string list

@@ -351,6 +351,81 @@ let tests =
               words n
               (words /. float_of_int n)
         end);
+    Alcotest.test_case
+      "instrumented count allocates only its result pair, registry on or off"
+      `Quick (fun () ->
+        (* [count_in_box_visited] returns an (answer, visits) pair — 3
+           words — and reports the subtrees it pruned through
+           [Probe.serve_pruned_subtrees], which adds a plain int to a
+           sharded counter. With the metrics registry on or off, a query
+           over boxes large enough to prune allocates the pair and
+           nothing more, and the probe allocates nothing. *)
+        if not native then print_endline "skipped: bytecode boxes floats"
+        else begin
+          let module Box = Popan_geom.Box in
+          let module Metrics = Popan_obs.Metrics in
+          let module Probe = Popan_obs.Probe in
+          let pts = points () in
+          let t = Pr_arena.create ~capacity:8 ~reserve:inserts () in
+          Array.iter (Pr_arena.insert t) pts;
+          let queries = 1_000 in
+          let rng = Xoshiro.of_int_seed 4343 in
+          let boxes =
+            Array.init queries (fun _ ->
+                let w = 0.2 +. (0.5 *. Xoshiro.float rng) in
+                let x = (1.0 -. w) *. Xoshiro.float rng in
+                let y = (1.0 -. w) *. Xoshiro.float rng in
+                Box.make ~xmin:x ~ymin:y ~xmax:(x +. w) ~ymax:(y +. w))
+          in
+          let pruned = Metrics.counter "serve.pruned.subtrees" in
+          let was = Metrics.enabled () in
+          Fun.protect
+            ~finally:(fun () -> Metrics.set_enabled was)
+            (fun () ->
+              List.iter
+                (fun on ->
+                  Metrics.set_enabled on;
+                  let registry = if on then "on" else "off" in
+                  ignore (Pr_arena.count_in_box_visited t boxes.(0) : int * int);
+                  Probe.serve_pruned_subtrees 7;
+                  let before = Metrics.counter_value pruned in
+                  let total = ref 0 in
+                  let count_words =
+                    measure (fun () ->
+                        for i = 0 to queries - 1 do
+                          let n, visited =
+                            Pr_arena.count_in_box_visited t boxes.(i)
+                          in
+                          total := !total + n + visited
+                        done)
+                  in
+                  Alcotest.check Alcotest.bool "counts nonzero" true (!total > 0);
+                  Alcotest.check Alcotest.bool
+                    ("pruned subtrees counted iff the registry is " ^ registry)
+                    on
+                    (Metrics.counter_value pruned > before);
+                  if count_words > (3.0 *. float_of_int queries) +. slack then
+                    Alcotest.failf
+                      "count_in_box_visited allocated %.0f minor words over \
+                       %d queries (%.2f words/query) with the registry %s; \
+                       only its result pair (3 words) may allocate"
+                      count_words queries
+                      (count_words /. float_of_int queries)
+                      registry;
+                  let probe_words =
+                    measure (fun () ->
+                        for _ = 1 to queries do
+                          Probe.serve_pruned_subtrees 7
+                        done)
+                  in
+                  if probe_words > slack then
+                    Alcotest.failf
+                      "Probe.serve_pruned_subtrees allocated %.0f minor words \
+                       over %d calls with the registry %s; it must allocate \
+                       nothing"
+                      probe_words queries registry)
+                [ false; true ])
+        end);
   ]
 
 module Box = Popan_geom.Box

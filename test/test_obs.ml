@@ -145,7 +145,7 @@ let metrics_tests =
             let c = Metrics.counter "t.gated" in
             let a = Metrics.counter ~always:true "t.always" in
             Metrics.incr c;
-            Metrics.incr a ~by:3;
+            Metrics.add a 3;
             check_int "gated" 0 (Metrics.counter_value c);
             check_int "always" 3 (Metrics.counter_value a)));
     Alcotest.test_case "histogram buckets: bound is inclusive, overflow is \
@@ -187,7 +187,7 @@ let metrics_tests =
               let arr = Array.of_list weights in
               ignore
                 (Parallel.map_array ~jobs (Array.length arr) ~f:(fun i ->
-                     Metrics.incr c ~by:arr.(i);
+                     Metrics.add c arr.(i);
                      Metrics.observe h (float_of_int arr.(i));
                      i));
               ( Metrics.counter_value c,
@@ -371,7 +371,7 @@ let prometheus_tests =
     Alcotest.test_case "to_prometheus validates against the line grammar"
       `Quick (fun () ->
         with_obs `Metrics_only (fun () ->
-            Metrics.incr (Metrics.counter "t.prom.c") ~by:3;
+            Metrics.add (Metrics.counter "t.prom.c") 3;
             Metrics.set_gauge (Metrics.gauge "t.prom.g") 1.5;
             let h = Metrics.histogram "t.prom.h" ~bounds:[| 0.1; 1.0 |] in
             List.iter (Metrics.observe h) [ 0.05; 0.5; 5.0 ];

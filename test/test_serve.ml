@@ -1013,11 +1013,11 @@ let telemetry_tests =
 
 (* A refresh scenario: a live arena built one of two ways — bulk, or
    grown by [of_points], whose inserts fill the change log before any
-   copy exists — over one of four regimes — the unit square, custom
-   bounds (float descent), duplicate-heavy clusters under max_depth 50
-   (splits below the 42-bit grid), or clusters inside one cell of the
-   21-bit grid but apart on the 42-bit one (splits on the fine
-   ordinates that end above depth 42) — driven by random slices of
+   copy exists — over one of four regimes — the unit square, tight
+   clusters in it, duplicate-heavy clusters under max_depth 42 (splits
+   down to the 42-bit grid, over-full leaves there), or clusters inside
+   one cell of the 21-bit grid but apart on the 42-bit one (splits on
+   the fine ordinates that end above depth 42) — driven by random slices of
    inserts, deletes (merges) and moves, with up to three copies
    refreshed in random rotation so some lag several slices behind, and
    now and then one mutated in place. With [~big], the arena holds
@@ -1036,15 +1036,16 @@ let gen_refresh_case =
 
 let refresh_case ~big (seed, bulk, regime, copies, slices) =
   let rng = Xoshiro.of_int_seed seed in
-  let custom = Box.make ~xmin:(-3.0) ~ymin:2.0 ~xmax:5.0 ~ymax:10.0 in
   let cluster = [| Point.make 0.3 0.7; Point.make 0.8125 0.0625 |] in
   let fresh () =
     match regime with
     | 0 -> Point.make (Xoshiro.float rng) (Xoshiro.float rng)
     | 1 ->
+      (* Two tight clusters, 0.002 on a side. *)
+      let c = cluster.(Xoshiro.int rng 2) in
       Point.make
-        (-3.0 +. (8.0 *. Xoshiro.float rng))
-        (2.0 +. (8.0 *. Xoshiro.float rng))
+        (c.Point.x +. (0.002 *. Xoshiro.float rng))
+        (c.Point.y +. (0.002 *. Xoshiro.float rng))
     | 2 ->
       (* Same 42-bit cell, distinct below it, with exact repeats. *)
       let c = cluster.(Xoshiro.int rng 2) in
@@ -1057,8 +1058,7 @@ let refresh_case ~big (seed, bulk, regime, copies, slices) =
         (c.Point.x +. ldexp (float_of_int (Xoshiro.int rng 4096)) (-33))
         (c.Point.y +. ldexp (float_of_int (Xoshiro.int rng 4096)) (-33))
   in
-  let bounds = if regime = 1 then Some custom else None in
-  let max_depth = if regime >= 2 then Some 50 else None in
+  let max_depth = if regime >= 2 then Some 42 else None in
   let capacity = 1 + Xoshiro.int rng 4 in
   (* Arenas of hundreds of chunks and slices of a few dozen writes:
      most chunks stay clean between refreshes, so a write that forgot
@@ -1069,8 +1069,8 @@ let refresh_case ~big (seed, bulk, regime, copies, slices) =
       (fun _ -> fresh ())
   in
   let live =
-    if bulk then Pr_arena.of_points_bulk ?max_depth ?bounds ~capacity base
-    else Pr_arena.of_points ?max_depth ?bounds ~capacity base
+    if bulk then Pr_arena.of_points_bulk ?max_depth ~capacity base
+    else Pr_arena.of_points ?max_depth ~capacity base
   in
   (* The live population, a growable array: [!size] entries of [!pop]. *)
   let pop = ref (Array.of_list base) and size = ref (List.length base) in
@@ -1134,7 +1134,7 @@ let refresh_case ~big (seed, bulk, regime, copies, slices) =
         ignore (Pr_arena.refresh live ~into:c : Pr_arena.copy_stats);
         c
       | None ->
-        let c = Pr_arena.create ?max_depth ?bounds ~capacity () in
+        let c = Pr_arena.create ?max_depth ~capacity () in
         let stats = Pr_arena.refresh live ~into:c in
         if not stats.Pr_arena.full then
           problems := "a first refresh was not full" :: !problems;
@@ -1219,7 +1219,7 @@ let publish_tests =
         check_bool "regrow copies every chunk" true stats.Pr_arena.full;
         let whole = stats.Pr_arena.bytes in
         check_bool "full copy bytes" true
-          (whole >= 32 * Pr_arena.slot_high_water live);
+          (whole >= 24 * Pr_arena.slot_high_water live);
         Pr_arena.insert live (Point.make 0.5 0.5);
         let stats = Pr_arena.refresh live ~into:copy in
         check_bool "one insert refreshes incrementally" false stats.Pr_arena.full;
@@ -1377,7 +1377,7 @@ let publish_tests =
                     let e = Epoch.pin (Server.epochs t) in
                     let a = Epoch.arena e in
                     let whole =
-                      (32 * Pr_arena.slot_high_water a)
+                      (24 * Pr_arena.slot_high_water a)
                       + (24 * (Pr_arena.leaf_count a + Pr_arena.internal_count a))
                     in
                     Epoch.unpin (Server.epochs t) e;
@@ -1550,7 +1550,7 @@ let join_tests =
    observable must equal the in-place build of the same points in the
    same order: frozen tree bytes, [points] order, every answer, and
    the same again after identical churn. Four regimes: uniform points,
-   tight clusters, duplicate-heavy clusters under max_depth 50 (one
+   tight clusters, duplicate-heavy clusters under max_depth 42 (one
    cluster spread below the 21-bit grid, one below the 42-bit grid,
    with exact repeats), and an mmap-backed build over all three
    shapes, which takes the two-column sort kernel. *)
@@ -1598,7 +1598,7 @@ let zorder_case (seed, regime) =
   let n = Xoshiro.int rng (if regime = 3 then 3000 else 1500) in
   let pts = Array.init n (fun _ -> point ()) in
   let capacity = 1 + Xoshiro.int rng 8 in
-  let max_depth = if regime >= 2 then Some 50 else None in
+  let max_depth = if regime >= 2 then Some 42 else None in
   let backing =
     if regime = 3 then Some (Pr_arena.Mmap { dir = segment_dir () }) else None
   in
@@ -1929,39 +1929,27 @@ let hostile_tests =
                 | _ -> Alcotest.fail "no Bye")));
   ]
 
-(* Arenas for the kernels' two descents. Regime 0 is the unit square
-   (the integer descent); regimes 1 and 2 take the float fallback,
-   which the arenas of [gen_pair] never reach: custom bounds, and
-   duplicate-heavy clusters under max_depth 50 (the [zorder_point]
-   shapes), deeper than the 42-bit grid. Each case is one arena —
-   built in bulk, incrementally, or in bulk and then churned — with
-   capacity 1–8, its frozen tree, and twenty queries aimed at its
-   points: boxes from half the space wide down to below the fine
-   grid, probes, and k. *)
+(* Arenas that reach deeper than the arenas of [gen_pair]. Regime 0
+   is uniform over the unit square; regimes 1 and 2 are the
+   [zorder_point] shapes under max_depth 42: tight clusters, and
+   duplicate-heavy clusters that split down to the 42-bit grid and
+   leave over-full leaves there. Each case is one arena — built in
+   bulk, incrementally, or in bulk and then churned — with capacity
+   1–8, its frozen tree, and twenty queries aimed at its points: boxes
+   from half the space wide down to below the fine grid, probes, and
+   k. *)
 let kernel_case (seed, regime) =
   let rng = Xoshiro.of_int_seed seed in
-  let bounds =
-    if regime = 1 then Some (Box.make ~xmin:(-3.0) ~ymin:2.0 ~xmax:5.0 ~ymax:10.0)
-    else None
-  in
-  let max_depth = if regime = 2 then Some 50 else None in
-  let point () =
-    match regime with
-    | 1 ->
-      Point.make
-        (-3.0 +. (8.0 *. Xoshiro.float rng))
-        (2.0 +. (8.0 *. Xoshiro.float rng))
-    | 2 -> zorder_point rng 2
-    | _ -> Point.make (Xoshiro.float rng) (Xoshiro.float rng)
-  in
+  let max_depth = if regime >= 1 then Some 42 else None in
+  let point () = zorder_point rng regime in
   let capacity = 1 + Xoshiro.int rng 8 in
   let pts = List.init (200 + Xoshiro.int rng 800) (fun _ -> point ()) in
   let arena =
     match Xoshiro.int rng 3 with
-    | 0 -> Pr_arena.of_points_bulk ?max_depth ?bounds ~capacity pts
-    | 1 -> Pr_arena.of_points ?max_depth ?bounds ~capacity pts
+    | 0 -> Pr_arena.of_points_bulk ?max_depth ~capacity pts
+    | 1 -> Pr_arena.of_points ?max_depth ~capacity pts
     | _ ->
-      let a = Pr_arena.of_points_bulk ?max_depth ?bounds ~capacity pts in
+      let a = Pr_arena.of_points_bulk ?max_depth ~capacity pts in
       List.iteri
         (fun i p ->
           if i mod 3 = 0 then ignore (Pr_arena.delete a p : bool)
@@ -1969,11 +1957,10 @@ let kernel_case (seed, regime) =
         pts;
       a
   in
-  let scale = if regime = 1 then 8.0 else 1.0 in
   let queries =
     List.init 20 (fun _ ->
         let p = point () in
-        let w = scale *. ldexp 1.0 (-(1 + Xoshiro.int rng 50)) in
+        let w = ldexp 1.0 (-(1 + Xoshiro.int rng 50)) in
         let b =
           Box.make ~xmin:(p.Point.x -. w) ~ymin:(p.Point.y -. w)
             ~xmax:(p.Point.x +. (w *. Xoshiro.float rng) +. w)
@@ -2012,16 +1999,16 @@ let pinned_queries () =
       let y = (1.0 -. h) *. Xoshiro.float rng in
       (Box.make ~xmin:x ~ymin:y ~xmax:(x +. w) ~ymax:(y +. h), p, 1 + (i mod 16)))
 
-let fallback_kernel_tests =
+let deep_kernel_tests =
   [
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~count:80 ~print:print_kernel_case
-         ~name:"float fallbacks ≡ Pr_quadtree (custom bounds, depth > 42)"
+         ~name:"deep clusters: every kernel ≡ Pr_quadtree"
          QCheck2.Gen.(pair (int_range 1 1_000_000) (int_range 1 2))
          (fun case ->
            let arena, tree, queries = kernel_case case in
-           (* The deep regime must really split below the fine grid. *)
-           (snd case = 1 || Pr_arena.height arena > 42)
+           (* The deep regime must really split down to the fine grid. *)
+           (snd case = 1 || Pr_arena.height arena = 42)
            && List.for_all
                 (fun (b, p, k) ->
                   let knn = Pr_arena.k_nearest arena k p in
@@ -2038,45 +2025,6 @@ let fallback_kernel_tests =
                     && Pr_quadtree.mem tree a
                   | _ -> false)
                 queries));
-    prop ~count:60 "float fallbacks visit what the integer descents do"
-      QCheck2.Gen.(pair (int_range 1 1_000_000) (int_range 1 8))
-      (fun (seed, capacity) ->
-        (* Doubling is exact in floating point, so an arena over
-           [0, 2)^2 holding every point doubled — which takes the float
-           fallback — has the unit arena's tree with every cell doubled,
-           and each doubled query must enter the same nodes. *)
-        let pts = uniform_points seed (200 + (seed mod 800)) in
-        let double (p : Point.t) = Point.make (2.0 *. p.Point.x) (2.0 *. p.Point.y) in
-        let unit_arena = Pr_arena.of_points_bulk ~capacity pts in
-        let doubled =
-          Pr_arena.of_points_bulk ~capacity
-            ~bounds:(Box.make ~xmin:0.0 ~ymin:0.0 ~xmax:2.0 ~ymax:2.0)
-            (List.map double pts)
-        in
-        let rng = Xoshiro.of_int_seed seed in
-        List.for_all
-          (fun _ ->
-            let p = Point.make (Xoshiro.float rng) (Xoshiro.float rng) in
-            let w = ldexp 1.0 (-(1 + Xoshiro.int rng 12)) in
-            let b =
-              Box.make ~xmin:p.Point.x ~ymin:p.Point.y ~xmax:(p.Point.x +. w)
-                ~ymax:(p.Point.y +. (w *. (0.5 +. Xoshiro.float rng)))
-            in
-            let b2 =
-              Box.make ~xmin:(2.0 *. b.Box.xmin) ~ymin:(2.0 *. b.Box.ymin)
-                ~xmax:(2.0 *. b.Box.xmax) ~ymax:(2.0 *. b.Box.ymax)
-            in
-            let k = 1 + Xoshiro.int rng 16 in
-            let pts1, v1 = Pr_arena.query_box_visited unit_arena b in
-            let pts2, v2 = Pr_arena.query_box_visited doubled b2 in
-            List.map double pts1 = pts2 && v1 = v2
-            && Pr_arena.count_in_box_visited unit_arena b
-               = Pr_arena.count_in_box_visited doubled b2
-            && snd (Pr_arena.nearest_visited unit_arena p)
-               = snd (Pr_arena.nearest_visited doubled (double p))
-            && snd (Pr_arena.k_nearest_visited unit_arena k p)
-               = snd (Pr_arena.k_nearest_visited doubled k (double p)))
-          (List.init 20 Fun.id));
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~count:60 ~print:print_kernel_case
          ~name:"each plain entry point is fst of its _visited twin"
@@ -2114,7 +2062,7 @@ let () =
   Alcotest.run "popan-serve"
     [
       ("neighbors", neighbors_tests);
-      ("kernels", kernel_tests @ fallback_kernel_tests);
+      ("kernels", kernel_tests @ deep_kernel_tests);
       ("pruning", pruning_tests);
       ("snapshot", snapshot_tests);
       ("epochs", epoch_tests);

@@ -344,7 +344,13 @@ let pr_arena_tests =
             ignore (Pr_arena.create ~capacity:0 ()));
         Alcotest.check_raises "reserve"
           (Invalid_argument "Pr_arena.create: reserve < 0") (fun () ->
-            ignore (Pr_arena.create ~capacity:1 ~reserve:(-1) ())));
+            ignore (Pr_arena.create ~capacity:1 ~reserve:(-1) ()));
+        (* The 2^-42 grid is the deepest the integer descents reach. *)
+        Alcotest.check_raises "depth past the fine grid"
+          (Invalid_argument "Pr_arena.create: max_depth > 42") (fun () ->
+            ignore (Pr_arena.create ~max_depth:43 ~capacity:1 ()));
+        check_int "depth 42 accepted" 42
+          (Pr_arena.max_depth (Pr_arena.create ~max_depth:42 ~capacity:1 ())));
     Alcotest.test_case "insert outside bounds rejected" `Quick (fun () ->
         let a = Pr_arena.create ~capacity:1 () in
         Alcotest.check_raises "out"
@@ -392,7 +398,16 @@ let pr_arena_tests =
         Pr_arena.insert_all a rest;
         check_bool "same tree" true
           (Pr_quadtree.equal_structure (Pr_arena.freeze a)
-             (Pr_quadtree.of_points ~capacity:3 pts)));
+             (Pr_quadtree.of_points ~capacity:3 pts));
+        (* The arena covers the unit square only. *)
+        Alcotest.check_raises "non-unit bounds"
+          (Invalid_argument "Pr_arena.thaw: bounds are not the unit square")
+          (fun () ->
+            ignore
+              (Pr_arena.thaw
+                 (Pr_quadtree.of_points
+                    ~bounds:(Box.make ~xmin:0.0 ~ymin:0.0 ~xmax:2.0 ~ymax:2.0)
+                    ~capacity:3 first))));
     Alcotest.test_case "fold_leaves counts are free and correct" `Quick
       (fun () ->
         let a = Pr_arena.of_points ~capacity:4 (uniform_points 132 300) in
@@ -445,26 +460,6 @@ let pr_arena_tests =
         && Pr_arena.occupancy_histogram bulk
            = Pr_arena.occupancy_histogram inc
         && Pr_arena.check_invariants bulk = []);
-    prop "custom bounds follow the float descent exactly"
-      QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 5))
-      (fun (seed, capacity) ->
-        (* Non-unit bounds leave the Morton fast path; both arena build
-           paths must still match the reference decomposition. *)
-        let bounds = Box.make ~xmin:(-3.0) ~ymin:2.0 ~xmax:11.0 ~ymax:9.5 in
-        let pts =
-          List.map
-            (fun (p : Point.t) ->
-              Point.make ((p.Point.x *. 14.0) -. 3.0) ((p.Point.y *. 7.5) +. 2.0))
-            (uniform_points seed 200)
-        in
-        let pts = List.filter (Box.contains bounds) pts in
-        let reference = Pr_quadtree.of_points ~bounds ~capacity pts in
-        let inc = Pr_arena.of_points ~bounds ~capacity pts in
-        let bulk = Pr_arena.of_points_bulk ~bounds ~capacity pts in
-        Pr_quadtree.equal_structure (Pr_arena.freeze inc) reference
-        && Pr_quadtree.equal_structure (Pr_arena.freeze bulk) reference
-        && Pr_arena.check_invariants inc = []
-        && Pr_arena.check_invariants bulk = []);
     prop "incremental statistics match the frozen tree's recomputation"
       QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 8))
       (fun (seed, capacity) ->
@@ -515,9 +510,9 @@ let pr_arena_tests =
           (Pr_quadtree.size frozen = 5));
     Alcotest.test_case "depth limit beyond the Morton resolution" `Quick
       (fun () ->
-        (* max_depth > Morton.bits exercises the float continuation
-           below the last code bit: near-coincident points separated
-           only at depth > 21 must still match the reference. *)
+        (* max_depth > Morton.bits: near-coincident points separated
+           only at depth > 21, below the hi Morton word's bits, must
+           still match the reference. *)
         let base = Point.make 0.123456789 0.987654321 in
         let eps = ldexp 1.0 (-24) in
         let pts =
@@ -707,30 +702,6 @@ let pr_arena_churn_tests =
             ignore (Pr_arena.update a (List.hd pts) (Point.make 2.0 0.5)));
         check_bool "failed update mutated nothing" true
           (Pr_quadtree.equal_structure frozen (Pr_arena.freeze a)));
-    prop ~count:30 "churn on custom bounds follows the float descent"
-      QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 5))
-      (fun (seed, capacity) ->
-        let bounds = Box.make ~xmin:(-3.0) ~ymin:2.0 ~xmax:11.0 ~ymax:9.5 in
-        let scale (p : Point.t) =
-          Point.make ((p.Point.x *. 14.0) -. 3.0) ((p.Point.y *. 7.5) +. 2.0)
-        in
-        let pts = List.map scale (uniform_points seed 80) in
-        let a = Pr_arena.of_points ~bounds ~capacity pts in
-        let rng = Xoshiro.of_int_seed (seed + 3) in
-        (* Delete half the points, reinsert fresh scaled ones. *)
-        let victims = List.filteri (fun i _ -> i mod 2 = 0) pts in
-        let keep = List.filteri (fun i _ -> i mod 2 = 1) pts in
-        List.iter
-          (fun p ->
-            if not (Pr_arena.delete a p) then Alcotest.fail "delete failed")
-          victims;
-        let fresh =
-          List.map scale (Sampler.points rng Sampler.Uniform 40)
-        in
-        Pr_arena.insert_all a fresh;
-        Pr_quadtree.equal_structure (Pr_arena.freeze a)
-          (Pr_quadtree.of_points ~bounds ~capacity (keep @ fresh))
-        && Pr_arena.check_invariants a = []);
     prop ~count:30 "constant-size churn never grows the footprint"
       QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 6))
       (fun (seed, capacity) ->
@@ -873,9 +844,10 @@ let pr_arena_bulk_tests =
     Alcotest.test_case "footprint estimate is sane and validates" `Quick
       (fun () ->
         let f = Pr_arena.bulk_footprint ~capacity:8 ~n:1_000_000 in
-        (* Eight 8-byte columns of n entries, plus node arrays. *)
-        check_bool "covers the columns" true (f >= 64 * 1_000_000);
-        check_bool "stays within 2x the columns" true (f <= 128 * 1_000_000);
+        (* Seven 8-byte columns of n entries — three point columns and
+           four sort columns — plus node arrays. *)
+        check_bool "covers the columns" true (f >= 56 * 1_000_000);
+        check_bool "stays within 2x the columns" true (f <= 112 * 1_000_000);
         Alcotest.check_raises "n < 0"
           (Invalid_argument "Pr_arena.bulk_footprint: n < 0") (fun () ->
             ignore (Pr_arena.bulk_footprint ~capacity:1 ~n:(-1)));
@@ -886,7 +858,9 @@ let pr_arena_bulk_tests =
       `Quick (fun () ->
         (* The sort scratch (keys, slots and their ping-pong twins) is
            mapped as segments too; every bulk entry deletes it when its
-           sort is done, and [release] still removes the directory. *)
+           sort is done, and [release] still removes the directory. A
+           build that raises releases its arena itself, since its
+           caller never receives it. *)
         let n = 20_000 in
         let pts = uniform_points 91 n in
         let xs = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
@@ -896,7 +870,6 @@ let pr_arena_bulk_tests =
             xs.{i} <- p.Point.x;
             ys.{i} <- p.Point.y)
           pts;
-        let custom = Box.make ~xmin:0.0 ~ymin:0.0 ~xmax:2.0 ~ymax:2.0 in
         List.iter
           (fun (what, build) ->
             let dir = Filename.temp_dir "popan-test" "-segments" in
@@ -910,7 +883,7 @@ let pr_arena_bulk_tests =
               | entries -> Array.to_list entries
             in
             Alcotest.(check (list string)) (what ^ ": segments")
-              [ "codes.seg"; "next.seg"; "xs.seg"; "ys.seg" ] segments;
+              [ "next.seg"; "xs.seg"; "ys.seg" ] segments;
             Pr_arena.release a;
             check_int (what ^ ": released") 0 (Array.length (Sys.readdir dir));
             Sys.rmdir dir)
@@ -919,9 +892,24 @@ let pr_arena_bulk_tests =
             ("in place", fun backing ->
                 Pr_arena.of_points_bulk ~backing ~capacity:8 pts);
             ("in place at 2 jobs", fun backing ->
-                Pr_arena.of_points_bulk ~backing ~jobs:2 ~capacity:8 pts);
-            ("custom bounds", fun backing ->
-                Pr_arena.of_points_bulk ~backing ~bounds:custom ~capacity:8 pts) ]);
+                Pr_arena.of_points_bulk ~backing ~jobs:2 ~capacity:8 pts) ];
+        (* The last point leaves the unit square: each entry rejects the
+           build once its columns are mapped. *)
+        xs.{n - 1} <- 1.5;
+        let outside = pts @ [ Point.make 1.5 0.5 ] in
+        List.iter
+          (fun (what, build) ->
+            let dir = Filename.temp_dir "popan-test" "-segments" in
+            Alcotest.check_raises (what ^ ": rejected")
+              (Invalid_argument "Pr_arena bulk build: point outside bounds")
+              (fun () -> ignore (build (Pr_arena.Mmap { dir }) : Pr_arena.t));
+            check_int (what ^ ": nothing left on disk") 0
+              (Array.length (Sys.readdir dir));
+            Sys.rmdir dir)
+          [ ("rejected Z-ordered", fun backing ->
+                Pr_arena.bulk_zordered ~backing ~capacity:8 ~n xs ys);
+            ("rejected in place", fun backing ->
+                Pr_arena.of_points_bulk ~backing ~capacity:8 outside) ]);
   ]
 
 (* The builder contract on bulk-built arenas. The experiments grow PR
@@ -980,7 +968,10 @@ let pr_builder_tests =
                 ignore (bulk_build route ~capacity:0 [ Point.make 0.5 0.5 ]));
             Alcotest.check_raises (what ^ ": depth")
               (Invalid_argument "Pr_arena.create: max_depth < 0") (fun () ->
-                ignore (bulk_build route ~max_depth:(-1) ~capacity:1 [])));
+                ignore (bulk_build route ~max_depth:(-1) ~capacity:1 []));
+            Alcotest.check_raises (what ^ ": depth past the fine grid")
+              (Invalid_argument "Pr_arena.create: max_depth > 42") (fun () ->
+                ignore (bulk_build route ~max_depth:43 ~capacity:1 [])));
         Alcotest.check_raises "in place: n < 0"
           (Invalid_argument "Pr_arena.bulk_of_columns: n < 0") (fun () ->
             ignore
@@ -1072,7 +1063,16 @@ let pr_builder_tests =
               (Pr_arena.height a);
             Alcotest.(check (array int)) (what ^ ": hist")
               (Pr_arena.occupancy_histogram whole)
-              (Pr_arena.occupancy_histogram a)));
+              (Pr_arena.occupancy_histogram a));
+        (* A tree over other bounds has no unit-square arena to resume. *)
+        Alcotest.check_raises "non-unit bounds"
+          (Invalid_argument "Pr_arena.thaw: bounds are not the unit square")
+          (fun () ->
+            ignore
+              (Pr_arena.thaw
+                 (Pr_quadtree.of_points
+                    ~bounds:(Box.make ~xmin:(-1.0) ~ymin:0.0 ~xmax:1.0 ~ymax:2.0)
+                    ~capacity:3 first))));
     Alcotest.test_case "fold_leaves counts are free and correct" `Quick
       (fun () ->
         on_routes (fun what route ->
