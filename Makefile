@@ -25,12 +25,15 @@ test:
 # gate runs `popan sweep -j 2` over 393,216 uniform points with the GC
 # summary on (OCAMLRUNPARAM=v=0x400) and requires fewer minor words
 # than points: the sampler fills the arena's columns without boxing.
-# The bulk smoke: a 2^22-point bulk build must complete on the
-# sort path with no fallback, and the arenas built at jobs 1 and 4 must
-# be byte-identical to the sequential one (compared on encoded frozen
-# trees). The measure smoke: `popan measure` must refuse a --max-depth
-# outside [0, 42] (the arena's 2^-42 grid) with exit status 1 and a
-# one-line diagnostic, and at --max-depth 42 must build exact
+# The bulk smoke: a 2^22-point bulk build (past the packed kernel's
+# 2^21 - 1 points, so the two-column kernel on the heap) must complete
+# with no fallback, the arenas built at jobs 1 and 4 must equal the
+# sequential one entry for entry (Pr_arena.diff_state: node ids,
+# chains, columns and counters), and the Z-ordered build of the same
+# points must be Z-ordered, pass the invariant check and freeze to the
+# in-place build's encoded bytes. The measure smoke: `popan measure`
+# must refuse a --max-depth outside [0, 42] (the arena's 2^-42 grid)
+# with exit status 1 and a one-line diagnostic, and at --max-depth 42 must build exact
 # duplicates at capacity 1 down to height 42. Finally the churn smoke:
 # a 10^6-operation insert/delete/update
 # stream whose arena must equal a fresh rebuild of the survivors, with
@@ -38,10 +41,8 @@ test:
 # `popan serve` at jobs 1/2/4, drive two framed 10k-query mixed batches
 # through the wire protocol while the churn writer publishes epochs,
 # verify every response byte-for-byte against an in-process sequential
-# oracle — with Morton batch-sorting on (the default) AND under
-# --no-batch-sort, so the schedule provably never reaches the wire —
-# serve two sequential clients on one socket, and assert a truncated
-# frame is refused; a Stats sent between the two batches must read the
+# oracle, serve two sequential clients on one socket, and assert a
+# truncated frame is refused; a Stats sent between the two batches must read the
 # oracle's epoch and size. The query alloc smokes: count-in-box on the
 # integer-descent path must allocate zero minor words per query, and
 # reading a full k-NN collector's pruning bound (Neighbors.worst, read

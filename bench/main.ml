@@ -185,8 +185,10 @@ let bench_arena_bulk_build_16k =
    OCaml int arrays — which is also why it fell back to incremental
    inserts past 2^21 points: the slot field ran out of bits. PR 6 moved
    every column into Bigarrays and widened the codes to two words. The
-   library no longer contains the packed-array kernel, so it is
-   reimplemented here, stripped to the part the layouts disagree on:
+   library keeps the packed kernel ([Pr_arena]'s [build_packed], the
+   kernel of heap builds up to 2^21 - 1 points), but it is internal and
+   emits a tree as it sorts, so it is reimplemented here, stripped to
+   the part the layouts disagree on:
    the MSD two-bit counting partition, recursing until ranges reach
    capacity 8. The Bigarray twin is the identical control flow over an
    [Bigarray.int] column. Both runs start from a blit of the same
@@ -679,24 +681,7 @@ let serve_arena =
   Pr_arena.of_points_bulk ~capacity:8 (Sampler.points rng Sampler.Uniform serve_n)
 
 let serve_queries =
-  let rng = Xoshiro.of_int_seed 271828 in
-  let open Popan_geom in
-  Array.init serve_batch (fun i ->
-      let p = Point.make (Xoshiro.float rng) (Xoshiro.float rng) in
-      match i mod 5 with
-      | 0 ->
-        let w = 0.005 +. (0.05 *. Xoshiro.float rng) in
-        let x = (1.0 -. w) *. Xoshiro.float rng in
-        let y = (1.0 -. w) *. Xoshiro.float rng in
-        Wire.Range (Box.make ~xmin:x ~ymin:y ~xmax:(x +. w) ~ymax:(y +. w))
-      | 1 ->
-        Wire.Count
-          (Box.make ~xmin:0.0 ~ymin:0.0
-             ~xmax:(Float.max 0.01 p.Point.x)
-             ~ymax:(Float.max 0.01 p.Point.y))
-      | 2 -> Wire.Knn (1 + (i mod 16), p)
-      | 3 -> Wire.Nearest p
-      | _ -> Wire.Cell p)
+  Server.mixed_queries (Xoshiro.of_int_seed 271828) serve_batch
 
 (* The persistent-tree evaluation the freeze-then-query baseline runs
    per query — the pre-arena serving shape, producing the same
@@ -801,21 +786,6 @@ let bench_count_pruned (sel, box) =
 (* The range twin at one mid selectivity: the pruned kernel drains
    contained subtrees chain-by-chain instead of filtering every
    point. Same answer list, element for element. *)
-(* The scheduling ablation: the same mixed batch in arrival order vs
-   the Morton-sorted default (the j rows above). The wire bytes are
-   identical — serve_smoke pins that — so any delta here is pure
-   locality. *)
-let bench_serve_unsorted jobs =
-  pool_bench
-    ~name:(parallel_bench_name
-             (format_of_string
-                "serve:batch 1024 mixed arrival-order n=16384 j=%d")
-             jobs)
-    jobs
-    (fun pool ->
-      Sys.opaque_identity
-        (Server.run_batch ~sort:false pool serve_arena serve_queries))
-
 (* The telemetry primitives priced alone: a raw sketch record (one log,
    one increment), a registry-sharded sketch record (adds the flag check
    and shard lookup), a flight-ring record (five scalar writes), and a
@@ -942,7 +912,6 @@ let all_benches =
       bench_count_pruned (List.nth sel_boxes 0);
       bench_count_pruned (List.nth sel_boxes 1);
       bench_count_pruned (List.nth sel_boxes 2);
-      bench_serve_unsorted 1; bench_serve_unsorted 4;
       bench_sketch_record; bench_registry_sketch_record;
       bench_flight_record; bench_event_emit;
     ]
@@ -1372,27 +1341,6 @@ let print_serve_summary estimates =
       v1 v2 (e /. 1000.0)
   | _ -> ()
 
-(* The Morton batch schedule, priced against arrival order. *)
-let print_query_summary estimates =
-  let find = find_estimate estimates in
-  match
-    ( find
-        (parallel_bench_name
-           (format_of_string
-              "serve:batch 1024 mixed arrival-order n=16384 j=%d") 1),
-      find
-        (parallel_bench_name
-           (format_of_string
-              "serve:batch 1024 mixed arena-native n=16384 j=%d") 1) )
-  with
-  | Some arrival, Some sorted ->
-    Printf.printf
-      "batch schedule j=1: arrival order %.2f ms/run, Morton-sorted %.2f \
-       ms/run -> %+.1f%% (wire bytes identical)\n"
-      (arrival /. 1e6) (sorted /. 1e6)
-      (100.0 *. ((sorted /. arrival) -. 1.0))
-  | _ -> ()
-
 (* The serve telemetry ablation, stated against the acceptance bar: the
    same batch with the sketches and flight recorder live must sit
    within 10% of the obs-off row, and the per-record primitive costs
@@ -1578,7 +1526,6 @@ let () =
   print_obs_summary estimates;
   print_churn_summary estimates;
   print_serve_summary estimates;
-  print_query_summary estimates;
   print_telemetry_summary estimates;
   Option.iter (fun path -> write_json path estimates) (json_request ());
   Printf.printf "\n== popan bench: full regeneration (paper parameters) ==\n\n%!";

@@ -477,10 +477,11 @@ let sweep_cmd =
   in
   let build_jobs_term =
     let doc =
-      "Worker domains $(i,inside) each bulk build's radix partition (0 = one \
-       per core) — orthogonal to $(b,-j), which fans out whole trials; use \
-       this one when a single tree dwarfs the trial count. Rows are \
-       byte-identical for every value."
+      "Worker domains $(i,inside) each bulk build, sorting the subtrees \
+       below its top four levels (0 = one per core) — orthogonal to \
+       $(b,-j), which fans out whole trials; use this one when a single \
+       tree dwarfs the trial count. Rows are byte-identical for every \
+       value."
     in
     Arg.(value & opt (some int) None & info [ "build-jobs" ] ~docv:"JOBS" ~doc)
   in
@@ -1615,7 +1616,7 @@ let obs_cmd =
 
 let serve_cmd =
   let run () points capacity seed churn_ops insert_fraction update_fraction
-      drift socket mmap telemetry no_flight slow_ms warm no_batch_sort =
+      drift socket mmap telemetry no_flight slow_ms warm =
     let config =
       {
         Popan_serve.Server.default_config with
@@ -1627,7 +1628,6 @@ let serve_cmd =
         update_fraction;
         drift_sigma = drift;
         mmap_dir = mmap;
-        batch_sort = not no_batch_sort;
       }
     in
     (* The flight recorder is on by default — it is the "what just
@@ -1717,20 +1717,11 @@ let serve_cmd =
     in
     Arg.(value & opt int 0 & info [ "warm" ] ~docv:"BATCHES" ~doc)
   in
-  let no_batch_sort_term =
-    let doc =
-      "Run each batch's queries in arrival order instead of Morton order \
-       of their anchors. Response bytes are identical either way — the \
-       sort only reorders the computation for cache locality."
-    in
-    Arg.(value & flag & info [ "no-batch-sort" ] ~doc)
-  in
   let term =
     Term.(const run $ setup_term $ points_term $ capacity_term ~default:8
           $ seed_term $ churn_ops_term $ insert_fraction_term
           $ update_fraction_term $ drift_term $ socket_term $ mmap_term
-          $ telemetry_term $ no_flight_term $ slow_ms_term $ warm_term
-          $ no_batch_sort_term)
+          $ telemetry_term $ no_flight_term $ slow_ms_term $ warm_term)
   in
   Cmd.v
     (Cmd.info "serve"

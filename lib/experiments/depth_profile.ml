@@ -7,7 +7,7 @@ type row = {
   occupancy : float;
 }
 
-let run ?(capacity = 1) ?(max_depth = 9) ?jobs ?build_jobs workload =
+let run ?(capacity = 1) ?(max_depth = 9) ?jobs workload =
   let trials = workload.Workload.trials in
   (* Per depth: (empty leaf count, full leaf count, leaves, points).
      Each trial folds into its own table — trials may run on different
@@ -25,9 +25,7 @@ let run ?(capacity = 1) ?(max_depth = 9) ?jobs ?build_jobs workload =
     Workload.map_trials ?jobs workload ~f:(fun i points ->
         Probe.trial ~experiment:"depth-profile" ~index:i
           ~n:workload.Workload.points (fun () ->
-        let tree =
-          Pr_arena.of_points_bulk ?jobs:build_jobs ~max_depth ~capacity points
-        in
+        let tree = Pr_arena.of_points_bulk ~max_depth ~capacity points in
         let mine = Hashtbl.create 16 in
         Pr_arena.fold_leaves tree ~init:()
           ~f:(fun () ~depth ~box:_ ~points:_ ~count:occ ->

@@ -12,17 +12,15 @@ type row = {
   occupancy : float;  (** full / (empty + full) for capacity 1 *)
 }
 
-(** [run ?capacity ?max_depth ?jobs ?build_jobs workload] produces the
+(** [run ?capacity ?max_depth ?jobs workload] produces the
     per-depth rows (increasing depth). [capacity] defaults to 1 and
     [max_depth] to 9 as in the paper. For capacities above 1,
     [full_leaves] counts leaves at full capacity and [occupancy] is
     points per leaf at that depth. Trials fan out across [jobs] domains
     (default {!Popan_parallel.default_jobs}), each folding its own
-    per-depth table; [build_jobs] parallelizes each individual bulk
-    build instead. The rows are byte-identical for every combination. *)
+    per-depth table; the rows are byte-identical for every job count. *)
 val run :
-  ?capacity:int -> ?max_depth:int -> ?jobs:int -> ?build_jobs:int ->
-  Workload.t -> row list
+  ?capacity:int -> ?max_depth:int -> ?jobs:int -> Workload.t -> row list
 
 (** [post_split_asymptote ~capacity] is the occupancy a fresh generation
     starts from — {!Pr_model.post_split_occupancy} at branching 4 (0.4

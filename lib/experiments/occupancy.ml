@@ -41,7 +41,7 @@ let measure_key ~structure ~(workload : Workload.t) ~trial ~capacity
 
 let measure_codec = Codec.(triple int_array float float)
 
-let measure_pr ?max_depth ?jobs ?build_jobs workload ~capacity =
+let measure_pr ?max_depth ?jobs workload ~capacity =
   (* Ship the per-trial statistics, not the builders: the trees die in
      the domain that grew them. *)
   let store = Store.default () in
@@ -56,10 +56,7 @@ let measure_pr ?max_depth ?jobs ?build_jobs workload ~capacity =
             Store.memo store ~kind:"trial-measure" ~version:1 ~key
               measure_codec
               (fun () ->
-                let b =
-                  Pr_arena.of_points_bulk ?max_depth ?jobs:build_jobs
-                    ~capacity points
-                in
+                let b = Pr_arena.of_points_bulk ?max_depth ~capacity points in
                 ( Pr_arena.occupancy_histogram b,
                   Pr_arena.average_occupancy b,
                   float_of_int (Pr_arena.leaf_count b) ))))

@@ -15,16 +15,12 @@ type measurement = {
   trials : int;
 }
 
-(** [measure_pr ?max_depth ?jobs ?build_jobs workload ~capacity] builds
-    one PR quadtree per trial and aggregates. Trials fan out across
-    [jobs] domains (default {!Popan_parallel.default_jobs});
-    [build_jobs] instead parallelizes each individual bulk build's radix
-    partition — the right knob when one tree dwarfs the trial count.
-    The measurement is byte-identical for every combination of the
-    two. *)
+(** [measure_pr ?max_depth ?jobs workload ~capacity] builds one PR
+    quadtree per trial and aggregates. Trials fan out across [jobs]
+    domains (default {!Popan_parallel.default_jobs}); the measurement
+    is byte-identical for every job count. *)
 val measure_pr :
-  ?max_depth:int -> ?jobs:int -> ?build_jobs:int -> Workload.t ->
-  capacity:int -> measurement
+  ?max_depth:int -> ?jobs:int -> Workload.t -> capacity:int -> measurement
 
 (** [measure_bintree ?max_depth ?jobs workload ~capacity] — same for the
     bintree (branching 2). *)

@@ -36,10 +36,11 @@ val grid : ?steps_per_quadrupling:int -> lo:int -> hi:int -> unit -> int list
     Large-n controls (all invisible to the rows): each trial draws
     straight into the arena's columns with {!Sampler.fill} inside
     {!Pr_arena.bulk_of_columns} (no point is ever boxed, and a uniform
-    trial allocates nothing per point), [build_jobs] runs every {e individual}
-    build's radix partition on the deterministic domain pool (orthogonal
-    to [jobs], which fans out whole trials — use [build_jobs] when one
-    tree dwarfs the trial count), and [backing] places the arena columns
+    trial allocates nothing per point), [build_jobs] sorts every
+    {e individual} build's groups — the subtrees below its top four
+    levels — on a deterministic domain pool (orthogonal to [jobs], which
+    fans out whole trials — use [build_jobs] when one tree dwarfs the
+    trial count), and [backing] places the arena columns
     (e.g. [Pr_arena.Mmap] for builds larger than RAM). The arena's
     byte-identical parallel contract means the rows are unchanged by any
     of them. *)

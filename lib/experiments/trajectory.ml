@@ -7,8 +7,8 @@ type row = {
   average_occupancy : float;
 }
 
-let run ?(capacity = 8) ?(max_depth = 16) ?sizes ?jobs ?build_jobs ~model
-    ~trials ~seed () =
+let run ?(capacity = 8) ?(max_depth = 16) ?sizes ?jobs ~model ~trials ~seed
+    () =
   if trials <= 0 then invalid_arg "Trajectory.run: trials <= 0";
   let sizes =
     match sizes with Some s -> s | None -> Paper_data.sweep_points
@@ -45,9 +45,8 @@ let run ?(capacity = 8) ?(max_depth = 16) ?sizes ?jobs ?build_jobs ~model
                    byte. *)
                 let rng = rngs.(k) in
                 let tree =
-                  Pr_arena.bulk_of_columns ?jobs:build_jobs ~max_depth
-                    ~capacity ~n:points (fun xs ys ->
-                      Sampler.fill rng model xs ys points)
+                  Pr_arena.bulk_of_columns ~max_depth ~capacity ~n:points
+                    (fun xs ys -> Sampler.fill rng model xs ys points)
                 in
                 Pr_arena.occupancy_histogram tree)))
   in

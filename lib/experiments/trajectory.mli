@@ -16,17 +16,14 @@ type row = {
   average_occupancy : float;
 }
 
-(** [run ?capacity ?max_depth ?sizes ?jobs ?build_jobs ~model ~trials
-    ~seed ()] measures [d_n] for each grid size (defaults: capacity 8,
-    the paper's 64..4096 ladder). (size, trial) builds fan out across
-    [jobs] domains, and [build_jobs] parallelizes each individual
-    build's radix partition instead; rows are byte-identical for every
-    combination. With a default artifact store set, per-trial histograms
+(** [run ?capacity ?max_depth ?sizes ?jobs ~model ~trials ~seed ()]
+    measures [d_n] for each grid size (defaults: capacity 8, the
+    paper's 64..4096 ladder). (size, trial) builds fan out across
+    [jobs] domains; rows are byte-identical for every job count. With a default artifact store set, per-trial histograms
     are memoized as ["trial-hist"] artifacts, so a warm rerun builds no
     trees. *)
 val run :
   ?capacity:int -> ?max_depth:int -> ?sizes:int list -> ?jobs:int ->
-  ?build_jobs:int ->
   model:Sampler.point_model -> trials:int -> seed:int -> unit -> row list
 
 (** [oscillation rows] is the amplitude of the [tv_to_theory] sequence —

@@ -129,39 +129,16 @@ let arena_build kind ~inserts f =
         ((Gc.minor_words () -. before) /. float_of_int inserts)
   end
 
-(* Parallel bulk sort: one span + timing histogram per phase of the
-   orchestrated build (expand / subtrees / stitch), a per-range span for
-   the fan-out (runs on whatever domain claims it — the per-domain story
-   falls out of the counter shards), and the mapped-bytes gauge for
-   mmap-backed arenas. *)
-
-let arena_sort_phase_seconds =
-  Metrics.histogram ~stable:false "arena.sort.phase.seconds"
-    ~bounds:seconds_bounds
+(* Pooled bulk builds: one count per build and per group sorted on the
+   pool, and the mapped-bytes gauge for mmap-backed arenas. *)
 
 let arena_parallel_builds = Metrics.counter "arena.parallel.builds"
 let arena_parallel_tasks = Metrics.counter "arena.parallel.tasks"
-let arena_subtrees_built = Metrics.counter ~stable:false "arena.subtrees.run"
 let arena_bytes_mapped = Metrics.gauge ~stable:false "arena.bytes.mapped"
 
-let arena_phase ~phase f =
-  timed
-    ~span:("arena:sort:" ^ phase)
-    ~args:[ ("phase", Trace.Str phase) ]
-    arena_sort_phase_seconds f
-
-let arena_parallel ~tasks ~jobs:_ =
+let arena_parallel ~tasks =
   Metrics.incr arena_parallel_builds;
   Metrics.add arena_parallel_tasks tasks
-
-let arena_subtree ~index f =
-  if not (Metrics.enabled () || Trace.enabled ()) then f ()
-  else begin
-    Metrics.incr arena_subtrees_built;
-    Trace.with_span
-      ~args:[ ("range", Trace.Int index) ]
-      "arena:subtree" f
-  end
 
 let arena_mapped_bytes ~bytes =
   Metrics.set_gauge arena_bytes_mapped (float_of_int bytes)

@@ -67,23 +67,12 @@ val builder_split : depth:int -> unit
 val arena_build :
   [ `Incremental | `Bulk ] -> inserts:int -> (unit -> unit) -> unit
 
-(** {1 Parallel bulk sort} *)
+(** {1 Pooled bulk builds} *)
 
-(** [arena_phase ~phase f] wraps one phase of the orchestrated bulk
-    build ([expand] / [subtrees] / [stitch]) in an [arena:sort:<phase>]
-    span and times it into [arena.sort.phase.seconds]. *)
-val arena_phase : phase:string -> (unit -> 'a) -> 'a
-
-(** [arena_parallel ~tasks ~jobs] counts one orchestrated build
-    ([arena.parallel.builds]) and its range fan-out
+(** [arena_parallel ~tasks] counts one bulk build sorted on the pool
+    ([arena.parallel.builds]) and its [tasks] groups
     ([arena.parallel.tasks]). *)
-val arena_parallel : tasks:int -> jobs:int -> unit
-
-(** [arena_subtree ~index f] wraps one subtree range build on whatever
-    domain runs it: [arena:subtree] span plus a per-domain bump of
-    [arena.subtrees.run] (read {!Metrics.counter_shards} for
-    utilization). *)
-val arena_subtree : index:int -> (unit -> 'a) -> 'a
+val arena_parallel : tasks:int -> unit
 
 (** [arena_mapped_bytes ~bytes] sets the [arena.bytes.mapped] gauge to
     the current total of mmap-backed arena segment bytes. *)

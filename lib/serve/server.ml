@@ -116,19 +116,21 @@ let schedule_order queries =
 
 (* Fan a batch out on the deterministic pool. [map_array]'s contract —
    results in index order, byte-identical at every job count — is what
-   makes the whole response deterministic; the chunk keeps per-task
-   overhead amortized over thousands of tiny queries. Telemetry is one
-   flag check per batch: off, the tasks run [eval]; on,
-   [eval_instrumented] — the same dispatch, timed.
+   makes the whole response deterministic; claiming 256 tasks at a time
+   keeps per-task overhead amortized over thousands of tiny queries.
+   Telemetry is one flag check per batch: off, the tasks run [eval];
+   on, [eval_instrumented] — the same dispatch, timed.
 
-   With [sort] (the default), tasks run in Morton order of the query
-   anchors and the inverse permutation scatters answers back to arrival
-   positions. The response bytes are invariant under the reordering:
-   each answer is a pure function of (arena, query), the scatter is the
-   exact inverse of the sort's permutation, and the sort itself is
-   deterministic — so sorted-vs-arrival and every job count all produce
-   the identical response, which serve_smoke pins down byte for byte. *)
-let run_batch ?(chunk = 256) ?(epoch = 0) ?(sort = true) pool arena queries =
+   Tasks run in Morton order of the query anchors and the inverse
+   permutation scatters answers back to arrival positions. The response
+   bytes are invariant under the reordering: each answer is a pure
+   function of (arena, query), the scatter is the exact inverse of the
+   sort's permutation, and the sort itself is deterministic — so every
+   job count produces the response a sequential [eval] in arrival order
+   does, which test_serve and serve_smoke pin down byte for byte. *)
+let batch_chunk = 256
+
+let run_batch ?(epoch = 0) pool arena queries =
   let n = Array.length queries in
   let f =
     if Probe.serve_telemetry_on () then fun i ->
@@ -136,11 +138,11 @@ let run_batch ?(chunk = 256) ?(epoch = 0) ?(sort = true) pool arena queries =
     else fun i -> eval arena queries.(i)
   in
   Probe.serve_batch ~queries:n ~jobs:(Parallel.Pool.jobs pool) (fun () ->
-      match (if sort then schedule_order queries else None) with
-      | None -> Parallel.Pool.map_array ~chunk pool n ~f
+      match schedule_order queries with
+      | None -> Parallel.Pool.map_array ~chunk:batch_chunk pool n ~f
       | Some keyed ->
         let sorted =
-          Parallel.Pool.map_array ~chunk pool n ~f:(fun j ->
+          Parallel.Pool.map_array ~chunk:batch_chunk pool n ~f:(fun j ->
               f (keyed.(j) land sort_idx_mask))
         in
         let out = Array.make n sorted.(0) in
@@ -159,7 +161,6 @@ type config = {
   update_fraction : float;
   drift_sigma : float;
   mmap_dir : string option;  (** back the live arena's columns with mmap *)
-  batch_sort : bool;  (** Morton-sort batch work (response bytes unchanged) *)
 }
 
 let default_config =
@@ -173,7 +174,6 @@ let default_config =
     update_fraction = 1.0 /. 3.0;
     drift_sigma = 0.01;
     mmap_dir = None;
-    batch_sort = true;
   }
 
 (* The churn writer: one domain for the server's lifetime, parked on a
@@ -403,37 +403,36 @@ let run_queries t queries =
         end;
         Epoch.unpin t.epochs e)
       (fun () ->
-        run_batch ~epoch:(Epoch.id e) ~sort:t.config.batch_sort t.pool
-          (Epoch.arena e) queries)
+        run_batch ~epoch:(Epoch.id e) t.pool (Epoch.arena e) queries)
   in
   t.batches <- t.batches + 1;
   (Epoch.id e, answers)
 
-(* Deterministic mixed self-batches (the serve smoke's query mix,
-   seeded from the config), so a freshly started server has telemetry
-   to show before — or without — a client driving load. *)
+let mixed_queries rng n =
+  Array.init n (fun i ->
+      let p = Point.make (Xoshiro.float rng) (Xoshiro.float rng) in
+      match i mod 5 with
+      | 0 ->
+        let w = 0.005 +. (0.05 *. Xoshiro.float rng) in
+        let x = (1.0 -. w) *. Xoshiro.float rng in
+        let y = (1.0 -. w) *. Xoshiro.float rng in
+        Wire.Range (Box.make ~xmin:x ~ymin:y ~xmax:(x +. w) ~ymax:(y +. w))
+      | 1 ->
+        Wire.Count
+          (Box.make ~xmin:0.0 ~ymin:0.0
+             ~xmax:(Float.max 0.01 p.Point.x)
+             ~ymax:(Float.max 0.01 p.Point.y))
+      | 2 -> Wire.Knn (1 + (i mod 16), p)
+      | 3 -> Wire.Nearest p
+      | _ -> Wire.Cell p)
+
+(* Mixed self-batches seeded from the config, so a freshly started
+   server has telemetry to show before — or without — a client driving
+   load. *)
 let warm t ~batches ~queries:qn =
   let rng = Xoshiro.of_int_seed (t.config.seed lxor 0x77a7) in
   for _ = 1 to batches do
-    let qs =
-      Array.init qn (fun i ->
-          let p = Point.make (Xoshiro.float rng) (Xoshiro.float rng) in
-          match i mod 5 with
-          | 0 ->
-            let w = 0.005 +. (0.05 *. Xoshiro.float rng) in
-            let x = (1.0 -. w) *. Xoshiro.float rng in
-            let y = (1.0 -. w) *. Xoshiro.float rng in
-            Wire.Range (Box.make ~xmin:x ~ymin:y ~xmax:(x +. w) ~ymax:(y +. w))
-          | 1 ->
-            Wire.Count
-              (Box.make ~xmin:0.0 ~ymin:0.0
-                 ~xmax:(Float.max 0.01 p.Point.x)
-                 ~ymax:(Float.max 0.01 p.Point.y))
-          | 2 -> Wire.Knn (1 + (i mod 16), p)
-          | 3 -> Wire.Nearest p
-          | _ -> Wire.Cell p)
-    in
-    ignore (run_queries t qs : int * Wire.answer array)
+    ignore (run_queries t (mixed_queries rng qn) : int * Wire.answer array)
   done
 
 let handle t (req : Wire.request) : Wire.response * bool =

@@ -50,26 +50,31 @@ val eval : Pr_arena.t -> Wire.query -> Wire.answer
     always. *)
 val eval_instrumented : Pr_arena.t -> epoch:int -> Wire.query -> Wire.answer
 
-(** [run_batch ?chunk ?epoch ?sort pool arena queries] answers a whole
-    batch on the pool, results in request order, wrapped in the
-    [serve:batch] probe (queue-depth gauge, latency histogram,
-    per-kernel counters). Telemetry costs one
-    {!Probe.serve_telemetry_on} check per batch: off, the tasks run the
-    plain {!eval}; on, {!eval_instrumented} tagged with [epoch]
-    (default 0).
+(** [run_batch ?epoch pool arena queries] answers a whole batch on the
+    pool, results in request order, wrapped in the [serve:batch] probe
+    (queue-depth gauge, latency histogram, per-kernel counters).
+    Telemetry costs one {!Probe.serve_telemetry_on} check per batch:
+    off, the tasks run the plain {!eval}; on, {!eval_instrumented}
+    tagged with [epoch] (default 0).
 
-    With [sort] (the default), tasks are scheduled in Morton order of
-    the query anchors — a box's low corner, a probe point — so
-    consecutive tasks touch overlapping root paths and warm column
-    cache lines. A deterministic inverse permutation scatters the
-    answers back to arrival positions: the response is byte-identical
-    to [~sort:false] at every job count (batches over [2^20] queries
-    fall back to arrival order). *)
+    Tasks are scheduled in Morton order of the query anchors — a box's
+    low corner, a probe point — so consecutive tasks touch overlapping
+    root paths and warm column cache lines; workers claim them 256 at a
+    time. A deterministic inverse permutation scatters the answers back
+    to arrival positions: the response is byte-identical to
+    [Array.map (eval arena) queries] at every job count (batches over
+    [2^20] queries run in arrival order). *)
 val run_batch :
-  ?chunk:int ->
   ?epoch:int ->
-  ?sort:bool ->
   Parallel.Pool.t -> Pr_arena.t -> Wire.query array -> Wire.answer array
+
+(** [mixed_queries rng n] draws [n] queries of the five kinds in turn —
+    a range box of side 0.005 to 0.055, a count from the origin to a
+    point, a k-NN with k cycling through 1 to 16, a nearest and a cell
+    probe — each anchored at a uniform point. The same [rng] state
+    draws the same queries, so a seed names a batch: {!warm}, the
+    serve smoke and the micro-benchmarks share this mix. *)
+val mixed_queries : Xoshiro.t -> int -> Wire.query array
 
 type config = {
   jobs : int option;  (** pool width; [None] = the session default *)
@@ -83,13 +88,11 @@ type config = {
   update_fraction : float;
   drift_sigma : float;
   mmap_dir : string option;  (** back the live arena's columns with mmap *)
-  batch_sort : bool;
-      (** Morton-sort batch work before fan-out; the response bytes are
-          identical either way — this only reorders the computation *)
 }
 
 (** 10k uniform points at capacity 8, seed 1987, 256 churn ops per
-    batch with the PR 7 churn defaults, heap-backed, batch sorting on. *)
+    batch with the default churn mix (insert fraction 0.5, update
+    fraction 1/3, drift 0.01), heap-backed. *)
 val default_config : config
 
 type t
@@ -125,8 +128,9 @@ val batches : t -> int
     that slice is joined. *)
 val run_queries : t -> Wire.query array -> int * Wire.answer array
 
-(** [warm t ~batches ~queries] answers [batches] deterministic mixed
-    self-batches of [queries] queries each (seeded from the config):
+(** [warm t ~batches ~queries] answers [batches] deterministic
+    self-batches of [queries] {!mixed_queries} each (seeded from the
+    config):
     they count toward {!batches} and advance churn epochs exactly like
     client batches, so a freshly started server has telemetry to show
     before a client drives load ([popan serve --warm]). *)

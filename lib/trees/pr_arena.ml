@@ -842,18 +842,22 @@ let of_points ?max_depth ~capacity ps =
       insert_all t ps);
   t
 
-(* Morton-order bulk build: a single top-down recursion that radix
-   sorts two-word keys MSD-first, two code bits per level, and emits
-   each node the moment its range is partitioned — leaves appear left
-   to right in Z-order and parents link as the recursion returns. The
-   sort stops exactly where the tree does, so ranges that are already
-   leaf-sized never pay for their remaining code bits.
+(* Bulk builds. Every block of a PR quadtree splits at its midpoint, so
+   a bulk build is one sort of the points by Morton key, and the tree's
+   top levels are the top bits of that key. [build_grouped] below is the
+   one bulk build: a histogram of those bits splits the top
+   [group_levels] levels at once, and a kernel sorts each subtree below
+   them — a top-down recursion that radix sorts the group's keys
+   MSD-first, two code bits per level, and emits each node the moment
+   its range is partitioned, so leaves appear left to right in Z order
+   and parents link as the recursion returns. The sort stops exactly
+   where the tree does, so ranges that are already leaf-sized never pay
+   for their remaining code bits.
 
-   Keys are two parallel columns: the key word under scrutiny (hi
-   Morton word for levels 0..20, reloaded in place with the lo word at
-   level 21) and the slot. Nothing packs the slot into the key, so the
-   build has no point-count cap — the historical silent reroute to
-   incremental inserts past 2^21 points is gone. *)
+   The two-column kernel keys on two parallel columns: the key word
+   under scrutiny (hi Morton word for levels 0..20, reloaded in place
+   with the lo word at level 21) and the slot. Nothing packs the slot
+   into the key, so the build has no point-count cap. *)
 
 (* Leaf emission, in one of two slot numberings. In place ([z] false):
    chain slots ss[lo, hi) onto leaf [node], so traversal yields
@@ -894,7 +898,7 @@ let emit_leaf t z (ss : iarr) lo hi node depth =
    running write bases. The scatter lands in (dk, ds) and the children
    swap the buffer pairs — no copy back; sibling ranges are disjoint,
    so each subtree ping-pongs its own slice independently, which is
-   also what makes the range fan-out below safe on shared buffers.
+   also what makes the pooled group sorts safe on shared buffers.
    [fine] says the key column already holds lo words; crossing level
    [bits] reloads the column in place (the hi words are constant across
    the range there) and continues at the same depth. A split lies above
@@ -948,24 +952,25 @@ let rec build_sorted t z (sk : iarr) (ss : iarr) (dk : iarr) (ds : iarr) cnt
     build_sorted t z dk ds sk ss cnt e3 hi (base + 3) cdepth fine
   end
 
-(* The packed single-column twin of [build_sorted], the sequential fast
-   path for n <= 2^21 heap builds: key and slot share one word —
+(* The packed single-column twin of [build_sorted], the kernel of every
+   heap build of at most 2^21 - 1 points: key and slot share one word —
    [(code lsl 21) lor slot], 63 bits, exactly an OCaml int — in plain
    int arrays, so every partition pass moves one word per element
    instead of a key and a slot column entry. This is PR 5's kernel
    (it was the whole bulk build then, and its 21-bit slot field is why
    that build capped at 2^21 points), kept because it is measurably
    faster than the two-column sort — the `ablation:radix kernel` bench
-   rows price it at 2.39 against 2.91 ms for 65,536 points — and
-   extended past depth 21 the same way
+   rows price it at 2.39 against 2.91 ms for 65,536 points, and inside
+   the grouped build an in-place 2^20-point build took 158.5 ms with it
+   against 180.9 ms without — and extended past depth 21 the same way
    as [build_sorted]: when a partition range crosses level [bits], the
    hi code above every slot in the range coincides, so each word is
-   reloaded in place with the lo code over the same slot. Builds that
-   outgrow the slot field (or run parallel, or keep columns in mmap
-   segments) take the two-column path; the choice selects a sort
-   buffer only — both kernels are stable MSD partitions emitting the
-   identical canonical arena, which the bulk-equivalence qcheck
-   properties pin down across the size boundary. *)
+   reloaded in place with the lo code over the same slot. Builds
+   that outgrow the slot field or keep columns in mmap segments take the
+   two-column path; the choice selects a sort buffer only — both
+   kernels are stable MSD partitions emitting the identical canonical
+   arena, which the bulk-equivalence qcheck properties pin down across
+   the size boundary. *)
 
 let packed_slot_mask = (1 lsl bits) - 1
 
@@ -1044,78 +1049,10 @@ let rec build_packed t z (src : int array) (dst : int array) cnt lo hi node
     build_packed t z dst src cnt e3 hi (base + 3) cdepth fine
   end
 
-(* Domain-parallel orchestration of the same sort, in three phases with
-   a deterministic, task-ordered reduction — the built arena is
-   byte-identical to the sequential build for every job count:
-
-   A. [expand] partitions the top [split_depth] levels sequentially
-      (the same stable scatter), recording a plan: leaf ranges, split
-      nodes, and up to 4^split_depth independent subtree ranges.
-   B. The ranges fan out on the pool. Each task builds its subtree into
-      task-local node arrays (local id 0 = the subtree root), writing
-      only its own slice of the shared key/slot/next columns — ranges
-      are disjoint, so the buffers need no locks. Task results depend
-      only on the range, never on the schedule.
-   C. [replay] walks the plan in sequential DFS order, allocating
-      global node ids exactly as the sequential recursion would —
-      top-level children first, then each task's block, offset-relabeled
-      in task order — and merging the per-task statistics (sums, max
-      height, histogram add). Node ids, chains and counters all land
-      bit-for-bit where the sequential build puts them. *)
-
-type plan =
-  | P_leaf of { lo : int; hi : int; depth : int }
-  | P_task of { id : int }
-  | P_split of { depth : int; lo : int; hi : int; parts : plan array }
-
-type range = { r_lo : int; r_hi : int; r_depth : int }
-
-let rec expand t (sk : iarr) (ss : iarr) (dk : iarr) (ds : iarr) cnt acc
-    nacc lo hi depth split_depth =
-  if hi - lo <= t.capacity || depth >= t.max_depth then
-    P_leaf { lo; hi; depth }
-  else if depth >= split_depth then begin
-    let id = !nacc in
-    incr nacc;
-    acc := { r_lo = lo; r_hi = hi; r_depth = depth } :: !acc;
-    P_task { id }
-  end
-  else begin
-    let sh = 2 * (bits - 1 - depth) in
-    cnt.(0) <- 0;
-    cnt.(1) <- 0;
-    cnt.(2) <- 0;
-    cnt.(3) <- 0;
-    for k = lo to hi - 1 do
-      let d = (sk.{k} lsr sh) land 3 in
-      cnt.(d) <- cnt.(d) + 1
-    done;
-    let e1 = lo + cnt.(0) in
-    let e2 = e1 + cnt.(1) in
-    let e3 = e2 + cnt.(2) in
-    cnt.(0) <- lo;
-    cnt.(1) <- e1;
-    cnt.(2) <- e2;
-    cnt.(3) <- e3;
-    for k = lo to hi - 1 do
-      let kv = sk.{k} in
-      let d = (kv lsr sh) land 3 in
-      let p = cnt.(d) in
-      dk.{p} <- kv;
-      ds.{p} <- ss.{k};
-      cnt.(d) <- p + 1
-    done;
-    let cdepth = depth + 1 in
-    let p0 = expand t dk ds sk ss cnt acc nacc lo e1 cdepth split_depth in
-    let p1 = expand t dk ds sk ss cnt acc nacc e1 e2 cdepth split_depth in
-    let p2 = expand t dk ds sk ss cnt acc nacc e2 e3 cdepth split_depth in
-    let p3 = expand t dk ds sk ss cnt acc nacc e3 hi cdepth split_depth in
-    P_split { depth; lo; hi; parts = [| p0; p1; p2; p3 |] }
-  end
-
-(* A task-local pseudo-arena: shares the point/key columns (tasks only
-   touch their own slot range) but owns fresh node arrays and counters,
-   so phase B mutates nothing global. *)
+(* A task-local pseudo-arena for a pooled group sort: it shares the
+   point and key columns (a group touches only its own positions and
+   slots) but owns fresh node tables and counters, so the task mutates
+   nothing global. Local id 0 is the group's root. *)
 let local_of t =
   {
     t with
@@ -1127,18 +1064,19 @@ let local_of t =
     internals = 0;
     height = 0;
     hist = Array.make (t.capacity + 1) 0;
-    (* Subtree depths are absolute (tasks start at their range depth),
-       so local per-depth counts add straight into the global array. *)
+    (* Depths are absolute (a group starts at its root's depth), so
+       local per-depth counts add straight into the global array. *)
     depth_count = Array.make (t.max_depth + 1) 0;
-    (* Its own node stamps: the build's block allocations stamp them,
+    (* Its own node stamps: the sort's block allocations stamp them,
        and the shared arrays are sized for the global ids. *)
     node_stamp = Array.make (chunks 64) 0;
   }
 
 (* Splice a task-local subtree onto global [node]: local id 0 maps onto
-   [node] (pre-allocated by the plan replay), local id k >= 1 onto
-   [offset + k - 1] — the exact ids the sequential DFS would have
-   assigned, because local allocation order is the same DFS. *)
+   [node] (allocated by the walk), local id k >= 1 onto
+   [offset + k - 1] — the exact ids a sequential build assigns, because
+   local allocation order is the same DFS and groups graft in walk
+   order — and add the task's statistics. *)
 let graft t l node =
   let extra = l.nodes - 1 in
   if t.nodes + extra > Array.length t.child then grow_nodes t (t.nodes + extra);
@@ -1162,60 +1100,6 @@ let graft t l node =
     (fun i v -> t.depth_count.(i) <- t.depth_count.(i) + v)
     l.depth_count
 
-let rec replay t results slots_even slots_odd plan node =
-  match plan with
-  | P_leaf { lo; hi; depth } ->
-    let ss = if depth land 1 = 0 then slots_even else slots_odd in
-    emit_leaf t false ss lo hi node depth
-  | P_task { id } -> graft t results.(id) node
-  | P_split { depth; lo; hi; parts } ->
-    t.internals <- t.internals + 1;
-    Probe.builder_split ~depth;
-    let base = alloc_children t in
-    t.child.(node) <- base;
-    t.count.(node) <- hi - lo;
-    for i = 0 to 3 do
-      replay t results slots_even slots_odd parts.(i) (base + i)
-    done
-
-let parallel_build t n pool keys slots keys2 slots2 =
-  let jobs = Parallel.Pool.jobs pool in
-  (* Enough ranges to balance the fan-out even when the Z-order is
-     skewed: the smallest k with 4^k >= 8 * jobs, at most 5 levels. *)
-  let split_depth =
-    let k = ref 1 in
-    while (1 lsl (2 * !k)) < 8 * jobs && !k < 5 do
-      incr k
-    done;
-    !k
-  in
-  let cnt = Array.make 4 0 in
-  let acc = ref [] and nacc = ref 0 in
-  let plan =
-    Probe.arena_phase ~phase:"expand" (fun () ->
-        expand t keys slots keys2 slots2 cnt acc nacc 0 n 0 split_depth)
-  in
-  let ranges = Array.of_list (List.rev !acc) in
-  Probe.arena_parallel ~tasks:(Array.length ranges) ~jobs;
-  let results =
-    Probe.arena_phase ~phase:"subtrees" (fun () ->
-        Parallel.Pool.map_array pool (Array.length ranges) ~f:(fun i ->
-            Probe.arena_subtree ~index:i (fun () ->
-                let r = ranges.(i) in
-                let l = local_of t in
-                (* Buffer parity tracks depth: every level above
-                   [r_depth] scattered exactly once. *)
-                let sk, ss, dk, ds =
-                  if r.r_depth land 1 = 0 then (keys, slots, keys2, slots2)
-                  else (keys2, slots2, keys, slots)
-                in
-                build_sorted l false sk ss dk ds (Array.make 4 0) r.r_lo
-                  r.r_hi 0 r.r_depth false;
-                l)))
-  in
-  Probe.arena_phase ~phase:"stitch" (fun () ->
-      replay t results slots slots2 plan 0)
-
 (* The root leaf registered by [create] is replaced wholesale by a bulk
    build's own registration. *)
 let unregister_root t =
@@ -1226,11 +1110,11 @@ let unregister_root t =
 
 (* The hi Morton word of point [i] of the columns [xs], [ys] — the sort
    key of the top 21 levels — after checking that the point lies in the
-   unit square: the first pass of both bulk builds. The encode is
-   written out here rather than routed through a function of the two
-   coordinates: a float passed to a non-inlined call is boxed, and two
-   boxes per point is exactly the O(n) minor-heap traffic the bulk path
-   promises not to have (the alloc tests measure these passes). *)
+   unit square: the bulk build's first pass. The encode is written out
+   here rather than routed through a function of the two coordinates: a
+   float passed to a non-inlined call is boxed, and two boxes per point
+   is exactly the O(n) minor-heap traffic the bulk path promises not to
+   have (the alloc tests measure this pass). *)
 let hi_key (xs : farr) (ys : farr) i =
   let x = xs.{i} and y = ys.{i} in
   if not (x >= 0.0 && x < 1.0 && y >= 0.0 && y < 1.0) then
@@ -1239,121 +1123,11 @@ let hi_key (xs : farr) (ys : farr) i =
     (int_of_float (x *. quantize_scale))
     (int_of_float (y *. quantize_scale))
 
-(* The packed fast path applies to sequential, heap-backed builds small
-   enough for single-word keys (see [build_packed]). *)
-let packed_capable t n ~jobs ~pool =
-  jobs = None && pool = None && n <= packed_slot_mask && t.backing = Heap
-
-(* The sort and emit behind [bulk_of_columns]: the points are in the
-   columns (slots 0 .. n-1) and [t.size = n]. One pass checks them and
-   writes their sort keys; the sort then emits the tree. *)
-let bulk_build t n ~jobs ~pool =
-  unregister_root t;
-  let cnt = Array.make 4 0 in
-  if packed_capable t n ~jobs ~pool then begin
-    (* The packed fast path (see [build_packed]): one word per element
-       in two plain int arrays. The arrays are transient sort scratch —
-       at most 16 MB each at the size bound — so a heap build loses
-       nothing of the out-of-core story by using them; mmap-backed
-       arenas keep every buffer in segments and take the column path
-       below. *)
-    let packed = Array.make (max n 1) 0 in
-    for i = 0 to n - 1 do
-      packed.(i) <- (hi_key t.xs t.ys i lsl bits) lor i
-    done;
-    let scratch = Array.make (max n 1) 0 in
-    build_packed t false packed scratch cnt 0 n 0 0 false
-  end
-  else begin
-    let keys = alloc_i t "keys" (max n 1) in
-    let slots = alloc_i t "slots" (max n 1) in
-    let keys2 = alloc_i t "keys2" (max n 1) in
-    let slots2 = alloc_i t "slots2" (max n 1) in
-    for i = 0 to n - 1 do
-      keys.{i} <- hi_key t.xs t.ys i;
-      slots.{i} <- i
-    done;
-    match (pool, jobs) with
-    | Some p, _ -> parallel_build t n p keys slots keys2 slots2
-    | None, Some j ->
-      Parallel.Pool.with_pool ~jobs:(max 1 j) (fun p ->
-          parallel_build t n p keys slots keys2 slots2)
-    | None, None ->
-      build_sorted t false keys slots keys2 slots2 cnt 0 n 0 0 false
-  end
-
-(* Run a bulk build's body over its fresh arena [t] and return [t]. A
-   body that raises — a point outside the unit square, a failing fill —
-   releases the arena first: its caller never receives it, so nothing
-   else could delete its segment files. *)
-let building t body =
-  match body () with
-  | () -> t
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    release t;
-    Printexc.raise_with_backtrace e bt
-
-let bulk_of_columns ?max_depth ?backing ?jobs ?pool ?(reserve = 0) ~capacity
-    ~n fill =
-  if n < 0 then invalid_arg "Pr_arena.bulk_of_columns: n < 0";
-  let t = create ?max_depth ?backing ~reserve:(max n reserve) ~capacity () in
-  building t (fun () ->
-      Probe.arena_build `Bulk ~inserts:n (fun () ->
-          fill t.xs t.ys;
-          t.size <- n;
-          t.slots <- n;
-          bulk_build t n ~jobs ~pool;
-          drop_segments t sort_segments))
-
-let of_points_bulk ?max_depth ?backing ?jobs ?pool ?reserve ~capacity ps =
-  bulk_of_columns ?max_depth ?backing ?jobs ?pool ?reserve ~capacity
-    ~n:(List.length ps) (fun xs ys ->
-      List.iteri
-        (fun i (p : Point.t) ->
-          xs.{i} <- p.x;
-          ys.{i} <- p.y)
-        ps)
-
-let bulk_of_fn ?max_depth ?backing ?jobs ?pool ~capacity ~n f =
-  if n < 0 then invalid_arg "Pr_arena.bulk_of_fn: n < 0";
-  bulk_of_columns ?max_depth ?backing ?jobs ?pool ~capacity ~n (fun xs ys ->
-      for i = 0 to n - 1 do
-        let p : Point.t = f i in
-        xs.{i} <- p.x;
-        ys.{i} <- p.y
-      done)
-
-(* The Z-ordered bulk build behind [bulk_zordered]: the served arena's
-   slot numbering. The in-place build numbers slots by input rank, so
-   the points of one leaf sit at unrelated slots and each costs its own
-   cache lines in [xs], [ys] and [next]. Here every leaf takes a run of
-   consecutive slots, the runs in depth-first (Z) order: a slot is its
-   point's sort position. The sort reads coordinates by position (the
-   lo-code reload at depth 21), so nothing may overwrite a point before
-   its group is sorted, and a plain gather from the source after the
-   sort would read 16 MB at random at 2^20. Instead the points move
-   twice, each move local:
-
-   1. One pass derives the hi words and histograms the top [z_levels]
-      tree levels; a stable scatter moves each point from the source
-      into the arena's columns grouped by those levels, and writes its
-      sort key at its new position. A group is a subtree rooted at
-      depth [z_levels], or a whole leaf that forms above it.
-   2. The usual kernel sorts each group on its own, reading the group's
-      positions, and emits its leaves Z-ordered ([emit_leaf] with [z]);
-      [settle] then applies the recorded permutation inside the group.
-      A group of 2^20 uniform points holds about 4k of them, 96 KB of
-      columns, so the permutation runs in cache.
-
-   Every partition is stable, so each leaf's points keep their input
-   order — the in-place chain order. The tree, the node ids, each
-   chain's sequence of points, and so [freeze], [points] and every
-   query answer equal the in-place build's; only slot numbers differ. *)
-
-let z_levels = 4
-let z_buckets = 1 lsl (2 * z_levels)
-let z_shift = 2 * (bits - z_levels)
+(* The grouped levels: one bucket per cell at depth [group_levels], 256
+   of them, keyed by the top eight bits of the hi word. *)
+let group_levels = 4
+let group_buckets = 1 lsl (2 * group_levels)
+let group_shift = 2 * (bits - group_levels)
 
 (* Apply a group's recorded permutation in place, one cycle at a time
    and without scratch: slot k takes the point at the position its
@@ -1383,79 +1157,68 @@ let settle t lo hi =
     end
   done
 
-let zorder_build t n (sx : farr) (sy : farr) =
-  (* Hi words go to [next], which nothing reads before the emission. *)
-  let start = Array.make (z_buckets + 1) 0 in
+(* The one bulk build: the [n] points of [sx], [sy] into the fresh
+   arena [t], in five steps.
+
+   1. One pass checks each point, parks its hi word in [next] — no link
+      is read before emission — and histograms the top [group_levels]
+      levels.
+   2. [walk] splits those levels on the histogram alone, allocating
+      their nodes, and records each group in walk order in [groups]: a
+      subtree rooted at depth [group_levels], or a leaf that forms above
+      it. Such a leaf spans a run of buckets, which all scatter as one
+      group, its first bucket, so its points stay in input order.
+   3. A stable scatter writes each point's sort key at its position in
+      its group. The in-place build ([z] false) keys the point's own
+      slot, its input rank, and leaves the coordinates where they are.
+      The Z-ordered one ([z] true, see [bulk_zordered]) moves the
+      coordinates from the source to the position, which becomes the
+      slot: the kernel's lo-word reload reads coordinates by slot, so
+      they must be in place before any group sorts, and a gather after
+      the sort would read the source at random.
+   4. The kernel sorts each group from its root, straight into the arena
+      in walk order — or, given [jobs], on the pool into task-local node
+      tables that [graft] splices back in walk order. Both allocate the
+      top levels first and then each group's subtree in walk order, so
+      node ids, chains and counters are identical at every job count.
+   5. A Z-ordered group then [settle]s its permutation. A group of 2^20
+      uniform points holds about 4k of them, 96 KB of columns, so the
+      permutation runs in cache.
+
+   The in-place emission writes links only after the scatter has read
+   every parked word. Every partition is stable, so each leaf's chain
+   keeps input order in both numberings: the tree, the node ids, each
+   chain's sequence of points, and so [freeze], [points] and every query
+   answer are the same; only slot numbers differ. *)
+let build_grouped t ~z ~jobs n (sx : farr) (sy : farr) =
+  unregister_root t;
+  t.size <- n;
+  t.slots <- n;
+  let start = Array.make (group_buckets + 1) 0 in
   for i = 0 to n - 1 do
     let code = hi_key sx sy i in
     t.next.{i} <- code;
-    let b = (code lsr z_shift) + 1 in
+    let b = (code lsr group_shift) + 1 in
     start.(b) <- start.(b) + 1
   done;
-  for b = 1 to z_buckets do
+  for b = 1 to group_buckets do
     start.(b) <- start.(b) + start.(b - 1)
   done;
-  (* A node above depth [z_levels] spans a run of [span] buckets; a
-     leaf there scatters all of them as one group, its first bucket, so
-     its points stay in input order. [walk] below makes the same
-     decisions. *)
-  let group = Array.init z_buckets Fun.id in
-  let rec plan b depth =
-    let span = 1 lsl (2 * (z_levels - depth)) in
-    if depth < z_levels then
-      if start.(b + span) - start.(b) <= t.capacity || depth >= t.max_depth
-      then Array.fill group b span b
-      else
-        for i = 0 to 3 do
-          plan (b + (i * (span / 4))) (depth + 1)
-        done
-  in
-  plan 0 0;
-  t.size <- n;
-  t.slots <- n;
-  unregister_root t;
-  (* The kernel, its buffers, and how the scatter writes a key. *)
-  let cnt = Array.make 4 0 in
-  let set_key, sort_group =
-    if packed_capable t n ~jobs:None ~pool:None then begin
-      let keys = Array.make (max n 1) 0 and scratch = Array.make (max n 1) 0 in
-      ( (fun p code -> keys.(p) <- (code lsl bits) lor p),
-        fun lo hi node depth ->
-          build_packed t true keys scratch cnt lo hi node depth false )
-    end
-    else begin
-      let keys = alloc_i t "keys" (max n 1) in
-      let slots = alloc_i t "slots" (max n 1) in
-      let keys2 = alloc_i t "keys2" (max n 1) in
-      let slots2 = alloc_i t "slots2" (max n 1) in
-      ( (fun p code ->
-          keys.{p} <- code;
-          slots.{p} <- p),
-        fun lo hi node depth ->
-          build_sorted t true keys slots keys2 slots2 cnt lo hi node depth
-            false )
-    end
-  in
-  let cursor = Array.sub start 0 z_buckets in
-  for i = 0 to n - 1 do
-    let code = t.next.{i} in
-    let g = group.(code lsr z_shift) in
-    let p = cursor.(g) in
-    cursor.(g) <- p + 1;
-    t.xs.{p} <- sx.{i};
-    t.ys.{p} <- sy.{i};
-    set_key p code
-  done;
-  (* The top levels split on the histogram; a group goes to the kernel,
-     which emits a leaf above depth [z_levels] at once (its permutation
-     is the identity). *)
+  (* A group is four entries: lo, hi, root node, root depth. *)
+  let group = Array.make group_buckets 0 in
+  let groups = Array.make (4 * group_buckets) 0 and ngroups = ref 0 in
   let rec walk b depth node =
-    let span = 1 lsl (2 * (z_levels - depth)) in
+    let span = 1 lsl (2 * (group_levels - depth)) in
     let lo = start.(b) and hi = start.(b + span) in
-    if depth = z_levels || hi - lo <= t.capacity || depth >= t.max_depth
+    if depth = group_levels || hi - lo <= t.capacity || depth >= t.max_depth
     then begin
-      sort_group lo hi node depth;
-      settle t lo hi
+      Array.fill group b span b;
+      let g = 4 * !ngroups in
+      groups.(g) <- lo;
+      groups.(g + 1) <- hi;
+      groups.(g + 2) <- node;
+      groups.(g + 3) <- depth;
+      incr ngroups
     end
     else begin
       t.internals <- t.internals + 1;
@@ -1468,8 +1231,107 @@ let zorder_build t n (sx : farr) (sy : farr) =
       done
     end
   in
-  walk 0 0 0
+  walk 0 0 0;
+  (* The kernel, its buffers, and how the scatter writes a key. *)
+  let set_key, sort_group =
+    if n <= packed_slot_mask && t.backing = Heap then begin
+      let keys = Array.make (max n 1) 0 and scratch = Array.make (max n 1) 0 in
+      ( (fun p code slot -> keys.(p) <- (code lsl bits) lor slot),
+        fun a cnt lo hi node depth ->
+          build_packed a z keys scratch cnt lo hi node depth false )
+    end
+    else begin
+      let keys = alloc_i t "keys" (max n 1) in
+      let slots = alloc_i t "slots" (max n 1) in
+      let keys2 = alloc_i t "keys2" (max n 1) in
+      let slots2 = alloc_i t "slots2" (max n 1) in
+      ( (fun p code slot ->
+          keys.{p} <- code;
+          slots.{p} <- slot),
+        fun a cnt lo hi node depth ->
+          build_sorted a z keys slots keys2 slots2 cnt lo hi node depth false )
+    end
+  in
+  (* The walk has read [start]; it now holds the scatter's cursors. *)
+  for i = 0 to n - 1 do
+    let code = t.next.{i} in
+    let g = group.(code lsr group_shift) in
+    let p = start.(g) in
+    start.(g) <- p + 1;
+    if z then begin
+      t.xs.{p} <- sx.{i};
+      t.ys.{p} <- sy.{i};
+      set_key p code p
+    end
+    else set_key p code i
+  done;
+  (* Sort group [g] into arena [a] (the arena or a task's), its root
+     at [a]'s node [root]. *)
+  let sort a cnt g root =
+    let lo = groups.(4 * g) and hi = groups.((4 * g) + 1) in
+    sort_group a cnt lo hi root groups.((4 * g) + 3);
+    if z then settle t lo hi
+  in
+  match jobs with
+  | None ->
+    let cnt = Array.make 4 0 in
+    for g = 0 to !ngroups - 1 do
+      sort t cnt g groups.((4 * g) + 2)
+    done
+  | Some jobs ->
+    Probe.arena_parallel ~tasks:!ngroups;
+    let locals =
+      Parallel.map_array ~jobs:(max 1 jobs) !ngroups ~f:(fun g ->
+          let l = local_of t in
+          sort l (Array.make 4 0) g 0;
+          l)
+    in
+    Array.iteri (fun g l -> graft t l groups.((4 * g) + 2)) locals
 
+(* Run a bulk build's body over its fresh arena [t] and return [t]. A
+   body that raises — a point outside the unit square, a failing fill —
+   releases the arena first: its caller never receives it, so nothing
+   else could delete its segment files. *)
+let building t body =
+  match body () with
+  | () -> t
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    release t;
+    Printexc.raise_with_backtrace e bt
+
+let bulk_of_columns ?max_depth ?backing ?jobs ?(reserve = 0) ~capacity ~n fill
+    =
+  if n < 0 then invalid_arg "Pr_arena.bulk_of_columns: n < 0";
+  let t = create ?max_depth ?backing ~reserve:(max n reserve) ~capacity () in
+  building t (fun () ->
+      Probe.arena_build `Bulk ~inserts:n (fun () ->
+          fill t.xs t.ys;
+          build_grouped t ~z:false ~jobs n t.xs t.ys;
+          drop_segments t sort_segments))
+
+let of_points_bulk ?max_depth ?backing ?jobs ?reserve ~capacity ps =
+  bulk_of_columns ?max_depth ?backing ?jobs ?reserve ~capacity
+    ~n:(List.length ps) (fun xs ys ->
+      List.iteri
+        (fun i (p : Point.t) ->
+          xs.{i} <- p.x;
+          ys.{i} <- p.y)
+        ps)
+
+let bulk_of_fn ?max_depth ?backing ?jobs ~capacity ~n f =
+  if n < 0 then invalid_arg "Pr_arena.bulk_of_fn: n < 0";
+  bulk_of_columns ?max_depth ?backing ?jobs ~capacity ~n (fun xs ys ->
+      for i = 0 to n - 1 do
+        let p : Point.t = f i in
+        xs.{i} <- p.x;
+        ys.{i} <- p.y
+      done)
+
+(* The served arena's build: the in-place one numbers slots by input
+   rank, so the points of one leaf sit at unrelated slots and each costs
+   its own cache lines in [xs], [ys] and [next]; here every leaf takes a
+   run of consecutive slots, the runs in depth-first (Z) order. *)
 let bulk_zordered ?max_depth ?backing ?(reserve = 0) ~capacity ~n
     (sx : column) (sy : column) =
   if n < 0 then invalid_arg "Pr_arena.bulk_zordered: n < 0";
@@ -1478,7 +1340,7 @@ let bulk_zordered ?max_depth ?backing ?(reserve = 0) ~capacity ~n
   let t = create ?max_depth ?backing ~reserve:(max n reserve) ~capacity () in
   building t (fun () ->
       Probe.arena_build `Bulk ~inserts:n (fun () ->
-          zorder_build t n sx sy;
+          build_grouped t ~z:true ~jobs:None n sx sy;
           drop_segments t sort_segments))
 
 let is_zordered t =

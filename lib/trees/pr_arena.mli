@@ -27,17 +27,18 @@ open Import
     - {b two build paths}: {!of_points} grows incrementally with O(1)
       statistics (size / leaves / internals / height / occupancy
       histogram maintained per insert, so per-step snapshots are
-      free), and {!bulk_of_columns} (with
-      its wrappers {!of_points_bulk} and {!bulk_of_fn}) sorts the
-      Morton keys once — a top-down MSD radix partition, two bits per
-      level — and emits the finished tree in a single pass, leaves left-to-right in Z-order. The bulk path has
-      {b no point-count cap}: keys are two parallel columns (key word +
+      free), and every bulk build is one pipeline that sorts the
+      Morton keys once: a histogram of the keys' top bits splits the
+      top four levels, and a top-down MSD radix partition, two bits per
+      level, sorts each subtree below them and emits it, leaves left to
+      right in Z order. The bulk path has {b no point-count cap}: past
+      [2^21 - 1] points the keys are two parallel columns (key word +
       slot), not a packed word, so nothing reroutes to incremental
-      inserts at any n. With [?jobs] or [?pool] the top levels of the
-      radix partition fan independent subtree ranges out on the
-      deterministic {!Popan_parallel} pool and reduce node-id blocks in
-      task order — the resulting arena is {b byte-identical} to the
-      sequential build at every job count. These builds number slots by
+      inserts at any n. With [?jobs] those subtrees sort on the
+      deterministic {!Popan_parallel} pool and splice back in a fixed
+      order — the resulting arena is {b byte-identical} to the
+      sequential build at every job count. {!bulk_of_columns} (with its
+      wrappers {!of_points_bulk} and {!bulk_of_fn}) numbers slots by
       input rank; {!bulk_zordered}, the serving layer's build, lays the
       same tree out with each leaf's slots consecutive, in Z order.
     - {b one integer grid}: the depth limit is at most
@@ -142,39 +143,44 @@ val of_points : ?max_depth:int -> capacity:int -> Point.t list -> t
 (** A float64 point column, as handed to {!bulk_of_columns}'s fill. *)
 type column = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(** [bulk_of_columns ?max_depth ?backing ?jobs ?pool ?reserve
-    ~capacity ~n fill] is the bulk build, and the one entry the other
-    bulk builders wrap. It creates the arena, calls [fill xs ys] once
-    with the arena's own x and y columns (at least [n] long), and
-    treats [(xs.{i}, ys.{i})] for [i] in [0 .. n-1] as the points, in
-    slot order: the build is {e in place}, point [i] keeps slot [i]
-    (slot = input rank; {!bulk_zordered} numbers slots in Z order
-    instead). One pass then checks each point against the unit square
-    and derives its sort key, the hi Morton word; the build sorts once
-    (top-down MSD radix, stopping exactly where leaves form, reloading
-    a range's keys with the lo word at level 21) and emits the tree in
-    a single linear pass. Nothing
-    but a handful of handles touches the minor heap, so a fill that
-    allocates nothing (such as {!Popan_rng.Sampler.fill} on the uniform
-    model) makes the whole build O(1) in minor words. The fill must
-    write only slots [0 .. n-1] and must not keep the columns.
+(** [bulk_of_columns ?max_depth ?backing ?jobs ?reserve ~capacity ~n
+    fill] is the in-place bulk build, and the one entry the list- and
+    function-fed bulk builders wrap. It creates the arena, calls
+    [fill xs ys] once with the arena's own x and y columns (at least
+    [n] long), and treats [(xs.{i}, ys.{i})] for [i] in [0 .. n-1] as
+    the points, in slot order: the build is {e in place}, point [i]
+    keeps slot [i] (slot = input rank; {!bulk_zordered} numbers slots
+    in Z order instead). One pass then checks each point against the
+    unit square, derives its sort key, the hi Morton word, and
+    histograms the top four tree levels. Those levels split on the
+    histogram; a stable scatter groups the keys by them, and each group
+    — a subtree below them, or a leaf that forms above them — sorts on
+    its own (top-down MSD radix, stopping exactly where leaves form,
+    reloading a range's keys with the lo word at level 21) and emits
+    its part of the tree as it goes. Nothing but a handful of handles
+    touches the minor heap, so a fill that allocates nothing (such as
+    {!Popan_rng.Sampler.fill} on the uniform model) makes the whole
+    build O(1) in minor words. The fill must write only slots
+    [0 .. n-1] and must not keep the columns.
 
     The PR decomposition is canonical, so the result equals
     {!of_points} on the same points; insertion history is not
     replayed, which makes this the fast path for build-then-measure
     experiments. There is no point-count cap.
 
-    [?jobs] (or an existing [?pool] — [jobs] is ignored when both are
-    given) runs the build's subtree ranges on the deterministic domain
-    pool; the finished arena is byte-identical to the sequential build
-    ([jobs] omitted) for every job count, including [jobs = 1].
+    [?jobs] sorts the groups on a deterministic pool of that many
+    domains, each group into its own node tables, spliced back in the
+    order the sequential build ([jobs] omitted) allocates them: the
+    finished arena — node ids, chains, columns and counters — is
+    identical to the sequential build's for every job count, including
+    [jobs = 1].
 
-    Sequential heap-backed builds with at most [2^21 - 1] points sort
-    packed single-word keys (key word shifted over slot) in plain int
-    arrays instead of the two Bigarray key/slot columns — PR 5's
-    kernel, kept because it moves half the words per partition level.
-    The choice selects sort scratch only: both kernels are stable MSD
-    partitions over the same keys, so the finished arena is
+    Heap-backed builds with at most [2^21 - 1] points sort packed
+    single-word keys (key word shifted over slot) in plain int arrays
+    instead of the two Bigarray key/slot columns, at any job count —
+    the original bulk kernel, kept because it moves half the words per
+    partition level. The choice selects sort scratch only: both kernels are
+    stable MSD partitions over the same keys, so the finished arena is
     byte-identical either way.
 
     [reserve] (default 0) sizes the point columns for at least that
@@ -184,18 +190,16 @@ type column = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
     anywhere else — first releases its arena ({!release}), so an
     mmap-backed build leaves no segment behind. *)
 val bulk_of_columns :
-  ?max_depth:int -> ?backing:backing -> ?jobs:int ->
-  ?pool:Popan_parallel.Pool.t -> ?reserve:int -> capacity:int -> n:int ->
-  (column -> column -> unit) -> t
+  ?max_depth:int -> ?backing:backing -> ?jobs:int -> ?reserve:int ->
+  capacity:int -> n:int -> (column -> column -> unit) -> t
 
-(** [of_points_bulk ?max_depth ?backing ?jobs ?pool ?reserve ~capacity
-    ps] is {!bulk_of_columns} over the points of [ps], in list order. *)
+(** [of_points_bulk ?max_depth ?backing ?jobs ?reserve ~capacity ps] is
+    {!bulk_of_columns} over the points of [ps], in list order. *)
 val of_points_bulk :
-  ?max_depth:int -> ?backing:backing -> ?jobs:int ->
-  ?pool:Popan_parallel.Pool.t -> ?reserve:int -> capacity:int ->
-  Point.t list -> t
+  ?max_depth:int -> ?backing:backing -> ?jobs:int -> ?reserve:int ->
+  capacity:int -> Point.t list -> t
 
-(** [bulk_of_fn ?max_depth ?backing ?jobs ?pool ~capacity ~n f]
+(** [bulk_of_fn ?max_depth ?backing ?jobs ~capacity ~n f]
     is {!bulk_of_columns} on the points [f 0 .. f (n-1)], without ever
     materializing them as a list. [f] is called strictly in order
     [0 .. n-1] on the calling domain, so a stateful generator (an RNG
@@ -205,9 +209,8 @@ val of_points_bulk :
     Raises [Invalid_argument] when [n < 0] or some [f i] falls outside
     the unit square. *)
 val bulk_of_fn :
-  ?max_depth:int -> ?backing:backing -> ?jobs:int ->
-  ?pool:Popan_parallel.Pool.t -> capacity:int -> n:int -> (int -> Point.t) ->
-  t
+  ?max_depth:int -> ?backing:backing -> ?jobs:int -> capacity:int -> n:int ->
+  (int -> Point.t) -> t
 
 (** [bulk_zordered ?max_depth ?backing ?reserve ~capacity ~n xs ys] is
     the bulk build over the unit square of the points
@@ -222,14 +225,15 @@ val bulk_of_fn :
     The tree, every chain's sequence of points, and so {!freeze},
     {!points} and every query answer equal those of {!bulk_of_columns}
     on the same points in the same order: each leaf's points keep their
-    input order in both numberings, only the slots differ. The build
-    copies the points in two cache-local moves — a stable scatter
-    grouped by the top four tree levels, then a permutation inside each
-    group — and allocates no full column beyond the sort's scratch. It
-    runs sequentially, with the packed kernel on the heap up to
-    [2^21 - 1] points and the two-column kernel otherwise. [max_depth],
-    [backing] and [reserve] are as in {!bulk_of_columns}, and so is
-    the release of a build that raises. Raises [Invalid_argument] when
+    input order in both numberings, only the slots differ. It is the
+    same pipeline as {!bulk_of_columns}, in the other numbering: the
+    grouping scatter also moves each point to its group, and a
+    permutation inside each group then puts it at its Z-order rank —
+    two cache-local moves, with no full column allocated beyond the
+    sort's scratch. It runs sequentially, with the packed kernel on
+    the heap up to [2^21 - 1] points and the two-column kernel
+    otherwise. [max_depth], [backing] and [reserve] are as in
+    {!bulk_of_columns}, and so is the release of a build that raises. Raises [Invalid_argument] when
     [n < 0], a column is shorter than [n], or a point lies outside the
     unit square. *)
 val bulk_zordered :

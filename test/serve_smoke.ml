@@ -10,8 +10,6 @@
    advance 0 -> 1 and answers must still match the oracle exactly — a
    torn snapshot would show up as a byte diff. *)
 
-module Point = Popan_geom.Point
-module Box = Popan_geom.Box
 module Xoshiro = Popan_rng.Xoshiro
 module Codec = Popan_store.Codec
 module Wire = Popan_serve.Wire
@@ -32,24 +30,7 @@ let churn_ops = 256
 let batch_size = 10_000
 
 (* The 10k mixed batch: ranges, counts, k-NN, nearest, cells. *)
-let queries =
-  let rng = Xoshiro.of_int_seed 271828 in
-  Array.init batch_size (fun i ->
-      let p = Point.make (Xoshiro.float rng) (Xoshiro.float rng) in
-      match i mod 5 with
-      | 0 ->
-        let w = 0.005 +. (0.05 *. Xoshiro.float rng) in
-        let x = (1.0 -. w) *. Xoshiro.float rng in
-        let y = (1.0 -. w) *. Xoshiro.float rng in
-        Wire.Range (Box.make ~xmin:x ~ymin:y ~xmax:(x +. w) ~ymax:(y +. w))
-      | 1 ->
-        Wire.Count
-          (Box.make ~xmin:0.0 ~ymin:0.0
-             ~xmax:(Float.max 0.01 p.Point.x)
-             ~ymax:(Float.max 0.01 p.Point.y))
-      | 2 -> Wire.Knn (1 + (i mod 16), p)
-      | 3 -> Wire.Nearest p
-      | _ -> Wire.Cell p)
+let queries = Server.mixed_queries (Xoshiro.of_int_seed 271828) batch_size
 
 let answer_bytes answers = Codec.encode (Codec.array Wire.answer) answers
 
@@ -115,18 +96,15 @@ let expect_response ic what =
    second batch, stats, quit. The first Stats arrives while the first
    batch's churn slice may still be running, so the server must join
    it before answering. Returns the per-batch (epoch, answer bytes),
-   the first Stats' (epoch, size) and the final reported tree size.
-   [extra] rides along on the command line — the [--no-batch-sort]
-   runs reuse the whole conversation. *)
-let converse ?(extra = []) ?(what = "jobs") jobs =
-  let what = Printf.sprintf "%s %d" what jobs in
+   the first Stats' (epoch, size) and the final reported tree size. *)
+let converse jobs =
+  let what = Printf.sprintf "jobs %d" jobs in
   let pid, ic, oc =
     spawn_serve
-      ([ "-j"; string_of_int jobs;
-         "-n"; string_of_int base_points;
-         "--seed"; string_of_int seed;
-         "--churn-ops"; string_of_int churn_ops ]
-      @ extra)
+      [ "-j"; string_of_int jobs;
+        "-n"; string_of_int base_points;
+        "--seed"; string_of_int seed;
+        "--churn-ops"; string_of_int churn_ops ]
   in
   let batch () =
     Wire.write_request oc (Wire.Batch queries);
@@ -158,23 +136,22 @@ let converse ?(extra = []) ?(what = "jobs") jobs =
   if batches <> 2 then fail "%s: reported %d batches, expected 2" what batches;
   ([ b1; b2 ], mid, size)
 
-let check_against_oracle ?(what = "jobs") jobs (batches, mid, size) =
+let check_against_oracle jobs (batches, mid, size) =
   let (epoch, mid_size), (oracle_epoch, oracle_mid_size) = (mid, oracle_mid) in
   if epoch <> oracle_epoch || mid_size <> oracle_mid_size then
-    fail "%s %d: Stats between the batches read epoch %d, size %d; oracle \
-          epoch %d, size %d" what jobs epoch mid_size oracle_epoch
-      oracle_mid_size;
+    fail "jobs %d: Stats between the batches read epoch %d, size %d; oracle \
+          epoch %d, size %d" jobs epoch mid_size oracle_epoch oracle_mid_size;
   List.iteri
     (fun i ((epoch, bytes), (oracle_epoch, oracle_answers)) ->
       if epoch <> oracle_epoch then
-        fail "%s %d batch %d: answered from epoch %d, oracle epoch %d" what
-          jobs (i + 1) epoch oracle_epoch;
+        fail "jobs %d batch %d: answered from epoch %d, oracle epoch %d" jobs
+          (i + 1) epoch oracle_epoch;
       if not (String.equal bytes (answer_bytes oracle_answers)) then
-        fail "%s %d batch %d: answers differ from the sequential oracle"
-          what jobs (i + 1))
+        fail "jobs %d batch %d: answers differ from the sequential oracle"
+          jobs (i + 1))
     (List.combine batches oracle_batches);
   if size <> oracle_size then
-    fail "%s %d: served tree size %d, oracle %d" what jobs size oracle_size
+    fail "jobs %d: served tree size %d, oracle %d" jobs size oracle_size
 
 (* A frame that lies about its length: header says 64 bytes, body has
    8, then EOF. The server must answer Refused and stop — never guess
@@ -356,23 +333,14 @@ let () =
       let result = converse jobs in
       check_against_oracle jobs result)
     [ 1; 2; 4 ];
-  (* The oracle answers with Morton batch-sorting on (the default):
-     matching it with the sort disabled proves the schedule never
-     reaches the wire. *)
-  List.iter
-    (fun jobs ->
-      let result = converse ~extra:[ "--no-batch-sort" ] ~what:"no-sort" jobs in
-      check_against_oracle ~what:"no-sort" jobs result)
-    [ 1; 2; 4 ];
   multi_client_socket ();
   truncated_frame_refused ();
   telemetry_scrape_consistent ();
   Printf.printf
     "serve smoke: 2x %d-query batches over the wire byte-identical to the \
-     sequential oracle at jobs 1/2/4, with and without --no-batch-sort \
-     (epochs 0 -> 1 under live churn, a Stats between them at the \
-     oracle's epoch and size); two sequential socket clients served, \
-     state intact; truncated frame refused; full-telemetry \
-     scrape consistent (every query in the sketches, publish events \
-     retained)\n"
+     sequential oracle at jobs 1/2/4 (epochs 0 -> 1 under live churn, a \
+     Stats between them at the oracle's epoch and size); two sequential \
+     socket clients served, state intact; truncated frame refused; \
+     full-telemetry scrape consistent (every query in the sketches, \
+     publish events retained)\n"
     batch_size
