@@ -15,6 +15,10 @@ test:
 # domains must be byte-identical to the sequential run — and the
 # artifact cache: a warm rerun must replay every trial from disk (zero
 # computes, counted via the store's stats log) with identical bytes.
+# The resume smoke: a checkpointed `popan churn` and `popan table4
+# --incremental`, rerun after their whole-trial cache objects are
+# deleted, must resume from the checkpoints' points (a nonzero hit
+# count in `popan cache stats`) and print the same bytes.
 # Finally the observability smoke: a traced table4 run must leave the
 # table bytes untouched and emit trace + metrics JSON that `popan obs
 # validate` accepts. The allocation gate re-runs the arena regression
@@ -152,6 +156,25 @@ check: build test
 	  echo "obs smoke FAILED: emitted trace/metrics JSON did not validate"; \
 	  rm -rf $$tmp; exit 1; \
 	fi
+	@tmp=$$(mktemp -d); \
+	resume_smoke() { \
+	  kind=$$1; shift; \
+	  dune exec --no-build bin/popan.exe -- "$$@" --cache $$tmp/$$kind > $$tmp/$$kind.cold; \
+	  find $$tmp/$$kind -name "*.$$kind" -delete; \
+	  dune exec --no-build bin/popan.exe -- "$$@" --cache $$tmp/$$kind > $$tmp/$$kind.resumed; \
+	  hits=$$(dune exec --no-build bin/popan.exe -- cache stats --cache $$tmp/$$kind \
+	    | sed -n 's/^lifetime: *\([0-9]*\) hits.*/\1/p'); \
+	  if cmp -s $$tmp/$$kind.cold $$tmp/$$kind.resumed \
+	     && [ -n "$$hits" ] && [ "$$hits" -gt 0 ]; then \
+	    echo "resume smoke: popan $$1 resumed from checkpoints ($$hits hits), stdout identical"; \
+	  else \
+	    echo "resume smoke FAILED: popan $$* (hits '$$hits')"; \
+	    diff $$tmp/$$kind.cold $$tmp/$$kind.resumed; return 1; \
+	  fi; \
+	}; \
+	resume_smoke trial-churn churn -n 2000 -t 2 --ops 20000 --checkpoint-every 2000 \
+	  && resume_smoke trial-grow table4 --incremental; \
+	status=$$?; rm -rf $$tmp; exit $$status
 	@dune exec --no-build test/bulk_smoke.exe || \
 	  { echo "bulk smoke FAILED: see diagnosis above"; exit 1; }
 	@tmp=$$(mktemp -d); \

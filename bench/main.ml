@@ -64,10 +64,12 @@ let bench_table2 =
            (Population.expected_distribution ~branching:4 ~capacity:8 ())))
 
 let bench_table3 =
+  (* One Table 3 trial as [popan table3] runs it: sample, bulk-build
+     with capacity 1 and depth 9, tabulate the leaves by depth. *)
+  let workload = Workload.make ~points:1000 ~trials:1 ~seed:1 () in
   Test.make ~name:"table3:depth profile m=1 depth<=9"
     (Staged.stage (fun () ->
-         let tree = Pr_quadtree.of_points ~max_depth:9 ~capacity:1 points_1000 in
-         Sys.opaque_identity (Pr_quadtree.occupancy_by_depth tree)))
+         Sys.opaque_identity (Depth_profile.run ~jobs:1 workload)))
 
 let bench_table4_fig2 =
   Test.make ~name:"table4+fig2:sweep step n=1024 uniform m=8"
@@ -139,11 +141,6 @@ let bench_incremental_build =
   Test.make ~name:"ablation:incremental build m=8 n=1024"
     (Staged.stage (fun () ->
          Sys.opaque_identity (Pr_quadtree.of_points ~capacity:8 points_1024)))
-
-let bench_bulk_build =
-  Test.make ~name:"ablation:bulk build m=8 n=1024"
-    (Staged.stage (fun () ->
-         Sys.opaque_identity (Pr_quadtree.of_points_bulk ~capacity:8 points_1024)))
 
 (* The arena core against the persistent structure, on the same 1024
    points: bulk-vs-incremental prices the Morton sort against 1024
@@ -885,7 +882,7 @@ let all_benches =
       bench_table5_fig3; bench_solver_power; bench_solver_newton;
       bench_mc_transform; bench_ext_hash; bench_excell; bench_mx_cif;
       bench_nearest_seq;
-      bench_incremental_build; bench_bulk_build;
+      bench_incremental_build;
       bench_arena_build; bench_arena_bulk_build; bench_arena_build_freeze;
       bench_arena_build_16k;
       bench_arena_bulk_build_16k;
@@ -983,21 +980,6 @@ let print_parallel_summary estimates =
        else "speedup")
       (Popan_parallel.recommended_jobs ())
       (if Popan_parallel.recommended_jobs () = 1 then "" else "s")
-  | _ -> ()
-
-(* The arena ablation: the Morton bulk build against the persistent
-   of_points_bulk this bench file has tracked from its first rows. *)
-let print_arena_summary estimates =
-  let find = find_estimate estimates in
-  match
-    ( find "ablation:bulk build m=8 n=1024",
-      find "ablation:arena bulk build m=8 n=1024" )
-  with
-  | Some old_bulk, Some arena_bulk ->
-    Printf.printf
-      "morton bulk: persistent bulk %.1f us/run, arena bulk %.1f us/run -> \
-       %.2fx\n"
-      (old_bulk /. 1e3) (arena_bulk /. 1e3) (old_bulk /. arena_bulk)
   | _ -> ()
 
 (* The 2^22-point rows. Bechamel's 0.5 s quota cannot fit multi-second
@@ -1520,7 +1502,6 @@ let () =
     @ paired
   in
   print_parallel_summary estimates;
-  print_arena_summary estimates;
   print_bulk_summary estimates;
   print_cache_summary estimates;
   print_obs_summary estimates;

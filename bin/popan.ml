@@ -770,72 +770,91 @@ let ext_aging_cmd =
        ~doc:"Extension: area-weighted aging correction vs Table 2's bias.")
     term
 
+(* Every experiment [popan all] prints and [popan report] writes, in
+   order: the paper's tables and figures, then the extensions. Each
+   entry runs one experiment and returns what it shows, a figure as its
+   title and ASCII plot. One list, so the two commands cannot drift
+   apart. *)
+type exhibit = Table of Table.t | Figure of string * string
+
+let experiments ~points ~trials ~seed =
+  let table f () = [ Table (f ()) ] in
+  let sweep_exhibits ~model ~table_title ~figure_title ~paper () =
+    let rows = sweep ~model ~trials ~seed ~capacity:8 () in
+    [ Table (Render.sweep_table ~title:table_title ~paper rows);
+      Figure
+        (figure_title, Render.sweep_figure ~title:figure_title ~paper rows) ]
+  in
+  let paper =
+    [ (fun () ->
+        let cs = comparisons ~points ~trials ~seed in
+        [ Table (Render.table1 cs); Table (Render.table2 cs) ]);
+      table (fun () ->
+          Render.table3
+            (Depth_profile.run (Workload.make ~points ~trials ~seed ())));
+      sweep_exhibits ~model:Popan_rng.Sampler.Uniform
+        ~table_title:"Table 4: variation of occupancy with tree size (uniform)"
+        ~figure_title:"Figure 2: occupancy vs number of points (uniform)"
+        ~paper:Paper_data.table4;
+      sweep_exhibits
+        ~model:(Popan_rng.Sampler.Gaussian { sigma = gaussian_sigma })
+        ~table_title:"Table 5: variation of occupancy with tree size (Gaussian)"
+        ~figure_title:"Figure 3: occupancy vs number of points (Gaussian)"
+        ~paper:Paper_data.table5 ]
+  in
+  let extensions =
+    [ table (fun () ->
+          Render.branching_table (Ext.branching_study ~points ~trials ~seed ()));
+      table (fun () -> Render.pmr_table (Ext.pmr_study ~seed ~threshold:4 ()));
+      table (fun () ->
+          Render.pmr_sweep_table (Ext.pmr_threshold_sweep ~seed ()));
+      table (fun () ->
+          Render.hash_table
+            ~title:
+              "Extension: extendible hashing utilization (oscillates around ln 2 = 0.693)"
+            (Ext.ext_hash_sweep ~trials ~seed ()));
+      table (fun () ->
+          Render.hash_table ~title:"Extension: grid file utilization"
+            (Ext.grid_file_sweep ~trials:3 ~seed ()));
+      table (fun () ->
+          Render.hash_table
+            ~title:"Extension: EXCELL utilization (regular decomposition)"
+            (Ext.excell_sweep ~trials ~seed ()));
+      table (fun () ->
+          Render.hash_model_table
+            (Ext.hash_model_study ~trials:5 ~seed ~bucket_size:8 ()));
+      table (fun () ->
+          Render.bucket_sweep_table (Ext.bucket_size_sweep ~trials:3 ~seed ()));
+      table (fun () ->
+          Render.trajectory_table
+            ~title:"Extension: the sequence d_n vs the fixed point e (uniform)"
+            (Trajectory.run ~capacity:8 ~model:Popan_rng.Sampler.Uniform
+               ~trials ~seed ()));
+      table (fun () ->
+          Render.churn_table
+            (Ext.churn_study ~points ~trials:5 ~seed ~capacity:4 ()));
+      table (fun () ->
+          Render.churn_steady_table
+            (Churn.study ~points ~trials:5 ~seed ~capacity:4 ()));
+      table (fun () -> Render.solver_table (Ext.solver_study ()));
+      table (fun () ->
+          Render.aging_table (Ext.aging_study ~points ~trials ~seed ())) ]
+  in
+  (paper, extensions)
+
 let all_cmd =
   let run () points trials seed =
-    let cs = comparisons ~points ~trials ~seed in
-    Table.print (Render.table1 cs);
-    Table.print (Render.table2 cs);
-    let workload = Workload.make ~points ~trials ~seed () in
-    Table.print (Render.table3 (Depth_profile.run workload));
-    let uniform =
-      sweep ~model:Popan_rng.Sampler.Uniform ~trials ~seed ~capacity:8 ()
-    in
-    Table.print
-      (Render.sweep_table
-         ~title:"Table 4: variation of occupancy with tree size (uniform)"
-         ~paper:Paper_data.table4 uniform);
-    print_string
-      (Render.sweep_figure
-         ~title:"Figure 2: occupancy vs number of points (uniform)"
-         ~paper:Paper_data.table4 uniform);
-    print_newline ();
-    let gaussian =
-      sweep
-        ~model:(Popan_rng.Sampler.Gaussian { sigma = gaussian_sigma })
-        ~trials ~seed ~capacity:8 ()
-    in
-    Table.print
-      (Render.sweep_table
-         ~title:"Table 5: variation of occupancy with tree size (Gaussian)"
-         ~paper:Paper_data.table5 gaussian);
-    print_string
-      (Render.sweep_figure
-         ~title:"Figure 3: occupancy vs number of points (Gaussian)"
-         ~paper:Paper_data.table5 gaussian);
-    print_newline ();
-    Table.print
-      (Render.branching_table (Ext.branching_study ~points ~trials ~seed ()));
-    Table.print (Render.pmr_table (Ext.pmr_study ~seed ~threshold:4 ()));
-    Table.print (Render.pmr_sweep_table (Ext.pmr_threshold_sweep ~seed ()));
-    Table.print
-      (Render.hash_table
-         ~title:
-           "Extension: extendible hashing utilization (oscillates around ln 2 = 0.693)"
-         (Ext.ext_hash_sweep ~trials ~seed ()));
-    Table.print
-      (Render.hash_table ~title:"Extension: grid file utilization"
-         (Ext.grid_file_sweep ~trials:3 ~seed ()));
-    Table.print
-      (Render.hash_table
-         ~title:"Extension: EXCELL utilization (regular decomposition)"
-         (Ext.excell_sweep ~trials ~seed ()));
-    Table.print
-      (Render.hash_model_table
-         (Ext.hash_model_study ~trials:5 ~seed ~bucket_size:8 ()));
-    Table.print
-      (Render.bucket_sweep_table (Ext.bucket_size_sweep ~trials:3 ~seed ()));
-    Table.print
-      (Render.trajectory_table
-         ~title:"Extension: the sequence d_n vs the fixed point e (uniform)"
-         (Trajectory.run ~capacity:8 ~model:Popan_rng.Sampler.Uniform ~trials
-            ~seed ()));
-    Table.print
-      (Render.churn_table (Ext.churn_study ~points ~trials:5 ~seed ~capacity:4 ()));
-    Table.print
-      (Render.churn_steady_table
-         (Churn.study ~points ~trials:5 ~seed ~capacity:4 ()));
-    Table.print (Render.solver_table (Ext.solver_study ()));
-    Table.print (Render.aging_table (Ext.aging_study ~points ~trials ~seed ()))
+    let paper, extensions = experiments ~points ~trials ~seed in
+    List.iter
+      (fun experiment ->
+        List.iter
+          (function
+            | Table t -> Table.print t
+            | Figure (_, plot) ->
+              print_string plot;
+              print_newline ())
+          (experiment ()))
+      (paper @ extensions)
   in
   let term =
     Term.(const run $ setup_term $ points_term $ trials_term $ seed_term)
@@ -1089,61 +1108,19 @@ let report_cmd =
           Parameters: %d points per trial, %d trials, seed %d. Regenerate \
           with `popan report`.\n\n"
          points trials seed);
-    let cs = comparisons ~points ~trials ~seed in
-    table (Render.table1 cs);
-    table (Render.table2 cs);
-    let workload = Workload.make ~points ~trials ~seed () in
-    table (Render.table3 (Depth_profile.run workload));
-    let uniform =
-      sweep ~model:Popan_rng.Sampler.Uniform ~trials ~seed ~capacity:8 ()
+    let paper, extensions = experiments ~points ~trials ~seed in
+    let add_exhibits experiment =
+      List.iter
+        (function
+          | Table t -> table t
+          | Figure (title, plot) ->
+            add ("### " ^ title ^ "\n\n");
+            fenced plot)
+        (experiment ())
     in
-    table
-      (Render.sweep_table
-         ~title:"Table 4: variation of occupancy with tree size (uniform)"
-         ~paper:Paper_data.table4 uniform);
-    add "### Figure 2: occupancy vs number of points (uniform)\n\n";
-    fenced
-      (Render.sweep_figure
-         ~title:"Figure 2: occupancy vs number of points (uniform)"
-         ~paper:Paper_data.table4 uniform);
-    let gaussian =
-      sweep
-        ~model:(Popan_rng.Sampler.Gaussian { sigma = gaussian_sigma })
-        ~trials ~seed ~capacity:8 ()
-    in
-    table
-      (Render.sweep_table
-         ~title:"Table 5: variation of occupancy with tree size (Gaussian)"
-         ~paper:Paper_data.table5 gaussian);
-    add "### Figure 3: occupancy vs number of points (Gaussian)\n\n";
-    fenced
-      (Render.sweep_figure
-         ~title:"Figure 3: occupancy vs number of points (Gaussian)"
-         ~paper:Paper_data.table5 gaussian);
+    List.iter add_exhibits paper;
     add "## Extensions\n\n";
-    table (Render.branching_table (Ext.branching_study ~points ~trials ~seed ()));
-    table (Render.pmr_table (Ext.pmr_study ~seed ~threshold:4 ()));
-    table
-      (Render.hash_table
-         ~title:
-           "Extension: extendible hashing utilization (oscillates around ln 2 = 0.693)"
-         (Ext.ext_hash_sweep ~trials ~seed ()));
-    table
-      (Render.hash_table
-         ~title:"Extension: EXCELL utilization (regular decomposition)"
-         (Ext.excell_sweep ~trials ~seed ()));
-    table
-      (Render.hash_model_table
-         (Ext.hash_model_study ~trials:5 ~seed ~bucket_size:8 ()));
-    table
-      (Render.trajectory_table
-         ~title:"Extension: the sequence d_n vs the fixed point e (uniform)"
-         (Trajectory.run ~capacity:8 ~model:Popan_rng.Sampler.Uniform ~trials
-            ~seed ()));
-    table
-      (Render.churn_table (Ext.churn_study ~points ~trials:5 ~seed ~capacity:4 ()));
-    table (Render.solver_table (Ext.solver_study ()));
-    table (Render.aging_table (Ext.aging_study ~points ~trials ~seed ()));
+    List.iter add_exhibits extensions;
     match output with
     | None -> print_string (Buffer.contents buffer)
     | Some path ->

@@ -1,47 +1,6 @@
 open Import
 module Pr_quadtree = Popan_trees.Pr_quadtree
 
-type depth_row = {
-  depth : int;
-  leaves : int;
-  points : int;
-  occupancy : float;
-}
-
-let depth_profile tree =
-  Pr_quadtree.occupancy_by_depth tree
-  |> List.map (fun (depth, (leaves, points)) ->
-         {
-           depth;
-           leaves;
-           points;
-           occupancy = float_of_int points /. float_of_int leaves;
-         })
-
-let mean_depth_profile trees =
-  let table = Hashtbl.create 16 in
-  let trials = List.length trees in
-  if trials = 0 then invalid_arg "Aging.mean_depth_profile: no trees";
-  List.iter
-    (fun tree ->
-      List.iter
-        (fun row ->
-          let leaves, points =
-            Option.value (Hashtbl.find_opt table row.depth) ~default:(0, 0)
-          in
-          Hashtbl.replace table row.depth
-            (leaves + row.leaves, points + row.points))
-        (depth_profile tree))
-    trees;
-  Hashtbl.fold (fun depth (l, p) acc -> (depth, l, p) :: acc) table []
-  |> List.sort (fun (d1, _, _) (d2, _, _) -> compare d1 d2)
-  |> List.map (fun (depth, l, p) ->
-         let t = float_of_int trials in
-         ( depth,
-           float_of_int l /. t,
-           float_of_int p /. t,
-           float_of_int p /. float_of_int l ))
-
 let area_weights tree =
   let capacity = Pr_quadtree.capacity tree in
   let count = Array.make (capacity + 1) 0 in

@@ -3,29 +3,11 @@ open Import
 (** Aging (paper §IV): larger (older) blocks are better filled, so
     insertions hit high-occupancy nodes more often than their proportion
     suggests, and the naive model over-estimates average occupancy.
-    This module provides (a) the diagnostics behind Table 3 and (b) a
-    quantitative version of the paper's qualitative correction: a fixed
-    point in which insertion frequency is proportional to
-    [e_i · area_i] instead of [e_i]. *)
-
-type depth_row = {
-  depth : int;
-  leaves : int;  (** leaf blocks at this depth *)
-  points : int;  (** data items stored in them *)
-  occupancy : float;  (** points / leaves *)
-}
-
-(** [depth_profile tree] summarizes a PR quadtree by depth, largest
-    blocks first — the layout of Table 3. *)
-val depth_profile : Popan_trees.Pr_quadtree.t -> depth_row list
-
-(** [mean_depth_profile trees] averages profiles over repeated trials
-    (fractional leaf/point counts are averaged as floats and reported
-    via {!depth_row_means}). *)
-val mean_depth_profile :
-  Popan_trees.Pr_quadtree.t list -> (int * float * float * float) list
-(** rows [(depth, mean leaves, mean points, occupancy)] ordered by
-    depth. *)
+    This module provides a quantitative version of the paper's
+    qualitative correction: a fixed point in which insertion frequency
+    is proportional to [e_i · area_i] instead of [e_i]. The per-depth
+    diagnostics behind Table 3 are
+    {!Popan_experiments.Depth_profile}'s. *)
 
 (** [area_weights tree] estimates, for each occupancy class
     [0 .. capacity], the mean leaf area of that class relative to the

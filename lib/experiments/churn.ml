@@ -55,25 +55,26 @@ let run_trial (spec : Workload.Churn.spec) ~capacity ~max_depth
   let ops = spec.Workload.Churn.ops in
   Store.memo store ~kind:"trial-churn" ~version:1 ~key trial_codec (fun () ->
       let nckpt = if checkpoint_every > 0 then ops / checkpoint_every else 0 in
+      let build live =
+        Pr_arena.of_points_bulk ?max_depth ~capacity (Array.to_list live)
+      in
       let fresh () =
         let st = Workload.Churn.start spec ~rng in
-        let arena =
-          Pr_arena.of_points_bulk ?max_depth ~capacity
-            (Array.to_list (Workload.Churn.live st))
-        in
-        (st, arena, 0)
+        (st, build (Workload.Churn.live st), 0)
       in
       let st, arena, high0 =
         match store with
         | Some s when nckpt > 0 -> (
           match Checkpoint.latest s ~key_base:key ~upto:nckpt with
           | Some g when g.Checkpoint.ops_done > 0 ->
-            (* [have] carried the slot high-water mark, which the thawed
-               arena cannot reconstruct (it only sees live points); the
-               running max below keeps the resumed figure exact. *)
+            (* The tree's shape is a function of the live points, so a
+               build over them resumes it. [have] carried the slot
+               high-water mark, which the rebuilt arena cannot see (it
+               only holds live points); the running max below keeps the
+               resumed figure exact. *)
             ( Workload.Churn.restore ~rng:g.Checkpoint.rng
-                ~live:g.Checkpoint.live ~ops_done:g.Checkpoint.ops_done,
-              Pr_arena.thaw g.Checkpoint.tree,
+                ~live:g.Checkpoint.points ~ops_done:g.Checkpoint.ops_done,
+              build g.Checkpoint.points,
               g.Checkpoint.have )
           | _ -> fresh ())
         | _ -> fresh ()
@@ -89,13 +90,12 @@ let run_trial (spec : Workload.Churn.spec) ~capacity ~max_depth
           let idx = ((op + 1) / checkpoint_every) - 1 in
           Checkpoint.save s ~key_base:key ~index:idx
             {
-              Checkpoint.tree = Pr_arena.freeze arena;
+              Checkpoint.points = Workload.Churn.live st;
               rng = Workload.Churn.rng st;
               next_index = idx + 1;
               have = high ();
               partial = [||];
               ops_done = Workload.Churn.ops_done st;
-              live = Workload.Churn.live st;
             }
         | _ -> ()
       done;

@@ -11,7 +11,8 @@ open Import
     blended solve. Trials are memoized per (spec, capacity, trial) in
     the artifact store and fan out on the deterministic domain pool, so
     results are byte-identical for every job count; long streams
-    checkpoint/resume through {!Popan_store.Checkpoint} v2 records. *)
+    checkpoint/resume through {!Popan_store.Checkpoint} v3 records, which
+    hold the live points and resume by rebuilding the arena from them. *)
 
 type row = {
   capacity : int;

@@ -118,8 +118,9 @@ let run_incremental ?(capacity = 8) ?(max_depth = 16) ?sizes ?jobs
      linear. Trials are independent, so they fan out across domains.
      With a store, the finished trial is memoized whole, and the growth
      is checkpointed every [checkpoint_every] grid sizes so a killed run
-     resumes mid-trial — the frozen tree, stream state and partial rows
-     continue byte-identically. *)
+     resumes mid-trial: a bulk build over the checkpoint's points has
+     the shape the grown tree had, and with the stream state and partial
+     rows the trial continues byte-identically. *)
   let store = Store.default () in
   let nsizes = Array.length sizes_a in
   let sizes_id = String.concat "," (List.map string_of_int sizes) in
@@ -134,8 +135,7 @@ let run_incremental ?(capacity = 8) ?(max_depth = 16) ?sizes ?jobs
       (fun () ->
         let out = Array.make nsizes (0.0, 0.0) in
         (* Growing trees use the arena's incremental path: its O(1)
-           statistics make every snapshot free, and freeze/thaw keep
-           the checkpoint format. *)
+           statistics make every snapshot free. *)
         let fresh () = (Pr_arena.create ~max_depth ~capacity (), rng0, 0, 0) in
         let tree, rng, have0, start =
           match store with
@@ -145,7 +145,11 @@ let run_incremental ?(capacity = 8) ?(max_depth = 16) ?sizes ?jobs
             | None -> fresh ()
             | Some (g : Checkpoint.growth) ->
               Array.blit g.partial 0 out 0 g.next_index;
-              (Pr_arena.thaw g.tree, g.rng, g.have, g.next_index))
+              ( Pr_arena.of_points_bulk ~max_depth ~capacity
+                  (Array.to_list g.points),
+                g.rng,
+                g.have,
+                g.next_index ))
         in
         let have = ref have0 in
         for idx = start to nsizes - 1 do
@@ -163,13 +167,12 @@ let run_incremental ?(capacity = 8) ?(max_depth = 16) ?sizes ?jobs
                  && idx < nsizes - 1 ->
             Checkpoint.save s ~key_base ~index:idx
               {
-                Checkpoint.tree = Pr_arena.freeze tree;
+                Checkpoint.points = Array.of_list (Pr_arena.points tree);
                 rng;
                 next_index = idx + 1;
                 have = !have;
                 partial = Array.sub out 0 (idx + 1);
                 ops_done = 0;
-                live = [||];
               }
           | _ -> ()
         done;

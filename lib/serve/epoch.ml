@@ -27,8 +27,8 @@ type t = {
    arena becomes the spare when it is newer than the one held — a newer
    copy has fewer chunks to catch up on — and the other is released. A
    heap-backed arena has nothing to release (the GC takes it once
-   unreachable); releasing anyway keeps the mmap story uniform for a
-   thawed or copied mmap arena handed to [publish]. *)
+   unreachable); releasing anyway keeps the mmap story uniform for an
+   mmap-backed build or copy handed to [publish]. *)
 let retire t e =
   if not e.retired then begin
     e.retired <- true;

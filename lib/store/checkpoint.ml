@@ -1,35 +1,35 @@
 open Import
 
 type growth = {
-  tree : Pr_quadtree.t;
+  points : Point.t array;
   rng : Xoshiro.t;
   next_index : int;
   have : int;
   partial : (float * float) array;
   ops_done : int;
-  live : Point.t array;
 }
 
 let kind = "ckpt-grow"
-let version = 2
+let version = 3
 
 (* The field order below is the on-disk format; bump [version] when it
-   changes. v2 appended the churn fields (ops_done, live) — v1 records
-   are a different version number, so [find] never decodes one here. *)
+   changes. v3 replaced v2's frozen tree and churn live set with one
+   point array — the tree is a function of its points — so v1 and v2
+   records are other version numbers, and [find] never decodes one
+   here. *)
 let codec =
   let tuple =
     Codec.(
       pair
-        (triple pr_quadtree xoshiro
+        (triple (array point) xoshiro
            (triple int int (array (pair float float))))
-        (pair int (array point)))
+        int)
   in
   Codec.map tuple
-    ~decode:(fun ((tree, rng, (next_index, have, partial)), (ops_done, live))
-             -> { tree; rng; next_index; have; partial; ops_done; live })
+    ~decode:(fun ((points, rng, (next_index, have, partial)), ops_done) ->
+      { points; rng; next_index; have; partial; ops_done })
     ~encode:(fun g ->
-      ( (g.tree, g.rng, (g.next_index, g.have, g.partial)),
-        (g.ops_done, g.live) ))
+      ((g.points, g.rng, (g.next_index, g.have, g.partial)), g.ops_done))
 
 let ckpt_key ~key_base ~index = Printf.sprintf "%s|ckpt=%d" key_base index
 

@@ -1803,21 +1803,33 @@ let k_nearest_visited t k (p : Point.t) =
 
 let k_nearest t k p = fst (k_nearest_visited t k p)
 
+(* The point lookups descend like [insert_from] and [locate], on the
+   point's fine ordinates, but write no arena scratch ([path], [qbuf]):
+   they run on pinned epochs that several domains read at once.
+   [leaf_of] returns the leaf holding the ordinates [qx], [qy], and its
+   depth. *)
+let rec leaf_of t node depth qx qy =
+  let base = t.child.(node) in
+  if base < 0 then (node, depth)
+  else leaf_of t (base + pair_fine qx qy depth) (depth + 1) qx qy
+
 let cell_at t (p : Point.t) =
   if not (Point.in_unit_square p) then
     invalid_arg "Pr_arena.cell_at: point outside bounds";
-  let rec go node ~depth ~box =
-    let base = t.child.(node) in
-    if base < 0 then (depth, box, node)
-    else begin
-      let q = Box.quadrant_of box p in
-      go
-        (base + quad_pair.(Quadrant.to_index q))
-        ~depth:(depth + 1) ~box:(Box.child box q)
-    end
-  in
-  let depth, box, node = go 0 ~depth:0 ~box:Box.unit in
-  (depth, box, leaf_points t node)
+  let qx = int_of_float (p.Point.x *. fine_scale)
+  and qy = int_of_float (p.Point.y *. fine_scale) in
+  let node, depth = leaf_of t 0 0 qx qy in
+  (* The leaf's fine corner is the ordinates' top [depth] bits; its
+     corner floats are the exact dyadics [Box.child]'s midpoint cascade
+     produces. *)
+  let shift = bits_fine - depth in
+  let qx0 = (qx lsr shift) lsl shift and qy0 = (qy lsr shift) lsl shift in
+  let corner q = float_of_int q *. inv_fine_scale in
+  let side = 1 lsl shift in
+  ( depth,
+    Box.make ~xmin:(corner qx0) ~ymin:(corner qy0) ~xmax:(corner (qx0 + side))
+      ~ymax:(corner (qy0 + side)),
+    leaf_points t node )
 
 (* A point descent enters one node per level: the root-to-leaf path of
    [depth] internal steps visits [depth + 1] nodes. *)
@@ -1825,26 +1837,20 @@ let cell_at_visited t (p : Point.t) =
   let ((depth, _, _) as cell) = cell_at t p in
   (cell, depth + 1)
 
+let rec chain_mem t (p : Point.t) slot =
+  slot >= 0
+  && ((t.xs.{slot} = p.Point.x && t.ys.{slot} = p.Point.y)
+     || chain_mem t p t.next.{slot})
+
 let mem t (p : Point.t) =
   Point.in_unit_square p
-  && begin
-    let rec go node ~box =
-      let base = t.child.(node) in
-      if base < 0 then begin
-        let rec chase slot =
-          slot >= 0
-          && ((t.xs.{slot} = p.Point.x && t.ys.{slot} = p.Point.y)
-             || chase t.next.{slot})
-        in
-        chase t.head.(node)
-      end
-      else begin
-        let q = Box.quadrant_of box p in
-        go (base + quad_pair.(Quadrant.to_index q)) ~box:(Box.child box q)
-      end
-    in
-    go 0 ~box:Box.unit
-  end
+  &&
+  let node, _ =
+    leaf_of t 0 0
+      (int_of_float (p.Point.x *. fine_scale))
+      (int_of_float (p.Point.y *. fine_scale))
+  in
+  chain_mem t p t.head.(node)
 
 (* --- Snapshots and refresh --------------------------------------------
 
@@ -2086,53 +2092,6 @@ let freeze t =
   in
   Pr_quadtree.Raw.make ~capacity:t.capacity ~max_depth:t.max_depth
     ~bounds:Box.unit ~size:t.size ~root:(conv 0)
-
-let thaw tree =
-  if not (Box.equal (Pr_quadtree.bounds tree) Box.unit) then
-    invalid_arg "Pr_arena.thaw: bounds are not the unit square";
-  let capacity = Pr_quadtree.capacity tree in
-  let n = Pr_quadtree.size tree in
-  let t =
-    create ~max_depth:(Pr_quadtree.max_depth tree) ~reserve:n ~capacity ()
-  in
-  t.leaves <- 0;
-  t.hist.(0) <- 0;
-  t.depth_count.(0) <- 0;
-  let slot = ref 0 in
-  let rec conv node raw depth =
-    match (raw : Pr_quadtree.Raw.raw_node) with
-    | Leaf pts ->
-      (* Chain so traversal follows the stored list order. *)
-      let count = ref 0 in
-      let last = ref (-1) in
-      List.iter
-        (fun (p : Point.t) ->
-          let s = !slot in
-          incr slot;
-          t.xs.{s} <- p.Point.x;
-          t.ys.{s} <- p.Point.y;
-          t.next.{s} <- -1;
-          if !last < 0 then t.head.(node) <- s else t.next.{!last} <- s;
-          last := s;
-          incr count)
-        pts;
-      t.count.(node) <- !count;
-      note_leaf t depth !count
-    | Node children ->
-      t.internals <- t.internals + 1;
-      let base = alloc_children t in
-      t.child.(node) <- base;
-      let before = !slot in
-      Array.iteri
-        (fun q c -> conv (base + quad_pair.(q)) c (depth + 1))
-        children;
-      (* Subtree count: every slot consumed under this node. *)
-      t.count.(node) <- !slot - before
-  in
-  conv 0 (Pr_quadtree.Raw.root tree) 0;
-  t.size <- !slot;
-  t.slots <- !slot;
-  t
 
 let check_invariants t =
   let problems = ref (Pr_quadtree.check_invariants (freeze t)) in

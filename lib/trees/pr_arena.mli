@@ -52,11 +52,12 @@ open Import
       than 2^-42 share a leaf at depth 42, over capacity if need be —
       the rule [max_depth] applies at any depth.
 
-    {!freeze} converts a build into a persistent {!Pr_quadtree.t} and
-    {!thaw} goes the other way, so snapshots, checkpoints and golden
-    tables are unchanged by the representation. {!Pr_quadtree} remains
-    the reference implementation; the test suite keeps the two
-    qcheck-equal, builds and queries alike. *)
+    {!freeze} converts a build into a persistent {!Pr_quadtree.t}, the
+    reference implementation; the test suite keeps the two qcheck-equal,
+    builds and queries alike. There is no way back from a frozen tree,
+    and none is needed: the decomposition is a function of the stored
+    points, so a checkpoint keeps the points and a resume bulk-builds
+    them ({!of_points_bulk}) into the very tree it left. *)
 
 type t
 
@@ -331,8 +332,9 @@ val points : t -> Point.t list
     2^-42 grid, so the kernels descend on integer cell corners and
     compare the exact corner floats {!Pr_quadtree}'s walks compare — no
     box record per visited node; a plain count allocates zero minor
-    words, and a [_visited] one only its result pair.
-    {!cell_at} and {!mem} walk {!Box.child} blocks instead. *)
+    words, and a [_visited] one only its result pair. {!cell_at} and
+    {!mem} descend on the point's fine ordinates, as an insert does,
+    and {!cell_at} builds one box, the leaf's. *)
 
 (** [query_box t b] lists the stored points inside [b] (half-open, as
     {!Box.contains}), in no specified but deterministic order —
@@ -402,7 +404,7 @@ val cell_at_visited : t -> Point.t -> (int * Box.t * Point.t list) * int
     walks the log back to that clock and re-copies only the chunks
     written since — its cost is proportional to the writes since the
     copy, and independent of how many points the arena holds. Bulk
-    builds ({!bulk_of_columns} and its wrappers, {!thaw}) log nothing:
+    builds ({!bulk_of_columns} and its wrappers) log nothing:
     they finish before any copy of the new arena can exist. The log is
     allocated by an arena's first logged write, so only arenas that
     are mutated carry one; when full it drops superseded entries,
@@ -414,7 +416,7 @@ val cell_at_visited : t -> Point.t -> (int * Box.t * Point.t list) * int
     columns, node tables, free lists and counters — sharing no mutable
     state with [t]: churn may continue on either side without the other
     observing it. O(slot high-water) Bigarray/array blits, far cheaper
-    than [thaw (freeze t)] (no boxed node graph, no per-point cons).
+    than a bulk build over {!points}[ t] (no sort, no per-point cons).
     Point columns are sized to [t]'s slot high-water mark. [t] is only
     read, so frozen arenas may be copied from several domains at once. *)
 val snapshot : t -> t
@@ -461,13 +463,6 @@ val diff_state : t -> t -> string list
     shares nothing with the arena, so it stays valid however [t] grows
     afterwards. *)
 val freeze : t -> Pr_quadtree.t
-
-(** [thaw tree] is an arena resuming from a persistent tree's state,
-    with all incremental statistics recomputed in one traversal. The
-    input tree is not affected by subsequent inserts. Raises
-    [Invalid_argument] when [tree]'s bounds are not the unit square or
-    its depth limit exceeds 42. *)
-val thaw : Pr_quadtree.t -> t
 
 (** [check_invariants t] verifies the PR invariants of the frozen view
     plus the arena's own bookkeeping (chain lengths vs counts, counters

@@ -68,19 +68,6 @@ let insert_all t ps = List.fold_left insert t ps
 let of_points ?max_depth ?bounds ~capacity ps =
   insert_all (create ?max_depth ?bounds ~capacity ()) ps
 
-let of_points_bulk ?max_depth ?bounds ~capacity ps =
-  let t = create ?max_depth ?bounds ~capacity () in
-  List.iter
-    (fun p ->
-      if not (Box.contains t.bounds p) then
-        invalid_arg "Pr_quadtree.of_points_bulk: point outside bounds")
-    ps;
-  let root =
-    split_points ~capacity:t.capacity ~max_depth:t.max_depth ~depth:0
-      ~box:t.bounds ps
-  in
-  { t with root; size = List.length ps }
-
 let mem t p =
   Box.contains t.bounds p
   && begin
@@ -373,18 +360,6 @@ let occupancy_histogram t =
   hist
 
 let average_occupancy t = float_of_int t.size /. float_of_int (leaf_count t)
-
-let occupancy_by_depth t =
-  let table = Hashtbl.create 16 in
-  fold_leaves t ~init:() ~f:(fun () ~depth ~box:_ ~points ->
-      let leaves, pts =
-        match Hashtbl.find_opt table depth with
-        | Some entry -> entry
-        | None -> (0, 0)
-      in
-      Hashtbl.replace table depth (leaves + 1, pts + List.length points));
-  Hashtbl.fold (fun depth entry acc -> (depth, entry) :: acc) table []
-  |> List.sort (fun (d1, _) (d2, _) -> compare d1 d2)
 
 let equal_structure t1 t2 =
   let sorted pts = List.sort Point.compare pts in

@@ -54,14 +54,6 @@ val insert_all : t -> Point.t list -> t
 val of_points :
   ?max_depth:int -> ?bounds:Box.t -> capacity:int -> Point.t list -> t
 
-(** [of_points_bulk ?max_depth ?bounds ~capacity ps] bulk-loads the tree
-    by one top-down recursive partition. The PR decomposition is
-    canonical — it depends only on the point set, not insertion order —
-    so this produces exactly the tree {!of_points} would, in one pass
-    (roughly 2x faster; see the bench harness). *)
-val of_points_bulk :
-  ?max_depth:int -> ?bounds:Box.t -> capacity:int -> Point.t list -> t
-
 (** [mem t p] is true when a point equal to [p] is stored. *)
 val mem : t -> Point.t -> bool
 
@@ -145,11 +137,6 @@ val occupancy_histogram : t -> int array
     summary statistic (Tables 2, 4, 5). *)
 val average_occupancy : t -> float
 
-(** [occupancy_by_depth t] maps each depth that has leaves to
-    [(leaf_count, point_count)] pairs ordered by increasing depth — the
-    data behind Table 3. *)
-val occupancy_by_depth : t -> (int * (int * int)) list
-
 (** [check_invariants t] verifies structural invariants (every point
     inside its leaf block, no splittable leaf above capacity, no
     all-empty internal node, size consistency) and returns the list of
@@ -168,8 +155,9 @@ val equal_structure : t -> t -> bool
 val pp_structure : Format.formatter -> t -> unit
 
 (** Direct access to the node spine. This exists so {!Pr_arena} can
-    freeze a mutable build into a persistent tree (and thaw one back)
-    without an O(n log n) rebuild; it is not a stable public API. A tree
+    freeze a mutable build into a persistent tree without an O(n log n)
+    rebuild, and so the artifact codec can store a tree leaf by leaf;
+    it is not a stable public API. A tree
     assembled through {!Raw.make} must satisfy the PR invariants
     ({!check_invariants}) — nothing is revalidated here beyond the
     parameter sanity checks. *)

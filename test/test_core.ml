@@ -8,6 +8,9 @@ module Matrix = Popan_numerics.Matrix
 module Xoshiro = Popan_rng.Xoshiro
 module Sampler = Popan_rng.Sampler
 module Pr_quadtree = Popan_trees.Pr_quadtree
+module Pr_arena = Popan_trees.Pr_arena
+module Depth_profile = Popan_experiments.Depth_profile
+module Workload = Popan_experiments.Workload
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_close tol = Alcotest.(check (float tol))
@@ -400,27 +403,29 @@ let pmr_model_tests =
 
 (* Aging *)
 
+(* A Table 3 row's leaves at capacity 1: every leaf is empty or full. *)
+let profile_leaves (r : Depth_profile.row) =
+  r.Depth_profile.empty_leaves +. r.Depth_profile.full_leaves
+
 let aging_tests =
   [
     Alcotest.test_case "depth profile shows aging decay" `Quick (fun () ->
-        let pts =
-          Sampler.points (Xoshiro.of_int_seed 46) Sampler.Uniform 1000
+        let rows =
+          Depth_profile.run (Workload.make ~points:1000 ~trials:1 ~seed:46 ())
         in
-        let tree = Pr_quadtree.of_points ~max_depth:9 ~capacity:1 pts in
-        let profile = Aging.depth_profile tree in
         (* Pick the two most populated depths: the shallower of them must
            have >= occupancy (larger blocks are older and fuller). *)
         let sorted =
-          List.sort
-            (fun (a : Aging.depth_row) b -> compare b.Aging.leaves a.Aging.leaves)
-            profile
+          List.sort (fun a b -> compare (profile_leaves b) (profile_leaves a)) rows
         in
         match sorted with
         | a :: b :: _ ->
           let shallow, deep =
-            if a.Aging.depth < b.Aging.depth then (a, b) else (b, a)
+            if a.Depth_profile.depth < b.Depth_profile.depth then (a, b)
+            else (b, a)
           in
-          check_bool "aging" true (shallow.Aging.occupancy >= deep.Aging.occupancy)
+          check_bool "aging" true
+            (shallow.Depth_profile.occupancy >= deep.Depth_profile.occupancy)
         | _ -> Alcotest.fail "not enough depths");
     Alcotest.test_case "area weights increase with occupancy" `Quick (fun () ->
         let pts =
@@ -459,16 +464,25 @@ let aging_tests =
            | _ -> false
            | exception Invalid_argument _ -> true));
     Alcotest.test_case "mean_depth_profile averages trials" `Quick (fun () ->
-        let build seed =
-          Pr_quadtree.of_points ~max_depth:9 ~capacity:1
-            (Sampler.points (Xoshiro.of_int_seed seed) Sampler.Uniform 500)
-        in
-        let rows = Aging.mean_depth_profile [ build 1; build 2 ] in
+        let workload = Workload.make ~points:500 ~trials:2 ~seed:1 () in
+        let rows = Depth_profile.run workload in
         check_bool "has rows" true (rows <> []);
         List.iter
-          (fun (_, leaves, _, occ) ->
-            if leaves <= 0.0 || occ < 0.0 then Alcotest.fail "bad row")
-          rows);
+          (fun (r : Depth_profile.row) ->
+            if profile_leaves r <= 0.0 || r.Depth_profile.occupancy < 0.0 then
+              Alcotest.fail "bad row")
+          rows;
+        (* Each row holds per-trial means, so summed over the depths they
+           give the trials' mean leaf count. *)
+        let leaves =
+          Workload.map_trials workload ~f:(fun _ pts ->
+              float_of_int
+                (Pr_arena.leaf_count
+                   (Pr_arena.of_points_bulk ~max_depth:9 ~capacity:1 pts)))
+        in
+        check_float "mean leaf count"
+          (List.fold_left ( +. ) 0.0 leaves /. 2.0)
+          (List.fold_left (fun acc r -> acc +. profile_leaves r) 0.0 rows));
   ]
 
 (* Phasing *)

@@ -9,6 +9,9 @@ module Distribution = Popan_core.Distribution
 module Phasing = Popan_core.Phasing
 module Sampler = Popan_rng.Sampler
 module Xoshiro = Popan_rng.Xoshiro
+module Point = Popan_geom.Point
+module Pr_arena = Popan_trees.Pr_arena
+module Pr_quadtree = Popan_trees.Pr_quadtree
 
 let check_close tol = Alcotest.(check (float tol))
 let check_int = Alcotest.(check int)
@@ -513,6 +516,82 @@ let churn_tests =
           (digest 1987));
   ]
 
+(* History independence, the fact a resume by rebuild rests on: a PR
+   quadtree's shape is a function of its points. Stop a random churn
+   stream at a random op k, bulk-build its live points, and apply the
+   rest of the stream to both the churned arena and the rebuilt one.
+   After every op the two must agree on everything a report reads, and
+   the churned arena's slot high-water mark must be the larger of its
+   own at k and the rebuilt arena's: the running max a churn
+   checkpoint carries in [have]. *)
+let history_case (seed, capacity, max_depth, clustered, k) =
+  let ops = 400 in
+  let model =
+    if clustered then
+      Sampler.Clusters
+        { centers = [ Point.make 0.3 0.7; Point.make 0.71 0.2 ]; sigma = 0.01 }
+    else Sampler.Uniform
+  in
+  let spec =
+    Workload.Churn.make ~model ~points:(50 + (seed mod 250)) ~trials:1 ~seed
+      ~ops ~insert_fraction:0.5 ~update_fraction:0.3 ()
+  in
+  let st =
+    Workload.Churn.start spec
+      ~rng:(List.hd (Workload.Churn.map_trials spec ~f:(fun _ rng -> rng)))
+  in
+  let build () =
+    Pr_arena.of_points_bulk ~max_depth ~capacity
+      (Array.to_list (Workload.Churn.live st))
+  in
+  let apply arena = function
+    | Workload.Churn.Insert p -> Pr_arena.insert arena p
+    | Workload.Churn.Delete p ->
+      if not (Pr_arena.delete arena p) then failwith "delete missed"
+    | Workload.Churn.Update (p, q) ->
+      if not (Pr_arena.update arena p q) then failwith "update missed"
+  in
+  let churned = build () in
+  for _ = 1 to k do
+    apply churned (Workload.Churn.step spec st)
+  done;
+  let high_k = Pr_arena.slot_high_water churned in
+  let rebuilt = build () in
+  let agree () =
+    Pr_quadtree.equal_structure (Pr_arena.freeze churned)
+      (Pr_arena.freeze rebuilt)
+    && Pr_arena.occupancy_histogram churned
+       = Pr_arena.occupancy_histogram rebuilt
+    && Pr_arena.leaf_count churned = Pr_arena.leaf_count rebuilt
+    && Pr_arena.internal_count churned = Pr_arena.internal_count rebuilt
+    && Pr_arena.height churned = Pr_arena.height rebuilt
+    && Pr_arena.size churned = Pr_arena.size rebuilt
+    && Pr_arena.slot_high_water churned
+       = max high_k (Pr_arena.slot_high_water rebuilt)
+  in
+  let ok = ref true in
+  for _ = k + 1 to ops do
+    let event = Workload.Churn.step spec st in
+    apply churned event;
+    apply rebuilt event;
+    ok := !ok && agree ()
+  done;
+  !ok
+
+let history_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:40
+         ~print:(fun (seed, capacity, max_depth, clustered, k) ->
+           Printf.sprintf "seed=%d capacity=%d max_depth=%d clustered=%b k=%d"
+             seed capacity max_depth clustered k)
+         ~name:"churned arena ≡ rebuild from its live points"
+         QCheck2.Gen.(
+           tup5 (int_range 1 1_000_000) (int_range 1 8) (int_range 0 16) bool
+             (int_range 0 399))
+         history_case);
+  ]
+
 let ext_tests =
   [
     Alcotest.test_case "branching study covers b=2,4,8" `Quick (fun () ->
@@ -739,5 +818,6 @@ let () =
       ("paper_data", paper_data_tests);
       ("points_io", points_io_tests);
       ("churn", churn_tests);
+      ("history", history_tests);
       ("ext", ext_tests);
     ]

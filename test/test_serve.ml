@@ -2017,6 +2017,10 @@ let deep_kernel_tests =
                   && knn_distances p knn
                      = knn_distances p (Pr_quadtree.k_nearest tree k p)
                   && List.for_all (Pr_quadtree.mem tree) knn
+                  && Pr_arena.cell_at arena p = Pr_quadtree.leaf_at tree p
+                  && List.for_all
+                       (fun q -> Pr_arena.mem arena q = Pr_quadtree.mem tree q)
+                       (p :: knn)
                   &&
                   match (Pr_arena.nearest arena p, Pr_quadtree.nearest tree p) with
                   | None, None -> true

@@ -501,9 +501,10 @@ let checkpoint_tests =
           (List.exists
              (fun e -> e.Store.kind = Checkpoint.kind)
              (Store.entries full));
-        (* "Kill" the run: only the v2 checkpoints survive, so the rerun
-           must resume mid-stream — thaw the arena, restore the
-           generator — and still land on the same bytes. *)
+        (* "Kill" the run: only the checkpoints survive, so the rerun
+           must resume mid-stream — rebuild the arena from the live
+           points, restore the generator — and still land on the same
+           bytes. *)
         let resumed_store = Store.open_store (temp_root ()) in
         copy_checkpoints full resumed_store;
         Store.set_default (Some resumed_store);
@@ -518,19 +519,17 @@ let checkpoint_tests =
       (fun () ->
         with_store (fun s ->
             let rng = Xoshiro.of_int_seed 1 in
-            let tree =
-              Pr_quadtree.of_points ~capacity:4
-                (Sampler.points rng Sampler.Uniform 100)
+            let points =
+              Array.of_list (Sampler.points rng Sampler.Uniform 100)
             in
             let g index =
               {
-                Checkpoint.tree;
+                Checkpoint.points;
                 rng;
                 next_index = index + 1;
                 have = 100;
                 partial = Array.make (index + 1) (1.0, 2.0);
                 ops_done = 0;
-                live = [||];
               }
             in
             Checkpoint.save s ~key_base:"kb" ~index:1 (g 1);

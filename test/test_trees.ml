@@ -155,13 +155,6 @@ let pr_tests =
           (float_of_int (Pr_quadtree.size t)
            /. float_of_int (Pr_quadtree.leaf_count t))
           (Pr_quadtree.average_occupancy t));
-    Alcotest.test_case "occupancy_by_depth sums match" `Quick (fun () ->
-        let t = Pr_quadtree.of_points ~capacity:1 (uniform_points 9 400) in
-        let rows = Pr_quadtree.occupancy_by_depth t in
-        let leaves = List.fold_left (fun acc (_, (l, _)) -> acc + l) 0 rows in
-        let pts = List.fold_left (fun acc (_, (_, p)) -> acc + p) 0 rows in
-        check_int "leaves" (Pr_quadtree.leaf_count t) leaves;
-        check_int "points" (Pr_quadtree.size t) pts);
     Alcotest.test_case "custom bounds work" `Quick (fun () ->
         let bounds = Box.make ~xmin:(-10.0) ~ymin:(-10.0) ~xmax:10.0 ~ymax:10.0 in
         let t =
@@ -170,12 +163,6 @@ let pr_tests =
         in
         check_int "size" 2 (Pr_quadtree.size t);
         no_violations "inv" (Pr_quadtree.check_invariants t));
-    Alcotest.test_case "bulk load equals incremental build" `Quick (fun () ->
-        let pts = uniform_points 61 300 in
-        let incremental = Pr_quadtree.of_points ~capacity:3 pts in
-        let bulk = Pr_quadtree.of_points_bulk ~capacity:3 pts in
-        check_bool "identical" true
-          (Pr_quadtree.equal_structure incremental bulk));
     Alcotest.test_case "insertion order does not change the decomposition"
       `Quick (fun () ->
         let pts = uniform_points 62 200 in
@@ -389,25 +376,31 @@ let pr_arena_tests =
           (Pr_quadtree.equal_structure (Pr_arena.freeze a)
              (Pr_quadtree.of_points ~capacity:2 pts)));
     Alcotest.test_case "thaw resumes a persistent build" `Quick (fun () ->
+        (* A resume rebuilds the tree from its points: grow an arena over
+           the first half, bulk-build its points, insert the rest. The
+           result is the tree, and has the statistics, of a growth over
+           all the points. (This case and the other "thaw" ones keep the
+           names they had when a frozen tree converted back to an
+           arena.) *)
         let pts = uniform_points 131 150 in
         let first, rest =
           ( List.filteri (fun i _ -> i < 75) pts,
             List.filteri (fun i _ -> i >= 75) pts )
         in
-        let a = Pr_arena.thaw (Pr_quadtree.of_points ~capacity:3 first) in
+        let grown = Pr_arena.of_points ~capacity:3 first in
+        let a = Pr_arena.of_points_bulk ~capacity:3 (Pr_arena.points grown) in
+        check_bool "rebuild has the grown tree" true
+          (Pr_quadtree.equal_structure (Pr_arena.freeze a)
+             (Pr_arena.freeze grown));
         Pr_arena.insert_all a rest;
+        let whole = Pr_arena.of_points ~capacity:3 pts in
         check_bool "same tree" true
           (Pr_quadtree.equal_structure (Pr_arena.freeze a)
              (Pr_quadtree.of_points ~capacity:3 pts));
-        (* The arena covers the unit square only. *)
-        Alcotest.check_raises "non-unit bounds"
-          (Invalid_argument "Pr_arena.thaw: bounds are not the unit square")
-          (fun () ->
-            ignore
-              (Pr_arena.thaw
-                 (Pr_quadtree.of_points
-                    ~bounds:(Box.make ~xmin:0.0 ~ymin:0.0 ~xmax:2.0 ~ymax:2.0)
-                    ~capacity:3 first))));
+        check_int "height" (Pr_arena.height whole) (Pr_arena.height a);
+        Alcotest.(check (array int)) "hist"
+          (Pr_arena.occupancy_histogram whole)
+          (Pr_arena.occupancy_histogram a));
     Alcotest.test_case "fold_leaves counts are free and correct" `Quick
       (fun () ->
         let a = Pr_arena.of_points ~capacity:4 (uniform_points 132 300) in
@@ -477,8 +470,10 @@ let pr_arena_tests =
     prop "thaw then freeze is the identity"
       QCheck2.Gen.(pair (int_range 0 5000) (int_range 1 5))
       (fun (seed, capacity) ->
-        let t = Pr_quadtree.of_points ~capacity (uniform_points seed 150) in
-        let a = Pr_arena.thaw t in
+        (* Rebuilding from the points freezes to the very tree. *)
+        let grown = Pr_arena.of_points ~capacity (uniform_points seed 150) in
+        let t = Pr_arena.freeze grown in
+        let a = Pr_arena.of_points_bulk ~capacity (Pr_arena.points grown) in
         Pr_quadtree.equal_structure t (Pr_arena.freeze a)
         && Pr_arena.leaf_count a = Pr_quadtree.leaf_count t
         && Pr_arena.height a = Pr_quadtree.height t
@@ -501,11 +496,13 @@ let pr_arena_tests =
           (Pr_quadtree.equal_structure frozen
              (Pr_arena.freeze
                 (Pr_arena.of_points_bulk ~capacity:1 ~max_depth:3 dups)));
-        let a' = Pr_arena.thaw frozen in
+        let a' =
+          Pr_arena.of_points_bulk ~capacity:1 ~max_depth:3 (Pr_arena.points a)
+        in
         Pr_arena.insert_all a' [ p; p ];
         check_int "still capped" 3 (Pr_arena.height a');
         check_int "grown size" 7 (Pr_arena.size a');
-        no_violations "thawed inv" (Pr_arena.check_invariants a');
+        no_violations "rebuilt inv" (Pr_arena.check_invariants a');
         check_bool "frozen snapshot unaffected" true
           (Pr_quadtree.size frozen = 5));
     Alcotest.test_case "depth limit beyond the Morton resolution" `Quick
@@ -778,7 +775,10 @@ let pr_arena_bulk_tests =
         in
         let mapped = Pr_arena.backing m <> Pr_arena.Heap in
         let frozen = Pr_arena.freeze m in
-        let round_trip = Pr_arena.freeze (Pr_arena.thaw frozen) in
+        let round_trip =
+          Pr_arena.freeze
+            (Pr_arena.of_points_bulk ~capacity (Pr_arena.points m))
+        in
         let ok =
           mapped
           && Pr_arena.check_invariants m = []
@@ -918,12 +918,14 @@ let pr_arena_bulk_tests =
 
 (* The builder contract on bulk-built arenas. The experiments grow PR
    trees through one mutable builder: O(1) statistics, destructive
-   inserts, freeze/thaw with Pr_quadtree. The pr_arena group holds the
-   incremental arena to it; here both bulk routes, in place and
-   Z-ordered, must hand back the same builder. The build has to seed
-   every counter that later inserts maintain, and the arena must go on
-   growing after it. (The group keeps the name of Pr_builder, the
-   list-based builder that the arena replaced.) *)
+   inserts, freeze to Pr_quadtree and a rebuild from the points. The
+   pr_arena group holds the incremental arena to it; here both bulk
+   routes, in place and Z-ordered, must hand back the same builder. The
+   build has to seed every counter that later inserts maintain, and the
+   arena must go on growing after it. (The group keeps the name of
+   Pr_builder, the list-based builder that the arena replaced, and its
+   "thaw" cases the names they had when a frozen tree converted back to
+   an arena.) *)
 
 type bulk_route = In_place | Z_ordered
 
@@ -1043,9 +1045,9 @@ let pr_builder_tests =
                  (Pr_quadtree.of_points ~capacity:2 pts));
             no_violations (what ^ ": inv") (Pr_arena.check_invariants a)));
     Alcotest.test_case "thaw resumes a persistent build" `Quick (fun () ->
-        (* Freeze a bulk build of the first half, thaw it and insert the
-           rest: the result is the tree, and has the statistics, of a
-           bulk build of all the points. *)
+        (* Rebuild a bulk build of the first half from its points and
+           insert the rest: the result is the tree, and has the
+           statistics, of a bulk build of all the points. *)
         let pts = uniform_points 131 150 in
         let first, rest =
           ( List.filteri (fun i _ -> i < 75) pts,
@@ -1053,7 +1055,8 @@ let pr_builder_tests =
         in
         on_routes (fun what route ->
             let a =
-              Pr_arena.thaw (Pr_arena.freeze (bulk_build route ~capacity:3 first))
+              bulk_build route ~capacity:3
+                (Pr_arena.points (bulk_build route ~capacity:3 first))
             in
             Pr_arena.insert_all a rest;
             let whole = bulk_build route ~capacity:3 pts in
@@ -1067,16 +1070,7 @@ let pr_builder_tests =
               (Pr_arena.height a);
             Alcotest.(check (array int)) (what ^ ": hist")
               (Pr_arena.occupancy_histogram whole)
-              (Pr_arena.occupancy_histogram a));
-        (* A tree over other bounds has no unit-square arena to resume. *)
-        Alcotest.check_raises "non-unit bounds"
-          (Invalid_argument "Pr_arena.thaw: bounds are not the unit square")
-          (fun () ->
-            ignore
-              (Pr_arena.thaw
-                 (Pr_quadtree.of_points
-                    ~bounds:(Box.make ~xmin:(-1.0) ~ymin:0.0 ~xmax:1.0 ~ymax:2.0)
-                    ~capacity:3 first))));
+              (Pr_arena.occupancy_histogram a)));
     Alcotest.test_case "fold_leaves counts are free and correct" `Quick
       (fun () ->
         on_routes (fun what route ->
@@ -1134,7 +1128,7 @@ let pr_builder_tests =
         all_routes (fun route ->
             let bulk = bulk_build route ~capacity pts in
             let t = Pr_arena.freeze bulk in
-            let a = Pr_arena.thaw t in
+            let a = bulk_build route ~capacity (Pr_arena.points bulk) in
             Pr_quadtree.equal_structure t (Pr_arena.freeze a)
             && Pr_arena.leaf_count a = Pr_arena.leaf_count bulk
             && Pr_arena.internal_count a = Pr_arena.internal_count bulk
@@ -1146,7 +1140,8 @@ let pr_builder_tests =
       `Quick (fun () ->
         (* The bulk sort cannot separate duplicates either: it stops at
            the depth cap with an over-capacity leaf. Inserts after the
-           build, freeze and thaw must all keep that clamped shape. *)
+           build, freeze and a rebuild from the frozen points must all
+           keep that clamped shape. *)
         let p = Point.make 0.3 0.3 in
         let dups = [ p; p; p; p; p ] in
         let reference = Pr_quadtree.of_points ~capacity:1 ~max_depth:3 dups in
@@ -1166,10 +1161,13 @@ let pr_builder_tests =
             check_int (what ^ ": still capped") 3 (Pr_arena.height a);
             check_int (what ^ ": grown size") 7 (Pr_arena.size a);
             no_violations (what ^ ": grown inv") (Pr_arena.check_invariants a);
-            let thawed = Pr_arena.thaw frozen in
-            Pr_arena.insert_all thawed [ p; p ];
-            check_bool (what ^ ": thawed growth agrees") true
-              (Pr_quadtree.equal_structure (Pr_arena.freeze thawed)
+            let rebuilt =
+              bulk_build route ~capacity:1 ~max_depth:3
+                (Pr_quadtree.points frozen)
+            in
+            Pr_arena.insert_all rebuilt [ p; p ];
+            check_bool (what ^ ": rebuilt growth agrees") true
+              (Pr_quadtree.equal_structure (Pr_arena.freeze rebuilt)
                  (Pr_arena.freeze a));
             check_bool (what ^ ": frozen snapshot unaffected") true
               (Pr_quadtree.size frozen = 5)));
@@ -1635,62 +1633,6 @@ let pm_tests =
             candidates
         in
         Pm_quadtree.check_invariants t = []);
-  ]
-
-(* Tree_io *)
-
-let tree_io_tests =
-  [
-    Alcotest.test_case "roundtrip preserves structure" `Quick (fun () ->
-        let t = Pr_quadtree.of_points ~capacity:3 (uniform_points 90 200) in
-        let t' = Tree_io.decode (Tree_io.encode t) in
-        check_bool "equal" true (Pr_quadtree.equal_structure t t'));
-    Alcotest.test_case "roundtrip after removals" `Quick (fun () ->
-        let pts = uniform_points 91 100 in
-        let t = Pr_quadtree.of_points ~capacity:2 pts in
-        let t = List.fold_left Pr_quadtree.remove t (List.filteri (fun i _ -> i mod 3 = 0) pts) in
-        let t' = Tree_io.decode (Tree_io.encode t) in
-        check_bool "equal" true (Pr_quadtree.equal_structure t t'));
-    Alcotest.test_case "roundtrip custom bounds and params" `Quick (fun () ->
-        let bounds = Box.make ~xmin:(-2.0) ~ymin:(-2.0) ~xmax:6.0 ~ymax:6.0 in
-        let t =
-          Pr_quadtree.of_points ~bounds ~max_depth:7 ~capacity:5
-            [ Point.make (-1.5) 0.25; Point.make 5.9 5.9; Point.make 0.0 0.0 ]
-        in
-        let t' = Tree_io.decode (Tree_io.encode t) in
-        check_bool "equal" true (Pr_quadtree.equal_structure t t'));
-    Alcotest.test_case "save and load" `Quick (fun () ->
-        let t = Pr_quadtree.of_points ~capacity:4 (uniform_points 92 60) in
-        let path = Filename.temp_file "popan" ".prq" in
-        Tree_io.save path t;
-        let t' = Tree_io.load path in
-        Sys.remove path;
-        check_bool "equal" true (Pr_quadtree.equal_structure t t'));
-    Alcotest.test_case "empty tree roundtrips" `Quick (fun () ->
-        let t = Pr_quadtree.create ~capacity:1 () in
-        check_bool "equal" true
-          (Pr_quadtree.equal_structure t (Tree_io.decode (Tree_io.encode t))));
-    Alcotest.test_case "bad header rejected" `Quick (fun () ->
-        check_bool "raises" true
-          (match Tree_io.decode "quadtree 7 oops" with
-           | _ -> false
-           | exception Failure _ -> true));
-    Alcotest.test_case "point count mismatch rejected" `Quick (fun () ->
-        let t = Pr_quadtree.of_points ~capacity:1 (uniform_points 93 3) in
-        let text = Tree_io.encode t in
-        let truncated =
-          String.concat "\n"
-            (List.filteri (fun i _ -> i < 3) (String.split_on_char '\n' text))
-        in
-        check_bool "raises" true
-          (match Tree_io.decode truncated with
-           | _ -> false
-           | exception Failure _ -> true));
-    prop "random roundtrips preserve structure"
-      QCheck2.Gen.(pair (int_range 0 5000) (int_range 1 6))
-      (fun (seed, capacity) ->
-        let t = Pr_quadtree.of_points ~capacity (uniform_points seed 80) in
-        Pr_quadtree.equal_structure t (Tree_io.decode (Tree_io.encode t)));
   ]
 
 (* EXCELL *)
@@ -2174,7 +2116,6 @@ let () =
       ("ext_hash", ext_hash_tests);
       ("grid_file", grid_file_tests);
       ("excell", excell_tests);
-      ("tree_io", tree_io_tests);
       ("region_quadtree", region_tests);
       ("mx_cif_quadtree", mx_cif_tests);
       ("pqueue", pqueue_tests);
