@@ -339,8 +339,8 @@ let fig3_cmd =
 (* popan sweep: the occupancy sweep on a free size grid, built for
    large n. Sizes accept scientific notation, and before any tree is
    built the command prints the estimated peak arena footprint of the
-   largest build and refuses (without --mmap or --force) when it
-   exceeds the machine's available memory. *)
+   builds that can run at once — the -j largest — and refuses (without
+   --mmap or --force) when it exceeds the machine's available memory. *)
 
 let size_conv =
   (* "1048576", "1e6", "2.5e7" — any spelling of a positive whole
@@ -408,10 +408,6 @@ let sweep_cmd =
         failwith (Printf.sprintf "unknown model %S (uniform | gaussian)" other)
     in
     let sizes = match sizes with [] -> None | l -> Some l in
-    let largest =
-      List.fold_left max 1
-        (match sizes with Some l -> l | None -> Paper_data.sweep_points)
-    in
     let backing =
       if not mmap then None
       else
@@ -423,10 +419,16 @@ let sweep_cmd =
             "--mmap places segment files under the artifact cache; set \
              --cache DIR (or POPAN_CACHE)"
     in
-    (* The go / no-go memory check, before any tree is built. *)
-    let footprint = Pr_arena.bulk_footprint ~capacity ~n:largest in
-    Printf.printf "largest build: n = %d, estimated peak arena footprint %s%s\n"
-      largest (human_bytes footprint)
+    (* The go / no-go memory check, before any tree is built: the
+       builds that can run at once, priced together. The line's first
+       token is a word, so no row parser takes it for a table row. *)
+    let running, footprint =
+      Sweep.concurrent_footprint ~capacity ?sizes ~trials ()
+    in
+    Printf.printf
+      "concurrent builds: n = %s, estimated peak arena footprint %s%s\n"
+      (String.concat " + " (List.map string_of_int running))
+      (human_bytes footprint)
       (if mmap then " (mmap-backed: pages through the file cache)" else "");
     (match mem_available_bytes () with
     | None ->

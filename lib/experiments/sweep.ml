@@ -31,53 +31,38 @@ let run ?(capacity = 8) ?(max_depth = 16) ?sizes ?jobs ?build_jobs ?backing
   let sizes =
     match sizes with Some s -> s | None -> Paper_data.sweep_points
   in
-  let sizes_a = Array.of_list sizes in
-  let total = Array.length sizes_a * trials in
-  (* Pre-split one generator per (size, trial) pair, in the historical
-     nested order, then fan the pairs out: every build's stream is fixed
-     before any domain starts, so the rows cannot depend on the
-     schedule. *)
-  let master = Xoshiro.of_int_seed seed in
-  let rngs = Array.make (max total 1) master in
-  for k = 0 to total - 1 do
-    rngs.(k) <- Xoshiro.split master
-  done;
   let store = Store.default () in
   let measurements =
-    Parallel.map_array ?jobs total ~f:(fun k ->
-        let points = sizes_a.(k / trials) in
-        Probe.trial ~experiment:"sweep" ~index:k ~n:points (fun () ->
-            (* The key names the stream, not the (size, trial) pair:
-               stream k is the k-th split of the master, so identity
-               survives grid edits that keep a prefix of the pair
-               ordering intact. *)
-            let key =
-              Printf.sprintf
-                "exp=sweep|model=%s|m=%d|d=%d|seed=%d|split=%d|n=%d"
-                (Sampler.id model) capacity max_depth seed k points
+    Fan_out.run ?jobs ~experiment:"sweep" ~sizes:(Array.of_list sizes) ~trials
+      ~seed (fun ~k ~n:points rng ->
+        (* The key names the stream, not the (size, trial) pair: stream
+           k is the k-th split of the master, so identity survives grid
+           edits that keep a prefix of the pair ordering intact. *)
+        let key =
+          Printf.sprintf "exp=sweep|model=%s|m=%d|d=%d|seed=%d|split=%d|n=%d"
+            (Sampler.id model) capacity max_depth seed k points
+        in
+        Store.memo store ~kind:"trial-occ" ~version:1 ~key
+          Codec.(pair float float)
+          (fun () ->
+            (* Build-then-measure: the Morton bulk path — same canonical
+               decomposition, one sort instead of n descents. The
+               sampler draws straight into the arena's columns,
+               allocating nothing on the uniform model, in
+               [Sampler.point]'s order — so the stream (and the memoized
+               row) is byte-identical to the historical list-building
+               path. *)
+            let tree =
+              Pr_arena.bulk_of_columns ?backing ?jobs:build_jobs ~max_depth
+                ~capacity ~n:points (fun xs ys ->
+                  Sampler.fill rng model xs ys points)
             in
-            Store.memo store ~kind:"trial-occ" ~version:1 ~key
-              Codec.(pair float float)
-              (fun () ->
-                (* Build-then-measure: the Morton bulk path — same
-                   canonical decomposition, one sort instead of n
-                   descents. The sampler draws straight into the
-                   arena's columns, allocating nothing on the uniform
-                   model, in [Sampler.point]'s order — so the stream
-                   (and the memoized row) is byte-identical to the
-                   historical list-building path. *)
-                let rng = rngs.(k) in
-                let tree =
-                  Pr_arena.bulk_of_columns ?backing ?jobs:build_jobs
-                    ~max_depth ~capacity ~n:points (fun xs ys ->
-                      Sampler.fill rng model xs ys points)
-                in
-                let row =
-                  ( float_of_int (Pr_arena.leaf_count tree),
-                    Pr_arena.average_occupancy tree )
-                in
-                Pr_arena.release tree;
-                row)))
+            let row =
+              ( float_of_int (Pr_arena.leaf_count tree),
+                Pr_arena.average_occupancy tree )
+            in
+            Pr_arena.release tree;
+            row))
   in
   List.mapi
     (fun i points ->
@@ -93,6 +78,25 @@ let run ?(capacity = 8) ?(max_depth = 16) ?sizes ?jobs ?build_jobs ?backing
         occupancy_stddev = Stats.stddev occs;
       })
     sizes
+
+let concurrent_footprint ?(capacity = 8) ?sizes ?jobs ~trials () =
+  if trials <= 0 then invalid_arg "Sweep.concurrent_footprint: trials <= 0";
+  let sizes =
+    Array.of_list
+      (match sizes with Some s -> s | None -> Paper_data.sweep_points)
+  in
+  let jobs =
+    max 1 (match jobs with Some j -> j | None -> Parallel.default_jobs ())
+  in
+  let order = Fan_out.largest_first ~sizes ~trials in
+  let running =
+    List.init (min jobs (Array.length order)) (fun i ->
+        sizes.(order.(i) / trials))
+  in
+  ( running,
+    List.fold_left
+      (fun bytes n -> bytes + Pr_arena.bulk_footprint ~capacity ~n)
+      0 running )
 
 let run_incremental ?(capacity = 8) ?(max_depth = 16) ?sizes ?jobs
     ?(checkpoint_every = 4) ~model ~trials ~seed () =

@@ -25,8 +25,13 @@ val grid : ?steps_per_quadrupling:int -> lo:int -> hi:int -> unit -> int list
     Each (size, trial) pair gets an independent stream, split before any
     tree is built, so the (size, trial) builds fan out across [jobs]
     domains (default {!Popan_parallel.default_jobs}) with byte-identical
-    rows for every job count. Trees are built by insertion from scratch
-    at every size, as in the paper.
+    rows for every job count. The pool starts the pairs largest first
+    ({!Fan_out.largest_first}: by decreasing size, in pair order among
+    equal sizes), so the biggest builds overlap each other instead of
+    running alone at the end; {!concurrent_footprint} prices that
+    overlap. Each pair keeps its stream, its memo key and its
+    {!Popan_obs.Probe.trial} index whatever the order. Every tree is
+    built from scratch at its size, as in the paper.
 
     When {!Popan_store.Artifact_store.default} is set, each (size,
     trial) measurement is memoized as a ["trial-occ"] artifact keyed by
@@ -48,6 +53,18 @@ val run :
   ?capacity:int -> ?max_depth:int -> ?sizes:int list -> ?jobs:int ->
   ?build_jobs:int -> ?backing:Pr_arena.backing ->
   model:Sampler.point_model -> trials:int -> seed:int -> unit -> row list
+
+(** [concurrent_footprint ?capacity ?sizes ?jobs ~trials ()] prices the
+    builds of {!run} that can be resident at once: the first [jobs]
+    (default {!Popan_parallel.default_jobs}) pairs of its largest-first
+    order, trials included. It returns their sizes, largest first, and
+    the sum of their {!Pr_arena.bulk_footprint}s — the bound a caller
+    checks against available memory before a heap-backed sweep. Any
+    [jobs] builds that run together are at most these. Raises
+    [Invalid_argument] when [trials <= 0]. *)
+val concurrent_footprint :
+  ?capacity:int -> ?sizes:int list -> ?jobs:int -> trials:int -> unit ->
+  int list * int
 
 (** [run_incremental ?capacity ?max_depth ?sizes ~model ~trials ~seed ()]
     is like {!run} but each trial grows a *single* tree through the grid

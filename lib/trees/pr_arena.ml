@@ -421,9 +421,10 @@ let occupancy_histogram t = Array.copy t.hist
 let average_occupancy t = float_of_int t.size /. float_of_int t.leaves
 
 (* Estimated peak resident bytes of a bulk build: the three point
-   columns, the four sort columns (keys + slots, ping-ponged), and a
-   generous bound on the node arrays. Advisory — the CLI prints it and
-   checks it against available memory before committing to a build. *)
+   columns, the two-column kernel's four sort columns (keys + slots,
+   ping-ponged; the packed kernel needs less), and a generous bound on
+   the node arrays. Advisory — the CLI sums it over the builds that can
+   run at once and checks that against available memory. *)
 let bulk_footprint ~capacity ~n =
   if capacity < 1 then invalid_arg "Pr_arena.bulk_footprint: capacity < 1";
   if n < 0 then invalid_arg "Pr_arena.bulk_footprint: n < 0";
@@ -468,24 +469,25 @@ let grow_points t needed =
   t.next <- next;
   t.slot_stamp <- grow_stamps t.slot_stamp cap
 
+(* Node tables that already hold [needed] ids stay as they are; others
+   grow to [needed] ids, and at least double. *)
 let grow_nodes t needed =
-  let cap = ref (Array.length t.child) in
-  while !cap < needed do
-    cap := !cap * 2
-  done;
-  let cap = !cap in
-  let child = Array.make cap (-1)
-  and count = Array.make cap 0
-  and head = Array.make cap (-1) in
-  Array.blit t.child 0 child 0 t.nodes;
-  Array.blit t.count 0 count 0 t.nodes;
-  Array.blit t.head 0 head 0 t.nodes;
-  t.child <- child;
-  t.count <- count;
-  t.head <- head;
-  t.node_stamp <- grow_stamps t.node_stamp cap;
-  if Array.length t.count_stamp > 0 then
-    t.count_stamp <- grow_stamps t.count_stamp cap
+  let cap = Array.length t.child in
+  if needed > cap then begin
+    let cap = max needed (2 * cap) in
+    let child = Array.make cap (-1)
+    and count = Array.make cap 0
+    and head = Array.make cap (-1) in
+    Array.blit t.child 0 child 0 t.nodes;
+    Array.blit t.count 0 count 0 t.nodes;
+    Array.blit t.head 0 head 0 t.nodes;
+    t.child <- child;
+    t.count <- count;
+    t.head <- head;
+    t.node_stamp <- grow_stamps t.node_stamp cap;
+    if Array.length t.count_stamp > 0 then
+      t.count_stamp <- grow_stamps t.count_stamp cap
+  end
 
 (* Allocate four consecutive children, returned as their base id: a
    freed 4-block off the free list when one exists (so churn splits
@@ -969,47 +971,136 @@ let rec build_sorted t z (sk : iarr) (ss : iarr) (dk : iarr) (ds : iarr) cnt
    that outgrow the slot field or keep columns in mmap segments take the
    two-column path; the choice selects a sort buffer only — both
    kernels are stable MSD partitions emitting the identical canonical
-   arena, which the bulk-equivalence qcheck properties pin down across
-   the size boundary. *)
+   tree, which the bulk-equivalence qcheck properties pin down across
+   the size boundary.
+
+   Two things set it apart from [build_sorted]. Its buffers are a
+   group's slice of the n-entry key column and a scratch array only as
+   wide as the widest group: a buffer holds sort position p at index
+   p - base, the base 0 for the key column and the group's first
+   position for the scratch, so the ping-pong needs no copy and no
+   n-entry scratch. And a range of at least [step_min] points whose
+   next [group_levels] levels all lie in the hi word splits those
+   levels in one [step] — one 8-bit histogram, the top level's [walk],
+   one stable scatter — instead of four two-bit partitions. *)
 
 let packed_slot_mask = (1 lsl bits) - 1
 
-let emit_leaf_packed t z (order : int array) lo hi node depth =
+(* The grouped levels: one bucket per cell [group_levels] below a
+   step's root, 256 of them. At the root of the tree they are keyed by
+   the top eight bits of the hi word. *)
+let group_levels = 4
+let group_buckets = 1 lsl (2 * group_levels)
+let group_shift = 2 * (bits - group_levels)
+
+(* The smallest range a [step] splits: a step pays for clearing and
+   walking 256 buckets whatever the range's size. On 2^20-point builds
+   a bound of 256 and one of 1,024 timed the same and 4,096 was
+   slower. *)
+let step_min = 1024
+
+(* The tables of one four-level split: [start] holds the bucket bases
+   (then the scatter's cursors), [group] maps each bucket to the bucket
+   whose cursor it scatters through, and [ranges] lists the split's
+   parts in walk order, four entries each: lo, hi, node, depth. *)
+type sieve = {
+  start : int array;  (* group_buckets + 1 *)
+  group : int array;  (* group_buckets *)
+  ranges : int array;  (* 4 * group_buckets *)
+  mutable nranges : int;
+}
+
+let sieve () =
+  {
+    start = Array.make (group_buckets + 1) 0;
+    group = Array.make group_buckets 0;
+    ranges = Array.make (4 * group_buckets) 0;
+    nranges = 0;
+  }
+
+(* Split the levels from [depth] down to [top] = [depth] +
+   [group_levels] on the histogram alone, starting at bucket [b], whose
+   cell is [node]: allocate the nodes of every split and record each
+   part in [s.ranges] — a subtree rooted at [top], or a leaf that forms
+   above it. Such a leaf spans a run of buckets, which all scatter
+   through its first bucket's cursor, so its points keep their order. *)
+let rec walk t s b depth node top =
+  let span = 1 lsl (2 * (top - depth)) in
+  let lo = s.start.(b) and hi = s.start.(b + span) in
+  if depth = top || hi - lo <= t.capacity || depth >= t.max_depth then begin
+    Array.fill s.group b span b;
+    let r = 4 * s.nranges in
+    s.ranges.(r) <- lo;
+    s.ranges.(r + 1) <- hi;
+    s.ranges.(r + 2) <- node;
+    s.ranges.(r + 3) <- depth;
+    s.nranges <- s.nranges + 1
+  end
+  else begin
+    t.internals <- t.internals + 1;
+    Probe.builder_split ~depth;
+    let base = alloc_children t in
+    t.child.(node) <- base;
+    t.count.(node) <- hi - lo;
+    for i = 0 to 3 do
+      walk t s (b + (i * (span / 4))) (depth + 1) (base + i) top
+    done
+  end
+
+(* One sort task's kernel state: the numbering, the two-bit counters,
+   and a [sieve] per nesting level of [step], made at its first use. *)
+type packed = { z : bool; cnt : int array; sieves : sieve option array }
+
+let packed z =
+  {
+    z;
+    cnt = Array.make 4 0;
+    (* Steps root at depth <= bits - group_levels, and a nested step
+       lies [group_levels] or more below its parent: depth /
+       group_levels is distinct along any nesting. *)
+    sieves = Array.make (((bits - group_levels) / group_levels) + 1) None;
+  }
+
+let emit_leaf_packed t z (order : int array) ob lo hi node depth =
   let n = hi - lo in
   t.count.(node) <- n;
   if n > 0 then begin
     if z then begin
       for k = lo to hi - 2 do
-        t.next.{k} <- zpending (order.(k) land packed_slot_mask) 0
+        t.next.{k} <- zpending (order.(k - ob) land packed_slot_mask) 0
       done;
-      t.next.{hi - 1} <- zpending (order.(hi - 1) land packed_slot_mask) 1;
+      t.next.{hi - 1} <- zpending (order.(hi - 1 - ob) land packed_slot_mask) 1;
       t.head.(node) <- lo
     end
     else begin
-      for k = lo to hi - 2 do
+      for k = lo - ob to hi - 2 - ob do
         t.next.{order.(k) land packed_slot_mask} <-
           order.(k + 1) land packed_slot_mask
       done;
-      t.next.{order.(hi - 1) land packed_slot_mask} <- -1;
-      t.head.(node) <- order.(lo) land packed_slot_mask
+      t.next.{order.(hi - 1 - ob) land packed_slot_mask} <- -1;
+      t.head.(node) <- order.(lo - ob) land packed_slot_mask
     end
   end;
   note_leaf t depth n
 
-let rec build_packed t z (src : int array) (dst : int array) cnt lo hi node
-    depth fine =
+(* Sort positions [lo, hi) of [src] (position p at [src.(p - sb)]),
+   scattering through [dst] (at [dst.(p - db)]), as the subtree of
+   [node] at [depth]. *)
+let rec build_packed t k src sb dst db lo hi node depth fine =
   if hi - lo <= t.capacity || depth >= t.max_depth then
-    emit_leaf_packed t z src lo hi node depth
+    emit_leaf_packed t k.z src sb lo hi node depth
   else if depth >= bits && not fine then begin
     (* Every hi word in the range coincides; reload each word in place
        with the lo code over the same slot and continue at this
        depth — the packed mirror of [build_sorted]'s key reload. *)
-    for k = lo to hi - 1 do
-      let slot = src.(k) land packed_slot_mask in
-      src.(k) <- (lo_code t slot lsl bits) lor slot
+    for i = lo - sb to hi - 1 - sb do
+      let slot = src.(i) land packed_slot_mask in
+      src.(i) <- (lo_code t slot lsl bits) lor slot
     done;
-    build_packed t z src dst cnt lo hi node depth true
+    build_packed t k src sb dst db lo hi node depth true
   end
+  else if hi - lo >= step_min && depth <= bits - group_levels then
+    step t k src sb dst db lo hi node depth
   else begin
     t.internals <- t.internals + 1;
     Probe.builder_split ~depth;
@@ -1020,34 +1111,79 @@ let rec build_packed t z (src : int array) (dst : int array) cnt lo hi node
       (if fine then 2 * (bits_fine - 1 - depth) else 2 * (bits - 1 - depth))
       + bits
     in
+    let cnt = k.cnt in
     cnt.(0) <- 0;
     cnt.(1) <- 0;
     cnt.(2) <- 0;
     cnt.(3) <- 0;
-    for k = lo to hi - 1 do
-      let d = (src.(k) lsr sh) land 3 in
+    for i = lo - sb to hi - 1 - sb do
+      let d = (src.(i) lsr sh) land 3 in
       cnt.(d) <- cnt.(d) + 1
     done;
     let e1 = lo + cnt.(0) in
     let e2 = e1 + cnt.(1) in
     let e3 = e2 + cnt.(2) in
-    cnt.(0) <- lo;
-    cnt.(1) <- e1;
-    cnt.(2) <- e2;
-    cnt.(3) <- e3;
-    for k = lo to hi - 1 do
-      let v = src.(k) in
+    cnt.(0) <- lo - db;
+    cnt.(1) <- e1 - db;
+    cnt.(2) <- e2 - db;
+    cnt.(3) <- e3 - db;
+    for i = lo - sb to hi - 1 - sb do
+      let v = src.(i) in
       let d = (v lsr sh) land 3 in
       let p = cnt.(d) in
       dst.(p) <- v;
       cnt.(d) <- p + 1
     done;
     let cdepth = depth + 1 in
-    build_packed t z dst src cnt lo e1 base cdepth fine;
-    build_packed t z dst src cnt e1 e2 (base + 1) cdepth fine;
-    build_packed t z dst src cnt e2 e3 (base + 2) cdepth fine;
-    build_packed t z dst src cnt e3 hi (base + 3) cdepth fine
+    build_packed t k dst db src sb lo e1 base cdepth fine;
+    build_packed t k dst db src sb e1 e2 (base + 1) cdepth fine;
+    build_packed t k dst db src sb e2 e3 (base + 2) cdepth fine;
+    build_packed t k dst db src sb e3 hi (base + 3) cdepth fine
   end
+
+(* Levels [depth] .. [depth] + 3 of a range that splits at [depth], in
+   one pass: histogram their eight hi-word bits, [walk] them as the
+   top level is walked, scatter stably through the walk's cursors, then
+   sort each part. Stable, so each part holds its points in the order
+   four two-bit partitions would leave them. *)
+and step t k src sb dst db lo hi node depth =
+  let level = depth / group_levels in
+  let s =
+    match k.sieves.(level) with
+    | Some s -> s
+    | None ->
+      let s = sieve () in
+      k.sieves.(level) <- Some s;
+      s
+  in
+  let start = s.start and mask = group_buckets - 1 in
+  let sh = (2 * (bits - group_levels - depth)) + bits in
+  Array.fill start 0 (group_buckets + 1) 0;
+  for i = lo - sb to hi - 1 - sb do
+    let b = ((src.(i) lsr sh) land mask) + 1 in
+    start.(b) <- start.(b) + 1
+  done;
+  start.(0) <- lo;
+  for b = 1 to group_buckets do
+    start.(b) <- start.(b) + start.(b - 1)
+  done;
+  s.nranges <- 0;
+  walk t s 0 depth node (depth + group_levels);
+  for b = 0 to group_buckets - 1 do
+    start.(b) <- start.(b) - db
+  done;
+  for i = lo - sb to hi - 1 - sb do
+    let v = src.(i) in
+    let g = s.group.((v lsr sh) land mask) in
+    let p = start.(g) in
+    dst.(p) <- v;
+    start.(g) <- p + 1
+  done;
+  for r = 0 to s.nranges - 1 do
+    let r = 4 * r in
+    build_packed t k dst db src sb s.ranges.(r) s.ranges.(r + 1)
+      s.ranges.(r + 2) s.ranges.(r + 3) false
+  done
 
 (* A task-local pseudo-arena for a pooled group sort: it shares the
    point and key columns (a group touches only its own positions and
@@ -1123,12 +1259,6 @@ let hi_key (xs : farr) (ys : farr) i =
     (int_of_float (x *. quantize_scale))
     (int_of_float (y *. quantize_scale))
 
-(* The grouped levels: one bucket per cell at depth [group_levels], 256
-   of them, keyed by the top eight bits of the hi word. *)
-let group_levels = 4
-let group_buckets = 1 lsl (2 * group_levels)
-let group_shift = 2 * (bits - group_levels)
-
 (* Apply a group's recorded permutation in place, one cycle at a time
    and without scratch: slot k takes the point at the position its
    [zpending] entry names, and gets its final chain link — which also
@@ -1160,14 +1290,14 @@ let settle t lo hi =
 (* The one bulk build: the [n] points of [sx], [sy] into the fresh
    arena [t], in five steps.
 
-   1. One pass checks each point, parks its hi word in [next] — no link
-      is read before emission — and histograms the top [group_levels]
-      levels.
+   1. The node tables grow to 4⌈n/m⌉ ids, the size a uniform build
+      fills anyway, so uniform builds never regrow them mid-sort. One
+      pass then checks each point, parks its hi word in [next] — no
+      link is read before emission — and histograms the top
+      [group_levels] levels.
    2. [walk] splits those levels on the histogram alone, allocating
-      their nodes, and records each group in walk order in [groups]: a
-      subtree rooted at depth [group_levels], or a leaf that forms above
-      it. Such a leaf spans a run of buckets, which all scatter as one
-      group, its first bucket, so its points stay in input order.
+      their nodes, and records each group in walk order: a subtree
+      rooted at depth [group_levels], or a leaf that forms above it.
    3. A stable scatter writes each point's sort key at its position in
       its group. The in-place build ([z] false) keys the point's own
       slot, its input rank, and leaves the coordinates where they are.
@@ -1181,6 +1311,9 @@ let settle t lo hi =
       tables that [graft] splices back in walk order. Both allocate the
       top levels first and then each group's subtree in walk order, so
       node ids, chains and counters are identical at every job count.
+      The packed kernel's buffers — a scratch array as wide as the
+      widest group, the counters and the step sieves — are made once
+      per build, or once per group task given [jobs].
    5. A Z-ordered group then [settle]s its permutation. A group of 2^20
       uniform points holds about 4k of them, 96 KB of columns, so the
       permutation runs in cache.
@@ -1194,7 +1327,9 @@ let build_grouped t ~z ~jobs n (sx : farr) (sy : farr) =
   unregister_root t;
   t.size <- n;
   t.slots <- n;
-  let start = Array.make (group_buckets + 1) 0 in
+  grow_nodes t (4 * ((n + t.capacity - 1) / t.capacity));
+  let top = sieve () in
+  let start = top.start in
   for i = 0 to n - 1 do
     let code = hi_key sx sy i in
     t.next.{i} <- code;
@@ -1204,41 +1339,18 @@ let build_grouped t ~z ~jobs n (sx : farr) (sy : farr) =
   for b = 1 to group_buckets do
     start.(b) <- start.(b) + start.(b - 1)
   done;
-  (* A group is four entries: lo, hi, root node, root depth. *)
-  let group = Array.make group_buckets 0 in
-  let groups = Array.make (4 * group_buckets) 0 and ngroups = ref 0 in
-  let rec walk b depth node =
-    let span = 1 lsl (2 * (group_levels - depth)) in
-    let lo = start.(b) and hi = start.(b + span) in
-    if depth = group_levels || hi - lo <= t.capacity || depth >= t.max_depth
-    then begin
-      Array.fill group b span b;
-      let g = 4 * !ngroups in
-      groups.(g) <- lo;
-      groups.(g + 1) <- hi;
-      groups.(g + 2) <- node;
-      groups.(g + 3) <- depth;
-      incr ngroups
-    end
-    else begin
-      t.internals <- t.internals + 1;
-      Probe.builder_split ~depth;
-      let base = alloc_children t in
-      t.child.(node) <- base;
-      t.count.(node) <- hi - lo;
-      for i = 0 to 3 do
-        walk (b + (i * (span / 4))) (depth + 1) (base + i)
-      done
-    end
-  in
-  walk 0 0 0;
-  (* The kernel, its buffers, and how the scatter writes a key. *)
-  let set_key, sort_group =
+  walk t top 0 0 0 group_levels;
+  let groups = top.ranges and ngroups = top.nranges in
+  (* The kernel, how the scatter writes a key, and a sort task's
+     buffers for groups at most [width] wide. *)
+  let set_key, sorter =
     if n <= packed_slot_mask && t.backing = Heap then begin
-      let keys = Array.make (max n 1) 0 and scratch = Array.make (max n 1) 0 in
+      let keys = Array.make (max n 1) 0 in
       ( (fun p code slot -> keys.(p) <- (code lsl bits) lor slot),
-        fun a cnt lo hi node depth ->
-          build_packed a z keys scratch cnt lo hi node depth false )
+        fun width ->
+          let k = packed z and scratch = Array.make (max width 1) 0 in
+          fun a lo hi node depth ->
+            build_packed a k keys 0 scratch lo lo hi node depth false )
     end
     else begin
       let keys = alloc_i t "keys" (max n 1) in
@@ -1248,14 +1360,17 @@ let build_grouped t ~z ~jobs n (sx : farr) (sy : farr) =
       ( (fun p code slot ->
           keys.{p} <- code;
           slots.{p} <- slot),
-        fun a cnt lo hi node depth ->
-          build_sorted a z keys slots keys2 slots2 cnt lo hi node depth false )
+        fun _ ->
+          let cnt = Array.make 4 0 in
+          fun a lo hi node depth ->
+            build_sorted a z keys slots keys2 slots2 cnt lo hi node depth
+              false )
     end
   in
   (* The walk has read [start]; it now holds the scatter's cursors. *)
   for i = 0 to n - 1 do
     let code = t.next.{i} in
-    let g = group.(code lsr group_shift) in
+    let g = top.group.(code lsr group_shift) in
     let p = start.(g) in
     start.(g) <- p + 1;
     if z then begin
@@ -1265,25 +1380,30 @@ let build_grouped t ~z ~jobs n (sx : farr) (sy : farr) =
     end
     else set_key p code i
   done;
-  (* Sort group [g] into arena [a] (the arena or a task's), its root
-     at [a]'s node [root]. *)
-  let sort a cnt g root =
+  (* Sort group [g] with [sort_group] into arena [a] (the arena or a
+     task's), its root at [a]'s node [root]. *)
+  let sort sort_group a g root =
     let lo = groups.(4 * g) and hi = groups.((4 * g) + 1) in
-    sort_group a cnt lo hi root groups.((4 * g) + 3);
+    sort_group a lo hi root groups.((4 * g) + 3);
     if z then settle t lo hi
   in
+  let width g = groups.((4 * g) + 1) - groups.(4 * g) in
   match jobs with
   | None ->
-    let cnt = Array.make 4 0 in
-    for g = 0 to !ngroups - 1 do
-      sort t cnt g groups.((4 * g) + 2)
+    let widest = ref 0 in
+    for g = 0 to ngroups - 1 do
+      widest := max !widest (width g)
+    done;
+    let sort_group = sorter !widest in
+    for g = 0 to ngroups - 1 do
+      sort sort_group t g groups.((4 * g) + 2)
     done
   | Some jobs ->
-    Probe.arena_parallel ~tasks:!ngroups;
+    Probe.arena_parallel ~tasks:ngroups;
     let locals =
-      Parallel.map_array ~jobs:(max 1 jobs) !ngroups ~f:(fun g ->
+      Parallel.map_array ~jobs:(max 1 jobs) ngroups ~f:(fun g ->
           let l = local_of t in
-          sort l (Array.make 4 0) g 0;
+          sort (sorter (width g)) l g 0;
           l)
     in
     Array.iteri (fun g l -> graft t l groups.((4 * g) + 2)) locals

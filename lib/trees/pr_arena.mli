@@ -30,8 +30,9 @@ open Import
       free), and every bulk build is one pipeline that sorts the
       Morton keys once: a histogram of the keys' top bits splits the
       top four levels, and a top-down MSD radix partition, two bits per
-      level, sorts each subtree below them and emits it, leaves left to
-      right in Z order. The bulk path has {b no point-count cap}: past
+      level (four at a time in large ranges of a heap build), sorts
+      each subtree below them and emits it, leaves left to right in Z
+      order. The bulk path has {b no point-count cap}: past
       [2^21 - 1] points the keys are two parallel columns (key word +
       slot), not a packed word, so nothing reroutes to incremental
       inserts at any n. With [?jobs] those subtrees sort on the
@@ -151,14 +152,15 @@ type column = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
     [n] long), and treats [(xs.{i}, ys.{i})] for [i] in [0 .. n-1] as
     the points, in slot order: the build is {e in place}, point [i]
     keeps slot [i] (slot = input rank; {!bulk_zordered} numbers slots
-    in Z order instead). One pass then checks each point against the
-    unit square, derives its sort key, the hi Morton word, and
-    histograms the top four tree levels. Those levels split on the
-    histogram; a stable scatter groups the keys by them, and each group
-    — a subtree below them, or a leaf that forms above them — sorts on
-    its own (top-down MSD radix, stopping exactly where leaves form,
-    reloading a range's keys with the lo word at level 21) and emits
-    its part of the tree as it goes. Nothing but a handful of handles
+    in Z order instead). The node tables are first sized for the
+    4⌈n/capacity⌉ ids a uniform build fills. One pass then checks each
+    point against the unit square, derives its sort key, the hi Morton
+    word, and histograms the top four tree levels. Those levels split
+    on the histogram; a stable scatter groups the keys by them, and
+    each group — a subtree below them, or a leaf that forms above them
+    — sorts on its own (top-down MSD radix, stopping exactly where
+    leaves form, reloading a range's keys with the lo word at level 21)
+    and emits its part of the tree as it goes. Nothing but a handful of handles
     touches the minor heap, so a fill that allocates nothing (such as
     {!Popan_rng.Sampler.fill} on the uniform model) makes the whole
     build O(1) in minor words. The fill must write only slots
@@ -180,9 +182,14 @@ type column = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
     single-word keys (key word shifted over slot) in plain int arrays
     instead of the two Bigarray key/slot columns, at any job count —
     the original bulk kernel, kept because it moves half the words per
-    partition level. The choice selects sort scratch only: both kernels are
-    stable MSD partitions over the same keys, so the finished arena is
-    byte-identical either way.
+    partition level. It sorts each group between the group's slice of
+    one n-entry key column and a scratch array only as wide as the
+    widest group, and splits a range of 1,024 points or more four
+    levels at a time (one histogram, the top levels' walk, one stable
+    scatter) while those levels lie in the hi word. The choice selects
+    sort scratch only: both kernels are stable MSD partitions over the
+    same keys, so the tree, every chain, the counters, {!freeze} and
+    every answer are the same either way; only node ids may differ.
 
     [reserve] (default 0) sizes the point columns for at least that
     many slots, as in {!create}: headroom for inserts to come. Raises
@@ -248,12 +255,15 @@ val bulk_zordered :
 val is_zordered : t -> bool
 
 (** [bulk_footprint ~capacity ~n] estimates the peak resident bytes of
-    a bulk build of [n] points: the three point columns, the four sort
-    columns (seven 8-byte columns, [56 n] bytes), and a generous bound
-    on the node arrays. Advisory — the
-    CLI prints it and checks it against available memory before
-    committing to a large build. Raises [Invalid_argument] when
-    [capacity < 1] or [n < 0]. *)
+    a bulk build of [n] points: the three point columns, the
+    two-column kernel's four sort columns (seven 8-byte columns, [56 n]
+    bytes), and a generous bound on the node arrays (8 ids per leaf).
+    It bounds both kernels: a packed heap build takes four columns
+    ([32 n] bytes) plus a scratch array as wide as its widest group.
+    Advisory — the CLI sums it over the builds that can run at once
+    and checks that against available memory before committing to a
+    large sweep. Raises [Invalid_argument] when [capacity < 1] or
+    [n < 0]. *)
 val bulk_footprint : capacity:int -> n:int -> int
 
 (** [release t] deletes an mmap-backed arena's segment files (no-op for

@@ -1,15 +1,23 @@
 (* End-to-end smoke for the bulk build, run by `make check` (not part
    of the alcotest suites: a few large builds, not a property).
 
-   Three claims, checked at a size that actually exercises the
-   machinery (n = 2^22, past the 2^21 - 1 points of the packed kernel's
-   slot field, so every build here sorts with the two-column kernel on
-   the heap):
+   Two stages, one per sort kernel, each at a size that actually
+   exercises it.
+
+   The packed stage, at n = 2^21 - 1, the largest build whose slots fit
+   the packed kernel's 21-bit field: the heap in-place builds with no
+   jobs, jobs 1 and jobs 4 must equal each other entry for entry
+   ([diff_state]: node ids, chains, columns and counters), and their
+   frozen bytes must equal those of an mmap-backed build of the same
+   points, which sorts with the two-column kernel and so takes no
+   four-level step, and those of the packed Z-ordered build.
+
+   The two-column stage, at n = 2^22 (past the packed slot field, so
+   every build sorts with the two-column kernel on the heap):
 
    - parallel identity: the arenas built with jobs 1 and jobs 4 must
-     equal the sequential build in every stored entry ([diff_state]:
-     node ids, chains, columns and counters), which implies equal
-     frozen trees;
+     equal the sequential build in every stored entry ([diff_state]),
+     which implies equal frozen trees;
    - large-n completion: the build must finish on the bulk path with no
      fallback of any kind (counted via the metrics registry: zero
      [arena.fallbacks]) and pass the full arena invariant check;
@@ -18,7 +26,8 @@
      encoded artifact bytes, the strictest equality the repo can
      state.
 
-   Exit status 0 on success; failures print a diagnosis and exit 1. *)
+   An argument replaces the two-column stage's n. Exit status 0 on
+   success; failures print a diagnosis and exit 1. *)
 
 module Pr_arena = Popan_trees.Pr_arena
 module Xoshiro = Popan_rng.Xoshiro
@@ -28,6 +37,9 @@ module Metrics = Popan_obs.Metrics
 module Probe = Popan_obs.Probe
 
 let default_n = 1 lsl 22
+
+(* The largest build the packed kernel sorts. *)
+let packed_n = (1 lsl 21) - 1
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
@@ -55,6 +67,64 @@ let () =
     t
   in
   let bytes t = Codec.encode Codec.pr_quadtree (Pr_arena.freeze t) in
+  let uniform_columns n =
+    let column () = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+    let xs = column () and ys = column () in
+    let rng = Xoshiro.of_int_seed 1987 in
+    for i = 0 to n - 1 do
+      let p = Sampler.point rng Sampler.Uniform in
+      xs.{i} <- p.Popan_geom.Point.x;
+      ys.{i} <- p.Popan_geom.Point.y
+    done;
+    (xs, ys)
+  in
+  (* The packed stage. *)
+  (let n = packed_n in
+   let xs, ys = uniform_columns n in
+   let in_place ?backing ?jobs () =
+     Pr_arena.bulk_of_columns ?backing ?jobs ~capacity:8 ~n (fun a b ->
+         for i = 0 to n - 1 do
+           a.{i} <- xs.{i};
+           b.{i} <- ys.{i}
+         done)
+   in
+   let reference =
+     let seq = in_place () in
+     if Pr_arena.check_invariants seq <> [] then
+       fail "bulk_smoke: packed build violates the arena invariants";
+     List.iter
+       (fun jobs ->
+         match Pr_arena.diff_state seq (in_place ~jobs ()) with
+         | [] -> ()
+         | problems ->
+           fail
+             "bulk_smoke: packed jobs %d arena differs from the sequential \
+              build:\n  %s"
+             jobs (String.concat "\n  " problems))
+       [ 1; 4 ];
+     bytes seq
+   in
+   Gc.full_major ();
+   let dir = Filename.concat (Filename.get_temp_dir_name ()) "popan-bulk-smoke" in
+   let mapped = in_place ~backing:(Pr_arena.Mmap { dir }) () in
+   if Pr_arena.backing mapped = Pr_arena.Heap
+      || Metrics.counter_value fallbacks <> 0
+   then fail "bulk_smoke: fallback during the packed stage";
+   let mapped_bytes = bytes mapped in
+   Pr_arena.release mapped;
+   if not (String.equal mapped_bytes reference) then
+     fail "bulk_smoke: the packed build freezes to other bytes than the \
+           two-column kernel's mmap-backed build";
+   let z = Pr_arena.bulk_zordered ~capacity:8 ~n xs ys in
+   if not (Pr_arena.is_zordered z && String.equal (bytes z) reference) then
+     fail "bulk_smoke: the packed Z-ordered build is not Z-ordered or freezes \
+           to other bytes than the in-place build";
+   Printf.printf
+     "packed smoke: n=%d in-place builds at no jobs, jobs 1 and 4 equal entry \
+      for entry; frozen bytes equal the two-column mmap build's and the \
+      Z-ordered build's\n"
+     n);
+  Gc.full_major ();
   (* The sequential build stays alive only in this scope, so the
      Z-ordered stage below holds one arena at a time. *)
   let reference =
@@ -90,14 +160,7 @@ let () =
     bytes seq
   in
   Gc.full_major ();
-  let column () = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
-  let xs = column () and ys = column () in
-  let rng = Xoshiro.of_int_seed 1987 in
-  for i = 0 to n - 1 do
-    let p = Sampler.point rng Sampler.Uniform in
-    xs.{i} <- p.Popan_geom.Point.x;
-    ys.{i} <- p.Popan_geom.Point.y
-  done;
+  let xs, ys = uniform_columns n in
   let z = Pr_arena.bulk_zordered ~capacity:8 ~n xs ys in
   if not (Pr_arena.is_zordered z) then
     fail "bulk_smoke: the Z-ordered build's slots are not in Z order";

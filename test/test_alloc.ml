@@ -35,6 +35,49 @@ let measure f =
   f ();
   Gc.minor_words () -. before
 
+(* [n] points whose depth-4 groups take the packed kernel's four-level
+   step (at 1,024 points or more): half spread over the sixteen depth-4
+   cells of [1/4, 1/2)^2, about 2,048 each, half in the depth-8 cell at
+   (1/4, 1/4), where a second step nests. *)
+let clustered_columns n =
+  let col () = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+  let xs = col () and ys = col () in
+  let rng = Xoshiro.of_int_seed 93 in
+  for i = 0 to n - 1 do
+    let scale = if i land 1 = 0 then 2 else 8 in
+    xs.{i} <- 0.25 +. ldexp (Xoshiro.float rng) (-scale);
+    ys.{i} <- 0.25 +. ldexp (Xoshiro.float rng) (-scale)
+  done;
+  (xs, ys)
+
+(* The most points of the columns any cell at [depth] holds. *)
+let fullest_cell (xs, ys) depth =
+  let cells = Hashtbl.create 64 and scale = ldexp 1.0 depth in
+  let best = ref 0 in
+  for i = 0 to Bigarray.Array1.dim xs - 1 do
+    let cell =
+      (int_of_float (xs.{i} *. scale), int_of_float (ys.{i} *. scale))
+    in
+    let c = 1 + Option.value (Hashtbl.find_opt cells cell) ~default:0 in
+    Hashtbl.replace cells cell c;
+    best := max !best c
+  done;
+  !best
+
+(* The minor words of one build by [build] over the clustered columns,
+   after a warm-up build, and a check that its groups take the step. *)
+let clustered_build_words n build =
+  let cols = clustered_columns n in
+  if fullest_cell cols 4 < 1024 || fullest_cell cols 8 < 1024 then
+    Alcotest.fail "the clustered input takes no nested four-level step";
+  ignore (build cols : Pr_arena.t);
+  let tree = ref None in
+  let words = measure (fun () -> tree := Some (build cols)) in
+  (match !tree with
+  | Some t -> Alcotest.check Alcotest.int "all stored" n (Pr_arena.size t)
+  | None -> assert false);
+  words
+
 let tests =
   [
     Alcotest.test_case "no-split arena insert allocates zero minor words"
@@ -304,6 +347,21 @@ let tests =
                n=%d (%.3f words/point); the uniform fill must not allocate"
               words n
               (words /. float_of_int n);
+          let words =
+            clustered_build_words n (fun (xs, ys) ->
+                Pr_arena.bulk_of_columns ~capacity:8 ~n (fun a b ->
+                    for i = 0 to n - 1 do
+                      a.{i} <- xs.{i};
+                      b.{i} <- ys.{i}
+                    done))
+          in
+          if words > float_of_int (n / 16) then
+            Alcotest.failf
+              "the clustered bulk build allocated %.0f minor words for \
+               n=%d (%.3f words/point); the four-level step must not \
+               allocate per step"
+              words n
+              (words /. float_of_int n);
           let rng = Xoshiro.of_int_seed 91 in
           let control =
             measure (fun () ->
@@ -348,6 +406,17 @@ let tests =
             Alcotest.failf
               "the Z-ordered build allocated %.0f minor words for n=%d \
                (%.3f words/point); it must be O(1)"
+              words n
+              (words /. float_of_int n);
+          let words =
+            clustered_build_words n (fun (xs, ys) ->
+                Pr_arena.bulk_zordered ~capacity:8 ~n xs ys)
+          in
+          if words > float_of_int (n / 16) then
+            Alcotest.failf
+              "the clustered Z-ordered build allocated %.0f minor words for \
+               n=%d (%.3f words/point); the four-level step must not \
+               allocate per step"
               words n
               (words /. float_of_int n)
         end);

@@ -296,6 +296,40 @@ let sweep_tests =
               true
               (r.Sweep.occupancy > 3.0 && r.Sweep.occupancy < 4.6))
           rows);
+    Alcotest.test_case "concurrent footprint prices the builds that overlap"
+      `Quick (fun () ->
+        (* The pool starts pairs largest first, so the builds resident
+           at once are the first [jobs] of that order, trials
+           included. *)
+        let one n = Pr_arena.bulk_footprint ~capacity:8 ~n in
+        let sizes = [ 262_144; 1_048_576; 524_288; 741_455 ] in
+        let price jobs trials sizes =
+          Sweep.concurrent_footprint ~capacity:8 ~sizes ~jobs ~trials ()
+        in
+        Alcotest.(check (pair (list int) int))
+          "jobs 1: the largest build"
+          ([ 1_048_576 ], one 1_048_576)
+          (price 1 1 sizes);
+        Alcotest.(check (pair (list int) int))
+          "jobs 2: the two largest"
+          ([ 1_048_576; 741_455 ], one 1_048_576 + one 741_455)
+          (price 2 1 sizes);
+        Alcotest.(check (pair (list int) int))
+          "one size, 3 trials, jobs 2: two of its builds"
+          ([ 4_096; 4_096 ], 2 * one 4_096)
+          (price 2 3 [ 4_096 ]);
+        Alcotest.(check (pair (list int) int))
+          "more jobs than builds: every build"
+          ([ 512; 256 ], one 512 + one 256)
+          (price 8 1 [ 256; 512 ]);
+        Alcotest.check_raises "trials"
+          (Invalid_argument "Sweep.concurrent_footprint: trials <= 0")
+          (fun () -> ignore (price 2 0 sizes)));
+    Alcotest.test_case "pairs start largest first, stable among equal sizes"
+      `Quick (fun () ->
+        Alcotest.(check (array int))
+          "order" [| 2; 3; 6; 7; 0; 1; 4; 5 |]
+          (Fan_out.largest_first ~sizes:[| 64; 256; 64; 256 |] ~trials:2));
   ]
 
 let trajectory_tests =

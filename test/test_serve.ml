@@ -1539,13 +1539,27 @@ let join_tests =
    [Pr_arena.bulk_zordered], whose slots run in Z order; everything
    observable must equal the in-place build of the same points in the
    same order: frozen tree bytes, [points] order, every answer, and
-   the same again after identical churn. Four regimes: uniform points,
+   the same again after identical churn. Five regimes: uniform points,
    tight clusters (half of them under a max_depth of 0 to 4, so leaves
    form at or above the build's four grouped levels), duplicate-heavy
    clusters under max_depth 42 (one cluster spread below the 21-bit
-   grid, one below the 42-bit grid, with exact repeats), and an
-   mmap-backed build over all three shapes, which takes the two-column
-   sort kernel. *)
+   grid, one below the 42-bit grid, with exact repeats), an
+   mmap-backed build over all four shapes, which takes the two-column
+   sort kernel, and nested clusters. Those put at least [step_min]
+   points in a depth-4 cell, in a depth-8 cell inside it and in a
+   depth-16 cell inside that, so the packed kernel's four-level steps
+   run at depths 4, 8, 12 and 16, and the regime asserts the first
+   two. Their max_depth stops a walk inside a step (5-7), at a step's
+   root (16), or lets the steps nest down to the level-21 reload
+   (18-42), and both heap builds must also freeze to the bytes and
+   points order of an mmap-backed build, whose two-column kernel takes
+   no step: in-place and Z-ordered builds share the step, so only that
+   reference sees a fault in it. *)
+
+(* The packed kernel's four-level step threshold ([Pr_arena]'s
+   [step_min]). *)
+let step_min = 1024
+
 let zorder_point rng regime =
   match regime with
   | 1 ->
@@ -1566,7 +1580,34 @@ let zorder_point rng regime =
       let k = float_of_int (Xoshiro.int rng 6) in
       Point.make (0.8125 +. ldexp k (-50)) (0.0625 +. ldexp k (-49))
     | _ -> Point.make (Xoshiro.float rng) (Xoshiro.float rng))
+  | 4 -> (
+    (* Nested clusters: the depth-4 cell at (1/4, 1/2) holds 80% of the
+       points, the depth-8 cell at its corner 70% and the depth-16 cell
+       at that one's corner 50%, where a fifth of all the points are
+       copies of eight points. *)
+    let at scale = 0.25 +. ldexp (Xoshiro.float rng) (-scale) in
+    match Xoshiro.int rng 10 with
+    | 0 | 1 -> Point.make (Xoshiro.float rng) (Xoshiro.float rng)
+    | 2 -> Point.make (at 4) (0.25 +. at 4)
+    | 3 | 4 -> Point.make (at 8) (0.25 +. at 8)
+    | 5 | 6 | 7 -> Point.make (at 16) (0.25 +. at 16)
+    | _ ->
+      let k = float_of_int (Xoshiro.int rng 8) in
+      Point.make (0.25 +. ldexp k (-20)) (0.5 +. ldexp k (-21)))
   | _ -> Point.make (Xoshiro.float rng) (Xoshiro.float rng)
+
+(* The most points any cell at [depth] holds. *)
+let fullest_cell (pts : Point.t array) depth =
+  let cells = Hashtbl.create 64 and scale = ldexp 1.0 depth in
+  Array.fold_left
+    (fun best (p : Point.t) ->
+      let cell =
+        (int_of_float (p.Point.x *. scale), int_of_float (p.Point.y *. scale))
+      in
+      let c = 1 + Option.value (Hashtbl.find_opt cells cell) ~default:0 in
+      Hashtbl.replace cells cell c;
+      max best c)
+    0 pts
 
 let columns_of (pts : Point.t array) =
   let n = Array.length pts in
@@ -1585,13 +1626,22 @@ let segment_dir () =
 let zorder_case (seed, regime) =
   let rng = Xoshiro.of_int_seed seed in
   let point () =
-    zorder_point rng (if regime = 3 then Xoshiro.int rng 3 else regime)
+    zorder_point rng
+      (if regime = 3 then [| 0; 1; 2; 4 |].(Xoshiro.int rng 4) else regime)
   in
-  let n = Xoshiro.int rng (if regime = 3 then 3000 else 1500) in
+  let n =
+    match regime with
+    | 3 -> Xoshiro.int rng 3000
+    | 4 -> 3000 + Xoshiro.int rng 1500
+    | _ -> Xoshiro.int rng 1500
+  in
   let pts = Array.init n (fun _ -> point ()) in
   let capacity = 1 + Xoshiro.int rng 8 in
   let max_depth =
-    if regime >= 2 then Some 42
+    if regime = 4 then
+      let d = Xoshiro.int rng 29 in
+      Some (if d < 3 then 5 + d else if d = 3 then 16 else 14 + d)
+    else if regime >= 2 then Some 42
     else if regime = 1 then
       (* Half the clustered builds stop at depth 0..4, at or above the
          bulk build's grouped levels. *)
@@ -1603,16 +1653,34 @@ let zorder_case (seed, regime) =
     if regime = 3 then Some (Pr_arena.Mmap { dir = segment_dir () }) else None
   in
   let xs, ys = columns_of pts in
-  let inplace =
-    Pr_arena.bulk_of_columns ?max_depth ?backing ~capacity ~n (fun a b ->
-        for i = 0 to n - 1 do
-          a.{i} <- xs.{i};
-          b.{i} <- ys.{i}
-        done)
+  let fill a b =
+    for i = 0 to n - 1 do
+      a.{i} <- xs.{i};
+      b.{i} <- ys.{i}
+    done
   in
+  let inplace = Pr_arena.bulk_of_columns ?max_depth ?backing ~capacity ~n fill in
   let z = Pr_arena.bulk_zordered ?max_depth ?backing ~capacity ~n xs ys in
   let problems = ref [] in
   let expect what ok = if not ok then problems := what :: !problems in
+  if regime = 4 then begin
+    expect "a depth-4 cell holds step_min points" (fullest_cell pts 4 >= step_min);
+    expect "a depth-8 cell holds step_min points" (fullest_cell pts 8 >= step_min);
+    let two_column =
+      Pr_arena.bulk_of_columns ?max_depth
+        ~backing:(Pr_arena.Mmap { dir = segment_dir () })
+        ~capacity ~n fill
+    in
+    expect "reference is mmap-backed" (Pr_arena.backing two_column <> Pr_arena.Heap);
+    let reference = arena_bytes two_column
+    and reference_points = Pr_arena.points two_column in
+    Pr_arena.release two_column;
+    expect "in-place frozen bytes = two-column kernel's" (arena_bytes inplace = reference);
+    expect "Z-ordered frozen bytes = two-column kernel's" (arena_bytes z = reference);
+    expect "points order = two-column kernel's"
+      (Pr_arena.points inplace = reference_points
+      && Pr_arena.points z = reference_points)
+  end;
   let queries () =
     Array.init 60 (fun i ->
         let p = point () in
@@ -1689,7 +1757,7 @@ let zorder_tests =
          ~name:"Z-ordered build ≡ in-place build, fresh and churned"
          ~print:(fun (seed, regime) ->
            Printf.sprintf "seed=%d regime=%d" seed regime)
-         QCheck2.Gen.(pair (int_range 1 1_000_000) (int_range 0 3))
+         QCheck2.Gen.(pair (int_range 1 1_000_000) (int_range 0 4))
          zorder_case);
     Alcotest.test_case "served arenas are Z-ordered; input-rank builds are not"
       `Quick (fun () ->

@@ -20,6 +20,45 @@ let prop ?(count = 60) name gen law =
 let uniform_points seed n =
   Sampler.points (Xoshiro.of_int_seed seed) Sampler.Uniform n
 
+(* The packed kernel's four-level step threshold ([Pr_arena]'s
+   [step_min]). *)
+let step_min = 1024
+
+(* 3,000-4,499 points: the depth-4 cell at (1/4, 1/2) holds 80% of
+   them, the depth-8 cell at its corner 70% and the depth-16 cell at
+   that one's corner 50%, where a fifth of all the points are copies of
+   eight points. *)
+let nested_cluster_points seed =
+  let rng = Xoshiro.of_int_seed seed in
+  let at scale = 0.25 +. ldexp (Xoshiro.float rng) (-scale) in
+  List.init
+    (3000 + Xoshiro.int rng 1500)
+    (fun _ ->
+      match Xoshiro.int rng 10 with
+      | 0 | 1 -> Point.make (Xoshiro.float rng) (Xoshiro.float rng)
+      | 2 -> Point.make (at 4) (0.25 +. at 4)
+      | 3 | 4 -> Point.make (at 8) (0.25 +. at 8)
+      | 5 | 6 | 7 -> Point.make (at 16) (0.25 +. at 16)
+      | _ ->
+        let k = float_of_int (Xoshiro.int rng 8) in
+        Point.make (0.25 +. ldexp k (-20)) (0.5 +. ldexp k (-21)))
+
+(* The most points any cell at [depth] holds. *)
+let fullest_cell pts depth =
+  let cells = Hashtbl.create 64 and scale = ldexp 1.0 depth in
+  List.fold_left
+    (fun best (p : Point.t) ->
+      let cell =
+        (int_of_float (p.Point.x *. scale), int_of_float (p.Point.y *. scale))
+      in
+      let c = 1 + Option.value (Hashtbl.find_opt cells cell) ~default:0 in
+      Hashtbl.replace cells cell c;
+      max best c)
+    0 pts
+
+let segment_dir () =
+  Filename.concat (Filename.get_temp_dir_name ()) "popan-test-segments"
+
 let no_violations name violations =
   Alcotest.(check (list string)) name [] violations
 
@@ -729,13 +768,35 @@ let pr_arena_churn_tests =
 let pr_arena_bulk_tests =
   [
     prop "parallel bulk equals sequential at jobs 1, 2 and 4"
-      QCheck2.Gen.(triple (int_range 0 10_000) (int_range 1 6) (int_range 0 12))
-      (fun (seed, capacity, max_depth) ->
-        (* Depth limits from 0 cover trees that stop above the four
-           grouped levels. The pooled build must equal the sequential
+      QCheck2.Gen.(
+        quad (int_range 0 10_000) (int_range 1 8) (int_range 0 28) bool)
+      (fun (seed, capacity, depth_draw, nested) ->
+        (* Uniform: 400 points, capacity 1-6, depth limits 0-12, from 0
+           so trees stop above the four grouped levels. Nested clusters
+           reach the packed kernel's four-level step at depths 4, 8, 12
+           and 16 (the case asserts the first two), capacity 1-8, with
+           depth limits that stop a walk inside a step (5-7), at a
+           step's root (16), or let the steps nest down to the level-21
+           reload (18-42). The pooled build must equal the sequential
            one in every stored entry — node ids, chains, columns and
-           counters — not just in its frozen structure. *)
-        let pts = uniform_points seed 400 in
+           counters — not just in its frozen structure. Neither the
+           incremental reference tree nor, for nested clusters, the
+           mmap-backed build (the two-column kernel) takes a step: the
+           sequential build must match the first's structure and the
+           second's points in chain order. *)
+        let pts, capacity, max_depth =
+          if nested then
+            ( nested_cluster_points seed,
+              capacity,
+              if depth_draw < 3 then 5 + depth_draw
+              else if depth_draw = 3 then 16
+              else 14 + depth_draw )
+          else (uniform_points seed 400, 1 + (capacity mod 6), depth_draw mod 13)
+        in
+        (not nested
+        || fullest_cell pts 4 >= step_min && fullest_cell pts 8 >= step_min
+        || QCheck2.Test.fail_report "nested clusters miss a step")
+        &&
         let seq = Pr_arena.of_points_bulk ~capacity ~max_depth pts in
         let sequential = Pr_arena.freeze seq in
         let reference = Pr_quadtree.of_points ~capacity ~max_depth pts in
@@ -748,7 +809,19 @@ let pr_arena_bulk_tests =
             && Pr_arena.diff_state seq par = []
             && Pr_quadtree.equal_structure (Pr_arena.freeze par) sequential)
           [ 1; 2; 4 ]
-        && Pr_quadtree.equal_structure sequential reference);
+        && Pr_quadtree.equal_structure sequential reference
+        && ((not nested)
+           ||
+           let two_column =
+             Pr_arena.of_points_bulk ~capacity ~max_depth
+               ~backing:(Pr_arena.Mmap { dir = segment_dir () }) pts
+           in
+           let same =
+             Pr_arena.backing two_column <> Pr_arena.Heap
+             && Pr_arena.points two_column = Pr_arena.points seq
+           in
+           Pr_arena.release two_column;
+           same));
     prop "bulk_of_fn streams the same tree as the point list"
       QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 6))
       (fun (seed, capacity) ->
@@ -766,12 +839,9 @@ let pr_arena_bulk_tests =
       QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 6))
       (fun (seed, capacity) ->
         let pts = uniform_points seed 300 in
-        let dir =
-          Filename.concat (Filename.get_temp_dir_name ()) "popan-test-segments"
-        in
         let m =
-          Pr_arena.of_points_bulk ~backing:(Pr_arena.Mmap { dir }) ~capacity
-            ~jobs:2 pts
+          Pr_arena.of_points_bulk ~backing:(Pr_arena.Mmap { dir = segment_dir () })
+            ~capacity ~jobs:2 pts
         in
         let mapped = Pr_arena.backing m <> Pr_arena.Heap in
         let frozen = Pr_arena.freeze m in
