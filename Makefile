@@ -46,8 +46,12 @@ test:
 # with exit status 1 and a one-line diagnostic, and at --max-depth 42 must build exact
 # duplicates at capacity 1 down to height 42. Finally the churn smoke:
 # a 10^6-operation insert/delete/update
-# stream whose arena must equal a fresh rebuild of the survivors, with
-# trial fan-out byte-identical at jobs 1/2/4. The serve smoke: spawn
+# stream whose arena must equal a fresh rebuild of the survivors; a
+# snapshot of the start arena that replays the stream in 256-op slices,
+# as the serving layer's spare catches up with the current epoch, must
+# equal the churned arena entry for entry (Pr_arena.diff_state) and
+# freeze to its bytes; and trial fan-out must be byte-identical at
+# jobs 1/2/4. The serve smoke: spawn
 # `popan serve` at jobs 1/2/4, drive two framed 10k-query mixed batches
 # through the wire protocol while the churn writer publishes epochs,
 # verify every response byte-for-byte against an in-process sequential
@@ -61,7 +65,8 @@ test:
 # telemetry under churn, self-warm two batches, scrape it once with
 # `popan obs top --prom --quit` (the quit also proves a client can shut
 # the accept loop down), and require the exposition to pass the
-# Prometheus line-grammar validator. The pruning gate is a count in
+# Prometheus line-grammar validator and to carry the publish counters'
+# replayed operations (popan_serve_publish_replayed). The pruning gate is a count in
 # `dune runtest` (test_serve's pruning group): at 90% selectivity over
 # 2^16 uniform points, pruned count_in_box visits at most a fifth of the
 # nodes the unpruned walk (Pr_quadtree's box descent over the frozen
@@ -220,11 +225,12 @@ check: build test
 	  > $$tmp/prom.txt; \
 	wait $$pid || { echo "obs-top smoke FAILED: server exited unclean"; \
 	  cat $$tmp/serve.log; rm -rf $$tmp; exit 1; }; \
-	if dune exec --no-build bin/popan.exe -- obs validate $$tmp/prom.txt; then \
+	if dune exec --no-build bin/popan.exe -- obs validate $$tmp/prom.txt \
+	   && grep -q '^popan_serve_publish_replayed' $$tmp/prom.txt; then \
 	  echo "obs-top smoke: live scrape over the socket validates as Prometheus"; \
 	  rm -rf $$tmp; \
 	else \
-	  echo "obs-top smoke FAILED: scraped exposition did not validate"; \
+	  echo "obs-top smoke FAILED: scraped exposition did not validate or lacks popan_serve_publish_replayed"; \
 	  cat $$tmp/serve.log; rm -rf $$tmp; exit 1; \
 	fi
 

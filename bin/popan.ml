@@ -1437,8 +1437,8 @@ let render_telemetry socket (t : Popan_serve.Wire.telemetry) =
     print_string
       "  (no per-query sketches yet: start the server with --telemetry \
        and drive some batches, e.g. --warm)\n";
-  (* What publishing costs: bytes copied per epoch, and how many epochs
-     needed a full copy rather than a refresh of the spare. *)
+  (* What publishing costs: full copies and the bytes they moved, and
+     the churn operations replayed into spares instead, per epoch. *)
   let counter name =
     match Obs_json.parse t.metrics_json with
     | Ok json ->
@@ -1446,17 +1446,16 @@ let render_telemetry socket (t : Popan_serve.Wire.telemetry) =
           Option.bind (Obs_json.member name c) Obs_json.int_opt)
     | Error _ -> None
   in
-  (match
-     ( counter "serve.epochs.published",
-       counter "serve.publish.bytes",
-       counter "serve.publish.full" )
-   with
-  | Some epochs, Some bytes, full when epochs > 0 ->
+  (match counter "serve.epochs.published" with
+  | Some epochs when epochs > 0 ->
+    let count name = Option.value (counter name) ~default:0 in
     Printf.printf
-      "  publish: %d epochs, %d full copies, %.2f MB copied (%.1f KB per epoch)\n"
-      epochs (Option.value full ~default:0)
-      (float_of_int bytes /. 1048576.0)
-      (float_of_int bytes /. 1024.0 /. float_of_int epochs)
+      "  publish: %d epochs, %d full copies, %.2f MB copied, %.1f ops \
+       replayed per epoch\n"
+      epochs
+      (count "serve.publish.full")
+      (float_of_int (count "serve.publish.bytes") /. 1048576.0)
+      (float_of_int (count "serve.publish.replayed") /. float_of_int epochs)
   | _ -> ());
   (* How long requests waited for the writer's slice: the part of the
      publish the response and the client's turnaround did not hide. *)

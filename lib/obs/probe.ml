@@ -298,12 +298,14 @@ let serve_pruned_subtrees n =
 let serve_epochs_published = Metrics.counter "serve.epochs.published"
 let serve_epochs_retired = Metrics.counter "serve.epochs.retired"
 
-(* What publishing cost: column bytes copied into epoch arenas, and how
-   many publishes copied every chunk (the boot epoch, a publish with no
-   retired arena to refresh, one whose spare had to regrow). Stable:
-   the pin/publish sequence, not the schedule, decides both. *)
+(* What publishing cost: column bytes copied into epoch arenas, how
+   many publishes copied an arena in full (the boot epoch, or a writer
+   with no spare one epoch behind), and the churn operations replayed
+   into spares instead. Stable: the pin/publish sequence, not the
+   schedule, decides all three. *)
 let serve_publish_bytes = Metrics.counter "serve.publish.bytes"
 let serve_publish_full = Metrics.counter "serve.publish.full"
+let serve_publish_replayed = Metrics.counter "serve.publish.replayed"
 let serve_queue_depth = Metrics.gauge ~stable:false "serve.queue.depth"
 let serve_epoch_id = Metrics.gauge ~stable:false "serve.epoch.id"
 let serve_epoch_age = Metrics.gauge ~stable:false "serve.epoch.age.batches"
@@ -409,9 +411,11 @@ let serve_writer_wait_sketch = Metrics.sketch ~stable:false "serve.writer.wait"
 let serve_writer_wait ~ns =
   Metrics.record_sketch serve_writer_wait_sketch (float_of_int ns *. 1e-9)
 
-let serve_publish_copy ~bytes ~full =
+let serve_publish_copy ~bytes =
   Metrics.add serve_publish_bytes bytes;
-  if full then Metrics.incr serve_publish_full
+  Metrics.incr serve_publish_full
+
+let serve_publish_replay ~ops = Metrics.add serve_publish_replayed ops
 
 let serve_pin ~epoch =
   Event.emit ~level:Event.Debug "serve.epoch.pin" [ ("epoch", Event.Int epoch) ]

@@ -218,12 +218,17 @@ val serve_batch : queries:int -> jobs:int -> (unit -> 'a) -> 'a
     event. *)
 val serve_publish : epoch:int -> size:int -> unit
 
-(** [serve_publish_copy ~bytes ~full] accounts one epoch's copy:
-    [serve.publish.bytes] gains the column bytes copied, and
-    [serve.publish.full] counts it when every chunk was copied (the
-    boot epoch, no retired arena to refresh, or a spare that had to
-    regrow). Both stable. *)
-val serve_publish_copy : bytes:int -> full:bool -> unit
+(** [serve_publish_copy ~bytes] accounts one full copy of an epoch
+    arena: [serve.publish.bytes] gains the column bytes copied, and
+    [serve.publish.full] counts the copy (the boot epoch, or a publish
+    with no spare one epoch behind). Both stable. *)
+val serve_publish_copy : bytes:int -> unit
+
+(** [serve_publish_replay ~ops] counts the churn operations the writer
+    replayed into a spare to bring it up to the current epoch
+    ([serve.publish.replayed], stable): a steady-state publish replays
+    one slice and copies nothing. *)
+val serve_publish_replay : ops:int -> unit
 
 (** [serve_writer_wait ~ns] records, into the unstable
     [serve.writer.wait] sketch (seconds), how long a request waited to

@@ -19,16 +19,16 @@ type t = {
   mutable live : epoch list;
   mutable next_id : int;
   (* The newest retired epoch's arena, with its epoch id, kept for the
-     next [publish_from] to refresh instead of allocating a copy. *)
+     churn writer to catch up by replay ([take_spare]). *)
   mutable spare : (int * Pr_arena.t) option;
 }
 
 (* Retirement is the only place an epoch leaves the live list. Its
-   arena becomes the spare when it is newer than the one held — a newer
-   copy has fewer chunks to catch up on — and the other is released. A
-   heap-backed arena has nothing to release (the GC takes it once
-   unreachable); releasing anyway keeps the mmap story uniform for an
-   mmap-backed build or copy handed to [publish]. *)
+   arena becomes the spare when it is newer than the one held — only a
+   spare one epoch behind the current one catches up by replaying one
+   slice — and the other is released. A heap-backed arena has nothing
+   to release (the GC takes it once unreachable); releasing anyway
+   keeps the mmap story uniform for a served mmap-backed build. *)
 let retire t e =
   if not e.retired then begin
     e.retired <- true;
@@ -58,21 +58,6 @@ let create arena =
     spare = None;
   }
 
-(* Every epoch copy is a refresh: of the spare when there is one, else
-   of an empty arena, which regrows to the live arena's column capacity
-   — unlike an exact-size snapshot, it then stays big enough to be
-   refreshed in place until the live arena's columns double. *)
-let copy_into live arena =
-  let stats = Pr_arena.refresh live ~into:arena in
-  Probe.serve_publish_copy ~bytes:stats.Pr_arena.bytes ~full:stats.Pr_arena.full;
-  arena
-
-let empty_like live =
-  Pr_arena.create ~max_depth:(Pr_arena.max_depth live)
-    ~capacity:(Pr_arena.capacity live) ()
-
-let create_from live = create (copy_into live (empty_like live))
-
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
@@ -87,30 +72,30 @@ let publish t arena =
       Probe.serve_publish ~epoch:e.id ~size:(Pr_arena.size arena);
       e)
 
-let same_shape a b =
-  Pr_arena.capacity a = Pr_arena.capacity b
-  && Pr_arena.max_depth a = Pr_arena.max_depth b
-
-(* The copy runs outside the lock: readers keep pinning and unpinning
-   while the writer refreshes the spare, which no reader can reach. *)
-let publish_from t live =
-  let spare =
-    locked t (fun () ->
-        let s = t.spare in
-        t.spare <- None;
-        s)
-  in
-  let target =
-    match spare with
-    | Some (_, a) when same_shape a live -> a
-    | other ->
-      Option.iter (fun (_, a) -> Pr_arena.release a) other;
-      empty_like live
-  in
-  publish t (copy_into live target)
-
 let current t = locked t (fun () -> t.current)
 let current_id t = locked t (fun () -> t.current.id)
+
+let copy arena =
+  let c = Pr_arena.snapshot arena in
+  Probe.serve_publish_copy ~bytes:(Pr_arena.copy_bytes arena);
+  c
+
+let create_from live =
+  let t = create (copy live) in
+  t.spare <- Some (-1, live);
+  t
+
+(* Outside the lock: readers keep pinning and unpinning while the
+   writer copies, and only a publish, which is the writer's, could
+   supersede the epoch being read. *)
+let copy_current t = copy (current t).arena
+
+let take_spare t =
+  locked t (fun () ->
+      let s = t.spare in
+      t.spare <- None;
+      s)
+
 let live_count t = locked t (fun () -> List.length t.live)
 
 let pin t =
@@ -160,8 +145,8 @@ let check_invariants t =
             (Pr_arena.check_invariants e.arena))
         t.live;
       (* Disjointness: no two live epochs, and no live epoch and the
-         spare, hold the same column — the next refresh writes the
-         spare's columns, and a reader must never see that. *)
+         spare, hold the same column — the writer replays into the
+         spare, and a reader must never see that. *)
       let rec pairs = function
         | [] -> ()
         | (a, x) :: rest ->

@@ -2,24 +2,27 @@ open Import
 
 (** Epoch snapshots: the serving layer's reader/writer seam.
 
-    A writer applies churn to its own live arena and periodically
-    publishes a frozen copy of it ({!publish_from}); readers {!pin} the
+    A writer applies churn to an arena no reader can reach and then
+    {!publish}es that arena as the next epoch; readers {!pin} the
     current epoch for the duration of a batch and query its arena with
-    the arena-native kernels. Epoch arenas share no column with the
-    writer's arena or with each other, so a pinned epoch is immutable by
-    construction — readers can never observe a torn snapshot, whatever
-    the writer does concurrently.
+    the arena-native kernels. A published arena is not written again
+    until it has been retired and handed back ({!take_spare}), and no
+    two epochs share a column, so a pinned epoch is immutable — readers
+    can never observe a torn epoch, whatever the writer does
+    concurrently.
 
     Lifecycle: publishing supersedes the previous epoch; a superseded
     epoch stays alive while pins hold it and is retired
     ([serve.epochs.retired]) the moment its last pin drops. The newest
-    retired epoch's arena is kept as the {e spare}: the next
-    {!publish_from} refreshes it ({!Pr_arena.refresh}) instead of
-    allocating a fresh copy, so a publish copies only the chunks churn
-    wrote since that epoch was taken. Other retired arenas are released
-    ({!Pr_arena.release}). {!shutdown} reclaims everything. All
-    operations are mutex-protected: the writer may publish from one
-    domain while readers pin from another. *)
+    retired epoch's arena is kept as the {e spare}, with its epoch id.
+    The churn writer takes it: one epoch behind the current one, it
+    catches up by replaying the slice that produced the current epoch,
+    so a steady-state publish copies nothing; otherwise the writer
+    starts from a full copy of the current epoch ({!copy_current}).
+    Other retired arenas are released ({!Pr_arena.release}).
+    {!shutdown} reclaims everything. All operations are
+    mutex-protected: the writer may publish from one domain while
+    readers pin from another. *)
 
 type epoch
 
@@ -29,8 +32,8 @@ val id : epoch -> int
 
 (** [arena e] is the epoch's frozen arena. Callers must only query it —
     never insert, delete or release — and only while they hold a pin on
-    [e]: once [e] is retired its arena becomes the spare, and the next
-    publish overwrites it with a later epoch's contents. *)
+    [e]: once [e] is retired its arena becomes the spare, and the
+    writer replays later churn into it. *)
 val arena : epoch -> Pr_arena.t
 
 (** [pins e] is the epoch's current pin count. *)
@@ -40,19 +43,21 @@ type t
 
 (** [create arena] boots the store with [arena] as epoch 0. The store
     takes ownership: once superseded and unpinned, [arena] becomes the
-    spare and is later overwritten or released, and {!shutdown}
-    releases it in any case. Handing in a live arena is sound only when
-    nothing will ever write it again — a static server's built arena,
-    which no writer exists to mutate and which is never superseded, so
-    it serves as epoch 0 with no copy. An arena that a writer keeps
-    mutating must go in as a copy ({!create_from}, or a
-    {!Pr_arena.snapshot}): readers of epoch 0 would see its writes. *)
+    spare — handed back to the writer, or released — and {!shutdown}
+    releases it in any case, mmap segments included. Whoever handed it
+    in must not write it until {!take_spare} hands it back: readers of
+    its epoch would see the writes. A static server hands in its build,
+    which nothing ever writes; a churning server boots from a copy
+    ({!create_from}), because its writer goes on to churn the build. *)
 val create : Pr_arena.t -> t
 
-(** [create_from live] boots the store with a copy of the writer's
-    [live] arena as epoch 0 — a full copy, counted in
-    [serve.publish.bytes] / [serve.publish.full]. The copy keeps
-    [live]'s slot layout. *)
+(** [create_from live] boots the store with a full copy of [live] as
+    epoch 0 ({!Pr_arena.snapshot}: [live]'s slot layout and column
+    capacity), counted as {!copy_current} counts, and takes [live]
+    itself as the spare, with id -1: the empty slice takes its state to
+    epoch 0's, so a writer's first slice finds it one epoch behind and
+    churns it into epoch 1. Ownership of [live] passes to the store as
+    in {!create}. *)
 val create_from : Pr_arena.t -> t
 
 (** [publish t arena] installs [arena] as the new current epoch and
@@ -60,16 +65,20 @@ val create_from : Pr_arena.t -> t
     as in {!create}. *)
 val publish : t -> Pr_arena.t -> epoch
 
-(** [publish_from t live] publishes a copy of the writer's [live] arena
-    as the new current epoch. The copy refreshes the spare when there
-    is one of [live]'s capacity and depth limit, and an empty
-    arena otherwise — the full-copy cases being no spare (every retired
-    epoch was still pinned) and a spare too small for [live], which
-    regrows to [live]'s column capacity. [serve.publish.bytes] counts the bytes
-    copied and [serve.publish.full] the full copies. The copy runs
-    outside the store's lock; the caller must be [live]'s only writer
-    and must not mutate it during the call. *)
-val publish_from : t -> Pr_arena.t -> epoch
+(** [take_spare t] removes and returns the spare — the newest retired
+    epoch's arena — with the id of the epoch it holds, or [None] when
+    there is none (every superseded epoch is still pinned, or the spare
+    was taken and nothing has retired since). The caller owns the
+    arena: it must {!publish} it or {!Pr_arena.release} it. *)
+val take_spare : t -> (int * Pr_arena.t) option
+
+(** [copy_current t] is a full copy ({!Pr_arena.snapshot}) of the
+    current epoch's arena, counted in [serve.publish.bytes] (the bytes
+    copied) and [serve.publish.full] (one full copy). The copy runs
+    outside the store's lock, so readers keep pinning meanwhile; the
+    caller must be the store's only publisher, which keeps the epoch
+    being copied current. *)
+val copy_current : t -> Pr_arena.t
 
 (** [current t] is the current epoch, unpinned — a peek, valid only
     under an existing pin or for its [id]. *)

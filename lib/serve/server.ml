@@ -8,25 +8,27 @@ let kernel_of (q : Wire.query) =
   | Wire.Nearest _ -> `Nearest
   | Wire.Cell _ -> `Cell
 
-(* One rule for non-finite input, decided before the kernels run: a NaN
-   or infinite coordinate, in any field of any kind of query, answers
-   [Rejected] naming the field. None for a finite query, without
-   allocating. *)
-let non_finite (q : Wire.query) =
+(* One rule for hostile input, decided before the kernels run: a NaN
+   or infinite coordinate, in any field of any kind of query, or a box
+   whose extent is empty on an axis, answers [Rejected] naming the
+   field. The wire hands a query box over as four raw floats, so this
+   rule is all that stands between a hostile box and the kernels. None
+   for a valid query, without allocating. *)
+let rejection (q : Wire.query) =
   let bad v = not (Float.is_finite v) in
   match q with
   | Wire.Range b | Wire.Count b ->
-    if bad b.Box.xmin then Some "box xmin"
-    else if bad b.Box.ymin then Some "box ymin"
-    else if bad b.Box.xmax then Some "box xmax"
-    else if bad b.Box.ymax then Some "box ymax"
+    if bad b.Box.xmin then Some "non-finite query coordinate: box xmin"
+    else if bad b.Box.ymin then Some "non-finite query coordinate: box ymin"
+    else if bad b.Box.xmax then Some "non-finite query coordinate: box xmax"
+    else if bad b.Box.ymax then Some "non-finite query coordinate: box ymax"
+    else if b.Box.xmin >= b.Box.xmax then Some "empty query box: xmin >= xmax"
+    else if b.Box.ymin >= b.Box.ymax then Some "empty query box: ymin >= ymax"
     else None
   | Wire.Knn (_, p) | Wire.Nearest p | Wire.Cell p ->
-    if bad p.Point.x then Some "point x"
-    else if bad p.Point.y then Some "point y"
+    if bad p.Point.x then Some "non-finite query coordinate: point x"
+    else if bad p.Point.y then Some "non-finite query coordinate: point y"
     else None
-
-let non_finite_reason field = "non-finite query coordinate: " ^ field
 
 (* One query against one arena: the single dispatch behind both
    [eval] and [eval_instrumented]. Untimed, it is what the pool's tasks
@@ -44,10 +46,8 @@ let dispatch ~timed arena ~epoch (q : Wire.query) : Wire.answer =
   let t0 = if timed then Clock.now_ns () else 0 in
   let kernel = kernel_of q in
   let answer, visited, note =
-    match non_finite q with
-    | Some field ->
-      let m = non_finite_reason field in
-      (Wire.Rejected m, 0, m)
+    match rejection q with
+    | Some m -> (Wire.Rejected m, 0, m)
     | None -> (
       match q with
       | Wire.Range b ->
@@ -258,13 +258,66 @@ module Writer = struct
     w.domain <- None
 end
 
+(* The churn writer's state. Each slice turns the spare — the retired
+   epoch just before the current one — into the next epoch: it replays
+   [slice.(0 .. kept - 1)], the operations that produced the current
+   epoch, then draws and applies the next slice and publishes the arena
+   itself. Insert, delete and update are deterministic functions of
+   (arena state, operation), so the replayed spare holds exactly the
+   current epoch's state and nothing is copied. The boot build starts
+   as the spare of epoch -1, which the empty slice ([kept] = 0) takes
+   to epoch 0's state. [kept] is -1 after a slice that raised: what it
+   drew reached no epoch, so nothing can replay it. *)
+type churn = {
+  spec : Workload.Churn.spec;
+  state : Workload.Churn.state;
+  slice : Workload.Churn.event array;
+  mutable kept : int;
+}
+
+let apply arena = function
+  | Workload.Churn.Insert p -> Pr_arena.insert arena p
+  | Workload.Churn.Delete p -> ignore (Pr_arena.delete arena p : bool)
+  | Workload.Churn.Update (p, q) -> ignore (Pr_arena.update arena p q : bool)
+
+(* One slice. Without a spare one epoch behind — every retired epoch
+   still pinned, a spare further behind, or a last slice that raised —
+   it starts from a full copy of the current epoch. A slice that raises
+   publishes nothing and releases its half-churned arena. *)
+let churn_slice epochs c =
+  let kept = c.kept in
+  c.kept <- -1;
+  let arena, replay =
+    match Epoch.take_spare epochs with
+    | Some (id, a) when kept >= 0 && id = Epoch.current_id epochs - 1 ->
+      (a, kept)
+    | spare ->
+      Option.iter (fun (_, a) -> Pr_arena.release a) spare;
+      (Epoch.copy_current epochs, 0)
+  in
+  match
+    for i = 0 to replay - 1 do
+      apply arena c.slice.(i)
+    done;
+    Probe.serve_publish_replay ~ops:replay;
+    for i = 0 to Array.length c.slice - 1 do
+      let op = Workload.Churn.step c.spec c.state in
+      c.slice.(i) <- op;
+      apply arena op
+    done
+  with
+  | () ->
+    c.kept <- Array.length c.slice;
+    ignore (Epoch.publish epochs arena : Epoch.epoch)
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Pr_arena.release arena;
+    Printexc.raise_with_backtrace e bt
+
 type t = {
   config : config;
   pool : Parallel.Pool.t;
   owns_pool : bool;
-  live : Pr_arena.t;
-      (** the writer's arena; only the writer touches it. A static
-          server's epoch 0, owned by [epochs]. *)
   epochs : Epoch.t;
   writer : Writer.t option;  (** present iff [churn_ops > 0] *)
   mutable in_flight : bool;  (** a slice started and not yet joined *)
@@ -299,11 +352,9 @@ let create ?pool config =
   (* The served arena is built in Z order straight from the churn
      stream's live columns. A churning server reserves headroom for the
      slot high-water mark, which churn pushes above the base population
-     from the first slice on: without it the live columns double at
-     once, and the boot epoch's copy, sized to them, must regrow at its
-     first reuse. Untouched, the headroom costs address space, not
-     memory. *)
-  let live =
+     from the first slice on: without it the columns double at once.
+     Untouched, the headroom costs address space, not memory. *)
+  let build =
     let xs, ys = Workload.Churn.live_columns state in
     let headroom = if static then 0 else config.base_points / 8 in
     Pr_arena.bulk_zordered ?backing ~capacity:config.capacity
@@ -316,32 +367,30 @@ let create ?pool config =
     | None -> (Parallel.Pool.create ?jobs:config.jobs (), true)
   in
   (* No writer ever touches a static server's arena, so it serves as
-     epoch 0 itself and the store releases it at shutdown. A churning
-     server boots from a copy: its writer mutates [live] while batch 0
-     reads epoch 0. *)
-  let epochs = if static then Epoch.create live else Epoch.create_from live in
-  (* The writer's one job per batch: the next churn slice, then the
-     next epoch, published through the spare so it copies only the
-     chunks the slice wrote. *)
+     epoch 0 itself. A churning server serves a copy as epoch 0 and
+     hands the store its build as the spare, which the first slice
+     churns into epoch 1; from then on the two arenas alternate. *)
+  let epochs = if static then Epoch.create build else Epoch.create_from build in
   let writer =
     if static then None
-    else
-      Some
-        (Writer.spawn (fun () ->
-             for _ = 1 to config.churn_ops do
-               match Workload.Churn.step spec state with
-               | Workload.Churn.Insert p -> Pr_arena.insert live p
-               | Workload.Churn.Delete p -> ignore (Pr_arena.delete live p : bool)
-               | Workload.Churn.Update (p, q) ->
-                 ignore (Pr_arena.update live p q : bool)
-             done;
-             ignore (Epoch.publish_from epochs live : Epoch.epoch)))
+    else begin
+      let c =
+        {
+          spec;
+          state;
+          slice =
+            Array.make config.churn_ops
+              (Workload.Churn.Insert (Point.make 0.0 0.0));
+          kept = 0;
+        }
+      in
+      Some (Writer.spawn (fun () -> churn_slice epochs c))
+    end
   in
   {
     config;
     pool;
     owns_pool;
-    live;
     epochs;
     writer;
     in_flight = false;
@@ -375,17 +424,17 @@ let epochs t =
 let pool t = t.pool
 let batches t = t.batches
 
-(* Answer one batch from a pinned epoch while the churn writer advances
-   the live arena and publishes the next epoch on its own domain. The
-   overlap is real — the writer mutates [t.live] and refreshes the
-   spare during the batch, and keeps going after the answers are
-   returned — but readers only ever see the pinned epoch, which shares
-   no column with either, so answers are torn-free and depend only on
-   the epoch's contents; and the churn stream itself is deterministic,
-   so the next published epoch is too. Responses are therefore
-   byte-identical at every job count. The slice is joined by the next
-   call that needs the epoch it publishes: batch [n] serves epoch [n]
-   and leaves epoch [n+1] installed for the next request. *)
+(* Answer one batch from a pinned epoch while the churn writer turns
+   the spare into the next epoch on its own domain. The overlap is
+   real — the writer replays into and churns the spare during the
+   batch, and keeps going after the answers are returned — but readers
+   only ever see the pinned epoch, which shares no column with the
+   spare, so answers are torn-free and depend only on the epoch's
+   contents; and the churn stream itself is deterministic, so the next
+   published epoch is too. Responses are therefore byte-identical at
+   every job count. The slice is joined by the next call that needs the
+   epoch it publishes: batch [n] serves epoch [n] and leaves epoch
+   [n+1] installed for the next request. *)
 let run_queries t queries =
   join t;
   let e = Epoch.pin t.epochs in
@@ -435,6 +484,10 @@ let warm t ~batches ~queries:qn =
     ignore (run_queries t (mixed_queries rng qn) : int * Wire.answer array)
   done
 
+(* The served population: after a join, the current epoch holds the
+   writer's latest slice, and no publish can supersede it meanwhile. *)
+let size t = Pr_arena.size (Epoch.arena (Epoch.current t.epochs))
+
 let handle t (req : Wire.request) : Wire.response * bool =
   (match req with Wire.Batch _ -> () | _ -> join t);
   match req with
@@ -445,7 +498,7 @@ let handle t (req : Wire.request) : Wire.response * bool =
     ( Wire.Stats_info
         {
           epoch = Epoch.current_id t.epochs;
-          size = Pr_arena.size t.live;
+          size = size t;
           batches = t.batches;
           live_epochs = Epoch.live_count t.epochs;
         },
@@ -454,7 +507,7 @@ let handle t (req : Wire.request) : Wire.response * bool =
     ( Wire.Telemetry_info
         {
           epoch = Epoch.current_id t.epochs;
-          size = Pr_arena.size t.live;
+          size = size t;
           batches = t.batches;
           live_epochs = Epoch.live_count t.epochs;
           metrics_json = Metrics.to_json ();
@@ -478,8 +531,6 @@ let shutdown t =
   Option.iter Writer.stop t.writer;
   Probe.serve_shutdown ~batches:t.batches ~epoch:(Epoch.current_id t.epochs);
   Epoch.shutdown t.epochs;
-  (* A static server's store owns [live] and has released it. *)
-  if Option.is_some t.writer then Pr_arena.release t.live;
   if t.owns_pool then Parallel.Pool.shutdown t.pool;
   (* The at-exit flushes only cover experiment commands; a server must
      leave its admission counters in the store's stats log itself. *)

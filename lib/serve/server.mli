@@ -3,18 +3,23 @@ open Import
 (** The request loop: batched arena-native query execution over epoch
     snapshots, behind the {!Wire} protocol.
 
-    One server owns a live arena (the churn writer's), an {!Epoch}
-    store of published snapshots, and a deterministic domain pool. A
-    [Batch] request pins the current epoch, fans its queries out on the
-    pool ([map_array]'s task-ordered reduction makes the response
-    byte-identical at every job count), and — when churn is configured —
-    concurrently applies the next slice of the deterministic churn
-    stream to the live arena, publishing the result as the next epoch
-    ({!Epoch.publish_from}: a refresh of the spare that copies only the
-    chunks the slice wrote). The churn work runs on one writer domain
-    that lives as long as the server; a static server
-    ([churn_ops = 0]) has none. Readers never observe a torn snapshot:
-    epochs share no mutable state with the live arena.
+    One server owns an {!Epoch} store of published arenas and a
+    deterministic domain pool. A [Batch] request pins the current
+    epoch, fans its queries out on the pool ([map_array]'s task-ordered
+    reduction makes the response byte-identical at every job count),
+    and — when churn is configured — concurrently has the writer turn
+    the store's spare into the next epoch: it replays into the spare
+    the slice that produced the current epoch, applies the next slice
+    of the deterministic churn stream, and publishes that arena, so a
+    steady-state publish copies nothing ([serve.publish.replayed]
+    counts the replayed operations). Without a spare one epoch behind
+    — every retired epoch still pinned, or the slice after one that
+    raised — the writer starts from a full copy of the current epoch
+    instead ([serve.publish.full]). The churn work runs on one writer
+    domain that lives as long as the server; a static server
+    ([churn_ops = 0]) has none. Readers never observe a torn epoch: a
+    published arena is not written until it has been retired, and no
+    two epochs share a column.
 
     {b Joins.} A batch's answers are returned as soon as they are
     computed; its slice keeps running while the response is encoded and
@@ -35,9 +40,9 @@ open Import
 
 (** [eval arena q] answers one query sequentially — the same function
     the pool's tasks run when telemetry is off, and the oracle tests
-    replay. A query with a NaN or infinite coordinate, of any kind,
-    answers [Rejected] with a reason naming the field, decided before
-    any kernel runs. A [Knn] with [k < 0] and a [Cell] probe outside the
+    replay. A query with a NaN or infinite coordinate, of any kind, or
+    a box with [xmin >= xmax] or [ymin >= ymax], answers [Rejected]
+    with a reason naming the field, decided before any kernel runs. A [Knn] with [k < 0] and a [Cell] probe outside the
     bounds answer [Rejected] as well. *)
 val eval : Pr_arena.t -> Wire.query -> Wire.answer
 
@@ -87,7 +92,7 @@ type config = {
   insert_fraction : float;
   update_fraction : float;
   drift_sigma : float;
-  mmap_dir : string option;  (** back the live arena's columns with mmap *)
+  mmap_dir : string option;  (** back the built arena's columns with mmap *)
 }
 
 (** 10k uniform points at capacity 8, seed 1987, 256 churn ops per
@@ -98,15 +103,16 @@ val default_config : config
 type t
 
 (** [create ?pool config] builds the initial population
-    (deterministically from [config.seed]) into the live arena with
+    (deterministically from [config.seed]) into an arena with
     {!Pr_arena.bulk_zordered}, reading the churn stream's live columns,
     so each leaf's points sit in consecutive slots. It publishes epoch 0,
     readies the pool ([?pool] borrows an existing one, which
     {!shutdown} then leaves running) and, when [churn_ops > 0], spawns
     the writer domain. Epoch 0 of a static server ([churn_ops = 0]) is
-    the live arena itself, with no copy; a churning server's is a copy,
-    because its writer mutates the live arena while batch 0 reads
-    epoch 0. With [base_points = 0] the tree and the churn stream both
+    the built arena itself, with no copy; a churning server's is a copy
+    ({!Epoch.create_from}), because its writer churns the build into
+    epoch 1 while batch 0 reads epoch 0. Either way the store owns the
+    build. With [base_points = 0] the tree and the churn stream both
     start empty. Raises [Invalid_argument] on negative [base_points] or
     [churn_ops]. *)
 val create : ?pool:Parallel.Pool.t -> config -> t
@@ -158,8 +164,8 @@ val respond : out_channel -> Wire.response -> unit
 val serve_channels : t -> in_channel -> out_channel -> bool
 
 (** [shutdown t] joins the slice in flight, stops and joins the writer
-    domain, retires every epoch and releases the live arena's mmap
-    segments, shuts down an owned pool, and flushes the obs counters to
+    domain, retires every epoch and releases every arena the store
+    holds, mmap segments included, shuts down an owned pool, and flushes the obs counters to
     the default artifact store when one is configured. When the joined
     slice failed, its exception is raised after all of that. *)
 val shutdown : t -> unit

@@ -46,6 +46,18 @@ let response_kind = "serve-resp"
    content address, so a fixed key doubles as a protocol marker. *)
 let frame_key = "serve"
 
+(* A query box travels as four raw floats, its low and high corners
+   as two unvalidated points — [Codec.box]'s layout without its
+   validation: a NaN field or an empty extent is one query's problem,
+   answered [Rejected] by the server's per-query rule, not a reason to
+   refuse the whole frame. *)
+let query_box =
+  Codec.map2 Codec.point Codec.point
+    ~decode:(fun (lo : Point.t) (hi : Point.t) ->
+      { Box.xmin = lo.Point.x; ymin = lo.Point.y; xmax = hi.Point.x; ymax = hi.Point.y })
+    ~get1:(fun (b : Box.t) -> Point.make b.Box.xmin b.Box.ymin)
+    ~get2:(fun (b : Box.t) -> Point.make b.Box.xmax b.Box.ymax)
+
 let query =
   let open Codec in
   choice
@@ -53,11 +65,11 @@ let query =
       | Range _ -> 0 | Count _ -> 1 | Knn _ -> 2 | Nearest _ -> 3 | Cell _ -> 4)
     [
       ( 0,
-        map box
+        map query_box
           ~decode:(fun b -> Range b)
           ~encode:(function Range b -> b | _ -> assert false) );
       ( 1,
-        map box
+        map query_box
           ~decode:(fun b -> Count b)
           ~encode:(function Count b -> b | _ -> assert false) );
       ( 2,

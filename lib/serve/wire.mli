@@ -11,7 +11,10 @@ open Import
     [Checksum_mismatch]; both surface as [Error] from {!read_frame},
     never as a silently wrong value. *)
 
-(** One query against an epoch's arena. *)
+(** One query against an epoch's arena. A query box crosses the wire
+    as four raw floats, unvalidated — a NaN field or an empty extent
+    decodes as it was sent — so a hostile box costs one answer (the
+    server answers it [Rejected]), not the frame. *)
 type query =
   | Range of Box.t  (** all points in the (half-open) box *)
   | Count of Box.t  (** their number only *)

@@ -95,149 +95,7 @@ type t = {
   qbuf : farr;  (* query point scratch: floats cross into the int-only
                    delete descent unboxed via a Bigarray, never as
                    (boxed) function arguments *)
-  (* Publication stamps and the change log (see [refresh]). Every
-     insert or delete bumps [clock], and every column write on those
-     paths stamps its [chunk]-entry chunk with it; an operation's first
-     write to a chunk also appends the chunk to the log, so the log
-     lists, in clock order, which chunks each operation wrote, and a
-     chunk's newest entry is the one whose clock equals its stamp.
-     Node chunks carry two stamps: the subtree-count updates on an
-     insert's or delete's root path write [count] alone, and most node
-     writes are those, so they stamp [count_stamp] and a refresh copies
-     just that table's entries of the chunk. A copy records whose
-     history it holds ([uid] of the source) and how far
-     ([origin_clock]); [synced_clock] is the copy's own clock at that
-     moment, so a copy that was itself mutated afterwards is recognised
-     and refreshed in full. *)
-  mutable uid : int;
-  mutable clock : int;
-  mutable slot_stamp : int array;  (* per slot chunk: clock of last write *)
-  mutable node_stamp : int array;  (* per node chunk: clock of last write *)
-  mutable count_stamp : int array;
-      (* per node chunk: last [count]-only write; [||] until the first
-         insert or delete (see [next_clock]) *)
-  mutable log_chunk : int array;  (* chunk id lsl 2 lor its [entry_kind] *)
-  mutable log_clock : int array;  (* clock of the writing operation *)
-  mutable log_len : int;
-  mutable origin : int;  (* uid of the arena last copied in, -1 = none *)
-  mutable origin_clock : int;
-  mutable synced_clock : int;
 }
-
-(* Chunk size of the publication stamps: 16 entries. Small chunks keep
-   a refresh near the entries a churn slice really wrote: at 2^20
-   points, refreshing a copy two 256-op slices old moved 1.1 MB of the
-   40 MB arena with 16-entry chunks (0.77 MB once count-only writes
-   copied just the counts), 3.4 MB with 64-entry chunks and 39 MB with
-   4096-entry ones. 4-entry chunks moved 0.36 MB but resolved no
-   faster end to end and cost four times the stamps. A stamp array
-   costs 1/16 of a column. *)
-let chunk_bits = 4
-let chunk = 1 lsl chunk_bits
-let chunks n = (n + chunk - 1) lsr chunk_bits
-let uid_counter = Atomic.make 0
-let fresh_uid () = Atomic.fetch_and_add uid_counter 1
-
-(* The change log starts at [log_min] entries, allocated by the first
-   logged write — so only arenas that are mutated carry one (see
-   [log_make_room] for its growth). Large enough that the arrays go
-   straight to the major heap. *)
-let log_min = 1024
-
-(* Log entries name a chunk of one of three kinds. *)
-let slot_entry = 0
-let node_entry = 1
-let count_entry = 2
-
-let[@inline] entry_stamp t e =
-  let c = e lsr 2 and kind = e land 3 in
-  if kind = slot_entry then t.slot_stamp.(c)
-  else if kind = node_entry then t.node_stamp.(c)
-  else t.count_stamp.(c)
-
-(* A full log first drops its superseded entries: only a chunk's newest
-   entry of each kind can decide a refresh, so at most one entry per
-   stamp stays. When that frees less than half of it, the log doubles,
-   up to twice the arena's number of stamps, at which size a pass
-   always frees half. So the log always reaches back to the arena's
-   first logged write — no refresh falls back to a full copy for want
-   of entries, however long the slice — it never holds more than two
-   entries per stamp, and a pass is paid for by the appends that fill
-   it again: O(1) per write, amortized, and no allocation once the log
-   has stopped growing. *)
-let log_make_room t =
-  let cap = Array.length t.log_chunk in
-  if cap = 0 then begin
-    t.log_chunk <- Array.make log_min 0;
-    t.log_clock <- Array.make log_min 0
-  end
-  else begin
-    let kept = ref 0 in
-    for i = 0 to t.log_len - 1 do
-      let e = t.log_chunk.(i) and k = t.log_clock.(i) in
-      if entry_stamp t e = k then begin
-        t.log_chunk.(!kept) <- e;
-        t.log_clock.(!kept) <- k;
-        incr kept
-      end
-    done;
-    t.log_len <- !kept;
-    if 2 * !kept > cap then begin
-      let stamps =
-        chunks (Bigarray.Array1.dim t.xs) + (2 * chunks (Array.length t.child))
-      in
-      let grow a =
-        let g = Array.make (min (2 * cap) (2 * stamps)) 0 in
-        Array.blit a 0 g 0 !kept;
-        g
-      in
-      t.log_chunk <- grow t.log_chunk;
-      t.log_clock <- grow t.log_clock
-    end
-  end
-
-let log_write t e =
-  if t.log_len = Array.length t.log_chunk then log_make_room t;
-  let i = t.log_len in
-  t.log_chunk.(i) <- e;
-  t.log_clock.(i) <- t.clock;
-  t.log_len <- i + 1
-
-(* Stamp the chunk holding slot [s] / node [n] with the current clock,
-   logging the chunk at the operation's first write to it. Called at
-   every column write on the insert and delete paths; bulk builds run
-   at clock 0, where every stamp already reads 0, so they log nothing:
-   they finish before any copy of the new arena can exist. *)
-let[@inline] touch_slot t s =
-  let c = s lsr chunk_bits in
-  if t.slot_stamp.(c) <> t.clock then begin
-    t.slot_stamp.(c) <- t.clock;
-    log_write t ((c lsl 2) lor slot_entry)
-  end
-
-let[@inline] touch_node t n =
-  let c = n lsr chunk_bits in
-  if t.node_stamp.(c) <> t.clock then begin
-    t.node_stamp.(c) <- t.clock;
-    log_write t ((c lsl 2) lor node_entry)
-  end
-
-(* For a write of node [n]'s [count] alone. *)
-let[@inline] touch_count t n =
-  let c = n lsr chunk_bits in
-  if t.count_stamp.(c) <> t.clock then begin
-    t.count_stamp.(c) <- t.clock;
-    log_write t ((c lsl 2) lor count_entry)
-  end
-
-(* Start the next operation's clock. The count stamps are allocated at
-   an arena's first insert or delete, so arenas that are only built and
-   read — epoch copies, sweep trials — carry one stamp array per table
-   and no more. *)
-let[@inline] next_clock t =
-  if Array.length t.count_stamp = 0 then
-    t.count_stamp <- Array.make (chunks (Array.length t.child)) 0;
-  t.clock <- t.clock + 1
 
 (* Segment-backed column allocation. Each arena with [Mmap] backing owns
    a private subdirectory (pid + a process-wide counter, so two arenas
@@ -390,17 +248,6 @@ let create ?(max_depth = 16) ?(reserve = 0) ?(backing = Heap) ~capacity () =
          dc.(0) <- 1;
          dc);
       qbuf = heap_f 2;
-      uid = fresh_uid ();
-      clock = 0;
-      slot_stamp = Array.make (chunks pcap) 0;
-      node_stamp = Array.make (chunks 16) 0;
-      count_stamp = [||];
-      log_chunk = [||];
-      log_clock = [||];
-      log_len = 0;
-      origin = -1;
-      origin_clock = 0;
-      synced_clock = 0;
     }
   in
   t.xs <- alloc_f t "xs" pcap;
@@ -440,13 +287,6 @@ let bulk_footprint ~capacity ~n =
    bytes, harmless, and it is what carries the data for heap columns
    (including an mmap arena that degraded to heap mid-life). *)
 
-(* Stamps of fresh entries start at 0: nothing above the old capacity
-   holds data a copy could lack until a stamped write puts it there. *)
-let grow_stamps stamps cap =
-  let grown = Array.make (chunks cap) 0 in
-  Array.blit stamps 0 grown 0 (Array.length stamps);
-  grown
-
 let grow_points t needed =
   let cap = ref (max 16 (Bigarray.Array1.dim t.xs)) in
   while !cap < needed do
@@ -466,8 +306,7 @@ let grow_points t needed =
   end;
   t.xs <- xs;
   t.ys <- ys;
-  t.next <- next;
-  t.slot_stamp <- grow_stamps t.slot_stamp cap
+  t.next <- next
 
 (* Node tables that already hold [needed] ids stay as they are; others
    grow to [needed] ids, and at least double. *)
@@ -483,10 +322,7 @@ let grow_nodes t needed =
     Array.blit t.head 0 head 0 t.nodes;
     t.child <- child;
     t.count <- count;
-    t.head <- head;
-    t.node_stamp <- grow_stamps t.node_stamp cap;
-    if Array.length t.count_stamp > 0 then
-      t.count_stamp <- grow_stamps t.count_stamp cap
+    t.head <- head
   end
 
 (* Allocate four consecutive children, returned as their base id: a
@@ -520,9 +356,6 @@ let alloc_children t =
   t.head.(base + 1) <- -1;
   t.head.(base + 2) <- -1;
   t.head.(base + 3) <- -1;
-  (* A block may straddle two chunks. *)
-  touch_node t base;
-  touch_node t (base + 3);
   base
 
 (* Register a freshly created leaf of occupancy [count] at [depth]. *)
@@ -570,8 +403,6 @@ let absorb t node depth slot =
   let old_bucket = if c < t.capacity then c else t.capacity in
   t.next.{slot} <- t.head.(node);
   t.head.(node) <- slot;
-  touch_slot t slot;
-  touch_node t node;
   let c = c + 1 in
   t.count.(node) <- c;
   if c <= t.capacity || depth >= t.max_depth then begin
@@ -596,8 +427,6 @@ let rec distribute t base depth slot =
     t.next.{slot} <- t.head.(c);
     t.head.(c) <- slot;
     t.count.(c) <- t.count.(c) + 1;
-    touch_slot t slot;
-    touch_node t c;
     distribute t base depth nxt
   end
 
@@ -610,7 +439,6 @@ let rec split t node depth =
   let chain = t.head.(node) in
   t.child.(node) <- base;
   t.head.(node) <- -1;
-  touch_node t node;
   (* [t.count.(node)] keeps the overflowed chain total: with subtree
      counts it is exactly the new internal node's population. *)
   distribute t base depth chain;
@@ -634,7 +462,6 @@ let rec insert_from t node depth qx qy slot =
     (* Subtree counts: every internal node on the descent gains the
        point. *)
     t.count.(node) <- t.count.(node) + 1;
-    touch_count t node;
     insert_from t (base + pair_fine qx qy depth) (depth + 1) qx qy slot
   end
   else if absorb t node depth slot then split t node depth
@@ -643,7 +470,6 @@ let insert t p =
   if not (Point.in_unit_square p) then
     invalid_arg "Pr_arena.insert: point outside bounds";
   Probe.builder_insert ();
-  next_clock t;
   (* A freed slot is reused before the high-water mark moves, so a
      delete/insert steady state never grows a column. *)
   let slot =
@@ -663,7 +489,6 @@ let insert t p =
   let x = p.Point.x and y = p.Point.y in
   t.xs.{slot} <- x;
   t.ys.{slot} <- y;
-  touch_slot t slot;
   insert_from t 0 0
     (int_of_float (x *. fine_scale))
     (int_of_float (y *. fine_scale))
@@ -710,14 +535,8 @@ let rec locate t node depth qx qy =
 let rec unlink_slot t leaf prev slot =
   if slot < 0 then -1
   else if t.xs.{slot} = t.qbuf.{0} && t.ys.{slot} = t.qbuf.{1} then begin
-    if prev < 0 then begin
-      t.head.(leaf) <- t.next.{slot};
-      touch_node t leaf
-    end
-    else begin
-      t.next.{prev} <- t.next.{slot};
-      touch_slot t prev
-    end;
+    if prev < 0 then t.head.(leaf) <- t.next.{slot}
+    else t.next.{prev} <- t.next.{slot};
     slot
   end
   else unlink_slot t leaf slot t.next.{slot}
@@ -742,23 +561,17 @@ let merge_node t parent depth =
     total := !total + t.count.(c);
     let h = t.head.(c) in
     if h >= 0 then begin
-      if !tail < 0 then head := h
-      else begin
-        t.next.{!tail} <- h;
-        touch_slot t !tail
-      end;
+      if !tail < 0 then head := h else t.next.{!tail} <- h;
       tail := chain_tail t h
     end;
     t.child.(c) <- -1;
     t.count.(c) <- 0;
-    t.head.(c) <- -1;
-    touch_node t c
+    t.head.(c) <- -1
   done;
   t.internals <- t.internals - 1;
   t.child.(parent) <- -1;
   t.head.(parent) <- !head;
   t.count.(parent) <- !total;
-  touch_node t parent;
   note_leaf t depth !total;
   t.child.(base) <- t.free_node;
   t.free_node <- base
@@ -789,7 +602,6 @@ let delete t p =
   let x = p.Point.x and y = p.Point.y in
   if not (Point.in_unit_square p) then false
   else begin
-    next_clock t;
     t.qbuf.{0} <- x;
     t.qbuf.{1} <- y;
     let depth =
@@ -803,14 +615,12 @@ let delete t p =
     else begin
       Probe.arena_delete ();
       t.next.{slot} <- t.free_slot;
-      touch_slot t slot;
       t.free_slot <- slot;
       t.size <- t.size - 1;
       let c = t.count.(leaf) in
       let old_bucket = if c < t.capacity then c else t.capacity in
       let c = c - 1 in
       t.count.(leaf) <- c;
-      touch_count t leaf;
       t.hist.(old_bucket) <- t.hist.(old_bucket) - 1;
       let bucket = if c < t.capacity then c else t.capacity in
       t.hist.(bucket) <- t.hist.(bucket) + 1;
@@ -818,8 +628,7 @@ let delete t p =
          leaf itself (path.(depth)) was decremented above. *)
       for d = 0 to depth - 1 do
         let a = t.path.(d) in
-        t.count.(a) <- t.count.(a) - 1;
-        touch_count t a
+        t.count.(a) <- t.count.(a) - 1
       done;
       merge_up t depth;
       while t.height > 0 && t.depth_count.(t.height) = 0 do
@@ -1203,9 +1012,6 @@ let local_of t =
     (* Depths are absolute (a group starts at its root's depth), so
        local per-depth counts add straight into the global array. *)
     depth_count = Array.make (t.max_depth + 1) 0;
-    (* Its own node stamps: the sort's block allocations stamp them,
-       and the shared arrays are sized for the global ids. *)
-    node_stamp = Array.make (chunks 64) 0;
   }
 
 (* Splice a task-local subtree onto global [node]: local id 0 maps onto
@@ -1972,196 +1778,53 @@ let mem t (p : Point.t) =
   in
   chain_mem t p t.head.(node)
 
-(* --- Snapshots and refresh --------------------------------------------
+(* --- Snapshots --------------------------------------------------------
 
-   One copy routine serves both. [sync] copies [t]'s columns into [d]
-   — all of them, or, when [d] holds an earlier copy of [t], only the
-   chunks [t]'s change log names since that copy — then the counters,
-   histograms and free-list heads; [d] then records [t]'s uid and
-   clock. A snapshot is the sync of an empty buffer; a refresh is the
-   sync of an old copy, where only the chunks churn wrote since are
-   copied, so its cost follows the writes, not the population. The
-   source is only read, so any number of copies may be taken of a
-   frozen arena concurrently. The copy is a full arena in its own right
+   A snapshot is the one copy: [t]'s columns up to the high-water marks,
+   its counters, histograms and free-list heads, in a fresh heap arena
+   with [t]'s column capacity. The copy is a full arena in its own right
    ([check_invariants] passes, churn may continue on either side) and
-   shares no column with the source: readers of a copy never observe
-   writer mutations. *)
-
-type copy_stats = { bytes : int; full : bool; examined : int }
-
-(* Runs shorter than this copy entry by entry: a [Bigarray.sub] view
-   allocates, and a churn refresh copies hundreds of 16-entry chunks. *)
-let short_run = 512
-
-let copy_points t d lo n =
-  if n < short_run then begin
-    let xs = t.xs and ys = t.ys and next = t.next in
-    let xs' = d.xs and ys' = d.ys and next' = d.next in
-    for i = lo to lo + n - 1 do
-      xs'.{i} <- xs.{i};
-      ys'.{i} <- ys.{i};
-      next'.{i} <- next.{i}
-    done
-  end
-  else begin
-    let open Bigarray.Array1 in
-    blit (sub t.xs lo n) (sub d.xs lo n);
-    blit (sub t.ys lo n) (sub d.ys lo n);
-    blit (sub t.next lo n) (sub d.next lo n)
-  end
-
-(* A loop, not [Array.blit]: into an array on the major heap the blit
-   runs the write barrier per element, while stores of statically int
-   elements need none. *)
-let copy_nodes t d lo n =
-  let child = t.child and count = t.count and head = t.head in
-  let child' = d.child and count' = d.count and head' = d.head in
-  for i = lo to lo + n - 1 do
-    child'.(i) <- child.(i);
-    count'.(i) <- count.(i);
-    head'.(i) <- head.(i)
-  done
-
-let copy_counts t d lo n =
-  let count = t.count and count' = d.count in
-  for i = lo to lo + n - 1 do
-    count'.(i) <- count.(i)
-  done
-
-(* Walk [t]'s change log newest-first down to clock [since], copying
-   each chunk at its newest entry of each kind — the one whose clock
-   equals the chunk's stamp of that kind — so every chunk written after
-   [since] is copied once per kind. Returns the bytes copied and the
-   log entries examined. *)
-let copy_logged t d ~since =
-  let bytes = ref 0 in
-  let i = ref (t.log_len - 1) in
-  while !i >= 0 && t.log_clock.(!i) > since do
-    let e = t.log_chunk.(!i) in
-    if entry_stamp t e = t.log_clock.(!i) then begin
-      let lo = (e lsr 2) lsl chunk_bits in
-      let kind = e land 3 in
-      let n = min chunk ((if kind = slot_entry then t.slots else t.nodes) - lo) in
-      if n > 0 then
-        if kind = slot_entry then begin
-          copy_points t d lo n;
-          bytes := !bytes + (24 * n)
-        end
-        else if kind = node_entry then begin
-          copy_nodes t d lo n;
-          bytes := !bytes + (24 * n)
-        end
-        else begin
-          copy_counts t d lo n;
-          bytes := !bytes + (8 * n)
-        end
-    end;
-    decr i
-  done;
-  (!bytes, t.log_len - 1 - !i)
-
-let sync t d ~full =
-  let bytes, examined =
-    if full then begin
-      copy_points t d 0 t.slots;
-      copy_nodes t d 0 t.nodes;
-      ((24 * t.slots) + (24 * t.nodes), chunks t.slots + chunks t.nodes)
-    end
-    else copy_logged t d ~since:d.origin_clock
-  in
-  d.nodes <- t.nodes;
-  d.size <- t.size;
-  d.leaves <- t.leaves;
-  d.internals <- t.internals;
-  d.height <- t.height;
-  d.slots <- t.slots;
-  d.free_slot <- t.free_slot;
-  d.free_node <- t.free_node;
-  Array.blit t.hist 0 d.hist 0 (Array.length t.hist);
-  Array.blit t.depth_count 0 d.depth_count 0 (Array.length t.depth_count);
-  (* A new identity: copies taken of [d]'s old contents must not
-     mistake its new ones for a continuation of the same history, and
-     [d]'s own log, which describes those contents, is void. *)
-  d.uid <- fresh_uid ();
-  d.log_len <- 0;
-  d.origin <- t.uid;
-  d.origin_clock <- t.clock;
-  d.synced_clock <- d.clock;
-  { bytes; full; examined }
-
-(* An empty heap buffer shaped like [t], with point columns of
-   [slot_cap] entries and node tables of [node_cap]. *)
-let buffer_like t ~slot_cap ~node_cap =
-  {
-    capacity = t.capacity;
-    max_depth = t.max_depth;
-    backing = Heap;
-    seg_dir = None;
-    seg_bytes = [];
-    nodes = 0;
-    child = Array.make node_cap (-1);
-    count = Array.make node_cap 0;
-    head = Array.make node_cap (-1);
-    size = 0;
-    xs = heap_f slot_cap;
-    ys = heap_f slot_cap;
-    next = heap_i slot_cap;
-    leaves = 0;
-    internals = 0;
-    height = 0;
-    hist = Array.make (t.capacity + 1) 0;
-    slots = 0;
-    free_slot = -1;
-    free_node = -1;
-    path = Array.make (t.max_depth + 1) 0;
-    depth_count = Array.make (t.max_depth + 1) 0;
-    qbuf = heap_f 2;
-    uid = fresh_uid ();
-    clock = 0;
-    slot_stamp = Array.make (chunks slot_cap) 0;
-    node_stamp = Array.make (chunks node_cap) 0;
-    count_stamp = [||];
-    log_chunk = [||];
-    log_clock = [||];
-    log_len = 0;
-    origin = -1;
-    origin_clock = 0;
-    synced_clock = 0;
-  }
+   shares no column with the source, so readers of a copy never observe
+   writer mutations. The source is only read, so any number of copies
+   may be taken of a frozen arena concurrently. The capacity is kept for
+   a copy that goes on to replay [t]'s operations: its columns then
+   double exactly where [t]'s did, never where [t] had room. *)
 
 let snapshot t =
+  let slot_cap = Bigarray.Array1.dim t.xs and node_cap = Array.length t.child in
   let d =
-    buffer_like t ~slot_cap:(max 16 t.slots) ~node_cap:(Array.length t.child)
+    {
+      t with
+      backing = Heap;
+      seg_dir = None;
+      seg_bytes = [];
+      child = Array.make node_cap (-1);
+      count = Array.make node_cap 0;
+      head = Array.make node_cap (-1);
+      xs = heap_f slot_cap;
+      ys = heap_f slot_cap;
+      next = heap_i slot_cap;
+      hist = Array.copy t.hist;
+      path = Array.make (t.max_depth + 1) 0;
+      depth_count = Array.copy t.depth_count;
+      qbuf = heap_f 2;
+    }
   in
-  ignore (sync t d ~full:true : copy_stats);
+  let open Bigarray.Array1 in
+  blit (sub t.xs 0 t.slots) (sub d.xs 0 t.slots);
+  blit (sub t.ys 0 t.slots) (sub d.ys 0 t.slots);
+  blit (sub t.next 0 t.slots) (sub d.next 0 t.slots);
+  (* A loop, not [Array.blit]: into an array on the major heap the blit
+     runs the write barrier per element, while stores of statically int
+     elements need none. *)
+  for i = 0 to t.nodes - 1 do
+    d.child.(i) <- t.child.(i);
+    d.count.(i) <- t.count.(i);
+    d.head.(i) <- t.head.(i)
+  done;
   d
 
-let refresh t ~into:d =
-  if d == t then invalid_arg "Pr_arena.refresh: an arena cannot refresh itself";
-  if d.capacity <> t.capacity || d.max_depth <> t.max_depth then
-    invalid_arg "Pr_arena.refresh: arenas differ in capacity or depth";
-  (* A target too small for [t]'s high-water marks regrows to [t]'s
-     column capacity, not to the marks: they creep up under churn, and
-     an exact fit would regrow again a few publishes later. *)
-  let fits =
-    Bigarray.Array1.dim d.xs >= t.slots && Array.length d.child >= t.nodes
-  in
-  if not fits then begin
-    let cap = Bigarray.Array1.dim t.xs in
-    d.xs <- alloc_f d "xs" cap;
-    d.ys <- alloc_f d "ys" cap;
-    d.next <- alloc_i d "next" cap;
-    d.slot_stamp <- Array.make (chunks cap) 0;
-    let ncap = Array.length t.child in
-    d.child <- Array.make ncap (-1);
-    d.count <- Array.make ncap 0;
-    d.head <- Array.make ncap (-1);
-    d.node_stamp <- Array.make (chunks ncap) 0;
-    d.count_stamp <- [||]
-  end;
-  (* Incremental only over an untouched copy of this very history. *)
-  let current = d.origin = t.uid && d.synced_clock = d.clock in
-  sync t d ~full:(not (fits && current))
+let copy_bytes t = (24 * t.slots) + (24 * t.nodes)
 
 let shares_columns a b =
   let any xs ys = List.exists (fun x -> List.exists (( == ) x) ys) xs in

@@ -399,62 +399,32 @@ val k_nearest_visited : t -> int -> Point.t -> Point.t list * int
     [Invalid_argument] when [p] is outside the unit square. *)
 val cell_at_visited : t -> Point.t -> (int * Box.t * Point.t list) * int
 
-(** {2 Snapshots and refresh}
+(** {2 Snapshots}
 
-    The serving layer publishes epochs as copies of the writer's arena.
-    A copy costs what churn wrote, not what the arena holds: the slot
-    columns and the node tables are cut into chunks of 16 entries, and
-    every {!insert}, {!delete} and {!update} stamps each chunk it
-    writes with the arena's mutation clock and, at its first write to
-    a chunk, appends the chunk to the arena's change log. (A node
-    chunk whose subtree counts alone were written — the ancestors on
-    an operation's root path — is stamped and logged apart, and a
-    refresh copies only its counts.) A copy remembers which arena it
-    was taken from and that arena's clock at the time, so {!refresh}
-    walks the log back to that clock and re-copies only the chunks
-    written since — its cost is proportional to the writes since the
-    copy, and independent of how many points the arena holds. Bulk
-    builds ({!bulk_of_columns} and its wrappers) log nothing:
-    they finish before any copy of the new arena can exist. The log is
-    allocated by an arena's first logged write, so only arenas that
-    are mutated carry one; when full it drops superseded entries,
-    which leaves at most one per chunk stamp, and it grows to at most
-    twice the number of stamps, so it always reaches back to the
-    arena's first logged write. *)
+    The serving layer publishes epochs as arenas the writer no longer
+    touches. A snapshot is the one copy it makes: the boot epoch, and a
+    fallback when no retired arena can catch up by replaying the churn
+    it missed. {!insert}, {!delete} and {!update} are deterministic
+    functions of the arena's state and their arguments, so applying the
+    same operations to a snapshot and to its source leaves the two
+    state-identical ({!diff_state} finds no difference) — which is how
+    a retired epoch's arena becomes the next epoch without a copy. *)
 
 (** [snapshot t] is an independent heap-backed deep copy of the arena —
     columns, node tables, free lists and counters — sharing no mutable
     state with [t]: churn may continue on either side without the other
-    observing it. O(slot high-water) Bigarray/array blits, far cheaper
-    than a bulk build over {!points}[ t] (no sort, no per-point cons).
-    Point columns are sized to [t]'s slot high-water mark. [t] is only
-    read, so frozen arenas may be copied from several domains at once. *)
+    observing it. O(slot high-water + nodes) Bigarray blits and int
+    stores, far cheaper than a bulk build over {!points}[ t] (no sort,
+    no per-point cons). The copy keeps [t]'s column capacity, so one
+    that replays [t]'s later operations grows its columns exactly when
+    [t] grew its own. [t] is only read, so frozen arenas may be copied
+    from several domains at once. *)
 val snapshot : t -> t
 
-(** What a {!refresh} copied: [bytes] is 24 per slot entry, 24 per node
-    entry and 8 per node whose count alone was copied; [full] says
-    every chunk was; [examined] counts the chunks the copy looked at —
-    the change-log entries walked by an incremental refresh, every
-    chunk of a full copy. *)
-type copy_stats = { bytes : int; full : bool; examined : int }
-
-(** [refresh t ~into] makes [into] equal to [snapshot t] — every column
-    entry below the high-water marks, every counter, both free-list
-    heads — reusing [into]'s columns, and returns what it copied.
-    [into] becomes a copy of [t] in every respect: it shares no column
-    with [t], and a later [refresh t ~into] picks up from here.
-
-    When [into] was last filled from [t] (by {!snapshot} or [refresh])
-    and has not been mutated since, only chunks [t] wrote after that
-    copy are copied, found by walking [t]'s change log: the cost is
-    proportional to the operations since that copy, not to [t]'s size.
-    Otherwise — [into] copied from another arena, or inserted into,
-    deleted from, or never a copy — every chunk is. When [into]'s columns are smaller
-    than [t]'s high-water marks, they regrow to [t]'s column capacity
-    first and every chunk is copied. [t] is only read. Raises
-    [Invalid_argument] when [into] is [t] or the two differ in capacity
-    or depth limit. *)
-val refresh : t -> into:t -> copy_stats
+(** [copy_bytes t] is the bytes {!snapshot}[ t] copies: 24 per slot
+    below the high-water mark (two coordinates and a link) and 24 per
+    node id in use (child, count and head). O(1). *)
+val copy_bytes : t -> int
 
 (** [shares_columns a b] is whether [a] and [b] hold a physically equal
     point column or node table — never true of an arena and its copy;
@@ -464,7 +434,8 @@ val shares_columns : t -> t -> bool
 (** [diff_state a b] lists how two arenas' stored state differs: every
     column entry below the smaller high-water marks, the counters, the
     histograms and both free-list heads. Empty when [b] is an exact
-    copy of [a]. A test oracle for {!refresh}. *)
+    copy of [a], or when [b] started as one and has since replayed the
+    operations [a] applied. A test oracle for that replay. *)
 val diff_state : t -> t -> string list
 
 (** [freeze t] is the persistent tree with exactly [t]'s decomposition
