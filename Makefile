@@ -58,9 +58,17 @@ test:
 # oracle, serve two sequential clients on one socket, and assert a
 # truncated frame is refused; a Stats sent between the two batches must read the
 # oracle's epoch and size. The query alloc smokes: count-in-box on the
-# integer-descent path must allocate zero minor words per query, and
-# reading a full k-NN collector's pruning bound (Neighbors.worst, read
-# at every node a k-NN descent visits) none per read. The
+# integer-descent path must allocate zero minor words per query,
+# reading a full reference k-NN collector's pruning bound
+# (Neighbors.worst, read at every node Pr_quadtree.k_nearest visits)
+# none per read, the arena's k-NN at most 16k + 64 minor words per
+# query (its flat collector allocates nothing per candidate), and
+# decoding a 1,024-answer mixed response at most 5 words per answer
+# point plus 24 per answer (the reader takes a word at a time and point
+# arrays whole). The frame fuzzer then runs a
+# longer budget than `dune runtest` gives it: mutated request and
+# response frames, re-framed with valid checksums, must decode to a
+# value or an error and be served or refused, never raise. The
 # obs-top smoke: start `popan serve` on a Unix socket with full
 # telemetry under churn, self-warm two batches, scrape it once with
 # `popan obs top --prom --quit` (the quit also proves a client can shut
@@ -102,6 +110,12 @@ check: build test
 	  echo "alloc smoke FAILED: Neighbors.worst allocates"; \
 	  dune exec --no-build test/test_alloc.exe -- test knn 0; exit 1; \
 	fi
+	@if dune exec --no-build test/test_alloc.exe -- test knn 1 >/dev/null 2>&1; then \
+	  echo "alloc smoke: arena k_nearest allocates at most 16k + 64 minor words per query"; \
+	else \
+	  echo "alloc smoke FAILED: the arena k-NN collector allocates per candidate"; \
+	  dune exec --no-build test/test_alloc.exe -- test knn 1; exit 1; \
+	fi
 	@if dune exec --no-build test/test_alloc.exe -- test arena 7 >/dev/null 2>&1; then \
 	  echo "alloc smoke: generator-fed uniform bulk build allocates O(1) minor words"; \
 	else \
@@ -119,6 +133,18 @@ check: build test
 	else \
 	  echo "alloc smoke FAILED: the wire frame writer allocates"; \
 	  dune exec --no-build test/test_alloc.exe -- test wire 0; exit 1; \
+	fi
+	@if dune exec --no-build test/test_alloc.exe -- test wire 1 >/dev/null 2>&1; then \
+	  echo "alloc smoke: a mixed response decodes within 5 minor words per point + 24 per answer"; \
+	else \
+	  echo "alloc smoke FAILED: the wire reader allocates per byte or per float"; \
+	  dune exec --no-build test/test_alloc.exe -- test wire 1; exit 1; \
+	fi
+	@if dune exec --no-build test/test_fuzz.exe -- --budget 4000 >/dev/null 2>&1; then \
+	  echo "fuzz smoke: 4000 mutations per captured frame decode or fail, none raises"; \
+	else \
+	  echo "fuzz smoke FAILED: a mutated frame raised or was lost"; \
+	  dune exec --no-build test/test_fuzz.exe -- --budget 4000; exit 1; \
 	fi
 	@words=$$(OCAMLRUNPARAM=v=0x400 _build/default/bin/popan.exe sweep --no-cache \
 	    -j 2 --model uniform -m 8 -t 2 --sizes 65536,131072 2>&1 >/dev/null \

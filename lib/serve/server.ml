@@ -87,31 +87,63 @@ let eval_instrumented arena ~epoch q = dispatch ~timed:true arena ~epoch q
    a box's low corner, a probe's own point — clamped into the unit
    square. Queries anchored in one cell walk largely the same root-path
    and subtree, so sorting a batch by this key lines consecutive tasks
-   up on warm node and column cache lines. *)
+   up on warm node and column cache lines. The corner is a record
+   literal: [Point.make] would box its two floats. *)
 let anchor_code (q : Wire.query) =
   match q with
   | Wire.Range b | Wire.Count b ->
-    Morton.encode_clamped (Point.make b.Box.xmin b.Box.ymin)
+    Morton.encode_clamped { Point.x = b.Box.xmin; y = b.Box.ymin }
   | Wire.Knn (_, p) | Wire.Nearest p | Wire.Cell p -> Morton.encode_clamped p
 
 (* The scheduling permutation packs (key, index) into single ints —
-   42 key bits above [sort_idx_bits] index bits, 62 total — so one flat
-   [Array.sort] on ints yields a total order (indices break key ties)
-   and the permutation is deterministic by construction. Batches too
-   large for the index field keep arrival order. *)
+   the 42 key bits above [sort_idx_bits] index bits, 62 total — so the
+   order of the ints is a total order (indices break key ties) and the
+   permutation is deterministic by construction. Batches too large for
+   the index field keep arrival order.
+
+   The keys are ordered by an LSD radix sort on the 42 key bits, in six
+   7-bit digits. The packed ints are distinct and start in index order,
+   and each pass is stable, so equal anchors stay in index order: the
+   result is exactly [Array.sort compare]'s. *)
 let sort_idx_bits = 20
 let sort_idx_mask = (1 lsl sort_idx_bits) - 1
+let radix_bits = 7
+let radix_passes = 6
 
 let schedule_order queries =
   let n = Array.length queries in
   if n <= 1 || n > sort_idx_mask then None
   else begin
-    let keyed =
-      Array.init n (fun i ->
-          (anchor_code queries.(i) lsl sort_idx_bits) lor i)
+    let keys =
+      Array.init n (fun i -> (anchor_code queries.(i) lsl sort_idx_bits) lor i)
     in
-    Array.sort compare keyed;
-    Some keyed
+    let spare = Array.make n 0 in
+    let mask = (1 lsl radix_bits) - 1 in
+    let counts = Array.make (mask + 1) 0 in
+    for pass = 0 to radix_passes - 1 do
+      let shift = sort_idx_bits + (pass * radix_bits) in
+      let src, dst = if pass land 1 = 0 then (keys, spare) else (spare, keys) in
+      Array.fill counts 0 (mask + 1) 0;
+      for i = 0 to n - 1 do
+        let d = (Array.unsafe_get src i lsr shift) land mask in
+        Array.unsafe_set counts d (Array.unsafe_get counts d + 1)
+      done;
+      let total = ref 0 in
+      for d = 0 to mask do
+        let c = counts.(d) in
+        counts.(d) <- !total;
+        total := !total + c
+      done;
+      for i = 0 to n - 1 do
+        let v = Array.unsafe_get src i in
+        let d = (v lsr shift) land mask in
+        let at = Array.unsafe_get counts d in
+        Array.unsafe_set dst at v;
+        Array.unsafe_set counts d (at + 1)
+      done
+    done;
+    (* An even number of passes ends in the array it started from. *)
+    Some keys
   end
 
 (* Fan a batch out on the deterministic pool. [map_array]'s contract —

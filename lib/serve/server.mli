@@ -73,6 +73,16 @@ val run_batch :
   ?epoch:int ->
   Parallel.Pool.t -> Pr_arena.t -> Wire.query array -> Wire.answer array
 
+(** [schedule_order queries] is the order {!run_batch} runs a batch in:
+    [None] for a batch of 0 or 1 queries or of more than [2^20 - 1],
+    which run in arrival order, and otherwise [Some keys], one int per
+    query holding its anchor's 42-bit Morton code above a 20-bit
+    arrival index, in ascending order. Equal anchors keep arrival
+    order, so the permutation ([keys.(j) land (2^20 - 1)] is the
+    query run [j]th) is exactly [Array.sort compare]'s on the packed
+    keys; it is computed by a least-significant-digit radix sort. *)
+val schedule_order : Wire.query array -> int array option
+
 (** [mixed_queries rng n] draws [n] queries of the five kinds in turn —
     a range box of side 0.005 to 0.055, a count from the origin to a
     point, a k-NN with k cycling through 1 to 16, a nearest and a cell

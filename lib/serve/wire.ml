@@ -46,18 +46,10 @@ let response_kind = "serve-resp"
    content address, so a fixed key doubles as a protocol marker. *)
 let frame_key = "serve"
 
-(* A query box travels as four raw floats, its low and high corners
-   as two unvalidated points — [Codec.box]'s layout without its
-   validation: a NaN field or an empty extent is one query's problem,
-   answered [Rejected] by the server's per-query rule, not a reason to
-   refuse the whole frame. *)
-let query_box =
-  Codec.map2 Codec.point Codec.point
-    ~decode:(fun (lo : Point.t) (hi : Point.t) ->
-      { Box.xmin = lo.Point.x; ymin = lo.Point.y; xmax = hi.Point.x; ymax = hi.Point.y })
-    ~get1:(fun (b : Box.t) -> Point.make b.Box.xmin b.Box.ymin)
-    ~get2:(fun (b : Box.t) -> Point.make b.Box.xmax b.Box.ymax)
-
+(* A query box travels as four raw floats ([Codec.raw_box]: [Codec.box]'s
+   layout without its validation): a NaN field or an empty extent is one
+   query's problem, answered [Rejected] by the server's per-query rule,
+   not a reason to refuse the whole frame. *)
 let query =
   let open Codec in
   choice
@@ -65,11 +57,11 @@ let query =
       | Range _ -> 0 | Count _ -> 1 | Knn _ -> 2 | Nearest _ -> 3 | Cell _ -> 4)
     [
       ( 0,
-        map query_box
+        map raw_box
           ~decode:(fun b -> Range b)
           ~encode:(function Range b -> b | _ -> assert false) );
       ( 1,
-        map query_box
+        map raw_box
           ~decode:(fun b -> Count b)
           ~encode:(function Count b -> b | _ -> assert false) );
       ( 2,
@@ -108,7 +100,7 @@ let answer =
       | Points _ -> 0 | Count_of _ -> 1 | Cell_info _ -> 2 | Rejected _ -> 3)
     [
       ( 0,
-        map (array point)
+        map points
           ~decode:(fun ps -> Points ps)
           ~encode:(function Points ps -> ps | _ -> assert false) );
       ( 1,
@@ -116,7 +108,7 @@ let answer =
           ~decode:(fun n -> Count_of n)
           ~encode:(function Count_of n -> n | _ -> assert false) );
       ( 2,
-        map3 int box (array point)
+        map3 int box points
           ~decode:(fun d b ps -> Cell_info (d, b, ps))
           ~get1:(function Cell_info (d, _, _) -> d | _ -> assert false)
           ~get2:(function Cell_info (_, b, _) -> b | _ -> assert false)

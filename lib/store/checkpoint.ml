@@ -21,7 +21,7 @@ let codec =
   let tuple =
     Codec.(
       pair
-        (triple (array point) xoshiro
+        (triple points xoshiro
            (triple int int (array (pair float float))))
         int)
   in

@@ -76,6 +76,18 @@ let read_byte cur =
   cur.pos <- cur.pos + 1;
   b
 
+(* Fixed-width reads take a word at a time: one bounds check per 8-byte
+   word, then one little-endian load. Inlined, so a float read into a
+   record field or a local is never boxed on the way. Truncation fails
+   with [read_byte]'s message, wherever in the word the input ends. *)
+let[@inline] read_word cur =
+  let p = cur.pos in
+  if p > cur.limit - 8 then fail "unexpected end of input";
+  cur.pos <- p + 8;
+  String.get_int64_le cur.data p
+
+let[@inline] read_float cur = Int64.float_of_bits (read_word cur)
+
 let u8 =
   {
     write =
@@ -98,7 +110,9 @@ let bool =
 
 (* Unsigned LEB128 over the full 63-bit word (an int with the sign bit
    set is written as the corresponding large unsigned value, which is
-   what zigzagged [min_int]-adjacent values produce). *)
+   what zigzagged [min_int]-adjacent values produce). A count read back
+   with the sign bit set is negative, so the count readers refuse a
+   negative one like one past the remaining input. *)
 let rec write_uvarint s n =
   if n lsr 7 = 0 then add_char s (Char.chr n)
   else begin
@@ -108,14 +122,15 @@ let rec write_uvarint s n =
 
 let rec uvarint_length n = if n lsr 7 = 0 then 1 else 1 + uvarint_length (n lsr 7)
 
-let read_uvarint cur =
-  let rec go shift acc =
-    if shift > 62 then fail "varint too long";
-    let b = read_byte cur in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+(* A top-level loop over the cursor, not a local closure, so a varint
+   read allocates nothing. *)
+let rec read_uvarint_from cur shift acc =
+  if shift > 62 then fail "varint too long";
+  let b = read_byte cur in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc else read_uvarint_from cur (shift + 7) acc
+
+let read_uvarint cur = read_uvarint_from cur 0 0
 
 (* Zigzag: small magnitudes of either sign stay small on disk. *)
 let int =
@@ -127,24 +142,8 @@ let int =
         (z lsr 1) lxor (-(z land 1)));
   }
 
-let int64 =
-  {
-    write = add_int64;
-    read =
-      (fun cur ->
-        let v = ref 0L in
-        for i = 0 to 7 do
-          let b = read_byte cur in
-          v := Int64.logor !v (Int64.shift_left (Int64.of_int b) (8 * i))
-        done;
-        !v);
-  }
-
-let float =
-  {
-    write = add_float;
-    read = (fun cur -> Int64.float_of_bits (int64.read cur));
-  }
+let int64 = { write = add_int64; read = read_word }
+let float = { write = add_float; read = read_float }
 
 let string =
   {
@@ -155,7 +154,7 @@ let string =
     read =
       (fun cur ->
         let n = read_uvarint cur in
-        if n > cur.limit - cur.pos then
+        if n < 0 || n > cur.limit - cur.pos then
           fail "string length %d exceeds remaining input" n;
         let s = String.sub cur.data cur.pos n in
         cur.pos <- cur.pos + n;
@@ -227,7 +226,7 @@ let list c =
     read =
       (fun cur ->
         let n = read_uvarint cur in
-        if n > cur.limit - cur.pos then
+        if n < 0 || n > cur.limit - cur.pos then
           fail "list count %d exceeds remaining input" n;
         List.init n (fun _ -> c.read cur));
   }
@@ -243,7 +242,7 @@ let array c =
     read =
       (fun cur ->
         let n = read_uvarint cur in
-        if n > cur.limit - cur.pos then
+        if n < 0 || n > cur.limit - cur.pos then
           fail "array count %d exceeds remaining input" n;
         Array.init n (fun _ -> c.read cur));
   }
@@ -314,33 +313,92 @@ let choice ~tag cases =
 
 (* Domain codecs *)
 
-let point =
+(* Points are built as record literals, never through [Point.make]: a
+   float passed to a function of another module is boxed (each project
+   module is compiled separately, so nothing is inlined across them),
+   and a literal fills the record's flat fields directly. *)
+let[@inline] read_point cur =
+  let x = read_float cur in
+  let y = read_float cur in
+  { Point.x; y }
+
+let[@inline] write_point s (p : Point.t) =
+  add_float s p.Point.x;
+  add_float s p.Point.y
+
+let point = { write = write_point; read = read_point }
+
+(* [array point]'s bytes, checked and reserved once per array: the
+   count against the remaining input (the message [array] gives), the
+   [16 * n] extent against it too (the message a short element read
+   gives), then [n] unchecked word pairs. The array starts out filled
+   with a static point, so a long one is made in the major heap without
+   forcing a minor collection first. *)
+let no_point = { Point.x = 0.0; y = 0.0 }
+
+let points =
   {
     write =
-      (fun s (p : Point.t) ->
-        add_float s p.Point.x;
-        add_float s p.Point.y);
+      (fun s ps ->
+        let n = Array.length ps in
+        write_uvarint s n;
+        reserve s (16 * n);
+        for i = 0 to n - 1 do
+          let p = Array.unsafe_get ps i in
+          Bytes.set_int64_le s.buf s.len (Int64.bits_of_float p.Point.x);
+          Bytes.set_int64_le s.buf (s.len + 8) (Int64.bits_of_float p.Point.y);
+          s.len <- s.len + 16
+        done);
     read =
       (fun cur ->
-        let x = float.read cur in
-        let y = float.read cur in
-        Point.make x y);
+        let n = read_uvarint cur in
+        let left = cur.limit - cur.pos in
+        if n < 0 || n > left then fail "array count %d exceeds remaining input" n;
+        if 16 * n > left then fail "unexpected end of input";
+        if n = 0 then [||]
+        else begin
+          let ps = Array.make n no_point in
+          let data = cur.data and p = cur.pos in
+          for i = 0 to n - 1 do
+            let o = p + (16 * i) in
+            let x = Int64.float_of_bits (String.get_int64_le data o) in
+            let y = Int64.float_of_bits (String.get_int64_le data (o + 8)) in
+            Array.unsafe_set ps i { Point.x; y }
+          done;
+          cur.pos <- p + (16 * n);
+          ps
+        end);
+  }
+
+(* A box's four floats in [Box.make]'s field order. [box] validates
+   them; [raw_box] takes them as they come. *)
+let write_box s (b : Box.t) =
+  add_float s b.Box.xmin;
+  add_float s b.Box.ymin;
+  add_float s b.Box.xmax;
+  add_float s b.Box.ymax
+
+let raw_box =
+  {
+    write = write_box;
+    read =
+      (fun cur ->
+        let xmin = read_float cur in
+        let ymin = read_float cur in
+        let xmax = read_float cur in
+        let ymax = read_float cur in
+        { Box.xmin; ymin; xmax; ymax });
   }
 
 let box =
   {
-    write =
-      (fun s (b : Box.t) ->
-        add_float s b.Box.xmin;
-        add_float s b.Box.ymin;
-        add_float s b.Box.xmax;
-        add_float s b.Box.ymax);
+    write = write_box;
     read =
       (fun cur ->
-        let xmin = float.read cur in
-        let ymin = float.read cur in
-        let xmax = float.read cur in
-        let ymax = float.read cur in
+        let xmin = read_float cur in
+        let ymin = read_float cur in
+        let xmax = read_float cur in
+        let ymax = read_float cur in
         match Box.make ~xmin ~ymin ~xmax ~ymax with
         | b -> b
         | exception Invalid_argument msg -> fail "bad box: %s" msg);
@@ -352,7 +410,7 @@ let xoshiro =
       (fun s rng -> Array.iter (add_int64 s) (Xoshiro.to_words rng));
     read =
       (fun cur ->
-        let words = Array.init 4 (fun _ -> int64.read cur) in
+        let words = Array.init 4 (fun _ -> read_word cur) in
         match Xoshiro.of_words words with
         | rng -> rng
         | exception Invalid_argument msg -> fail "bad rng state: %s" msg);

@@ -25,7 +25,18 @@ open Import
 
     Floats are stored as their IEEE-754 bit patterns ([Int64.bits_of_float]),
     so every round-trip is bit-exact — the property the byte-identical
-    caching contract rests on. *)
+    caching contract rests on.
+
+    {b Reading a word at a time.} The fixed-width readers ({!int64},
+    {!float}, {!point}, {!box}, {!raw_box}) make one bounds check per
+    8-byte word and load it whole, and {!points} checks its whole
+    extent once. The bytes are the format above whichever way they are
+    read, and the errors do not depend on where the input ends:
+    truncated input fails with ["unexpected end of input"] wherever
+    inside a word or an array it stops, and a count beyond the
+    remaining input — or read back negative, with its sign bit set —
+    with ["array count … exceeds remaining input"] (["list count"],
+    ["string length"]). *)
 
 type 'a t
 
@@ -107,7 +118,24 @@ val choice : tag:('a -> int) -> (int * 'a t) list -> 'a t
 (** {1 Domain codecs} *)
 
 val point : Point.t t
+
+(** [points] is a point array in exactly the bytes of [array point] —
+    a varint count, then each point's two floats — read with one check
+    of the count and one of its [16 * n]-byte extent, and written with
+    one reservation. The wire's point answers and the checkpoints'
+    point arrays use it. *)
+val points : Point.t array t
+
+(** [box] is a box's four floats in [xmin, ymin, xmax, ymax] order;
+    decoding validates them with {!Box.make}, so a NaN field or an
+    empty extent is malformed input. *)
 val box : Box.t t
+
+(** [raw_box] is {!box}'s bytes decoded without the validation: the
+    four floats become the record's fields as written, NaN or empty
+    extent included. It is for a reader that judges the box itself
+    (the wire's query boxes). *)
+val raw_box : Box.t t
 
 (** [xoshiro] serializes a generator's full 256-bit state; decoding
     restores a generator that continues the exact same stream. *)

@@ -81,14 +81,15 @@ let drain q =
 
 (* A bounded best-k collector on top of the min-heap: keys are negated
    distances, so the root is the current kth-best (worst retained)
-   candidate and every offer costs O(log k). Shared by the persistent
-   and arena k-NN kernels so the pruning bound lives in one place. *)
+   candidate and every offer costs O(log k). The persistent k-NN
+   kernel collects through it; the arena's flat collector mirrors its
+   steps exactly. *)
 module Neighbors = struct
   (* [bound] is the pruning bound [worst] returns, kept current by
      [offer] and [drain_nearest]. A k-NN descent reads it at every node
      it visits and every point it scans, so the read must not allocate:
-     a float returned by a computation boxes at the call (the kernels
-     live in other modules, which cannot inline it), while one read
+     a float returned by a computation boxes at the call (the kernel
+     lives in another module, which cannot inline it), while one read
      from a record field is returned in the box it already has. Only an
      offer accepted by a full collector boxes the new bound. *)
   type nonrec 'a t = { k : int; heap : 'a t; mutable bound : float }

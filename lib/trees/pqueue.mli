@@ -27,10 +27,12 @@ val peek_min : 'a t -> (float * 'a) option
 (** [drain q] pops everything, in priority order. *)
 val drain : 'a t -> (float * 'a) list
 
-(** A bounded "best k by distance" collector shared by the persistent
-    and arena k-nearest-neighbor kernels. Internally a {!t} keyed on
-    negated distance (a bounded max-heap), so offers are O(log k) and
-    the current pruning bound is O(1). *)
+(** A bounded "best k by distance" collector, the one
+    {!Pr_quadtree.k_nearest} uses. Internally a {!t} keyed on negated
+    distance (a bounded max-heap), so offers are O(log k) and the
+    current pruning bound is O(1). {!Pr_arena.k_nearest} runs the same
+    heap steps on flat float arrays, so ties keep and order the same
+    points: a change to the steps here must be made there too. *)
 module Neighbors : sig
   type 'a t
 

@@ -1297,7 +1297,7 @@ let is_zordered t =
 let leaf_points t node =
   let rec go acc slot =
     if slot < 0 then acc
-    else go (Point.make t.xs.{slot} t.ys.{slot} :: acc) t.next.{slot}
+    else go ({ Point.x = t.xs.{slot}; y = t.ys.{slot} } :: acc) t.next.{slot}
   in
   (* Collect then reverse so the list follows chain order (for an
      incremental build: reverse insertion order). *)
@@ -1328,7 +1328,7 @@ let iter_points t ~f =
      hold stale coordinates. *)
   let rec chase slot =
     if slot >= 0 then begin
-      f (Point.make t.xs.{slot} t.ys.{slot});
+      f { Point.x = t.xs.{slot}; y = t.ys.{slot} };
       chase t.next.{slot}
     end
   in
@@ -1406,19 +1406,26 @@ let tally = Domain.DLS.new_key (fun () -> { hits = 0; visits = 0; pruned = 0 })
    no closure and touches no ref cell. The target travels as the query
    box itself (one record per query, allocated by the caller), never as
    unpacked float arguments — floats crossing a call boundary would box
-   on every leaf. *)
+   on every leaf. For the same reason the kernels build answer points
+   as record literals, never through [Point.make]: each project module
+   is compiled separately, so a call into another one is never inlined
+   and boxes both floats on the way.
+
+   The count's point test has no branch: a boundary leaf's points fall
+   either side of the box's edges unpredictably, so the four compares
+   become 0/1 ints, and-ed and added. The box stays half-open, and a
+   NaN edge fails its compare, so a NaN box counts nothing. *)
 let rec count_chain t (target : Box.t) slot acc =
   if slot < 0 then acc
   else begin
     let x = t.xs.{slot} and y = t.ys.{slot} in
-    let acc =
-      if
-        x >= target.Box.xmin && x < target.Box.xmax && y >= target.Box.ymin
-        && y < target.Box.ymax
-      then acc + 1
-      else acc
+    let hit =
+      Bool.to_int (x >= target.Box.xmin)
+      land Bool.to_int (x < target.Box.xmax)
+      land Bool.to_int (y >= target.Box.ymin)
+      land Bool.to_int (y < target.Box.ymax)
     in
-    count_chain t target t.next.{slot} acc
+    count_chain t target t.next.{slot} (acc + hit)
   end
 
 let rec filter_chain t (target : Box.t) slot acc =
@@ -1429,7 +1436,7 @@ let rec filter_chain t (target : Box.t) slot acc =
       if
         x >= target.Box.xmin && x < target.Box.xmax && y >= target.Box.ymin
         && y < target.Box.ymax
-      then Point.make x y :: acc
+      then { Point.x; y } :: acc
       else acc
     in
     filter_chain t target t.next.{slot} acc
@@ -1441,7 +1448,8 @@ let rec filter_chain t (target : Box.t) slot acc =
    every point passes, so pruning never reorders a result list. *)
 let rec drain_chain t slot acc =
   if slot < 0 then acc
-  else drain_chain t t.next.{slot} (Point.make t.xs.{slot} t.ys.{slot} :: acc)
+  else
+    drain_chain t t.next.{slot} ({ Point.x = t.xs.{slot}; y = t.ys.{slot} } :: acc)
 
 let rec drain_subtree t node acc =
   let base = t.child.(node) in
@@ -1668,10 +1676,10 @@ let ranked_walk t (p : Point.t) (bound : float array) scan =
   in
   go 0 0 0 bits_fine
 
-(* Nearest keeps its own state rather than being [k_nearest 1]: the
-   bounded collector answers the same, but a flat best-so-far array is
-   about a fifth faster and allocates a third of the words. Layout:
-   [| best distance² (the bound); best x; best y |]. *)
+(* Nearest keeps its own state rather than being [k_nearest 1]: both
+   answer the same, but one best-so-far triple needs no heap steps and
+   no answer list. Layout: [| best distance² (the bound); best x;
+   best y |]. *)
 let nearest_visited t (p : Point.t) =
   if t.size = 0 then (None, 0)
   else begin
@@ -1695,20 +1703,100 @@ let nearest_visited t (p : Point.t) =
       done
     in
     let visited = ranked_walk t p best scan in
-    ((if !found then Some (Point.make best.(1) best.(2)) else None), visited)
+    ( (if !found then Some { Point.x = best.(1); y = best.(2) } else None),
+      visited )
   end
 
 let nearest t p = fst (nearest_visited t p)
 
-(* The same shared bounded collector as [Pr_quadtree.k_nearest]; the
-   bound cell mirrors its [worst] and changes only when it accepts. *)
+(* k-NN's best k, flat. Candidates sit in a binary min-heap on negated
+   distance (so the root is the worst one kept) held in three float
+   arrays, and every step is {!Pqueue}'s: the same strict [<] in
+   sift-up and sift-down, a pop as soon as the heap holds more than
+   [k], the bound set to the root's distance once it holds exactly [k],
+   and the same drain. So ties keep and order exactly the points
+   [Pqueue.Neighbors] does, the collector {!Pr_quadtree.k_nearest}
+   keeps — with no point, option or tuple per candidate. The arrays
+   start small and double as they fill, so even [k = max_int] costs
+   memory in the points offered, not in [k]. It lives here, beside
+   [ranked_walk], because a distance handed to another module's
+   [offer] would be boxed. *)
+type best = {
+  mutable neg : float array;  (** negated distance², the heap key *)
+  mutable bx : float array;
+  mutable by : float array;
+  mutable held : int;
+}
+
+let best_grow b =
+  let cap = 2 * Array.length b.neg in
+  let extend a =
+    let a' = Array.make cap 0.0 in
+    Array.blit a 0 a' 0 b.held;
+    a'
+  in
+  b.neg <- extend b.neg;
+  b.bx <- extend b.bx;
+  b.by <- extend b.by
+
+let best_swap b i j =
+  let t = b.neg.(i) in
+  b.neg.(i) <- b.neg.(j);
+  b.neg.(j) <- t;
+  let t = b.bx.(i) in
+  b.bx.(i) <- b.bx.(j);
+  b.bx.(j) <- t;
+  let t = b.by.(i) in
+  b.by.(i) <- b.by.(j);
+  b.by.(j) <- t
+
+let rec best_sift_up b i =
+  if i > 0 then begin
+    let parent = (i - 1) / 2 in
+    if b.neg.(i) < b.neg.(parent) then begin
+      best_swap b i parent;
+      best_sift_up b parent
+    end
+  end
+
+let rec best_sift_down b i =
+  let left = (2 * i) + 1 in
+  let right = left + 1 in
+  let smallest =
+    if left < b.held && b.neg.(left) < b.neg.(i) then left else i
+  in
+  let smallest =
+    if right < b.held && b.neg.(right) < b.neg.(smallest) then right
+    else smallest
+  in
+  if smallest <> i then begin
+    best_swap b i smallest;
+    best_sift_down b smallest
+  end
+
+let best_pop b =
+  b.held <- b.held - 1;
+  let last = b.held in
+  b.neg.(0) <- b.neg.(last);
+  b.bx.(0) <- b.bx.(last);
+  b.by.(0) <- b.by.(last);
+  if last > 0 then best_sift_down b 0
+
 let k_nearest_visited t k (p : Point.t) =
   if k < 0 then invalid_arg "Pr_arena.k_nearest: k < 0";
   if k = 0 || t.size = 0 then ([], 0)
   else begin
     let px = p.Point.x and py = p.Point.y in
-    let nbrs = Pqueue.Neighbors.create k in
-    let bound = [| Pqueue.Neighbors.worst nbrs |] in
+    let cap = if k < 32 then k + 1 else 32 in
+    let b =
+      {
+        neg = Array.make cap 0.0;
+        bx = Array.make cap 0.0;
+        by = Array.make cap 0.0;
+        held = 0;
+      }
+    in
+    let bound = [| Float.infinity |] in
     let scan node =
       let slot = ref t.head.(node) in
       while !slot >= 0 do
@@ -1717,14 +1805,28 @@ let k_nearest_visited t k (p : Point.t) =
         let dx = x -. px and dy = y -. py in
         let d = (dx *. dx) +. (dy *. dy) in
         if d < bound.(0) then begin
-          Pqueue.Neighbors.offer nbrs ~dist:d (Point.make x y);
-          bound.(0) <- Pqueue.Neighbors.worst nbrs
+          if b.held = Array.length b.neg then best_grow b;
+          let i = b.held in
+          b.neg.(i) <- -.d;
+          b.bx.(i) <- x;
+          b.by.(i) <- y;
+          b.held <- i + 1;
+          best_sift_up b i;
+          if b.held > k then best_pop b;
+          if b.held = k then bound.(0) <- -.b.neg.(0)
         end;
         slot := t.next.{s}
       done
     in
     let visited = ranked_walk t p bound scan in
-    (Pqueue.Neighbors.drain_nearest nbrs, visited)
+    (* The heap drains farthest first; consing each onto the answer
+       leaves it nearest first. *)
+    let acc = ref [] in
+    while b.held > 0 do
+      acc := { Point.x = b.bx.(0); y = b.by.(0) } :: !acc;
+      best_pop b
+    done;
+    (!acc, visited)
   end
 
 let k_nearest t k p = fst (k_nearest_visited t k p)

@@ -367,8 +367,12 @@ val count_in_box : t -> Box.t -> int
 val nearest : t -> Point.t -> Point.t option
 
 (** [k_nearest t k p] is up to [k] stored points closest to [p],
-    nearest first (ties arbitrary), via the shared
-    {!Pqueue.Neighbors} bound. Raises [Invalid_argument] if [k < 0]. *)
+    nearest first — exactly {!Pr_quadtree.k_nearest} over {!freeze}[ t],
+    ties included: both walks offer the same points in the same order,
+    and the arena keeps its best [k] in flat float arrays that take
+    {!Pqueue.Neighbors}' heap steps. Nothing is allocated per candidate;
+    the collector grows with the points offered, not with [k]. Raises
+    [Invalid_argument] if [k < 0]. *)
 val k_nearest : t -> int -> Point.t -> Point.t list
 
 (** [cell_at t p] is the leaf cell containing [p]: its depth, its

@@ -548,6 +548,60 @@ let wire_tests =
                   frames words
                   (words /. float_of_int frames))
         end);
+    Alcotest.test_case
+      "decoding a mixed response allocates its answers, not its bytes"
+      `Quick (fun () ->
+        (* The reader takes a word at a time and a point array in one
+           piece, so decoding a response costs the values it returns: a
+           point is three words and its array slot one, an answer a
+           few. A 1,024-answer mixed response over 2^16 points must
+           decode within 5 minor words per answer point plus 24 per
+           answer; a reader that boxes each float on the way (two
+           words each) or builds points through a cross-module call
+           reads far above that. *)
+        if not native then print_endline "skipped: bytecode boxes floats"
+        else begin
+          let module Codec = Popan_store.Codec in
+          let module Server = Popan_serve.Server in
+          let n = 65_536 in
+          let rng = Xoshiro.of_int_seed 5 in
+          let arena =
+            Pr_arena.bulk_of_columns ~capacity:8 ~n (fun xs ys ->
+                Sampler.fill rng Sampler.Uniform xs ys n)
+          in
+          let answers =
+            Array.map (Server.eval arena) (Server.mixed_queries rng 1024)
+          in
+          let bytes =
+            Codec.encode Wire.response (Wire.Answers { epoch = 1; answers })
+          in
+          let points =
+            Array.fold_left
+              (fun acc a ->
+                match a with
+                | Wire.Points ps | Wire.Cell_info (_, _, ps) ->
+                  acc + Array.length ps
+                | Wire.Count_of _ | Wire.Rejected _ -> acc)
+              0 answers
+          in
+          ignore (Codec.decode Wire.response bytes : Wire.response);
+          let decoded = ref None in
+          let words =
+            measure (fun () -> decoded := Some (Codec.decode Wire.response bytes))
+          in
+          (match !decoded with
+          | Some (Wire.Answers { answers = a; _ }) ->
+            Alcotest.check Alcotest.bool "decodes to the answers" true (a = answers)
+          | _ -> Alcotest.fail "the response did not decode to its answers");
+          let budget = float_of_int ((5 * points) + (24 * 1024)) in
+          Printf.printf "decode: %.0f minor words for %d answer points\n" words
+            points;
+          if words > budget then
+            Alcotest.failf
+              "decoding 1024 answers holding %d points allocated %.0f minor \
+               words (budget %.0f = 5 per point + 24 per answer)"
+              points words budget
+        end);
   ]
 
 let knn_tests =
@@ -582,6 +636,49 @@ let knn_tests =
                call); the k-NN pruning bound must not allocate"
               calls words
               (words /. float_of_int calls)
+        end);
+    Alcotest.test_case "arena k_nearest allocates its answer, not its candidates"
+      `Quick (fun () ->
+        (* The arena's collector keeps its best k in flat float arrays,
+           so a query costs its answer list (six words a point), the
+           collector's three arrays of k + 1 slots (3(k + 2) words) and
+           a constant: at most 16k + 64 minor words per query over
+           1,000 probes of a 2^16-point arena, at k = 1, 8 and 16. A
+           collector that allocates a point, an option or a tuple per
+           accepted candidate reads far above it. *)
+        if not native then print_endline "skipped: bytecode boxes floats"
+        else begin
+          let n = 65_536 in
+          let rng = Xoshiro.of_int_seed 61 in
+          let t =
+            Pr_arena.bulk_of_columns ~capacity:8 ~n (fun xs ys ->
+                Sampler.fill rng Sampler.Uniform xs ys n)
+          in
+          let queries = 1_000 in
+          let probes =
+            Array.init queries (fun _ -> Sampler.point rng Sampler.Uniform)
+          in
+          List.iter
+            (fun k ->
+              ignore (Pr_arena.k_nearest t k probes.(0) : Point.t list);
+              let found = ref 0 in
+              let words =
+                measure (fun () ->
+                    for i = 0 to queries - 1 do
+                      found := !found + List.length (Pr_arena.k_nearest t k probes.(i))
+                    done)
+              in
+              Alcotest.check Alcotest.int
+                (Printf.sprintf "k = %d answered in full" k)
+                (k * queries) !found;
+              let per_query = words /. float_of_int queries in
+              Printf.printf "k = %d: %.1f minor words per query\n" k per_query;
+              if per_query > float_of_int ((16 * k) + 64) then
+                Alcotest.failf
+                  "k_nearest at k = %d allocated %.1f minor words per query \
+                   (budget %d = 16k + 64)"
+                  k per_query ((16 * k) + 64))
+            [ 1; 8; 16 ]
         end);
   ]
 

@@ -121,7 +121,38 @@ let neighbors_tests =
 
 (* Arena-native kernels, differential against the persistent tree *)
 
-let knn_distances p ps = List.map (Point.distance_sq p) ps
+(* Points on the 2^-6 lattice, drawn from a patch of at most 12 x 12
+   sites so most sites hold duplicates, in an arena built in bulk or by
+   inserts (different chain orders); probed at a lattice site or a
+   lattice cell's centre, where many distances tie exactly. *)
+let gen_lattice_case =
+  QCheck2.Gen.(
+    let* seed = int_range 1 1_000_000 in
+    let* bulk = bool in
+    let* probe_centre = bool in
+    let* k = int_range 0 24 in
+    let rng = Xoshiro.of_int_seed seed in
+    let side = 2 + Xoshiro.int rng 11 in
+    let x0 = Xoshiro.int rng (64 - side) and y0 = Xoshiro.int rng (64 - side) in
+    let site () =
+      ( float_of_int (x0 + Xoshiro.int rng side) /. 64.0,
+        float_of_int (y0 + Xoshiro.int rng side) /. 64.0 )
+    in
+    let pts =
+      List.init (20 + Xoshiro.int rng 300) (fun _ ->
+          let x, y = site () in
+          Point.make x y)
+    in
+    let arena =
+      if bulk then Pr_arena.of_points_bulk ~capacity:4 pts
+      else Pr_arena.of_points ~capacity:4 pts
+    in
+    let x, y = site () in
+    let p =
+      if probe_centre then Point.make (x +. (0.5 /. 64.0)) (y +. (0.5 /. 64.0))
+      else Point.make x y
+    in
+    return (arena, p, k))
 
 let kernel_tests =
   [
@@ -139,16 +170,20 @@ let kernel_tests =
       (fun ((arena, _), b) ->
         let count, visited = Pr_arena.count_in_box_visited arena b in
         count = Pr_arena.count_in_box arena b && visited >= 1);
-    prop ~count:80 "k_nearest ≡ Pr_quadtree.k_nearest (distances)"
+    prop ~count:80 "k_nearest ≡ Pr_quadtree.k_nearest (points, order)"
       QCheck2.Gen.(triple gen_pair gen_point (int_range 0 20))
       (fun ((arena, tree), p, k) ->
-        (* Ties break arbitrarily, so compare the distance profiles —
-           exact float equality, both sides use the same arithmetic —
-           and membership of every returned point. *)
-        let a = Pr_arena.k_nearest arena k p in
-        let t = Pr_quadtree.k_nearest tree k p in
-        knn_distances p a = knn_distances p t
-        && List.for_all (Pr_quadtree.mem tree) a);
+        (* Point for point and in order: both walks offer the same
+           points in the same order (closest quadrant first, ties by
+           quadrant index; each leaf in chain order), and the arena's
+           flat collector takes {!Pqueue}'s heap steps, so even ties
+           keep and order the same points. *)
+        Pr_arena.k_nearest arena k p = Pr_quadtree.k_nearest tree k p);
+    prop ~count:120 "k_nearest ≡ Pr_quadtree.k_nearest on a lattice (ties)"
+      gen_lattice_case
+      (fun (arena, p, k) ->
+        Pr_arena.k_nearest arena k p
+        = Pr_quadtree.k_nearest (Pr_arena.freeze arena) k p);
     prop ~count:80 "nearest ≡ Pr_quadtree.nearest (distance)"
       QCheck2.Gen.(pair gen_pair gen_point)
       (fun ((arena, tree), p) ->
@@ -231,8 +266,61 @@ let dup_arena ~copies =
   done;
   arena
 
+(* A box whose edges sit exactly on stored coordinates or on dyadic
+   cell edges (k / 2^d, d <= 8), where a point test's half-open
+   compares decide; [None] when the draw leaves an empty extent. *)
+let edge_box arena seed =
+  let rng = Xoshiro.of_int_seed seed in
+  let coords =
+    Array.of_list
+      (List.concat_map
+         (fun (p : Point.t) -> [ p.Point.x; p.Point.y ])
+         (Pr_arena.points arena))
+  in
+  let edge () =
+    if Array.length coords > 0 && Xoshiro.bool rng then
+      coords.(Xoshiro.int rng (Array.length coords))
+    else
+      let d = 1 + Xoshiro.int rng 8 in
+      float_of_int (Xoshiro.int rng ((1 lsl d) + 1)) /. float_of_int (1 lsl d)
+  in
+  let span () =
+    let a = edge () and b = edge () in
+    (Float.min a b, Float.max a b)
+  in
+  let xmin, xmax = span () in
+  let ymin, ymax = span () in
+  if xmin < xmax && ymin < ymax then Some (Box.make ~xmin ~ymin ~xmax ~ymax)
+  else None
+
 let pruning_tests =
   [
+    prop ~count:150 "count_in_box on point and cell edges ≡ Pr_quadtree"
+      QCheck2.Gen.(pair gen_pair (int_range 1 1_000_000))
+      (fun ((arena, tree), seed) ->
+        match edge_box arena seed with
+        | None -> true
+        | Some b ->
+          Pr_arena.count_in_box arena b = Pr_quadtree.count_in_box tree b
+          && fst (Pr_arena.count_in_box_visited arena b)
+             = Pr_quadtree.count_in_box tree b);
+    Alcotest.test_case "a box with a NaN edge counts nothing" `Quick (fun () ->
+        (* The per-query rule refuses such a box before any kernel
+           runs; the kernel itself still counts 0, since every compare
+           against NaN fails. *)
+        let arena = churned_arena ~seed:31 ~base:600 ~ops:600 in
+        let nan = Float.nan in
+        List.iter
+          (fun (name, b) ->
+            check_int name 0 (Pr_arena.count_in_box arena b);
+            check_int (name ^ ", visited entry") 0
+              (fst (Pr_arena.count_in_box_visited arena b)))
+          [
+            ("xmin", { Box.xmin = nan; ymin = 0.0; xmax = 1.0; ymax = 1.0 });
+            ("ymin", { Box.xmin = 0.0; ymin = nan; xmax = 1.0; ymax = 1.0 });
+            ("xmax", { Box.xmin = 0.0; ymin = 0.0; xmax = nan; ymax = 1.0 });
+            ("ymax", { Box.xmin = 0.0; ymin = 0.0; xmax = 1.0; ymax = nan });
+          ]);
     prop ~count:100 "query_box ≡ query_box_unpruned (exact order)"
       QCheck2.Gen.(pair gen_pair gen_box)
       (fun ((arena, _), b) ->
@@ -670,8 +758,59 @@ let mixed_batch rng n =
       | 3 -> Wire.Nearest p
       | _ -> Wire.Cell p)
 
+(* The schedule's packed keys, sorted as the scheduler documents:
+   [Array.sort compare] on anchor code above arrival index. *)
+let sorted_schedule queries =
+  let anchor (q : Wire.query) =
+    match q with
+    | Wire.Range b | Wire.Count b ->
+      Popan_geom.Morton.encode_clamped (Point.make b.Box.xmin b.Box.ymin)
+    | Wire.Knn (_, p) | Wire.Nearest p | Wire.Cell p ->
+      Popan_geom.Morton.encode_clamped p
+  in
+  let keys = Array.mapi (fun i q -> (anchor q lsl 20) lor i) queries in
+  Array.sort compare keys;
+  keys
+
+(* A batch of 2 to 4,096 queries of every kind whose anchors come from
+   one to six values (some outside the unit square, so clamped), so
+   most keys tie on their anchor. *)
+let gen_schedule_batch =
+  QCheck2.Gen.(
+    let* seed = int_range 1 1_000_000 in
+    let* n = int_range 2 4096 in
+    let* m = int_range 1 6 in
+    let rng = Xoshiro.of_int_seed seed in
+    let anchors =
+      Array.init m (fun _ ->
+          Point.make
+            ((1.2 *. Xoshiro.float rng) -. 0.1)
+            ((1.2 *. Xoshiro.float rng) -. 0.1))
+    in
+    return
+      (Array.init n (fun _ ->
+           let p = anchors.(Xoshiro.int rng m) in
+           let b = { Box.xmin = p.Point.x; ymin = p.Point.y; xmax = 2.0; ymax = 2.0 } in
+           match Xoshiro.int rng 5 with
+           | 0 -> Wire.Range b
+           | 1 -> Wire.Count b
+           | 2 -> Wire.Knn (1 + Xoshiro.int rng 16, p)
+           | 3 -> Wire.Nearest p
+           | _ -> Wire.Cell p)))
+
 let batch_tests =
   [
+    prop ~count:200 "schedule_order ≡ Array.sort compare on the packed keys"
+      gen_schedule_batch
+      (fun queries ->
+        Server.schedule_order queries = Some (sorted_schedule queries));
+    Alcotest.test_case "batches of 0, 1 and 2^20 queries keep arrival order"
+      `Quick (fun () ->
+        let q = Wire.Nearest (Point.make 0.5 0.5) in
+        check_bool "0" true (Server.schedule_order [||] = None);
+        check_bool "1" true (Server.schedule_order [| q |] = None);
+        check_bool "2^20" true
+          (Server.schedule_order (Array.make (1 lsl 20) q) = None));
     Alcotest.test_case "batch results byte-identical at jobs 1/2/4" `Quick
       (fun () ->
         let arena = churned_arena ~seed:11 ~base:2_000 ~ops:4_000 in
@@ -2182,9 +2321,7 @@ let deep_kernel_tests =
                   let knn = Pr_arena.k_nearest arena k p in
                   Pr_arena.query_box arena b = Pr_quadtree.query_box tree b
                   && Pr_arena.count_in_box arena b = Pr_quadtree.count_in_box tree b
-                  && knn_distances p knn
-                     = knn_distances p (Pr_quadtree.k_nearest tree k p)
-                  && List.for_all (Pr_quadtree.mem tree) knn
+                  && knn = Pr_quadtree.k_nearest tree k p
                   && Pr_arena.cell_at arena p = Pr_quadtree.leaf_at tree p
                   && List.for_all
                        (fun q -> Pr_arena.mem arena q = Pr_quadtree.mem tree q)
