@@ -25,23 +25,19 @@ test:
 # explicitly: a no-split arena insert must allocate zero minor words,
 # a generator-fed uniform bulk build O(1) of them, so must the served
 # Z-ordered build (each also over a clustered input whose groups take
-# the packed kernel's four-level step), and a response frame written
+# the bulk kernel's four-level step), and a response frame written
 # through the wire's reused scratch none. The sweep alloc
 # gate runs `popan sweep -j 2` over 393,216 uniform points with the GC
 # summary on (OCAMLRUNPARAM=v=0x400) and requires fewer minor words
 # than points: the sampler fills the arena's columns without boxing.
-# The bulk smoke, one stage per sort kernel. At 2^21 - 1 points, the
-# largest packed build, the heap in-place builds with no jobs, jobs 1
-# and jobs 4 must equal each other entry for entry (Pr_arena.diff_state:
-# node ids, chains, columns and counters) and freeze to the encoded
-# bytes of an mmap-backed build of the same points (the two-column
-# kernel, which takes no four-level step) and of the packed Z-ordered
-# build. Then a 2^22-point bulk build (past the packed kernel's
-# 2^21 - 1 points, so the two-column kernel on the heap) must complete
-# with no fallback, the arenas built at jobs 1 and 4 must equal the
-# sequential one entry for entry, and the Z-ordered build of the same
-# points must be Z-ordered, pass the invariant check and freeze to the
-# in-place build's encoded bytes. The measure smoke: `popan measure`
+# The bulk smoke, one stage at 2^22 points under max_depth 42, some of
+# them in one cell below depth 36, so the build reloads its keys at
+# levels 15 and 30: the heap in-place build must complete with no
+# fallback, reach below depth 36 and pass the invariant check; the
+# mmap-backed in-place build must equal it entry for entry
+# (Pr_arena.diff_state: node ids, chains, columns and counters); and
+# the Z-ordered build of the same points must be Z-ordered, pass the
+# invariant check and freeze to the in-place build's encoded bytes. The measure smoke: `popan measure`
 # must refuse a --max-depth outside [0, 42] (the arena's 2^-42 grid)
 # with exit status 1 and a one-line diagnostic, and at --max-depth 42 must build exact
 # duplicates at capacity 1 down to height 42. Finally the churn smoke:

@@ -176,251 +176,9 @@ let bench_arena_bulk_build_16k =
          Sys.opaque_identity
            (Pr_arena.of_points_bulk ~capacity:8 points_16384)))
 
-(* PR 6 ablation: the radix kernel itself, int arrays vs Bigarrays.
-
-   PR 5's bulk build kept packed keys [(code lsl 21) lor slot] in plain
-   OCaml int arrays — which is also why it fell back to incremental
-   inserts past 2^21 points: the slot field ran out of bits. PR 6 moved
-   every column into Bigarrays and widened the codes to two words. The
-   library keeps the packed kernel ([Pr_arena]'s [build_packed], the
-   kernel of heap builds up to 2^21 - 1 points), but it is internal and
-   emits a tree as it sorts, so it is reimplemented here, stripped to
-   the part the layouts disagree on:
-   the MSD two-bit counting partition, recursing until ranges reach
-   capacity 8. The Bigarray twin is the identical control flow over an
-   [Bigarray.int] column. Both runs start from a blit of the same
-   pristine keys and fold the leaf ranges so nothing is dead-code
-   eliminated; their ratio prices exactly the array-access swap the
-   arena made.
-
-   [sh0] is the bit offset of the code above the slot field: 21
-   ([Morton.bits]) for PR 5-style packed keys, 0 for raw codes. *)
-
-let morton_bits = Popan_geom.Morton.bits
-
-let rec radix_array src dst cnt lo hi depth sh0 leaves =
-  if hi - lo <= 8 || depth >= morton_bits then incr leaves
-  else begin
-    let sh = (2 * (morton_bits - 1 - depth)) + sh0 in
-    cnt.(0) <- 0; cnt.(1) <- 0; cnt.(2) <- 0; cnt.(3) <- 0;
-    for k = lo to hi - 1 do
-      let d = (src.(k) lsr sh) land 3 in
-      cnt.(d) <- cnt.(d) + 1
-    done;
-    let e1 = lo + cnt.(0) in
-    let e2 = e1 + cnt.(1) in
-    let e3 = e2 + cnt.(2) in
-    cnt.(0) <- lo; cnt.(1) <- e1; cnt.(2) <- e2; cnt.(3) <- e3;
-    for k = lo to hi - 1 do
-      let v = src.(k) in
-      let d = (v lsr sh) land 3 in
-      let p = cnt.(d) in
-      dst.(p) <- v;
-      cnt.(d) <- p + 1
-    done;
-    let cdepth = depth + 1 in
-    radix_array dst src cnt lo e1 cdepth sh0 leaves;
-    radix_array dst src cnt e1 e2 cdepth sh0 leaves;
-    radix_array dst src cnt e2 e3 cdepth sh0 leaves;
-    radix_array dst src cnt e3 hi cdepth sh0 leaves
-  end
-
-type iarr = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-let rec radix_big (src : iarr) (dst : iarr) cnt lo hi depth sh0 leaves =
-  if hi - lo <= 8 || depth >= morton_bits then incr leaves
-  else begin
-    let sh = (2 * (morton_bits - 1 - depth)) + sh0 in
-    cnt.(0) <- 0; cnt.(1) <- 0; cnt.(2) <- 0; cnt.(3) <- 0;
-    for k = lo to hi - 1 do
-      let d = (src.{k} lsr sh) land 3 in
-      cnt.(d) <- cnt.(d) + 1
-    done;
-    let e1 = lo + cnt.(0) in
-    let e2 = e1 + cnt.(1) in
-    let e3 = e2 + cnt.(2) in
-    cnt.(0) <- lo; cnt.(1) <- e1; cnt.(2) <- e2; cnt.(3) <- e3;
-    for k = lo to hi - 1 do
-      let v = src.{k} in
-      let d = (v lsr sh) land 3 in
-      let p = cnt.(d) in
-      dst.{p} <- v;
-      cnt.(d) <- p + 1
-    done;
-    let cdepth = depth + 1 in
-    radix_big dst src cnt lo e1 cdepth sh0 leaves;
-    radix_big dst src cnt e1 e2 cdepth sh0 leaves;
-    radix_big dst src cnt e2 e3 cdepth sh0 leaves;
-    radix_big dst src cnt e3 hi cdepth sh0 leaves
-  end
-
 let points_65536 = uniform_points 65536
 
-let packed_keys_65536 =
-  let keys = Array.make 65536 0 in
-  List.iteri
-    (fun i p -> keys.(i) <- (Popan_geom.Morton.encode p lsl morton_bits) lor i)
-    points_65536;
-  keys
-
-let bigarray_of_array a : iarr =
-  let b = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (Array.length a) in
-  Array.iteri (fun i v -> b.{i} <- v) a;
-  b
-
-let packed_keys_big_65536 = bigarray_of_array packed_keys_65536
-
-let bench_radix_array_64k =
-  let work = Array.copy packed_keys_65536 in
-  let scratch = Array.copy packed_keys_65536 in
-  let cnt = Array.make 4 0 in
-  Test.make ~name:"ablation:radix kernel int-array (PR5 packed) n=65536"
-    (Staged.stage (fun () ->
-         Array.blit packed_keys_65536 0 work 0 65536;
-         let leaves = ref 0 in
-         radix_array work scratch cnt 0 65536 0 morton_bits leaves;
-         Sys.opaque_identity !leaves))
-
-let bench_radix_big_64k =
-  let work = bigarray_of_array packed_keys_65536 in
-  let scratch = bigarray_of_array packed_keys_65536 in
-  let cnt = Array.make 4 0 in
-  Test.make ~name:"ablation:radix kernel bigarray n=65536"
-    (Staged.stage (fun () ->
-         Bigarray.Array1.blit packed_keys_big_65536 work;
-         let leaves = ref 0 in
-         radix_big work scratch cnt 0 65536 0 morton_bits leaves;
-         Sys.opaque_identity !leaves))
-
-(* The whole PR 5 path, reimplemented faithfully: heap arrays for every
-   column, packed keys, the same sort, leaf emission through an
-   intrusive next chain, node arrays grown by doubling — and the same
-   per-element bookkeeping the real build carried (a bounds check per
-   point, the O(1) statistics per leaf, a probe per split). This is
-   the end-to-end build [of_points_bulk] performed before the Bigarray
-   arena — the acceptance bar compares it against today's build at
-   n=2^16. The float path and depth cap are omitted: uniform points at
-   capacity 8 never reach depth 21, so they cost neither build
-   anything here. *)
-
-let slot_mask = (1 lsl morton_bits) - 1
-let quantize_scale = float_of_int (1 lsl morton_bits)
-
-(* PR 5's fill encoded via [point_code t x y] — floats passed to a
-   non-inlined call box (2 words each per point), the very cost the
-   PR 6 fill was rewritten to avoid. The baseline must keep it: this
-   session measured ~4 minor words per point on the inherited call
-   shape, and BENCH_PR5.json's n=16384 row is consistent with it. *)
-let[@inline never] pr5_point_code x y =
-  Popan_geom.Morton.interleave
-    (int_of_float (x *. quantize_scale))
-    (int_of_float (y *. quantize_scale))
-
-let pr5_bulk_build ~capacity points =
-  (* PR 5's entry point took a list and measured it — the length walk
-     is part of the path being compared against. *)
-  let n = List.length points in
-  let xs = Array.create_float n and ys = Array.create_float n in
-  let codes = Array.make n 0 in
-  let packed = Array.make n 0 in
-  let i = ref 0 in
-  List.iter
-    (fun (p : Popan_geom.Point.t) ->
-      if not (Popan_geom.Box.contains Popan_geom.Box.unit p) then
-        invalid_arg "pr5_bulk_build: point outside bounds";
-      let x = p.Popan_geom.Point.x and y = p.Popan_geom.Point.y in
-      xs.(!i) <- x;
-      ys.(!i) <- y;
-      let code = pr5_point_code x y in
-      codes.(!i) <- code;
-      packed.(!i) <- (code lsl morton_bits) lor !i;
-      incr i)
-    points;
-  let cap = ref 16 in
-  let child = ref (Array.make !cap (-1)) in
-  let count = ref (Array.make !cap 0) in
-  let head = ref (Array.make !cap (-1)) in
-  let next = Array.make n (-1) in
-  let nodes = ref 1 in
-  let leaves = ref 0 in
-  let internals = ref 0 in
-  let height = ref 0 in
-  let hist = Array.make (capacity + 1) 0 in
-  let alloc_children () =
-    if !nodes + 4 > !cap then begin
-      let ncap = 2 * !cap in
-      let grow a fill =
-        let b = Array.make ncap fill in
-        Array.blit !a 0 b 0 !nodes;
-        a := b
-      in
-      grow child (-1);
-      grow count 0;
-      grow head (-1);
-      cap := ncap
-    end;
-    let base = !nodes in
-    nodes := base + 4;
-    base
-  in
-  let emit src lo hi node depth =
-    let m = hi - lo in
-    !count.(node) <- m;
-    if m > 0 then begin
-      for k = lo to hi - 2 do
-        next.(src.(k) land slot_mask) <- src.(k + 1) land slot_mask
-      done;
-      next.(src.(hi - 1) land slot_mask) <- -1;
-      !head.(node) <- src.(lo) land slot_mask
-    end;
-    incr leaves;
-    hist.(min m capacity) <- hist.(min m capacity) + 1;
-    if depth > !height then height := depth
-  in
-  let cnt = Array.make 4 0 in
-  let scratch = Array.make n 0 in
-  let rec build src dst lo hi node depth =
-    if hi - lo <= capacity || depth >= morton_bits then
-      emit src lo hi node depth
-    else begin
-      incr internals;
-      Probe.builder_split ~depth;
-      let sh = (2 * (morton_bits - 1 - depth)) + morton_bits in
-      cnt.(0) <- 0; cnt.(1) <- 0; cnt.(2) <- 0; cnt.(3) <- 0;
-      for k = lo to hi - 1 do
-        let d = (src.(k) lsr sh) land 3 in
-        cnt.(d) <- cnt.(d) + 1
-      done;
-      let e1 = lo + cnt.(0) in
-      let e2 = e1 + cnt.(1) in
-      let e3 = e2 + cnt.(2) in
-      cnt.(0) <- lo; cnt.(1) <- e1; cnt.(2) <- e2; cnt.(3) <- e3;
-      for k = lo to hi - 1 do
-        let v = src.(k) in
-        let d = (v lsr sh) land 3 in
-        let p = cnt.(d) in
-        dst.(p) <- v;
-        cnt.(d) <- p + 1
-      done;
-      let base = alloc_children () in
-      !child.(node) <- base;
-      let cdepth = depth + 1 in
-      build dst src lo e1 base cdepth;
-      build dst src e1 e2 (base + 1) cdepth;
-      build dst src e2 e3 (base + 2) cdepth;
-      build dst src e3 hi (base + 3) cdepth
-    end
-  in
-  build packed scratch 0 n 0 0;
-  (xs, ys, codes, next, !leaves, !internals, !height, hist, !nodes)
-
-let bench_pr5_path_bulk_64k =
-  Test.make ~name:"ablation:PR5-path bulk build (heap arrays) m=8 n=65536"
-    (Staged.stage (fun () ->
-         Sys.opaque_identity (pr5_bulk_build ~capacity:8 points_65536)))
-
-(* The whole bulk build at the same size, sequential and at jobs 4 —
-   the end-to-end numbers the rows above decompose. *)
+(* The whole bulk build at 65,536 points. *)
 
 let bench_arena_bulk_build_64k =
   Test.make ~name:"ablation:arena bulk build m=8 n=65536"
@@ -472,12 +230,6 @@ let bench_mc_transform_jobs jobs =
            (Mc_transform.estimate ~trials:1000 ~jobs rng
               (Mc_transform.pr_point_model ~capacity:3))))
 
-let bench_arena_bulk_jobs jobs =
-  Test.make
-    ~name:(parallel_bench_name "parallel:arena bulk build m=8 n=65536 j=%d" jobs)
-    (Staged.stage (fun () ->
-         Sys.opaque_identity
-           (Pr_arena.of_points_bulk ~jobs ~capacity:8 points_65536)))
 
 (* The artifact-store ablation: the table4 sweep kernel uncached, cold
    (compute + publish every trial), and warm (replay every trial from
@@ -886,9 +638,7 @@ let all_benches =
       bench_arena_build; bench_arena_bulk_build; bench_arena_build_freeze;
       bench_arena_build_16k;
       bench_arena_bulk_build_16k;
-      bench_radix_array_64k; bench_radix_big_64k;
-      bench_pr5_path_bulk_64k; bench_arena_bulk_build_64k;
-      bench_arena_bulk_jobs 1; bench_arena_bulk_jobs 4;
+      bench_arena_bulk_build_64k;
       bench_persistent_snapshot;
       bench_sweep_jobs 1; bench_sweep_jobs 2; bench_sweep_jobs 4;
       bench_mc_transform_jobs 1; bench_mc_transform_jobs 4;
@@ -982,17 +732,10 @@ let print_parallel_summary estimates =
       (if Popan_parallel.recommended_jobs () = 1 then "" else "s")
   | _ -> ()
 
-(* The 2^22-point rows. Bechamel's 0.5 s quota cannot fit multi-second
-   kernels, so these are timed by hand — three runs each, best wall
-   clock — and appended to the estimates under the same naming scheme,
-   which lands them in the JSON trajectory like any other row.
-
-   The kernel ablation reruns at this size on raw 42-bit codes
-   ([sh0 = 0]): 4M words outgrow every cache level, which is where an
-   int array and a Bigarray could plausibly diverge (the 64k rows fit
-   in L2). There is no PR 5 packed row here at all — [(code lsl 21)
-   lor slot] cannot represent slots past 2^21, which is precisely the
-   cap this PR removed. *)
+(* The 2^22-point row. Bechamel's 0.5 s quota cannot fit a multi-second
+   build, so it is timed by hand — three runs, best wall clock — and
+   appended to the estimates under the same naming scheme, which lands
+   it in the JSON trajectory like any other row. *)
 
 let n_big = 1 lsl 22
 
@@ -1007,102 +750,20 @@ let time_best f =
   !best *. 1e9
 
 let big_bulk_rows () =
-  let build jobs () =
+  let build () =
     (* Streamed, not a 4M-cons list: the build is the measurement, the
        generator is a fixed per-run Xoshiro stream. *)
     let rng = Xoshiro.of_int_seed 1987 in
     let t =
-      Pr_arena.bulk_of_fn ?jobs ~capacity:8 ~n:n_big (fun _ ->
+      Pr_arena.bulk_of_fn ~capacity:8 ~n:n_big (fun _ ->
           Sampler.point rng Sampler.Uniform)
     in
     ignore (Sys.opaque_identity (Pr_arena.leaf_count t));
     Pr_arena.release t
   in
-  let seq = time_best (build None) in
-  let par = time_best (build (Some 4)) in
-  let codes =
-    let rng = Xoshiro.of_int_seed 6 in
-    Array.init n_big (fun _ ->
-        Popan_geom.Morton.encode (Sampler.point rng Sampler.Uniform))
-  in
-  let codes_big = bigarray_of_array codes in
-  let cnt = Array.make 4 0 in
-  let arr =
-    let work = Array.copy codes and scratch = Array.copy codes in
-    time_best (fun () ->
-        Array.blit codes 0 work 0 n_big;
-        let leaves = ref 0 in
-        radix_array work scratch cnt 0 n_big 0 0 leaves;
-        ignore (Sys.opaque_identity !leaves))
-  in
-  let big =
-    let work = bigarray_of_array codes
-    and scratch = bigarray_of_array codes in
-    time_best (fun () ->
-        Bigarray.Array1.blit codes_big work;
-        let leaves = ref 0 in
-        radix_big work scratch cnt 0 n_big 0 0 leaves;
-        ignore (Sys.opaque_identity !leaves))
-  in
-  [ ( "popan/" ^ parallel_bench_name "bulk:arena bulk build m=8 n=4194304 j=%d" 1,
-      Some seq, None );
-    ( "popan/" ^ parallel_bench_name "bulk:arena bulk build m=8 n=4194304 j=%d" 4,
-      Some par, None );
-    ("popan/ablation:radix kernel int-array n=4194304", Some arr, None);
-    ("popan/ablation:radix kernel bigarray n=4194304", Some big, None) ]
-
-(* The PR 6 headline: the Bigarray columns must not cost the bulk path
-   anything — the acceptance bar says the Bigarray radix kernel stays
-   within 10% of the PR 5 packed-array kernel at n=2^16 — and the
-   parallel build's wall clock at 2^22, honestly caveated on one
-   core. *)
-let print_bulk_summary estimates =
-  let find = find_estimate estimates in
-  (match
-     ( find "ablation:PR5-path bulk build (heap arrays) m=8 n=65536",
-       find "ablation:arena bulk build m=8 n=65536" )
-   with
-  | Some pr5, Some arena ->
-    Printf.printf
-      "bulk build n=65536: PR5 path (heap arrays) %.2f ms/run, bigarray \
-       arena %.2f ms/run -> %+.1f%% (bar: within +10%%)\n"
-      (pr5 /. 1e6) (arena /. 1e6)
-      (100.0 *. ((arena /. pr5) -. 1.0))
-  | _ -> ());
-  (match
-     ( find "ablation:radix kernel int-array (PR5 packed) n=65536",
-       find "ablation:radix kernel bigarray n=65536" )
-   with
-  | Some arr, Some big ->
-    Printf.printf
-      "radix kernel n=65536: packed int-array %.2f ms/run, bigarray %.2f \
-       ms/run -> %+.1f%%\n"
-      (arr /. 1e6) (big /. 1e6)
-      (100.0 *. ((big /. arr) -. 1.0))
-  | _ -> ());
-  (match
-     ( find "ablation:radix kernel int-array n=4194304",
-       find "ablation:radix kernel bigarray n=4194304" )
-   with
-  | Some arr, Some big ->
-    Printf.printf
-      "radix kernel n=4194304 (raw codes; packed keys cannot reach this \
-       size): int-array %.0f ms/run, bigarray %.0f ms/run -> %+.1f%%\n"
-      (arr /. 1e6) (big /. 1e6)
-      (100.0 *. ((big /. arr) -. 1.0))
-  | _ -> ());
-  match
-    ( find (parallel_bench_name "bulk:arena bulk build m=8 n=4194304 j=%d" 1),
-      find (parallel_bench_name "bulk:arena bulk build m=8 n=4194304 j=%d" 4) )
-  with
-  | Some s1, Some s4 ->
-    Printf.printf
-      "bulk build n=4194304: j=1 %.0f ms, j=4 %.0f ms -> %.2fx %s\n"
-      (s1 /. 1e6) (s4 /. 1e6) (s1 /. s4)
-      (if single_core then
-         "ratio; time-slicing on one core, not speedup"
-       else "speedup")
-  | _ -> ()
+  [ ( "popan/bulk:arena bulk build m=8 n=4194304 j=1",
+      Some (time_best build),
+      None ) ]
 
 (* The cache ablation, stated the same way: ns/run of the table4 sweep
    cold (compute + publish) vs warm (pure replay). *)
@@ -1494,15 +1155,14 @@ let () =
   Printf.printf "== popan bench: micro-benchmarks ==\n\n%!";
   let estimates = run_benchmarks () in
   Printf.printf
-    "\ntiming 2^22-point bulk builds (outside bechamel: multi-second \
-     kernels)...\n%!";
+    "\ntiming the 2^22-point bulk build (outside bechamel: a multi-second \
+     kernel)...\n%!";
   let estimates =
     estimates @ big_bulk_rows () @ churn_footprint_rows ()
     @ partial_match_rows () @ range_paired_rows () @ query_paired_rows ()
     @ paired
   in
   print_parallel_summary estimates;
-  print_bulk_summary estimates;
   print_cache_summary estimates;
   print_obs_summary estimates;
   print_churn_summary estimates;

@@ -399,7 +399,7 @@ let human_bytes b =
   else Printf.sprintf "%d B" b
 
 let sweep_cmd =
-  let run () sizes model_name trials seed capacity build_jobs mmap force csv =
+  let run () sizes model_name trials seed capacity mmap force csv =
     let model =
       match String.lowercase_ascii model_name with
       | "uniform" -> Popan_rng.Sampler.Uniform
@@ -445,14 +445,7 @@ let sweep_cmd =
             (human_bytes footprint) (human_bytes avail);
           exit 1
         end);
-    let build_jobs =
-      Option.map
-        (fun j -> if j <= 0 then Popan_parallel.recommended_jobs () else j)
-        build_jobs
-    in
-    let rows =
-      Sweep.run ~capacity ?sizes ?build_jobs ?backing ~model ~trials ~seed ()
-    in
+    let rows = Sweep.run ~capacity ?sizes ?backing ~model ~trials ~seed () in
     Printf.printf "%12s  %14s  %10s  %10s\n" "n" "leaves" "occupancy" "stddev";
     List.iter
       (fun (r : Sweep.row) ->
@@ -477,16 +470,6 @@ let sweep_cmd =
     let doc = "Independent trials per size (large-n runs usually want 1)." in
     Arg.(value & opt int 1 & info [ "t"; "trials" ] ~docv:"TRIALS" ~doc)
   in
-  let build_jobs_term =
-    let doc =
-      "Worker domains $(i,inside) each bulk build, sorting the subtrees \
-       below its top four levels (0 = one per core) — orthogonal to \
-       $(b,-j), which fans out whole trials; use this one when a single \
-       tree dwarfs the trial count. Rows are byte-identical for every \
-       value."
-    in
-    Arg.(value & opt (some int) None & info [ "build-jobs" ] ~docv:"JOBS" ~doc)
-  in
   let mmap_term =
     let doc =
       "Back the arena columns with mmap-ed segment files under the artifact \
@@ -504,16 +487,16 @@ let sweep_cmd =
   in
   let term =
     Term.(const run $ setup_term $ sizes_term $ model_term $ trials_term
-          $ seed_term $ capacity_term ~default:8 $ build_jobs_term $ mmap_term
-          $ force_term $ csv_term)
+          $ seed_term $ capacity_term ~default:8 $ mmap_term $ force_term
+          $ csv_term)
   in
   Cmd.v
     (Cmd.info "sweep"
        ~doc:
          "Occupancy sweep on a free size grid, sized for large n: \
           scientific-notation sizes, an up-front memory check against the \
-          estimated arena footprint, per-build parallelism and optional \
-          out-of-core (mmap) arenas.")
+          estimated arena footprint and optional out-of-core (mmap) \
+          arenas.")
     term
 
 let ext_branching_cmd =

@@ -25,8 +25,8 @@ let grid ?(steps_per_quadrupling = 4) ~lo ~hi () =
   in
   go [] (float_of_int lo)
 
-let run ?(capacity = 8) ?(max_depth = 16) ?sizes ?jobs ?build_jobs ?backing
-    ~model ~trials ~seed () =
+let run ?(capacity = 8) ?(max_depth = 16) ?sizes ?jobs ?backing ~model ~trials
+    ~seed () =
   if trials <= 0 then invalid_arg "Sweep.run: trials <= 0";
   let sizes =
     match sizes with Some s -> s | None -> Paper_data.sweep_points
@@ -53,8 +53,8 @@ let run ?(capacity = 8) ?(max_depth = 16) ?sizes ?jobs ?build_jobs ?backing
                row) is byte-identical to the historical list-building
                path. *)
             let tree =
-              Pr_arena.bulk_of_columns ?backing ?jobs:build_jobs ~max_depth
-                ~capacity ~n:points (fun xs ys ->
+              Pr_arena.bulk_of_columns ?backing ~max_depth ~capacity
+                ~n:points (fun xs ys ->
                   Sampler.fill rng model xs ys points)
             in
             let row =

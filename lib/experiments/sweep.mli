@@ -38,21 +38,16 @@ val grid : ?steps_per_quadrupling:int -> lo:int -> hi:int -> unit -> int list
     model, tree parameters, seed and stream index, so a warm rerun
     performs zero tree builds and still emits byte-identical rows.
 
-    Large-n controls (all invisible to the rows): each trial draws
-    straight into the arena's columns with {!Sampler.fill} inside
-    {!Pr_arena.bulk_of_columns} (no point is ever boxed, and a uniform
-    trial allocates nothing per point), [build_jobs] sorts every
-    {e individual} build's groups — the subtrees below its top four
-    levels — on a deterministic domain pool (orthogonal to [jobs], which
-    fans out whole trials — use [build_jobs] when one tree dwarfs the
-    trial count), and [backing] places the arena columns
-    (e.g. [Pr_arena.Mmap] for builds larger than RAM). The arena's
-    byte-identical parallel contract means the rows are unchanged by any
-    of them. *)
+    Large n: each trial draws straight into the arena's columns with
+    {!Sampler.fill} inside {!Pr_arena.bulk_of_columns} (no point is ever
+    boxed, and a uniform trial allocates nothing per point), and
+    [backing] places the arena columns (e.g. [Pr_arena.Mmap] for builds
+    larger than RAM). A heap and an mmap-backed build store the same
+    entries, so the rows do not depend on [backing]. *)
 val run :
   ?capacity:int -> ?max_depth:int -> ?sizes:int list -> ?jobs:int ->
-  ?build_jobs:int -> ?backing:Pr_arena.backing ->
-  model:Sampler.point_model -> trials:int -> seed:int -> unit -> row list
+  ?backing:Pr_arena.backing -> model:Sampler.point_model -> trials:int ->
+  seed:int -> unit -> row list
 
 (** [concurrent_footprint ?capacity ?sizes ?jobs ~trials ()] prices the
     builds of {!run} that can be resident at once: the first [jobs]

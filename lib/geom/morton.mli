@@ -48,8 +48,9 @@ val prefix : depth:int -> int -> int
     {!encode} (the top [bits] bits of each axis, interleaved), the {e lo}
     word interleaves the next [bits] bits. Tree levels [0 .. bits-1]
     are decided by the hi word alone, levels [bits .. 2*bits-1] by the
-    lo word — the arena's bulk sort reloads its key column at the
-    boundary instead of comparing 84-bit keys. *)
+    lo word. (The arena's bulk sort carries the same bits in 15-level
+    windows instead, reloading its keys at each window's end rather
+    than comparing 84-bit keys.) *)
 
 (** [bits_fine] is the fine per-coordinate resolution: [2 * bits] = 42. *)
 val bits_fine : int

@@ -129,16 +129,9 @@ let arena_build kind ~inserts f =
         ((Gc.minor_words () -. before) /. float_of_int inserts)
   end
 
-(* Pooled bulk builds: one count per build and per group sorted on the
-   pool, and the mapped-bytes gauge for mmap-backed arenas. *)
+(* The mapped-bytes gauge for mmap-backed arenas. *)
 
-let arena_parallel_builds = Metrics.counter "arena.parallel.builds"
-let arena_parallel_tasks = Metrics.counter "arena.parallel.tasks"
 let arena_bytes_mapped = Metrics.gauge ~stable:false "arena.bytes.mapped"
-
-let arena_parallel ~tasks =
-  Metrics.incr arena_parallel_builds;
-  Metrics.add arena_parallel_tasks tasks
 
 let arena_mapped_bytes ~bytes =
   Metrics.set_gauge arena_bytes_mapped (float_of_int bytes)

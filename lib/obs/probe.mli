@@ -67,12 +67,7 @@ val builder_split : depth:int -> unit
 val arena_build :
   [ `Incremental | `Bulk ] -> inserts:int -> (unit -> unit) -> unit
 
-(** {1 Pooled bulk builds} *)
-
-(** [arena_parallel ~tasks] counts one bulk build sorted on the pool
-    ([arena.parallel.builds]) and its [tasks] groups
-    ([arena.parallel.tasks]). *)
-val arena_parallel : tasks:int -> unit
+(** {1 Mmap-backed arenas} *)
 
 (** [arena_mapped_bytes ~bytes] sets the [arena.bytes.mapped] gauge to
     the current total of mmap-backed arena segment bytes. *)

@@ -1,23 +1,18 @@
 open Import
-module Parallel = Popan_parallel
 
 (* One integer grid: the arena covers the unit square, and every cell
    down to [max_depth] <= 42 is a dyadic square of the 2^-42 grid. A
    point's fine ordinates [floor (x * 2^42)] and [floor (y * 2^42)]
    decide its child at every level, computed on demand from the float
    columns — a slot stores its coordinates and its chain link, nothing
-   else. The bulk sort carries the same bits as two Morton words
-   (Morton.encode_fine): the hi word, interleaving the top 21 bits of
-   each ordinate, keys levels 0..20, and the lo word levels 21..41. *)
-let bits = Morton.bits
+   else. The bulk sort carries the same bits, interleaved, in windows
+   of 15 levels (see [window]). *)
 let bits_fine = Morton.bits_fine
-let axis_mask = (1 lsl bits) - 1
 
-(* Morton.quantize / quantize_fine, open-coded: calling across the
-   module boundary passes the float boxed (2 words each for x and y,
-   every insert); local arithmetic on a power-of-two constant stays
-   unboxed and is the identical exact computation. *)
-let quantize_scale = float_of_int (1 lsl bits)
+(* Morton.quantize_fine, open-coded: calling across the module boundary
+   passes the float boxed (2 words each for x and y, every insert);
+   local arithmetic on a power-of-two constant stays unboxed and is the
+   identical exact computation. *)
 let fine_scale = float_of_int (1 lsl bits_fine)
 
 (* 2^-42 is a power of two, so multiplying a fine ordinate by it is the
@@ -58,8 +53,7 @@ type t = {
   (* Nodes, parallel arrays indexed by node id; node 0 is the root.
      These stay OCaml int arrays: they are small next to the point
      columns (3 words per node, a node per few points, vs 3 words per
-     point plus sort buffers) and are the one part the parallel stitch
-     rewrites wholesale. *)
+     point plus sort buffers). *)
   mutable nodes : int;  (* ids in use *)
   mutable child : int array;  (* -1 = leaf; else first of 4 children *)
   mutable count : int array;  (* live points in the node's subtree: a
@@ -187,8 +181,8 @@ let drop_segments t names =
     let total = Atomic.fetch_and_add global_mapped (-freed) - freed in
     Probe.arena_mapped_bytes ~bytes:total
 
-(* The sort scratch a bulk build maps, dropped when its sort is done. *)
-let sort_segments = [ "keys"; "slots"; "keys2"; "slots2" ]
+(* The sort buffers a bulk build maps, dropped when its sort is done. *)
+let sort_segments = [ "keys"; "scratch" ]
 
 let release t =
   drop_segments t (List.map fst t.seg_bytes);
@@ -267,16 +261,16 @@ let height t = t.height
 let occupancy_histogram t = Array.copy t.hist
 let average_occupancy t = float_of_int t.size /. float_of_int t.leaves
 
-(* Estimated peak resident bytes of a bulk build: the three point
-   columns, the two-column kernel's four sort columns (keys + slots,
-   ping-ponged; the packed kernel needs less), and a generous bound on
-   the node arrays. Advisory — the CLI sums it over the builds that can
-   run at once and checks that against available memory. *)
+(* Estimated peak resident bytes of a bulk build: five 8-byte columns —
+   the three point columns, the sort's key column and its scratch,
+   which holds at most n entries — and a generous bound on the node
+   arrays. Advisory — the CLI sums it over the builds that can run at
+   once and checks that against available memory. *)
 let bulk_footprint ~capacity ~n =
   if capacity < 1 then invalid_arg "Pr_arena.bulk_footprint: capacity < 1";
   if n < 0 then invalid_arg "Pr_arena.bulk_footprint: n < 0";
   let n = max n 1 in
-  let columns = 7 * 8 * n in
+  let columns = 5 * 8 * n in
   let leaves = 1 + ((n + capacity - 1) / capacity) in
   let nodes = 1 + (8 * leaves) in
   columns + (3 * 8 * nodes)
@@ -383,11 +377,6 @@ let drop_leaf t depth count =
    faster and cost 8 bytes a point in every arena and epoch copy. *)
 let fine_x t slot = int_of_float (t.xs.{slot} *. fine_scale)
 let fine_y t slot = int_of_float (t.ys.{slot} *. fine_scale)
-
-(* The lo Morton word of a slot: the low 21 bits of each fine ordinate,
-   interleaved — what the bulk sort keys on below level [bits]. *)
-let lo_code t slot =
-  Morton.interleave (fine_x t slot land axis_mask) (fine_y t slot land axis_mask)
 
 (* The child pair of fine ordinates at [depth] < [bits_fine]:
    (y bit << 1) | x bit. *)
@@ -657,150 +646,80 @@ let of_points ?max_depth ~capacity ps =
    a bulk build is one sort of the points by Morton key, and the tree's
    top levels are the top bits of that key. [build_grouped] below is the
    one bulk build: a histogram of those bits splits the top
-   [group_levels] levels at once, and a kernel sorts each subtree below
-   them — a top-down recursion that radix sorts the group's keys
-   MSD-first, two code bits per level, and emits each node the moment
-   its range is partitioned, so leaves appear left to right in Z order
-   and parents link as the recursion returns. The sort stops exactly
-   where the tree does, so ranges that are already leaf-sized never pay
-   for their remaining code bits.
+   [group_levels] levels at once, and one kernel sorts each subtree
+   below them — a top-down recursion that radix sorts the group's keys
+   MSD-first, two code bits per level (four in large ranges), and emits
+   each node the moment its range is partitioned, so leaves appear left
+   to right in Z order and parents link as the recursion returns. The
+   sort stops exactly where the tree does, so ranges that are already
+   leaf-sized never pay for their remaining code bits.
 
-   The two-column kernel keys on two parallel columns: the key word
-   under scrutiny (hi Morton word for levels 0..20, reloaded in place
-   with the lo word at level 21) and the slot. Nothing packs the slot
-   into the key, so the build has no point-count cap. *)
+   The kernel moves one word per point: a window of [window_levels]
+   levels of the Morton key above a [slot_bits]-bit slot field, 62 bits,
+   a non-negative OCaml int. The fine grid's 42 levels take three
+   windows, levels 0..14, 15..29 and 30..44; the last reads zeros past
+   level 41, where no split falls ([max_depth] <= 42). A range that
+   reaches the end of its window is one cell, so every word in it holds
+   the same window: each is reloaded in place with the next window over
+   the same slot, and the partition continues at that depth. *)
 
-(* Leaf emission, in one of two slot numberings. In place ([z] false):
-   chain slots ss[lo, hi) onto leaf [node], so traversal yields
-   ascending slot (insertion) order. Z-ordered ([z] true, see
-   [bulk_zordered]): the leaf takes the consecutive slots [lo, hi) —
-   sort positions are Z-order ranks — and each slot k records, as
-   [zpending], the position ss[k] whose point it must receive and
-   whether it ends the chain; [settle] then moves the points and writes
-   the final links. Either way the chain visits the points in ss order,
-   so the two numberings hold the same tree. *)
+let window_levels = 15
+let window_mask = (1 lsl window_levels) - 1
+let slot_bits = 32
+let slot_mask = (1 lsl slot_bits) - 1
+
+(* The fine ordinates shifted up by [pad] have a bit for each of the
+   three windows' 45 levels, zero at levels 42 .. 44. *)
+let pad = (3 * window_levels) - bits_fine
+
+(* The window of levels [first] .. [first] + 14 of a slot's point: bits
+   44 - [first] down to 30 - [first] of each padded ordinate,
+   interleaved. *)
+let window t slot first =
+  let sh = (2 * window_levels) - first in
+  Morton.interleave
+    (((fine_x t slot lsl pad) lsr sh) land window_mask)
+    (((fine_y t slot lsl pad) lsr sh) land window_mask)
+
+(* Leaf emission, in one of two slot numberings, from a buffer holding
+   sort position p at [order.{p - ob}]. In place ([z] false): chain the
+   slots of positions [lo, hi) onto leaf [node], so traversal yields
+   them in sort order. Z-ordered ([z] true, see [bulk_zordered]): the
+   leaf takes the consecutive slots [lo, hi) — sort positions are
+   Z-order ranks — and each slot k records, as [zpending], the slot its
+   word names, whose point it must receive, and whether it ends the
+   chain; [settle] then moves the points and writes the final links.
+   Either way the chain visits the points in sort order, so the two
+   numberings hold the same tree. *)
 let[@inline] zpending src last = -2 - ((src lsl 1) lor last)
 
-let emit_leaf t z (ss : iarr) lo hi node depth =
+let emit_leaf t z (order : iarr) ob lo hi node depth =
   let n = hi - lo in
   t.count.(node) <- n;
   if n > 0 then begin
     if z then begin
       for k = lo to hi - 2 do
-        t.next.{k} <- zpending ss.{k} 0
+        t.next.{k} <- zpending (order.{k - ob} land slot_mask) 0
       done;
-      t.next.{hi - 1} <- zpending ss.{hi - 1} 1;
+      t.next.{hi - 1} <- zpending (order.{hi - 1 - ob} land slot_mask) 1;
       t.head.(node) <- lo
     end
     else begin
-      for k = lo to hi - 2 do
-        t.next.{ss.{k}} <- ss.{k + 1}
+      for k = lo - ob to hi - 2 - ob do
+        t.next.{order.{k} land slot_mask} <- order.{k + 1} land slot_mask
       done;
-      t.next.{ss.{hi - 1}} <- -1;
-      t.head.(node) <- ss.{lo}
+      t.next.{order.{hi - 1 - ob} land slot_mask} <- -1;
+      t.head.(node) <- order.{lo - ob} land slot_mask
     end
   end;
   note_leaf t depth n
 
-(* A stable counting partition of (sk, ss)[lo, hi) on the two key bits
-   at [depth] — MSD radix, one level per split. [cnt] is a 4-slot
-   buffer for the counting pass, reused by every node: pair counts land
-   in it branchlessly (indexing, not matching), then it holds the
-   running write bases. The scatter lands in (dk, ds) and the children
-   swap the buffer pairs — no copy back; sibling ranges are disjoint,
-   so each subtree ping-pongs its own slice independently, which is
-   also what makes the pooled group sorts safe on shared buffers.
-   [fine] says the key column already holds lo words; crossing level
-   [bits] reloads the column in place (the hi words are constant across
-   the range there) and continues at the same depth. A split lies above
-   [max_depth] <= 42, so the lo word always holds its two bits. *)
-let rec build_sorted t z (sk : iarr) (ss : iarr) (dk : iarr) (ds : iarr) cnt
-    lo hi node depth fine =
-  if hi - lo <= t.capacity || depth >= t.max_depth then
-    emit_leaf t z ss lo hi node depth
-  else if depth >= bits && not fine then begin
-    for k = lo to hi - 1 do
-      sk.{k} <- lo_code t ss.{k}
-    done;
-    build_sorted t z sk ss dk ds cnt lo hi node depth true
-  end
-  else begin
-    t.internals <- t.internals + 1;
-    Probe.builder_split ~depth;
-    let base = alloc_children t in
-    t.child.(node) <- base;
-    t.count.(node) <- hi - lo;
-    let sh =
-      if fine then 2 * (bits_fine - 1 - depth) else 2 * (bits - 1 - depth)
-    in
-    cnt.(0) <- 0;
-    cnt.(1) <- 0;
-    cnt.(2) <- 0;
-    cnt.(3) <- 0;
-    for k = lo to hi - 1 do
-      let d = (sk.{k} lsr sh) land 3 in
-      cnt.(d) <- cnt.(d) + 1
-    done;
-    let e1 = lo + cnt.(0) in
-    let e2 = e1 + cnt.(1) in
-    let e3 = e2 + cnt.(2) in
-    cnt.(0) <- lo;
-    cnt.(1) <- e1;
-    cnt.(2) <- e2;
-    cnt.(3) <- e3;
-    for k = lo to hi - 1 do
-      let kv = sk.{k} in
-      let d = (kv lsr sh) land 3 in
-      let p = cnt.(d) in
-      dk.{p} <- kv;
-      ds.{p} <- ss.{k};
-      cnt.(d) <- p + 1
-    done;
-    let cdepth = depth + 1 in
-    build_sorted t z dk ds sk ss cnt lo e1 base cdepth fine;
-    build_sorted t z dk ds sk ss cnt e1 e2 (base + 1) cdepth fine;
-    build_sorted t z dk ds sk ss cnt e2 e3 (base + 2) cdepth fine;
-    build_sorted t z dk ds sk ss cnt e3 hi (base + 3) cdepth fine
-  end
-
-(* The packed single-column twin of [build_sorted], the kernel of every
-   heap build of at most 2^21 - 1 points: key and slot share one word —
-   [(code lsl 21) lor slot], 63 bits, exactly an OCaml int — in plain
-   int arrays, so every partition pass moves one word per element
-   instead of a key and a slot column entry. This is PR 5's kernel
-   (it was the whole bulk build then, and its 21-bit slot field is why
-   that build capped at 2^21 points), kept because it is measurably
-   faster than the two-column sort — the `ablation:radix kernel` bench
-   rows price it at 2.39 against 2.91 ms for 65,536 points, and inside
-   the grouped build an in-place 2^20-point build took 158.5 ms with it
-   against 180.9 ms without — and extended past depth 21 the same way
-   as [build_sorted]: when a partition range crosses level [bits], the
-   hi code above every slot in the range coincides, so each word is
-   reloaded in place with the lo code over the same slot. Builds
-   that outgrow the slot field or keep columns in mmap segments take the
-   two-column path; the choice selects a sort buffer only — both
-   kernels are stable MSD partitions emitting the identical canonical
-   tree, which the bulk-equivalence qcheck properties pin down across
-   the size boundary.
-
-   Two things set it apart from [build_sorted]. Its buffers are a
-   group's slice of the n-entry key column and a scratch array only as
-   wide as the widest group: a buffer holds sort position p at index
-   p - base, the base 0 for the key column and the group's first
-   position for the scratch, so the ping-pong needs no copy and no
-   n-entry scratch. And a range of at least [step_min] points whose
-   next [group_levels] levels all lie in the hi word splits those
-   levels in one [step] — one 8-bit histogram, the top level's [walk],
-   one stable scatter — instead of four two-bit partitions. *)
-
-let packed_slot_mask = (1 lsl bits) - 1
-
 (* The grouped levels: one bucket per cell [group_levels] below a
    step's root, 256 of them. At the root of the tree they are keyed by
-   the top eight bits of the hi word. *)
+   the top eight bits of the first window. *)
 let group_levels = 4
 let group_buckets = 1 lsl (2 * group_levels)
-let group_shift = 2 * (bits - group_levels)
+let group_shift = 2 * (window_levels - group_levels)
 
 (* The smallest range a [step] splits: a step pays for clearing and
    walking 256 buckets whatever the range's size. On 2^20-point builds
@@ -856,77 +775,59 @@ let rec walk t s b depth node top =
     done
   end
 
-(* One sort task's kernel state: the numbering, the two-bit counters,
-   and a [sieve] per nesting level of [step], made at its first use. *)
+(* The kernel's state: the numbering, the two-bit counters, and a
+   [sieve] per nesting level of [step], made at its first use. *)
 type packed = { z : bool; cnt : int array; sieves : sieve option array }
 
 let packed z =
   {
     z;
     cnt = Array.make 4 0;
-    (* Steps root at depth <= bits - group_levels, and a nested step
-       lies [group_levels] or more below its parent: depth /
-       group_levels is distinct along any nesting. *)
-    sieves = Array.make (((bits - group_levels) / group_levels) + 1) None;
+    (* Steps root at depth <= 41, and a nested step lies [group_levels]
+       or more below its parent: depth / group_levels is distinct along
+       any nesting. *)
+    sieves = Array.make (((bits_fine - 1) / group_levels) + 1) None;
   }
 
-let emit_leaf_packed t z (order : int array) ob lo hi node depth =
-  let n = hi - lo in
-  t.count.(node) <- n;
-  if n > 0 then begin
-    if z then begin
-      for k = lo to hi - 2 do
-        t.next.{k} <- zpending (order.(k - ob) land packed_slot_mask) 0
-      done;
-      t.next.{hi - 1} <- zpending (order.(hi - 1 - ob) land packed_slot_mask) 1;
-      t.head.(node) <- lo
-    end
-    else begin
-      for k = lo - ob to hi - 2 - ob do
-        t.next.{order.(k) land packed_slot_mask} <-
-          order.(k + 1) land packed_slot_mask
-      done;
-      t.next.{order.(hi - 1 - ob) land packed_slot_mask} <- -1;
-      t.head.(node) <- order.(lo - ob) land packed_slot_mask
-    end
-  end;
-  note_leaf t depth n
-
-(* Sort positions [lo, hi) of [src] (position p at [src.(p - sb)]),
-   scattering through [dst] (at [dst.(p - db)]), as the subtree of
-   [node] at [depth]. *)
-let rec build_packed t k src sb dst db lo hi node depth fine =
+(* Sort positions [lo, hi) of [src] (position p at [src.{p - sb}]),
+   scattering through [dst] (at [dst.{p - db}]), as the subtree of
+   [node] at [depth]; the words hold the window of levels [wend] - 15
+   to [wend] - 1. Each call of a group's sort handles a part of the
+   group's positions [glo, ghi), and each buffer's base places that
+   part inside it: base 0 in the n-entry key column, base [glo] in a
+   scratch column at least [ghi - glo] wide. So [lo - base, hi - base)
+   lies inside either buffer, which is what lets the five loops below
+   go unchecked. *)
+let rec build_packed t k (src : iarr) sb (dst : iarr) db lo hi node depth wend
+    =
   if hi - lo <= t.capacity || depth >= t.max_depth then
-    emit_leaf_packed t k.z src sb lo hi node depth
-  else if depth >= bits && not fine then begin
-    (* Every hi word in the range coincides; reload each word in place
-       with the lo code over the same slot and continue at this
-       depth — the packed mirror of [build_sorted]'s key reload. *)
+    emit_leaf t k.z src sb lo hi node depth
+  else if depth = wend then begin
+    (* Unchecked: i runs over [lo - sb, hi - sb). *)
     for i = lo - sb to hi - 1 - sb do
-      let slot = src.(i) land packed_slot_mask in
-      src.(i) <- (lo_code t slot lsl bits) lor slot
+      let slot = Bigarray.Array1.unsafe_get src i land slot_mask in
+      Bigarray.Array1.unsafe_set src i
+        ((window t slot wend lsl slot_bits) lor slot)
     done;
-    build_packed t k src sb dst db lo hi node depth true
+    build_packed t k src sb dst db lo hi node depth (wend + window_levels)
   end
-  else if hi - lo >= step_min && depth <= bits - group_levels then
-    step t k src sb dst db lo hi node depth
+  else if hi - lo >= step_min && depth + group_levels <= wend then
+    step t k src sb dst db lo hi node depth wend
   else begin
     t.internals <- t.internals + 1;
     Probe.builder_split ~depth;
     let base = alloc_children t in
     t.child.(node) <- base;
     t.count.(node) <- hi - lo;
-    let sh =
-      (if fine then 2 * (bits_fine - 1 - depth) else 2 * (bits - 1 - depth))
-      + bits
-    in
+    let sh = slot_bits + (2 * (wend - 1 - depth)) in
     let cnt = k.cnt in
     cnt.(0) <- 0;
     cnt.(1) <- 0;
     cnt.(2) <- 0;
     cnt.(3) <- 0;
+    (* Unchecked: i runs over [lo - sb, hi - sb). *)
     for i = lo - sb to hi - 1 - sb do
-      let d = (src.(i) lsr sh) land 3 in
+      let d = (Bigarray.Array1.unsafe_get src i lsr sh) land 3 in
       cnt.(d) <- cnt.(d) + 1
     done;
     let e1 = lo + cnt.(0) in
@@ -936,26 +837,29 @@ let rec build_packed t k src sb dst db lo hi node depth fine =
     cnt.(1) <- e1 - db;
     cnt.(2) <- e2 - db;
     cnt.(3) <- e3 - db;
+    (* Unchecked: i runs over [lo - sb, hi - sb), and the four cursors
+       start at the bases of the counts just taken from the same words,
+       so p runs over [lo - db, hi - db). *)
     for i = lo - sb to hi - 1 - sb do
-      let v = src.(i) in
+      let v = Bigarray.Array1.unsafe_get src i in
       let d = (v lsr sh) land 3 in
       let p = cnt.(d) in
-      dst.(p) <- v;
+      Bigarray.Array1.unsafe_set dst p v;
       cnt.(d) <- p + 1
     done;
     let cdepth = depth + 1 in
-    build_packed t k dst db src sb lo e1 base cdepth fine;
-    build_packed t k dst db src sb e1 e2 (base + 1) cdepth fine;
-    build_packed t k dst db src sb e2 e3 (base + 2) cdepth fine;
-    build_packed t k dst db src sb e3 hi (base + 3) cdepth fine
+    build_packed t k dst db src sb lo e1 base cdepth wend;
+    build_packed t k dst db src sb e1 e2 (base + 1) cdepth wend;
+    build_packed t k dst db src sb e2 e3 (base + 2) cdepth wend;
+    build_packed t k dst db src sb e3 hi (base + 3) cdepth wend
   end
 
-(* Levels [depth] .. [depth] + 3 of a range that splits at [depth], in
-   one pass: histogram their eight hi-word bits, [walk] them as the
-   top level is walked, scatter stably through the walk's cursors, then
-   sort each part. Stable, so each part holds its points in the order
-   four two-bit partitions would leave them. *)
-and step t k src sb dst db lo hi node depth =
+(* Levels [depth] .. [depth] + 3 of a range that splits at [depth], all
+   inside the words' window, in one pass: histogram their eight key
+   bits, [walk] them as the top level is walked, scatter stably through
+   the walk's cursors, then sort each part. Stable, so each part holds
+   its points in the order four two-bit partitions would leave them. *)
+and step t k (src : iarr) sb (dst : iarr) db lo hi node depth wend =
   let level = depth / group_levels in
   let s =
     match k.sieves.(level) with
@@ -966,10 +870,11 @@ and step t k src sb dst db lo hi node depth =
       s
   in
   let start = s.start and mask = group_buckets - 1 in
-  let sh = (2 * (bits - group_levels - depth)) + bits in
+  let sh = slot_bits + (2 * (wend - group_levels - depth)) in
   Array.fill start 0 (group_buckets + 1) 0;
+  (* Unchecked: i runs over [lo - sb, hi - sb). *)
   for i = lo - sb to hi - 1 - sb do
-    let b = ((src.(i) lsr sh) land mask) + 1 in
+    let b = ((Bigarray.Array1.unsafe_get src i lsr sh) land mask) + 1 in
     start.(b) <- start.(b) + 1
   done;
   start.(0) <- lo;
@@ -981,66 +886,23 @@ and step t k src sb dst db lo hi node depth =
   for b = 0 to group_buckets - 1 do
     start.(b) <- start.(b) - db
   done;
+  (* Unchecked: i runs over [lo - sb, hi - sb), and each part the walk
+     recorded scatters through its first bucket's cursor, which starts
+     at the part's first position less [db] and takes exactly the
+     part's buckets' counts of the same words, so p runs over
+     [lo - db, hi - db). *)
   for i = lo - sb to hi - 1 - sb do
-    let v = src.(i) in
+    let v = Bigarray.Array1.unsafe_get src i in
     let g = s.group.((v lsr sh) land mask) in
     let p = start.(g) in
-    dst.(p) <- v;
+    Bigarray.Array1.unsafe_set dst p v;
     start.(g) <- p + 1
   done;
   for r = 0 to s.nranges - 1 do
     let r = 4 * r in
     build_packed t k dst db src sb s.ranges.(r) s.ranges.(r + 1)
-      s.ranges.(r + 2) s.ranges.(r + 3) false
+      s.ranges.(r + 2) s.ranges.(r + 3) wend
   done
-
-(* A task-local pseudo-arena for a pooled group sort: it shares the
-   point and key columns (a group touches only its own positions and
-   slots) but owns fresh node tables and counters, so the task mutates
-   nothing global. Local id 0 is the group's root. *)
-let local_of t =
-  {
-    t with
-    nodes = 1;
-    child = Array.make 64 (-1);
-    count = Array.make 64 0;
-    head = Array.make 64 (-1);
-    leaves = 0;
-    internals = 0;
-    height = 0;
-    hist = Array.make (t.capacity + 1) 0;
-    (* Depths are absolute (a group starts at its root's depth), so
-       local per-depth counts add straight into the global array. *)
-    depth_count = Array.make (t.max_depth + 1) 0;
-  }
-
-(* Splice a task-local subtree onto global [node]: local id 0 maps onto
-   [node] (allocated by the walk), local id k >= 1 onto
-   [offset + k - 1] — the exact ids a sequential build assigns, because
-   local allocation order is the same DFS and groups graft in walk
-   order — and add the task's statistics. *)
-let graft t l node =
-  let extra = l.nodes - 1 in
-  if t.nodes + extra > Array.length t.child then grow_nodes t (t.nodes + extra);
-  let offset = t.nodes in
-  let relabel c = if c < 0 then c else offset + c - 1 in
-  t.child.(node) <- relabel l.child.(0);
-  t.count.(node) <- l.count.(0);
-  t.head.(node) <- l.head.(0);
-  for k = 1 to l.nodes - 1 do
-    let g = offset + k - 1 in
-    t.child.(g) <- relabel l.child.(k);
-    t.count.(g) <- l.count.(k);
-    t.head.(g) <- l.head.(k)
-  done;
-  t.nodes <- offset + extra;
-  t.leaves <- t.leaves + l.leaves;
-  t.internals <- t.internals + l.internals;
-  if l.height > t.height then t.height <- l.height;
-  Array.iteri (fun i v -> t.hist.(i) <- t.hist.(i) + v) l.hist;
-  Array.iteri
-    (fun i v -> t.depth_count.(i) <- t.depth_count.(i) + v)
-    l.depth_count
 
 (* The root leaf registered by [create] is replaced wholesale by a bulk
    build's own registration. *)
@@ -1050,20 +912,23 @@ let unregister_root t =
   t.height <- 0;
   t.depth_count.(0) <- 0
 
-(* The hi Morton word of point [i] of the columns [xs], [ys] — the sort
-   key of the top 21 levels — after checking that the point lies in the
-   unit square: the bulk build's first pass. The encode is written out
-   here rather than routed through a function of the two coordinates: a
-   float passed to a non-inlined call is boxed, and two boxes per point
-   is exactly the O(n) minor-heap traffic the bulk path promises not to
-   have (the alloc tests measure this pass). *)
-let hi_key (xs : farr) (ys : farr) i =
+let window_scale = float_of_int (1 lsl window_levels)
+
+(* The first window of point [i] of the columns [xs], [ys] — the sort
+   key of the top 15 levels, [window] at level 0 since the multiply is
+   exact — after checking that the point lies in the unit square: the
+   bulk build's first pass. The encode is written out here rather than
+   routed through a function of the two coordinates: a float passed to
+   a non-inlined call is boxed, and two boxes per point is exactly the
+   O(n) minor-heap traffic the bulk path promises not to have (the
+   alloc tests measure this pass). *)
+let first_window (xs : farr) (ys : farr) i =
   let x = xs.{i} and y = ys.{i} in
   if not (x >= 0.0 && x < 1.0 && y >= 0.0 && y < 1.0) then
     invalid_arg "Pr_arena bulk build: point outside bounds";
   Morton.interleave
-    (int_of_float (x *. quantize_scale))
-    (int_of_float (y *. quantize_scale))
+    (int_of_float (x *. window_scale))
+    (int_of_float (y *. window_scale))
 
 (* Apply a group's recorded permutation in place, one cycle at a time
    and without scratch: slot k takes the point at the position its
@@ -1098,38 +963,36 @@ let settle t lo hi =
 
    1. The node tables grow to 4⌈n/m⌉ ids, the size a uniform build
       fills anyway, so uniform builds never regrow them mid-sort. One
-      pass then checks each point, parks its hi word in [next] — no
-      link is read before emission — and histograms the top
+      pass then checks each point, parks its first window in [next] —
+      no link is read before emission — and histograms the top
       [group_levels] levels.
    2. [walk] splits those levels on the histogram alone, allocating
       their nodes, and records each group in walk order: a subtree
       rooted at depth [group_levels], or a leaf that forms above it.
-   3. A stable scatter writes each point's sort key at its position in
-      its group. The in-place build ([z] false) keys the point's own
-      slot, its input rank, and leaves the coordinates where they are.
-      The Z-ordered one ([z] true, see [bulk_zordered]) moves the
-      coordinates from the source to the position, which becomes the
-      slot: the kernel's lo-word reload reads coordinates by slot, so
-      they must be in place before any group sorts, and a gather after
-      the sort would read the source at random.
-   4. The kernel sorts each group from its root, straight into the arena
-      in walk order — or, given [jobs], on the pool into task-local node
-      tables that [graft] splices back in walk order. Both allocate the
-      top levels first and then each group's subtree in walk order, so
-      node ids, chains and counters are identical at every job count.
-      The packed kernel's buffers — a scratch array as wide as the
-      widest group, the counters and the step sieves — are made once
-      per build, or once per group task given [jobs].
+   3. A stable scatter writes each point's sort word at its position in
+      its group of the n-entry key column. The in-place build ([z]
+      false) keys the point's own slot, its input rank, and leaves the
+      coordinates where they are. The Z-ordered one ([z] true, see
+      [bulk_zordered]) moves the coordinates from the source to the
+      position, which becomes the slot: the kernel's window reloads
+      read coordinates by slot, so they must be in place before any
+      group sorts, and a gather after the sort would read the source at
+      random.
+   4. The kernel sorts each group from its root, straight into the
+      arena in walk order, ping-ponging between the group's slice of
+      the key column and one scratch column as wide as the widest
+      group. The top levels' nodes come first, then each group's
+      subtree in walk order.
    5. A Z-ordered group then [settle]s its permutation. A group of 2^20
       uniform points holds about 4k of them, 96 KB of columns, so the
       permutation runs in cache.
 
    The in-place emission writes links only after the scatter has read
-   every parked word. Every partition is stable, so each leaf's chain
+   every parked window. Every partition is stable, so each leaf's chain
    keeps input order in both numberings: the tree, the node ids, each
-   chain's sequence of points, and so [freeze], [points] and every query
-   answer are the same; only slot numbers differ. *)
-let build_grouped t ~z ~jobs n (sx : farr) (sy : farr) =
+   chain's sequence of points, and so [freeze], [points] and every
+   query answer are the same; only slot numbers differ. *)
+let build_grouped t ~z n (sx : farr) (sy : farr) =
   unregister_root t;
   t.size <- n;
   t.slots <- n;
@@ -1137,7 +1000,7 @@ let build_grouped t ~z ~jobs n (sx : farr) (sy : farr) =
   let top = sieve () in
   let start = top.start in
   for i = 0 to n - 1 do
-    let code = hi_key sx sy i in
+    let code = first_window sx sy i in
     t.next.{i} <- code;
     let b = (code lsr group_shift) + 1 in
     start.(b) <- start.(b) + 1
@@ -1147,72 +1010,36 @@ let build_grouped t ~z ~jobs n (sx : farr) (sy : farr) =
   done;
   walk t top 0 0 0 group_levels;
   let groups = top.ranges and ngroups = top.nranges in
-  (* The kernel, how the scatter writes a key, and a sort task's
-     buffers for groups at most [width] wide. *)
-  let set_key, sorter =
-    if n <= packed_slot_mask && t.backing = Heap then begin
-      let keys = Array.make (max n 1) 0 in
-      ( (fun p code slot -> keys.(p) <- (code lsl bits) lor slot),
-        fun width ->
-          let k = packed z and scratch = Array.make (max width 1) 0 in
-          fun a lo hi node depth ->
-            build_packed a k keys 0 scratch lo lo hi node depth false )
-    end
-    else begin
-      let keys = alloc_i t "keys" (max n 1) in
-      let slots = alloc_i t "slots" (max n 1) in
-      let keys2 = alloc_i t "keys2" (max n 1) in
-      let slots2 = alloc_i t "slots2" (max n 1) in
-      ( (fun p code slot ->
-          keys.{p} <- code;
-          slots.{p} <- slot),
-        fun _ ->
-          let cnt = Array.make 4 0 in
-          fun a lo hi node depth ->
-            build_sorted a z keys slots keys2 slots2 cnt lo hi node depth
-              false )
-    end
-  in
+  let keys = alloc_i t "keys" (max n 1) in
   (* The walk has read [start]; it now holds the scatter's cursors. *)
   for i = 0 to n - 1 do
     let code = t.next.{i} in
     let g = top.group.(code lsr group_shift) in
     let p = start.(g) in
     start.(g) <- p + 1;
-    if z then begin
-      t.xs.{p} <- sx.{i};
-      t.ys.{p} <- sy.{i};
-      set_key p code p
-    end
-    else set_key p code i
-  done;
-  (* Sort group [g] with [sort_group] into arena [a] (the arena or a
-     task's), its root at [a]'s node [root]. *)
-  let sort sort_group a g root =
-    let lo = groups.(4 * g) and hi = groups.((4 * g) + 1) in
-    sort_group a lo hi root groups.((4 * g) + 3);
-    if z then settle t lo hi
-  in
-  let width g = groups.((4 * g) + 1) - groups.(4 * g) in
-  match jobs with
-  | None ->
-    let widest = ref 0 in
-    for g = 0 to ngroups - 1 do
-      widest := max !widest (width g)
-    done;
-    let sort_group = sorter !widest in
-    for g = 0 to ngroups - 1 do
-      sort sort_group t g groups.((4 * g) + 2)
-    done
-  | Some jobs ->
-    Probe.arena_parallel ~tasks:ngroups;
-    let locals =
-      Parallel.map_array ~jobs:(max 1 jobs) ngroups ~f:(fun g ->
-          let l = local_of t in
-          sort (sorter (width g)) l g 0;
-          l)
+    let slot =
+      if z then begin
+        t.xs.{p} <- sx.{i};
+        t.ys.{p} <- sy.{i};
+        p
+      end
+      else i
     in
-    Array.iteri (fun g l -> graft t l groups.((4 * g) + 2)) locals
+    keys.{p} <- (code lsl slot_bits) lor slot
+  done;
+  let widest = ref 0 in
+  for g = 0 to ngroups - 1 do
+    widest := max !widest (groups.((4 * g) + 1) - groups.(4 * g))
+  done;
+  let scratch = alloc_i t "scratch" (max !widest 1) and k = packed z in
+  for g = 0 to ngroups - 1 do
+    let lo = groups.(4 * g) and hi = groups.((4 * g) + 1) in
+    build_packed t k keys 0 scratch lo lo hi
+      groups.((4 * g) + 2)
+      groups.((4 * g) + 3)
+      window_levels;
+    if z then settle t lo hi
+  done
 
 (* Run a bulk build's body over its fresh arena [t] and return [t]. A
    body that raises — a point outside the unit square, a failing fill —
@@ -1226,28 +1053,33 @@ let building t body =
     release t;
     Printexc.raise_with_backtrace e bt
 
-let bulk_of_columns ?max_depth ?backing ?jobs ?(reserve = 0) ~capacity ~n fill
-    =
-  if n < 0 then invalid_arg "Pr_arena.bulk_of_columns: n < 0";
+(* The bulk entries' point count, checked before anything is allocated:
+   a sort word keeps a slot in [slot_bits] bits. *)
+let check_bulk_n entry n =
+  if n < 0 then invalid_arg ("Pr_arena." ^ entry ^ ": n < 0");
+  if n > slot_mask then invalid_arg ("Pr_arena." ^ entry ^ ": n >= 2^32")
+
+let bulk_of_columns ?max_depth ?backing ?(reserve = 0) ~capacity ~n fill =
+  check_bulk_n "bulk_of_columns" n;
   let t = create ?max_depth ?backing ~reserve:(max n reserve) ~capacity () in
   building t (fun () ->
       Probe.arena_build `Bulk ~inserts:n (fun () ->
           fill t.xs t.ys;
-          build_grouped t ~z:false ~jobs n t.xs t.ys;
+          build_grouped t ~z:false n t.xs t.ys;
           drop_segments t sort_segments))
 
-let of_points_bulk ?max_depth ?backing ?jobs ?reserve ~capacity ps =
-  bulk_of_columns ?max_depth ?backing ?jobs ?reserve ~capacity
-    ~n:(List.length ps) (fun xs ys ->
+let of_points_bulk ?max_depth ?backing ?reserve ~capacity ps =
+  bulk_of_columns ?max_depth ?backing ?reserve ~capacity ~n:(List.length ps)
+    (fun xs ys ->
       List.iteri
         (fun i (p : Point.t) ->
           xs.{i} <- p.x;
           ys.{i} <- p.y)
         ps)
 
-let bulk_of_fn ?max_depth ?backing ?jobs ~capacity ~n f =
-  if n < 0 then invalid_arg "Pr_arena.bulk_of_fn: n < 0";
-  bulk_of_columns ?max_depth ?backing ?jobs ~capacity ~n (fun xs ys ->
+let bulk_of_fn ?max_depth ?backing ~capacity ~n f =
+  check_bulk_n "bulk_of_fn" n;
+  bulk_of_columns ?max_depth ?backing ~capacity ~n (fun xs ys ->
       for i = 0 to n - 1 do
         let p : Point.t = f i in
         xs.{i} <- p.x;
@@ -1260,13 +1092,13 @@ let bulk_of_fn ?max_depth ?backing ?jobs ~capacity ~n f =
    run of consecutive slots, the runs in depth-first (Z) order. *)
 let bulk_zordered ?max_depth ?backing ?(reserve = 0) ~capacity ~n
     (sx : column) (sy : column) =
-  if n < 0 then invalid_arg "Pr_arena.bulk_zordered: n < 0";
+  check_bulk_n "bulk_zordered" n;
   if Bigarray.Array1.dim sx < n || Bigarray.Array1.dim sy < n then
     invalid_arg "Pr_arena.bulk_zordered: a source column is shorter than n";
   let t = create ?max_depth ?backing ~reserve:(max n reserve) ~capacity () in
   building t (fun () ->
       Probe.arena_build `Bulk ~inserts:n (fun () ->
-          build_grouped t ~z:true ~jobs:None n sx sy;
+          build_grouped t ~z:true n sx sy;
           drop_segments t sort_segments))
 
 let is_zordered t =

@@ -29,19 +29,16 @@ open Import
       histogram maintained per insert, so per-step snapshots are
       free), and every bulk build is one pipeline that sorts the
       Morton keys once: a histogram of the keys' top bits splits the
-      top four levels, and a top-down MSD radix partition, two bits per
-      level (four at a time in large ranges of a heap build), sorts
-      each subtree below them and emits it, leaves left to right in Z
-      order. The bulk path has {b no point-count cap}: past
-      [2^21 - 1] points the keys are two parallel columns (key word +
-      slot), not a packed word, so nothing reroutes to incremental
-      inserts at any n. With [?jobs] those subtrees sort on the
-      deterministic {!Popan_parallel} pool and splice back in a fixed
-      order — the resulting arena is {b byte-identical} to the
-      sequential build at every job count. {!bulk_of_columns} (with its
-      wrappers {!of_points_bulk} and {!bulk_of_fn}) numbers slots by
-      input rank; {!bulk_zordered}, the serving layer's build, lays the
-      same tree out with each leaf's slots consecutive, in Z order.
+      top four levels, and one sequential kernel, a top-down MSD radix
+      partition of one word per point (a 15-level window of the key
+      above a 32-bit slot), two bits per level and four at a time in
+      large ranges, sorts each subtree below them and emits it, leaves
+      left to right in Z order. Heap and mmap-backed builds run the
+      same kernel and store the same entries. A build takes up to
+      [2^32 - 1] points. {!bulk_of_columns} (with its wrappers
+      {!of_points_bulk} and {!bulk_of_fn}) numbers slots by input rank;
+      {!bulk_zordered}, the serving layer's build, lays the same tree
+      out with each leaf's slots consecutive, in Z order.
     - {b one integer grid}: the depth limit is at most
       {!Popan_geom.Morton.bits_fine}[ = 42], and down to it the fine
       ordinate bit at level [d] equals the float comparison
@@ -145,8 +142,8 @@ val of_points : ?max_depth:int -> capacity:int -> Point.t list -> t
 (** A float64 point column, as handed to {!bulk_of_columns}'s fill. *)
 type column = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(** [bulk_of_columns ?max_depth ?backing ?jobs ?reserve ~capacity ~n
-    fill] is the in-place bulk build, and the one entry the list- and
+(** [bulk_of_columns ?max_depth ?backing ?reserve ~capacity ~n fill]
+    is the in-place bulk build, and the one entry the list- and
     function-fed bulk builders wrap. It creates the arena, calls
     [fill xs ys] once with the arena's own x and y columns (at least
     [n] long), and treats [(xs.{i}, ys.{i})] for [i] in [0 .. n-1] as
@@ -154,13 +151,20 @@ type column = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
     keeps slot [i] (slot = input rank; {!bulk_zordered} numbers slots
     in Z order instead). The node tables are first sized for the
     4⌈n/capacity⌉ ids a uniform build fills. One pass then checks each
-    point against the unit square, derives its sort key, the hi Morton
-    word, and histograms the top four tree levels. Those levels split
-    on the histogram; a stable scatter groups the keys by them, and
-    each group — a subtree below them, or a leaf that forms above them
-    — sorts on its own (top-down MSD radix, stopping exactly where
-    leaves form, reloading a range's keys with the lo word at level 21)
-    and emits its part of the tree as it goes. Nothing but a handful of handles
+    point against the unit square, derives its sort key, the Morton
+    key's first 15 levels, and histograms the top four tree levels.
+    Those levels split on the histogram; a stable scatter groups the
+    keys by them, and each group — a subtree below them, or a leaf that
+    forms above them — sorts on its own and emits its part of the tree
+    as it goes: a top-down MSD radix partition that stops exactly where
+    leaves form, splits a range of 1,024 points or more four levels at
+    a time (one histogram, the top levels' walk, one stable scatter)
+    while those levels lie in its keys' window, and reloads a range's
+    keys with the next 15 levels at levels 15 and 30. The sort moves
+    one word per point, the window above the slot, between the group's
+    slice of one n-entry key column and one scratch column as wide as
+    the widest group; both are mapped like the point columns when the
+    arena is mmap-backed. Nothing but a handful of handles
     touches the minor heap, so a fill that allocates nothing (such as
     {!Popan_rng.Sampler.fill} on the uniform model) makes the whole
     build O(1) in minor words. The fill must write only slots
@@ -169,55 +173,38 @@ type column = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
     The PR decomposition is canonical, so the result equals
     {!of_points} on the same points; insertion history is not
     replayed, which makes this the fast path for build-then-measure
-    experiments. There is no point-count cap.
-
-    [?jobs] sorts the groups on a deterministic pool of that many
-    domains, each group into its own node tables, spliced back in the
-    order the sequential build ([jobs] omitted) allocates them: the
-    finished arena — node ids, chains, columns and counters — is
-    identical to the sequential build's for every job count, including
-    [jobs = 1].
-
-    Heap-backed builds with at most [2^21 - 1] points sort packed
-    single-word keys (key word shifted over slot) in plain int arrays
-    instead of the two Bigarray key/slot columns, at any job count —
-    the original bulk kernel, kept because it moves half the words per
-    partition level. It sorts each group between the group's slice of
-    one n-entry key column and a scratch array only as wide as the
-    widest group, and splits a range of 1,024 points or more four
-    levels at a time (one histogram, the top levels' walk, one stable
-    scatter) while those levels lie in the hi word. The choice selects
-    sort scratch only: both kernels are stable MSD partitions over the
-    same keys, so the tree, every chain, the counters, {!freeze} and
-    every answer are the same either way; only node ids may differ.
+    experiments. A heap-backed and an mmap-backed build of the same
+    points are equal entry for entry ({!diff_state}).
 
     [reserve] (default 0) sizes the point columns for at least that
     many slots, as in {!create}: headroom for inserts to come. Raises
-    [Invalid_argument] when [n < 0] or a filled point falls outside
-    the unit square. A build that raises — there, in [fill], or
+    [Invalid_argument] when [n < 0] or [n >= 2^32], before anything is
+    allocated, or when a filled point falls outside the unit square. A
+    build that raises — there, in [fill], or
     anywhere else — first releases its arena ({!release}), so an
     mmap-backed build leaves no segment behind. *)
 val bulk_of_columns :
-  ?max_depth:int -> ?backing:backing -> ?jobs:int -> ?reserve:int ->
-  capacity:int -> n:int -> (column -> column -> unit) -> t
+  ?max_depth:int -> ?backing:backing -> ?reserve:int -> capacity:int ->
+  n:int -> (column -> column -> unit) -> t
 
-(** [of_points_bulk ?max_depth ?backing ?jobs ?reserve ~capacity ps] is
+(** [of_points_bulk ?max_depth ?backing ?reserve ~capacity ps] is
     {!bulk_of_columns} over the points of [ps], in list order. *)
 val of_points_bulk :
-  ?max_depth:int -> ?backing:backing -> ?jobs:int -> ?reserve:int ->
-  capacity:int -> Point.t list -> t
+  ?max_depth:int -> ?backing:backing -> ?reserve:int -> capacity:int ->
+  Point.t list -> t
 
-(** [bulk_of_fn ?max_depth ?backing ?jobs ~capacity ~n f]
+(** [bulk_of_fn ?max_depth ?backing ~capacity ~n f]
     is {!bulk_of_columns} on the points [f 0 .. f (n-1)], without ever
     materializing them as a list. [f] is called strictly in order
     [0 .. n-1] on the calling domain, so a stateful generator (an RNG
     stream) draws exactly as it would building the list first. Each
     returned point is a heap value, so this path allocates per point;
     a generator that can write columns should use {!bulk_of_columns}.
-    Raises [Invalid_argument] when [n < 0] or some [f i] falls outside
-    the unit square. *)
+    Raises [Invalid_argument] when [n < 0] or [n >= 2^32], before [f]
+    is called or anything is allocated, or when some [f i] falls
+    outside the unit square. *)
 val bulk_of_fn :
-  ?max_depth:int -> ?backing:backing -> ?jobs:int -> capacity:int -> n:int ->
+  ?max_depth:int -> ?backing:backing -> capacity:int -> n:int ->
   (int -> Point.t) -> t
 
 (** [bulk_zordered ?max_depth ?backing ?reserve ~capacity ~n xs ys] is
@@ -238,12 +225,10 @@ val bulk_of_fn :
     grouping scatter also moves each point to its group, and a
     permutation inside each group then puts it at its Z-order rank —
     two cache-local moves, with no full column allocated beyond the
-    sort's scratch. It runs sequentially, with the packed kernel on
-    the heap up to [2^21 - 1] points and the two-column kernel
-    otherwise. [max_depth], [backing] and [reserve] are as in
-    {!bulk_of_columns}, and so is the release of a build that raises. Raises [Invalid_argument] when
-    [n < 0], a column is shorter than [n], or a point lies outside the
-    unit square. *)
+    sort's. [max_depth], [backing] and [reserve] are as in
+    {!bulk_of_columns}, and so is the release of a build that raises.
+    Raises [Invalid_argument] when [n < 0], [n >= 2^32], a column is
+    shorter than [n], or a point lies outside the unit square. *)
 val bulk_zordered :
   ?max_depth:int -> ?backing:backing -> ?reserve:int -> capacity:int ->
   n:int -> column -> column -> t
@@ -255,12 +240,10 @@ val bulk_zordered :
 val is_zordered : t -> bool
 
 (** [bulk_footprint ~capacity ~n] estimates the peak resident bytes of
-    a bulk build of [n] points: the three point columns, the
-    two-column kernel's four sort columns (seven 8-byte columns, [56 n]
-    bytes), and a generous bound on the node arrays (8 ids per leaf).
-    It bounds both kernels: a packed heap build takes four columns
-    ([32 n] bytes) plus a scratch array as wide as its widest group.
-    Advisory — the CLI sums it over the builds that can run at once
+    a bulk build of [n] points: five 8-byte columns, [40 n] bytes — the
+    three point columns, the sort's key column and its scratch column,
+    which is as wide as the widest group and so at most [n] entries —
+    and a generous bound on the node arrays (8 ids per leaf). Advisory — the CLI sums it over the builds that can run at once
     and checks that against available memory before committing to a
     large sweep. Raises [Invalid_argument] when [capacity < 1] or
     [n < 0]. *)

@@ -1718,19 +1718,20 @@ let join_tests =
    form at or above the build's four grouped levels), duplicate-heavy
    clusters under max_depth 42 (one cluster spread below the 21-bit
    grid, one below the 42-bit grid, with exact repeats), an
-   mmap-backed build over all four shapes, which takes the two-column
-   sort kernel, and nested clusters. Those put at least [step_min]
-   points in a depth-4 cell, in a depth-8 cell inside it and in a
-   depth-16 cell inside that, so the packed kernel's four-level steps
-   run at depths 4, 8, 12 and 16, and the regime asserts the first
-   two. Their max_depth stops a walk inside a step (5-7), at a step's
-   root (16), or lets the steps nest down to the level-21 reload
-   (18-42), and both heap builds must also freeze to the bytes and
-   points order of an mmap-backed build, whose two-column kernel takes
-   no step: in-place and Z-ordered builds share the step, so only that
-   reference sees a fault in it. *)
+   mmap-backed build over all four shapes, and nested clusters. Those
+   put at least [step_min] points in a depth-4 cell, in a depth-8 cell
+   inside it and in a depth-16 cell inside that, so the bulk kernel's
+   four-level steps run at depths 4 and 8 and from 15, and the regime
+   asserts the first two. Their max_depth stops a walk inside a step
+   (5-7), at the end of the step at 8 (12), at the end of the first
+   key window (15), or lets the steps nest down past the window
+   reloads at 15 and 30 (17-42). In the mmap-backed and the nested
+   regimes the in-place build must also equal the in-place build with
+   the other backing entry for entry ([Pr_arena.diff_state]). Every
+   bulk build shares the kernel, so nested clusters also match the
+   incremental reference tree, which takes no step. *)
 
-(* The packed kernel's four-level step threshold ([Pr_arena]'s
+(* The bulk kernel's four-level step threshold ([Pr_arena]'s
    [step_min]). *)
 let step_min = 1024
 
@@ -1813,8 +1814,12 @@ let zorder_case (seed, regime) =
   let capacity = 1 + Xoshiro.int rng 8 in
   let max_depth =
     if regime = 4 then
-      let d = Xoshiro.int rng 29 in
-      Some (if d < 3 then 5 + d else if d = 3 then 16 else 14 + d)
+      let d = Xoshiro.int rng 31 in
+      Some
+        (if d < 3 then 5 + d
+         else if d = 3 then 12
+         else if d = 4 then 15
+         else 12 + d)
     else if regime >= 2 then Some 42
     else if regime = 1 then
       (* Half the clustered builds stop at depth 0..4, at or above the
@@ -1837,23 +1842,26 @@ let zorder_case (seed, regime) =
   let z = Pr_arena.bulk_zordered ?max_depth ?backing ~capacity ~n xs ys in
   let problems = ref [] in
   let expect what ok = if not ok then problems := what :: !problems in
+  if regime >= 3 then begin
+    let other =
+      Pr_arena.bulk_of_columns ?max_depth
+        ?backing:
+          (if regime = 3 then None
+           else Some (Pr_arena.Mmap { dir = segment_dir () }))
+        ~capacity ~n fill
+    in
+    expect "one build is mmap-backed"
+      (Pr_arena.backing inplace <> Pr_arena.backing other);
+    expect "heap build = mmap-backed build, entry for entry"
+      (Pr_arena.diff_state inplace other = []);
+    Pr_arena.release other
+  end;
   if regime = 4 then begin
     expect "a depth-4 cell holds step_min points" (fullest_cell pts 4 >= step_min);
     expect "a depth-8 cell holds step_min points" (fullest_cell pts 8 >= step_min);
-    let two_column =
-      Pr_arena.bulk_of_columns ?max_depth
-        ~backing:(Pr_arena.Mmap { dir = segment_dir () })
-        ~capacity ~n fill
-    in
-    expect "reference is mmap-backed" (Pr_arena.backing two_column <> Pr_arena.Heap);
-    let reference = arena_bytes two_column
-    and reference_points = Pr_arena.points two_column in
-    Pr_arena.release two_column;
-    expect "in-place frozen bytes = two-column kernel's" (arena_bytes inplace = reference);
-    expect "Z-ordered frozen bytes = two-column kernel's" (arena_bytes z = reference);
-    expect "points order = two-column kernel's"
-      (Pr_arena.points inplace = reference_points
-      && Pr_arena.points z = reference_points)
+    expect "in-place build = incremental reference"
+      (Pr_quadtree.equal_structure (Pr_arena.freeze inplace)
+         (Pr_quadtree.of_points ?max_depth ~capacity (Array.to_list pts)))
   end;
   let queries () =
     Array.init 60 (fun i ->

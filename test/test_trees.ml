@@ -20,7 +20,7 @@ let prop ?(count = 60) name gen law =
 let uniform_points seed n =
   Sampler.points (Xoshiro.of_int_seed seed) Sampler.Uniform n
 
-(* The packed kernel's four-level step threshold ([Pr_arena]'s
+(* The bulk kernel's four-level step threshold ([Pr_arena]'s
    [step_min]). *)
 let step_min = 1024
 
@@ -643,28 +643,22 @@ let pr_arena_churn_tests =
           (Pr_quadtree.of_points ~capacity ~max_depth survivors)
         && stats_match_frozen a frozen
         && Pr_arena.check_invariants a = []);
-    prop ~count:20 "survivor rebuilds are byte-identical at jobs 1, 2 and 4"
+    prop ~count:20 "survivor rebuilds equal the churned arena"
       QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 5))
       (fun (seed, capacity) ->
         (* The churned arena is structurally equal to the bulk rebuild
-           of its survivors, and that rebuild does not depend on the
-           job count down to the last byte. *)
+           of its survivors, read back through the codec. *)
         let pts = uniform_points seed 120 in
         let a = Pr_arena.of_points ~capacity pts in
         let rng = Xoshiro.of_int_seed (seed + 2) in
         let survivors = churn_arena a rng ~ops:300 ~survivors:pts in
-        let enc jobs =
+        let rebuilt =
           Popan_store.Codec.(
             encode pr_quadtree
-              (Pr_arena.freeze
-                 (Pr_arena.of_points_bulk ~capacity ?jobs survivors)))
+              (Pr_arena.freeze (Pr_arena.of_points_bulk ~capacity survivors)))
         in
-        let sequential = enc None in
-        sequential = enc (Some 1)
-        && sequential = enc (Some 2)
-        && sequential = enc (Some 4)
-        && Pr_quadtree.equal_structure (Pr_arena.freeze a)
-             (Popan_store.Codec.(decode pr_quadtree) sequential));
+        Pr_quadtree.equal_structure (Pr_arena.freeze a)
+          (Popan_store.Codec.(decode pr_quadtree) rebuilt));
     prop ~count:30 "delete everything, then refill from empty"
       QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 6))
       (fun (seed, capacity) ->
@@ -763,65 +757,55 @@ let pr_arena_churn_tests =
         && Pr_arena.check_invariants a = []);
   ]
 
-(* The parallel / out-of-core bulk path *)
+(* The out-of-core bulk path *)
 
 let pr_arena_bulk_tests =
   [
-    prop "parallel bulk equals sequential at jobs 1, 2 and 4"
+    prop "heap and mmap-backed bulk builds are equal entry for entry"
       QCheck2.Gen.(
-        quad (int_range 0 10_000) (int_range 1 8) (int_range 0 28) bool)
+        quad (int_range 0 10_000) (int_range 1 8) (int_range 0 30) bool)
       (fun (seed, capacity, depth_draw, nested) ->
         (* Uniform: 400 points, capacity 1-6, depth limits 0-12, from 0
            so trees stop above the four grouped levels. Nested clusters
-           reach the packed kernel's four-level step at depths 4, 8, 12
-           and 16 (the case asserts the first two), capacity 1-8, with
-           depth limits that stop a walk inside a step (5-7), at a
-           step's root (16), or let the steps nest down to the level-21
-           reload (18-42). The pooled build must equal the sequential
-           one in every stored entry — node ids, chains, columns and
-           counters — not just in its frozen structure. Neither the
-           incremental reference tree nor, for nested clusters, the
-           mmap-backed build (the two-column kernel) takes a step: the
-           sequential build must match the first's structure and the
-           second's points in chain order. *)
+           take the kernel's four-level steps at depths 4 and 8, and
+           from 15 in the second key window (the case asserts all
+           three), capacity 1-8, with depth limits that stop a walk
+           inside a step (5-7), at the end of the step at 8 (12), at
+           the first window's end (15), inside or at the end of the
+           second window (17-30), or past its reload at 30 (31-42).
+           The heap and the mmap-backed build run one kernel, so they
+           must agree in every stored entry — node ids, chains, columns
+           and counters — and both must match the incremental
+           reference tree, which takes no step. *)
         let pts, capacity, max_depth =
           if nested then
             ( nested_cluster_points seed,
               capacity,
               if depth_draw < 3 then 5 + depth_draw
-              else if depth_draw = 3 then 16
-              else 14 + depth_draw )
+              else if depth_draw = 3 then 12
+              else if depth_draw = 4 then 15
+              else 12 + depth_draw )
           else (uniform_points seed 400, 1 + (capacity mod 6), depth_draw mod 13)
         in
         (not nested
-        || fullest_cell pts 4 >= step_min && fullest_cell pts 8 >= step_min
+        || List.for_all (fun d -> fullest_cell pts d >= step_min) [ 4; 8; 15 ]
         || QCheck2.Test.fail_report "nested clusters miss a step")
         &&
-        let seq = Pr_arena.of_points_bulk ~capacity ~max_depth pts in
-        let sequential = Pr_arena.freeze seq in
+        let heap = Pr_arena.of_points_bulk ~capacity ~max_depth pts in
+        let mapped =
+          Pr_arena.of_points_bulk ~capacity ~max_depth
+            ~backing:(Pr_arena.Mmap { dir = segment_dir () }) pts
+        in
         let reference = Pr_quadtree.of_points ~capacity ~max_depth pts in
-        List.for_all
-          (fun jobs ->
-            let par =
-              Pr_arena.of_points_bulk ~capacity ~max_depth ~jobs pts
-            in
-            Pr_arena.check_invariants par = []
-            && Pr_arena.diff_state seq par = []
-            && Pr_quadtree.equal_structure (Pr_arena.freeze par) sequential)
-          [ 1; 2; 4 ]
-        && Pr_quadtree.equal_structure sequential reference
-        && ((not nested)
-           ||
-           let two_column =
-             Pr_arena.of_points_bulk ~capacity ~max_depth
-               ~backing:(Pr_arena.Mmap { dir = segment_dir () }) pts
-           in
-           let same =
-             Pr_arena.backing two_column <> Pr_arena.Heap
-             && Pr_arena.points two_column = Pr_arena.points seq
-           in
-           Pr_arena.release two_column;
-           same));
+        let same =
+          Pr_arena.backing mapped <> Pr_arena.Heap
+          && Pr_arena.check_invariants heap = []
+          && Pr_arena.diff_state heap mapped = []
+          && Pr_quadtree.equal_structure (Pr_arena.freeze heap) reference
+          && Pr_quadtree.equal_structure (Pr_arena.freeze mapped) reference
+        in
+        Pr_arena.release mapped;
+        same);
     prop "bulk_of_fn streams the same tree as the point list"
       QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 6))
       (fun (seed, capacity) ->
@@ -841,7 +825,7 @@ let pr_arena_bulk_tests =
         let pts = uniform_points seed 300 in
         let m =
           Pr_arena.of_points_bulk ~backing:(Pr_arena.Mmap { dir = segment_dir () })
-            ~capacity ~jobs:2 pts
+            ~capacity pts
         in
         let mapped = Pr_arena.backing m <> Pr_arena.Heap in
         let frozen = Pr_arena.freeze m in
@@ -879,30 +863,38 @@ let pr_arena_bulk_tests =
         Pr_arena.release a);
     Alcotest.test_case "deep collisions split by the lo code word" `Quick
       (fun () ->
-        (* Points sharing all 21 coarse bits but differing in bits
-           22..30: the build must descend on the lo word — integer
-           arithmetic, no float fallback — and match the reference.
-           With the old single-word keys this shape forced the float
-           path (or, in bulk, a silent incremental fallback). *)
-        let base = 0.3333333 in
+        (* 32 points in one depth-16 cell, apart in the ordinate bits
+           that decide levels 16 and 22 (the second key window), 30 and
+           35 (the third) and 41, the last level, in the window whose
+           words are padded with zeros: the build must split them past
+           its reloads at levels 15 and 30 and match the reference. The
+           heap and the mmap-backed build must agree entry for entry. *)
+        let base = ldexp (Float.floor (ldexp 0.3333333 16)) (-16) in
+        let bit k i level = ldexp (float_of_int ((k lsr i) land 1)) (-(level + 1)) in
         let pts =
-          List.init 6 (fun k ->
+          List.init 32 (fun k ->
               Point.make
-                (base +. (float_of_int k *. ldexp 1.0 (-30)))
-                (base +. (float_of_int (k mod 3) *. ldexp 1.0 (-29))))
+                (base +. bit k 0 41 +. bit k 2 22 +. bit k 4 16)
+                (base +. bit k 1 30 +. bit k 3 35))
         in
-        let reference = Pr_quadtree.of_points ~capacity:1 ~max_depth:32 pts in
-        let seq = Pr_arena.of_points_bulk ~capacity:1 ~max_depth:32 pts in
-        let par =
-          Pr_arena.of_points_bulk ~capacity:1 ~max_depth:32 ~jobs:4 pts
-        in
-        check_bool "deeper than the coarse code" true (Pr_arena.height seq > 21);
-        check_bool "sequential matches reference" true
-          (Pr_quadtree.equal_structure (Pr_arena.freeze seq) reference);
-        check_bool "parallel matches reference" true
-          (Pr_quadtree.equal_structure (Pr_arena.freeze par) reference);
-        no_violations "inv seq" (Pr_arena.check_invariants seq);
-        no_violations "inv par" (Pr_arena.check_invariants par));
+        List.iter
+          (fun max_depth ->
+            let what = Printf.sprintf "max_depth %d" max_depth in
+            let reference = Pr_quadtree.of_points ~capacity:1 ~max_depth pts in
+            let heap = Pr_arena.of_points_bulk ~capacity:1 ~max_depth pts in
+            let mapped =
+              Pr_arena.of_points_bulk ~capacity:1 ~max_depth
+                ~backing:(Pr_arena.Mmap { dir = segment_dir () }) pts
+            in
+            check_int (what ^ ": splits down to the limit") max_depth
+              (Pr_arena.height heap);
+            check_bool (what ^ ": matches reference") true
+              (Pr_quadtree.equal_structure (Pr_arena.freeze heap) reference);
+            Alcotest.(check (list string)) (what ^ ": heap = mmap-backed") []
+              (Pr_arena.diff_state heap mapped);
+            no_violations (what ^ ": invariants") (Pr_arena.check_invariants heap);
+            Pr_arena.release mapped)
+          [ 31; 42 ]);
     Alcotest.test_case "bulk_of_fn validates" `Quick (fun () ->
         Alcotest.check_raises "negative n"
           (Invalid_argument "Pr_arena.bulk_of_fn: n < 0") (fun () ->
@@ -914,14 +906,30 @@ let pr_arena_bulk_tests =
           (fun () ->
             ignore
               (Pr_arena.bulk_of_fn ~capacity:2 ~n:1 (fun _ ->
-                   Point.make 1.5 0.5))));
+                   Point.make 1.5 0.5)));
+        (* A sort word holds a 32-bit slot: a larger build is refused
+           before its generator runs or any arena exists, so an
+           mmap-backed request leaves its directory empty. *)
+        let dir = Filename.temp_dir "popan-test" "-segments" in
+        let calls = ref 0 in
+        Alcotest.check_raises "n >= 2^32"
+          (Invalid_argument "Pr_arena.bulk_of_fn: n >= 2^32") (fun () ->
+            ignore
+              (Pr_arena.bulk_of_fn ~backing:(Pr_arena.Mmap { dir }) ~capacity:8
+                 ~n:(1 lsl 32) (fun _ ->
+                   incr calls;
+                   Point.origin)));
+        check_int "generator never called" 0 !calls;
+        check_int "no arena directory" 0 (Array.length (Sys.readdir dir));
+        Sys.rmdir dir);
     Alcotest.test_case "footprint estimate is sane and validates" `Quick
       (fun () ->
         let f = Pr_arena.bulk_footprint ~capacity:8 ~n:1_000_000 in
-        (* Seven 8-byte columns of n entries — three point columns and
-           four sort columns — plus node arrays. *)
-        check_bool "covers the columns" true (f >= 56 * 1_000_000);
-        check_bool "stays within 2x the columns" true (f <= 112 * 1_000_000);
+        (* Five 8-byte columns of n entries — three point columns, the
+           key column and at most n scratch entries — plus node
+           arrays. *)
+        check_bool "covers the columns" true (f >= 40 * 1_000_000);
+        check_bool "stays within 2x the columns" true (f <= 80 * 1_000_000);
         Alcotest.check_raises "n < 0"
           (Invalid_argument "Pr_arena.bulk_footprint: n < 0") (fun () ->
             ignore (Pr_arena.bulk_footprint ~capacity:1 ~n:(-1)));
@@ -930,8 +938,8 @@ let pr_arena_bulk_tests =
             ignore (Pr_arena.bulk_footprint ~capacity:0 ~n:1)));
     Alcotest.test_case "an mmap build keeps only its point columns on disk"
       `Quick (fun () ->
-        (* The sort scratch (keys, slots and their ping-pong twins) is
-           mapped as segments too; every bulk entry deletes it when its
+        (* The sort buffers (the key column and its scratch) are
+           mapped as segments too; every bulk entry deletes them when its
            sort is done, and [release] still removes the directory. A
            build that raises releases its arena itself, since its
            caller never receives it. *)
@@ -964,9 +972,7 @@ let pr_arena_bulk_tests =
           [ ("Z-ordered", fun backing ->
                 Pr_arena.bulk_zordered ~backing ~capacity:8 ~n xs ys);
             ("in place", fun backing ->
-                Pr_arena.of_points_bulk ~backing ~capacity:8 pts);
-            ("in place at 2 jobs", fun backing ->
-                Pr_arena.of_points_bulk ~backing ~jobs:2 ~capacity:8 pts) ];
+                Pr_arena.of_points_bulk ~backing ~capacity:8 pts) ];
         (* The last point leaves the unit square: each entry rejects the
            build once its columns are mapped. *)
         xs.{n - 1} <- 1.5;
